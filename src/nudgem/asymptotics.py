@@ -161,14 +161,6 @@ def m_heavy(mix: JobMix, info: DecayInfo) -> int:
     return math.floor(math.log(mix.e2 / mix.e1) / math.log1p(info.theta_z))
 
 
-def m_heavy_load_form(mix: JobMix) -> int:
-    """Variant floor(log(E[X2]/E[X1]) E[X^2] / (2 (1 - lambda)))."""
-    if mix.e2 < mix.e1:
-        raise ValueError("m_heavy assumes E[X2] >= E[X1]")
-    return math.floor(math.log(mix.e2 / mix.e1) * mix.second_moment()
-                      / (2.0 * (1.0 - mix.lam)))
-
-
 def family_prefactors(policy: PolicyFn, info: DecayInfo, mix: JobMix) -> AtirReport:
     """Waiting-time prefactors of an arbitrary family member.
 
@@ -311,11 +303,6 @@ def compare_km_ml(i: int, m: int, info: DecayInfo, mix: JobMix) -> KmMlCompariso
     return KmMlComparison(atir_km=a_km, atir_ml=a_ml, sign=sign,
                           predicate=predicate,
                           ratio=increment_ratio(info, i, m))
-
-
-def atir_named(policy: PolicyFn, info: DecayInfo, mix: JobMix) -> float:
-    """ATIR of any family member via the general prefactor sums."""
-    return family_prefactors(policy, info, mix).atir
 
 
 def best_nudge_kl(info: DecayInfo, mix: JobMix,

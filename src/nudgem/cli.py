@@ -20,7 +20,8 @@ from . import __version__
 from .phtype import (FitError, InstabilityError, InvalidDistributionError,
                      JobMix, fit_hyperexp, load_mix, normalized_mix,
                      ph_exponential, two_class_exp_mix)
-from .policy import PolicyError, PolicyFn, named_policy, policy_from_table_file
+from .policy import (POLICY_BUILDERS, PolicyError, PolicyFn, named_policy,
+                     policy_from_table_file, policy_key)
 from . import asymptotics, fluid, resp2, sim, swap
 from .asymptotics import ComplexityError, UnsupportedSpectrumError, decay_rate
 from .fluid import NUDGE_M_CAP, RiccatiError, StationarySolveError
@@ -81,13 +82,14 @@ def resolve_mix(args) -> JobMix:
 
 
 def resolve_policy(args, default_m: Optional[int] = None) -> PolicyFn:
+    """A registered policy name (see ``policy.POLICY_BUILDERS``), else a
+    policy table file."""
     spec = getattr(args, "policy", None) or "nudge-m"
-    m = args.m if getattr(args, "m", None) else default_m
-    if spec not in ("fcfs", "nudge-m", "nudge-k", "nudge-l", "nudge-km",
-                    "nudge-ml", "nudge-kl"):
+    if policy_key(spec) not in POLICY_BUILDERS:
         return policy_from_table_file(spec)
-    return named_policy(spec, m=m, k=getattr(args, "k", None),
-                        l=getattr(args, "l", None))
+    params = {"m": args.m if getattr(args, "m", None) else default_m,
+              "k": getattr(args, "k", None), "l": getattr(args, "l", None)}
+    return named_policy(spec, **{k: v for k, v in params.items() if v is not None})
 
 
 def write_csv(path: str, header: List[str], rows: List[list],
@@ -164,7 +166,7 @@ def cmd_dist(args) -> int:
     recipe = RECIPES.get(args.recipe, {}) if args.recipe else {}
     info = decay_rate(mix)
     m = args.m if args.m is not None else recipe.get("m")
-    policy_name = args.policy or "nudge-m"
+    policy_name = policy_key(args.policy or "nudge-m")
     if policy_name not in ("fcfs", "nudge-m"):
         raise ComplexityError("distributions are available for fcfs and nudge-m")
     if policy_name == "nudge-m":
@@ -176,28 +178,27 @@ def cmd_dist(args) -> int:
     t_grid = parse_grid(args.t) if args.t else \
         [float(x) for x in np.linspace(0.0, 60.0 / info.theta_z, 25)]
 
-    fcfs_sol = fluid.stationary_fluid(fluid.build_fcfs_fluid(mix))
+    # every law is built once and evaluated on the whole grid
+    fcfs_w = fluid.stationary_fluid(fluid.build_fcfs_fluid(mix)).w1
+    r1f = fcfs_w.plus(mix.ph1).ccdf(t_grid)
+    r2f = fcfs_w.plus(mix.ph2).ccdf(t_grid)
     if policy_name == "fcfs":
-        sol, w2m = fcfs_sol, None
+        w1 = w2 = fcfs_w.ccdf(t_grid)
+        r1, r2 = r1f, r2f
     else:
         sol = fluid.stationary_fluid(fluid.build_nudge_m_fluid(mix, m))
         w2m = resp2.build_w2_model(mix, m)
+        w1, r1 = sol.w1_ccdf(t_grid), sol.w1.plus(mix.ph1).ccdf(t_grid)
+        w2, r2 = w2m.w2_ccdf(t_grid), w2m.r2_ccdf(t_grid)
 
     header = ["t", "w1_ccdf", "r1_ccdf", "w2_ccdf", "r2_ccdf", "tir"]
     rows = []
-    for t in t_grid:
-        r1f = fluid.response_ccdf(fcfs_sol, mix.ph1, mix.lam, t)
-        r2f = fluid.response_ccdf(fcfs_sol, mix.ph2, mix.lam, t)
-        if policy_name == "fcfs":
-            w1, r1 = fcfs_sol.w1_ccdf(t), r1f
-            w2, r2 = w1, r2f
-        else:
-            w1, r1 = sol.w1_ccdf(t), fluid.r1_ccdf(sol, mix, t)
-            w2, r2 = w2m.w2_ccdf(t), w2m.r2_ccdf(t)
-        rf = mix.p * r1f + (1.0 - mix.p) * r2f
-        ra = mix.p * r1 + (1.0 - mix.p) * r2
+    for row in zip(t_grid, w1, r1, w2, r2, r1f, r2f):
+        t, w1t, r1t, w2t, r2t, r1ft, r2ft = map(float, row)
+        rf = mix.p * r1ft + (1.0 - mix.p) * r2ft
+        ra = mix.p * r1t + (1.0 - mix.p) * r2t
         tir = 0.0 if rf == 0.0 else 1.0 - ra / rf
-        rows.append([t, w1, r1, w2, r2, tir])
+        rows.append([t, w1t, r1t, w2t, r2t, tir])
     write_csv(args.out, header, rows,
               _manifest(args, {"theta_z": info.theta_z, "m": m}))
     return EXIT_OK
@@ -328,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="named parameter set")
         if policy:
             p.add_argument("--policy",
-                           help="fcfs, nudge-m/k/l/km/ml/kl, or a table file")
+                           help=f"{', '.join(POLICY_BUILDERS)} (comma forms "
+                                "such as nudge-k,m also work), or a table file")
         p.add_argument("--m", type=int)
         p.add_argument("--k", type=int)
         p.add_argument("--l", type=int)

@@ -18,7 +18,7 @@ from typing import Dict, Tuple
 import numpy as np
 from scipy.linalg import solve_sylvester
 
-from .phtype import JobMix, expm_action
+from .phtype import JobMix, MatrixExpDist
 
 # Riccati stopping criteria.
 RICCATI_STEP_TOL = 1e-14
@@ -142,28 +142,23 @@ def solve_riccati_fixed_point(model: FluidModel, max_iter: int = 200000,
 
 @dataclass(frozen=True)
 class FluidSolution:
+    """Stationary fluid: Psi, the zero-level mass c0 and the law of the
+    level W_1, P[W_1 > t] = pi_+ e^{Kt} (-K)^{-1} Psi 1."""
+
     model: FluidModel
     psi: np.ndarray
-    k: np.ndarray
-    pi_plus: np.ndarray
     c0: float
+    w1: MatrixExpDist
 
-    def w1_ccdf(self, t: float) -> float:
-        """P[W_1 > t] = pi_+ e^{Kt} (-K)^{-1} Psi 1."""
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        v = np.linalg.solve(-self.k, self.psi @ np.ones(self.model.n_minus))
-        return float(self.pi_plus @ expm_action(self.k, t) @ v)
-
-    def w1_density(self, t: float) -> float:
-        return float(self.pi_plus @ expm_action(self.k, t)
-                     @ self.psi @ np.ones(self.model.n_minus))
+    def w1_ccdf(self, t):
+        """P[W_1 > t] at a scalar t or on a 1-D grid."""
+        return self.w1.ccdf(t)
 
 
 def stationary_fluid(model: FluidModel, psi: np.ndarray = None) -> FluidSolution:
-    """Stationary distribution of the fluid with jumps: K, pi_+ (left
-    eigenvector of Psi P~ at eigenvalue 1, normalized so eta = 1) and the
-    zero-level mass c0."""
+    """Stationary distribution of the fluid with jumps: the law of W_1 from
+    K and pi_+ (left eigenvector of Psi P~ at eigenvalue 1, normalized so
+    eta = 1), and the zero-level mass c0."""
     if psi is None:
         psi = solve_riccati(model)
     p_tilde = model.p_mp - model.p_m0 @ np.linalg.solve(model.t_star_00,
@@ -189,46 +184,16 @@ def stationary_fluid(model: FluidModel, psi: np.ndarray = None) -> FluidSolution
     ones_m = np.ones(model.n_minus)
     ones_0 = np.ones(model.t_star_00.shape[0])
     boundary = psi @ model.p_m0 @ np.linalg.solve(model.t_star_00, ones_0)
-    eta = -float(pi @ (np.linalg.solve(k, psi @ ones_m) + boundary))
+    tail = np.linalg.solve(-k, psi @ ones_m)  # (-K)^{-1} Psi 1
+    eta = float(pi @ (tail - boundary))
     if eta <= 0:
         raise StationarySolveError(f"normalizing constant eta = {eta:.3e} <= 0")
     pi = pi / eta
     c0 = -float(pi @ boundary)
     if not (0.0 < c0 < 1.0):
         raise StationarySolveError(f"zero-level mass c0 = {c0:.6g} outside (0, 1)")
-    return FluidSolution(model=model, psi=psi, k=k, pi_plus=pi, c0=c0)
-
-
-def w1_ccdf(solution: FluidSolution, t: float) -> float:
-    return solution.w1_ccdf(t)
-
-
-def response_ccdf(solution: FluidSolution, ph, lam: float, t: float) -> float:
-    """Tail of the fluid level plus an independent phase-type service:
-    P[W > t] + (1-lambda) alpha e^{St} 1 + (pi_+, 0) e^{Bt} [0; 1] with
-    B = [[K, Psi 1 alpha], [0, S]]."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    k = solution.k
-    n_k = k.shape[0]
-    n_s = ph.alpha.shape[0]
-    b = np.zeros((n_k + n_s, n_k + n_s))
-    b[:n_k, :n_k] = k
-    b[:n_k, n_k:] = np.outer(solution.psi @ np.ones(solution.model.n_minus),
-                             ph.alpha)
-    b[n_k:, n_k:] = ph.S
-    tail = np.zeros(n_k + n_s)
-    tail[n_k:] = 1.0
-    init = np.zeros(n_k + n_s)
-    init[:n_k] = solution.pi_plus
-    conv = float(init @ expm_action(b, t) @ tail)
-    svc = float((1.0 - lam) * ph.alpha @ expm_action(ph.S, t) @ np.ones(n_s))
-    return solution.w1_ccdf(t) + svc + conv
-
-
-def r1_ccdf(solution: FluidSolution, mix: JobMix, t: float) -> float:
-    """P[R_1 > t]: type-1 waiting time plus a type-1 service."""
-    return response_ccdf(solution, mix.ph1, mix.lam, t)
+    w1 = MatrixExpDist(pi, k, tail)
+    return FluidSolution(model=model, psi=psi, c0=c0, w1=w1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Phase-type distributions, two-class job mixes and the dense linear
 algebra kernels (Kronecker product/sum, matrix exponential) used by the
-rest of the package.
+rest of the package, and the matrix-exponential law type through which
+every waiting- and response-time distribution is evaluated.
 
 Conventions: a phase-type distribution is a pair (alpha, S) where alpha is
 a probability row vector over the transient phases and S the subgenerator;
@@ -19,12 +20,8 @@ from scipy.linalg import expm as _scipy_expm
 # Default relative tolerance used across the package unless an operation
 # states otherwise.
 DEFAULT_TOL = 1e-9
-# Tolerance on linear solves / transform identities.
-SOLVE_TOL = 1e-12
 # Mean normalization tolerance for a JobMix (p E[X1] + (1-p) E[X2] = 1).
 MIX_MEAN_TOL = 1e-9
-# Target accuracy of the matrix exponential.
-EXPM_TOL = 1e-12
 
 
 class InvalidDistributionError(ValueError):
@@ -53,15 +50,8 @@ def kron_sum(a, b):
     return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)
 
 
-@dataclass(frozen=True)
-class MatrixExpResult:
-    value: np.ndarray
-    norm_bound: float
-    squarings: int
-
-
-def expm(q, t: float = 1.0) -> MatrixExpResult:
-    """Matrix exponential e^{Q t} with scaling-and-squaring (Pade-13).
+def expm(q, t: float = 1.0) -> np.ndarray:
+    """Matrix exponential e^{Q t} (scipy's scaling-and-squaring Pade-13).
 
     For a subgenerator Q and t >= 0 the result is entrywise nonnegative
     with row sums at most 1 (up to roundoff).
@@ -72,14 +62,51 @@ def expm(q, t: float = 1.0) -> MatrixExpResult:
     m = _scipy_expm(q * t)
     if not np.all(np.isfinite(m)):
         raise FloatingPointError("non-finite entries in matrix exponential")
-    norm = float(np.linalg.norm(q * t, 1))
-    squarings = max(0, int(math.ceil(math.log2(max(norm, 1.0) / 5.37))))
-    return MatrixExpResult(value=m, norm_bound=norm, squarings=squarings)
+    return m
 
 
-def expm_action(q, t: float):
-    """Plain e^{Q t} as an ndarray (convenience over expm())."""
-    return expm(q, t).value
+@dataclass(frozen=True)
+class MatrixExpDist:
+    """Matrix-exponential law of a nonnegative X: P[X > t] = init e^{gen t} tail.
+
+    The atom at zero is 1 - init . tail. Every waiting- and response-time
+    law of the package is one of these; all of them evaluate through
+    :func:`expm`, looked up at call time.
+    """
+
+    init: np.ndarray
+    gen: np.ndarray
+    tail: np.ndarray
+
+    def __post_init__(self):
+        for name in ("init", "gen", "tail"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        n = self.init.shape[0]
+        if self.gen.shape != (n, n) or self.tail.shape != (n,):
+            raise ValueError("init, gen and tail dimensions disagree")
+
+    def _eval(self, t, vec: np.ndarray):
+        ts = np.asarray(t, dtype=float)
+        if np.any(ts < 0):
+            raise ValueError("t must be >= 0")
+        vals = np.array([(self.init @ expm(self.gen, x)) @ vec for x in ts.ravel()])
+        return float(vals[0]) if ts.ndim == 0 else vals
+
+    def ccdf(self, t):
+        """P[X > t] for a scalar t (float) or a 1-D grid (array)."""
+        return self._eval(t, self.tail)
+
+    def density(self, t):
+        """f_X(t) = init e^{gen t} (-gen tail) for t > 0 (the atom excluded)."""
+        return self._eval(t, -self.gen @ self.tail)
+
+    def plus(self, ph: "PhaseType") -> "MatrixExpDist":
+        """Law of X + Y for an independent Y ~ PH(alpha, S): X's exit flow
+        and its atom at zero both start Y's phases."""
+        gen = np.block([[self.gen, np.outer(-self.gen @ self.tail, ph.alpha)],
+                        [np.zeros((ph.n, self.init.shape[0])), ph.S]])
+        init = np.concatenate([self.init, (1.0 - self.init @ self.tail) * ph.alpha])
+        return MatrixExpDist(init, gen, np.concatenate([self.tail, np.ones(ph.n)]))
 
 
 @dataclass(frozen=True)
@@ -128,9 +155,9 @@ class PhaseType:
     def laplace(self, s: float) -> float:
         return laplace_at(self, s)
 
-    def ccdf(self, t: float) -> float:
-        """P[X > t] = alpha e^{S t} 1."""
-        return float(self.alpha @ expm_action(self.S, t) @ np.ones(self.n))
+    def ccdf(self, t):
+        """P[X > t] = alpha e^{S t} 1, at a scalar t or on a 1-D grid."""
+        return MatrixExpDist(self.alpha, self.S, np.ones(self.n)).ccdf(t)
 
     def scaled(self, c: float) -> "PhaseType":
         """Distribution of c X (job sizes scaled by c > 0)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 String = Tuple[int, ...]
 
@@ -141,28 +141,35 @@ def nudge_kl_policy(k: int, l: int) -> PolicyFn:
     return _make(m, n)
 
 
-def named_policy(kind: str, **params) -> PolicyFn:
-    """Build one of the named family members.
+# Named family members: registry key -> builder over the parameters
+# (m, k, l). The one list of policy names, shared with the CLI.
+POLICY_BUILDERS: Dict[str, Callable[[dict], PolicyFn]] = {
+    "fcfs": lambda p: fcfs_policy(p.get("m", 1)),
+    "nudge-m": lambda p: nudge_m_policy(p["m"]),
+    "nudge-k": lambda p: nudge_k_policy(p["k"]),
+    "nudge-l": lambda p: nudge_l_policy(p["l"]),
+    "nudge-km": lambda p: nudge_km_policy(p["k"], p["m"]),
+    "nudge-ml": lambda p: nudge_ml_policy(p["m"], p["l"]),
+    "nudge-kl": lambda p: nudge_kl_policy(p["k"], p["l"]),
+}
 
-    kind is one of fcfs, nudge-m, nudge-k, nudge-l, nudge-km, nudge-ml,
-    nudge-kl with the matching integer parameters (m, k, l).
-    """
-    kind = kind.lower().replace("_", "-")
-    if kind == "fcfs":
-        return fcfs_policy(params.get("m", 1))
-    if kind == "nudge-m":
-        return nudge_m_policy(params["m"])
-    if kind == "nudge-k":
-        return nudge_k_policy(params["k"])
-    if kind == "nudge-l":
-        return nudge_l_policy(params["l"])
-    if kind in ("nudge-km", "nudge-k,m"):
-        return nudge_km_policy(params["k"], params["m"])
-    if kind in ("nudge-ml", "nudge-m,l"):
-        return nudge_ml_policy(params["m"], params["l"])
-    if kind in ("nudge-kl", "nudge-k,l"):
-        return nudge_kl_policy(params["k"], params["l"])
-    raise PolicyError(f"unknown policy kind {kind!r}")
+
+def policy_key(kind: str) -> str:
+    """Registry key of a policy name: case, '_' for '-' and the paper's
+    comma forms (nudge-k,m) are accepted."""
+    return kind.lower().replace("_", "-").replace(",", "")
+
+
+def named_policy(kind: str, **params) -> PolicyFn:
+    """Build one of the named family members (see ``POLICY_BUILDERS``)
+    with the matching integer parameters (m, k, l)."""
+    builder = POLICY_BUILDERS.get(policy_key(kind))
+    if builder is None:
+        raise PolicyError(f"unknown policy kind {kind!r}")
+    try:
+        return builder(params)
+    except KeyError as exc:
+        raise PolicyError(f"policy {kind!r} needs parameter {exc}") from exc
 
 
 def enumerate_policies(m: int) -> Iterator[PolicyFn]:

@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from .phtype import JobMix, expm_action, kron_prod, kron_sum
+from .phtype import JobMix, MatrixExpDist, kron_prod, kron_sum
 from .swap import SwapChain, build_swap_chain, chain_size
 
 
@@ -61,9 +61,9 @@ class ExtraWaitModel:
 
     def ccdf(self, s: float, t: float) -> float:
         """P[W_extra(s) > t] = gamma(s) e^{Qt} 1."""
-        if s < 0 or t < 0:
-            raise ValueError("s and t must be >= 0")
-        return float(self.gamma(s) @ expm_action(self.q, t) @ np.ones(self.layout.size))
+        if s < 0:
+            raise ValueError("s must be >= 0")
+        return MatrixExpDist(self.gamma(s), self.q, np.ones(self.layout.size)).ccdf(t)
 
 
 def build_extra_wait(mix: JobMix, m: int, chain: SwapChain = None) -> ExtraWaitModel:
@@ -88,52 +88,30 @@ def build_extra_wait(mix: JobMix, m: int, chain: SwapChain = None) -> ExtraWaitM
     return ExtraWaitModel(mix=mix, chain=chain, layout=layout, q=q)
 
 
-def extra_wait_ccdf(mix: JobMix, m: int, s: float, t: float) -> float:
-    return build_extra_wait(mix, m).ccdf(s, t)
-
-
 @dataclass(frozen=True)
 class W2Model:
     """Embedded chain for the type-2 waiting time: the workload process
     runs jointly with the counting chain, then hands over to the
-    extra-wait phases."""
+    extra-wait phases. w2 is the law of W_2, and r2 = w2.plus(ph2) the
+    law of R_2."""
 
     mix: JobMix
     extra: ExtraWaitModel
-    t_m: np.ndarray
-    v2: np.ndarray
-    init: np.ndarray
+    w2: MatrixExpDist
+    r2: MatrixExpDist
 
-    def w2_ccdf(self, t: float) -> float:
-        """P[W_2 > t] = (e_1' x lambda beta, 0) e^{T_M t} v_2."""
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        return float(self.init @ expm_action(self.t_m, t) @ self.v2)
+    @property
+    def t_m(self) -> np.ndarray:
+        return self.w2.gen
 
-    def w2_density(self, t: float) -> float:
-        """f_{W_2}(t) for t > 0 (excludes the 1 - lambda atom at zero)."""
-        return float(self.init @ expm_action(self.t_m, t) @ (-self.t_m) @ self.v2)
+    def w2_ccdf(self, t):
+        """P[W_2 > t] = (e_1' x lambda beta, 0) e^{T_M t} v_2, at a scalar t
+        or on a 1-D grid."""
+        return self.w2.ccdf(t)
 
-    def r2_ccdf(self, t: float) -> float:
-        """P[R_2 > t] from the waiting time plus a type-2 service:
-        P[W_2 > t] + (1-lambda) alpha2 e^{S2 t} 1 - (init, 0) e^{Bt} [0; 1]."""
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        mix = self.mix
-        n_top = self.t_m.shape[0]
-        n2 = mix.n2
-        b = np.zeros((n_top + n2, n_top + n2))
-        b[:n_top, :n_top] = self.t_m
-        b[:n_top, n_top:] = np.outer(self.t_m @ self.v2, mix.ph2.alpha)
-        b[n_top:, n_top:] = mix.ph2.S
-        tail = np.zeros(n_top + n2)
-        tail[n_top:] = 1.0
-        init = np.zeros(n_top + n2)
-        init[:n_top] = self.init
-        conv = float(init @ expm_action(b, t) @ tail)
-        svc = float((1.0 - mix.lam) * mix.ph2.alpha @ expm_action(mix.ph2.S, t)
-                    @ np.ones(n2))
-        return self.w2_ccdf(t) + svc - conv
+    def r2_ccdf(self, t):
+        """P[R_2 > t] at a scalar t or on a 1-D grid."""
+        return self.r2.ccdf(t)
 
 
 def build_w2_model(mix: JobMix, m: int, chain: SwapChain = None) -> W2Model:
@@ -164,7 +142,8 @@ def build_w2_model(mix: JobMix, m: int, chain: SwapChain = None) -> W2Model:
     e1[0] = 1.0
     init[:n_top] = mix.lam * kron_prod(e1.reshape(1, -1),
                                        mix.beta.reshape(1, -1)).ravel()
-    return W2Model(mix=mix, extra=extra, t_m=t_m, v2=v2, init=init)
+    w2 = MatrixExpDist(init, t_m, v2)
+    return W2Model(mix=mix, extra=extra, w2=w2, r2=w2.plus(mix.ph2))
 
 
 def w2_ccdf(mix: JobMix, m: int, t: float) -> float:

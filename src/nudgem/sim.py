@@ -177,7 +177,7 @@ def simulate(config: SimConfig) -> SimStats:
         if in_service < 0:
             begin_service(t)
 
-    # drain
+    # drain; the last departure ends the busy-time horizon
     while in_service >= 0:
         done, in_service = service_ends, -1
         if queue:
@@ -196,7 +196,7 @@ def simulate(config: SimConfig) -> SimStats:
         passes_hist=passes_hist,
         passed_hist=passed_hist,
         times_passed=times_passed[w:],
-        busy_fraction=busy / (arrivals[-1] + service[-1]),
+        busy_fraction=busy / done,
     )
 
 
@@ -228,13 +228,3 @@ def tail_prefactor_estimate(stats: SimStats, theta_z: float,
     spread = float(logs.std(ddof=1) / np.sqrt(logs.size)) if logs.size > 1 else 0.0
     return est, est * spread
 
-
-def swap_pmf_near_workload(stats: SimStats, s: float, half_width: float) -> np.ndarray:
-    """Empirical pmf of times-passed for type-2 jobs that found a workload
-    within half_width of s on arrival."""
-    mask = (stats.job_type == 2) & (np.abs(stats.workload_seen - s) <= half_width)
-    counts = stats.times_passed[mask]
-    if counts.size == 0:
-        raise EstimationError(f"no type-2 arrivals near workload {s}")
-    m = stats.passes_hist.shape[0] - 1
-    return np.bincount(counts, minlength=m + 1) / counts.size

@@ -17,10 +17,8 @@ from typing import List
 import numpy as np
 from scipy.integrate import quad
 
-from .phtype import JobMix, expm_action, kron_prod, kron_sum
-
-# Truncation: P[Poisson(r) > n] < 1e-16 cutoff for uniformization sums.
-_POISSON_EPS = 1e-16
+from . import phtype
+from .phtype import JobMix, MatrixExpDist, kron_prod, kron_sum
 
 
 def chain_size(k: int) -> int:
@@ -76,7 +74,7 @@ class SwapChain:
     m: int
     mix: JobMix
     w: List[np.ndarray]          # W_0 .. W_M
-    u: List[np.ndarray]          # placeholder, U_1 .. U_M at indices 1..M
+    u: List[np.ndarray]          # u[0] is None; U_1 .. U_M at indices 1..M
     f: List[np.ndarray]          # F_0 .. F_M
     transfer: List[np.ndarray]   # step ell: (U_{M-ell} x alpha1)(-(W_{M-ell-1} (+) S1))^{-1}(I x s1*)
     v_swap: np.ndarray
@@ -109,14 +107,15 @@ class SwapChain:
         """Generic-expm oracle for initial_distribution (test use)."""
         e1 = np.zeros(chain_size(self.m))
         e1[0] = 1.0
-        return e1 @ expm_action(self.w[self.m], s)
+        return e1 @ phtype.expm(self.w[self.m], s)
 
 
 def build_swap_chain(mix: JobMix, m: int) -> SwapChain:
     """Build all counting chains and per-swap transfer matrices.
 
-    The inverse of (-(W_{M-1} (+) S1)) is computed once; the smaller
-    blocks reuse the same factorization cost bound of O(M^6 n1^3).
+    Step ell inverts -(W_k (+) S1) for its own window k = M - ell - 1:
+    one dense inverse per step, the largest (k = M - 1) costing
+    O(M^6 n1^3).
     """
     if m < 1:
         raise ValueError("window m must be >= 1")
@@ -128,11 +127,11 @@ def build_swap_chain(mix: JobMix, m: int) -> SwapChain:
     s1 = mix.ph1.S
     alpha1 = mix.ph1.alpha.reshape(1, -1)
     s1_star = mix.ph1.exit.reshape(-1, 1)
-    n1 = mix.n1
 
-    # Invert the largest Kronecker sum once; the window-k operators are the
-    # trailing submatrices of the window-(M-1) operator, so their inverses
-    # are solves against submatrix blocks of the same layered structure.
+    # Each step inverts its own Kronecker sum. The operators nest (window k
+    # is the trailing block of window k+1, and all are block upper
+    # triangular), so the inverse for the largest window holds the others
+    # as trailing blocks; that saving is not taken here.
     transfer = []
     for ell in range(m):
         k = m - ell - 1  # window of the chain run during the swap service
@@ -224,11 +223,12 @@ def mean_swaps_quadrature(mix: JobMix, m: int, theta_z: float,
     if chain is None:
         chain = build_swap_chain(mix, m)
     t_mat = mix.T
-    ones = np.ones(t_mat.shape[0])
+    # workload law: P[Z > s] = lambda beta e^{Ts} (-T)^{-1} 1
+    workload = MatrixExpDist(mix.lam * mix.beta, t_mat,
+                             np.linalg.solve(-t_mat, np.ones(t_mat.shape[0])))
 
     def integrand(s):
-        dens = mix.lam * mix.beta @ expm_action(t_mat, s) @ ones
-        return dens * mean_swaps_at(chain, s)
+        return workload.density(s) * mean_swaps_at(chain, s)
 
     upper = 40.0 / theta_z
     val, _err = quad(integrand, 0.0, upper, limit=200, epsabs=1e-10, epsrel=1e-10)
@@ -242,7 +242,7 @@ def workload_ccdf(mix: JobMix, t: float) -> float:
         raise ValueError("t must be >= 0")
     t_mat = mix.T
     ones = np.ones(t_mat.shape[0])
-    e_tt = expm_action(t_mat, t)
+    e_tt = phtype.expm(t_mat, t)
     a = mix.lam * mix.alpha @ e_tt @ np.linalg.solve(-mix.S, ones)
     b = mix.lam * mix.beta @ e_tt @ np.linalg.solve(-t_mat, ones)
     if abs(a - b) > 1e-10:

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from nudgem.cli import main, parse_grid
+from nudgem.asymptotics import decay_rate, family_prefactors
+from nudgem.cli import RECIPES, main, parse_grid
+from nudgem.policy import named_policy
 
 
 def _read(path):
@@ -41,6 +43,29 @@ def test_atir_lambda_sweep(tmp_path):
     # the optimal-window gain grows with load
     gains = [float(r[3]) for r in rows]
     assert gains == sorted(gains)
+
+
+def test_atir_policy_comma_alias(tmp_path):
+    # the paper's "Nudge-K,M" spelling names the registered nudge-km policy
+    out = tmp_path / "km.csv"
+    assert main(["atir", "--recipe", "fig5a", "--policy", "nudge-k,m",
+                 "--m", "3", "--k", "1", "--out", str(out)]) == 0
+    header, rows = _read(out)
+    assert header == ["m", "atir", "atir_nudge-km"]
+    mix = RECIPES["fig5a"]["mix"]()
+    info = decay_rate(mix)
+    for row in rows[1:]:
+        pol = named_policy("nudge-km", k=1, m=int(row[0]))
+        assert float(row[2]) == pytest.approx(
+            family_prefactors(pol, info, mix).atir, abs=1e-14)
+    assert main(["atir", "--recipe", "fig5a", "--policy", "nudge-k",
+                 "--m", "2", "--out", str(out)]) == 2
+
+
+def test_dist_policy_spelling_via_registry(tmp_path):
+    # dist normalizes the name through the same registry key as the others
+    assert main(["dist", "--recipe", "fig5a", "--policy", "Nudge_M", "--m", "2",
+                 "--t", "0", "--out", str(tmp_path / "d.csv")]) == 0
 
 
 def test_dist_zero_row(tmp_path):

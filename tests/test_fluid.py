@@ -9,8 +9,6 @@ from nudgem.fluid import (
     build_fcfs_fluid,
     build_nudge1_fluid,
     build_nudge_m_fluid,
-    r1_ccdf,
-    response_ccdf,
     riccati_residual,
     solve_policy_fluid,
     solve_riccati,
@@ -19,6 +17,7 @@ from nudgem.fluid import (
 )
 from nudgem.phtype import fit_hyperexp, normalized_mix, ph_erlang, two_class_exp_mix
 from nudgem.swap import workload_ccdf
+from oracles import convolution_ccdf
 
 MIX = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
 HE_MIX = normalized_mix(2 / 3, ph_erlang(2, 0.5), fit_hyperexp(2.0, 2.0, 0.5),
@@ -93,17 +92,28 @@ def test_w1_improves_with_window():
 
 def test_r1_ccdf_boundaries():
     sol = stationary_fluid(build_nudge_m_fluid(MIX, 2))
-    assert r1_ccdf(sol, MIX, 0.0) == pytest.approx(1.0, abs=1e-10)
+    r1 = sol.w1.plus(MIX.ph1)
+    assert r1.ccdf(0.0) == pytest.approx(1.0, abs=1e-10)
     for t in (0.5, 3.0, 12.0):
-        assert r1_ccdf(sol, MIX, t) >= sol.w1_ccdf(t) - 1e-12
+        assert r1.ccdf(t) >= sol.w1_ccdf(t) - 1e-12
+
+
+@pytest.mark.parametrize("mix", [MIX, HE_MIX], ids=["exp", "erlang2"])
+def test_r1_matches_convolution_oracle(mix):
+    # P[W + X > t] = P[X > t] + int_0^t f_X(x) P[W > t - x] dx
+    sol = stationary_fluid(build_nudge_m_fluid(mix, 2))
+    r1 = sol.w1.plus(mix.ph1)
+    for t in (0.3, 2.0, 7.0):
+        assert r1.ccdf(t) == pytest.approx(
+            convolution_ccdf(mix.ph1, sol.w1_ccdf, t), abs=1e-8)
 
 
 def test_fcfs_response_mixture_is_total_response():
     # under FCFS both types see the same workload; mixing the per-type
     # response tails at t = 0 returns certainty
     sol = stationary_fluid(build_fcfs_fluid(MIX))
-    r1 = response_ccdf(sol, MIX.ph1, MIX.lam, 0.0)
-    r2 = response_ccdf(sol, MIX.ph2, MIX.lam, 0.0)
+    r1 = sol.w1.plus(MIX.ph1).ccdf(0.0)
+    r2 = sol.w1.plus(MIX.ph2).ccdf(0.0)
     assert MIX.p * r1 + (1 - MIX.p) * r2 == pytest.approx(1.0, abs=1e-10)
 
 

@@ -8,6 +8,7 @@ from nudgem.phtype import (
     InvalidDistributionError,
     JobMix,
     MIX_MEAN_TOL,
+    MatrixExpDist,
     PhaseType,
     fit_hyperexp,
     kron_prod,
@@ -39,6 +40,25 @@ def test_erlang_moments_and_ccdf():
     # ccdf integrates back to the mean
     val, _ = quad(ph.ccdf, 0, 60, limit=200)
     assert val == pytest.approx(2.0, abs=1e-8)
+
+
+def test_matrix_exp_dist_plus_closed_form():
+    # W = 0 w.p. 1 - q, else exp(a); X ~ exp(b); W + X has the closed form
+    # (1 - q) e^{-bt} + q (b e^{-at} - a e^{-bt}) / (b - a)
+    q, a, b = 0.6, 1.0, 3.0
+    wait = MatrixExpDist([q], [[-a]], [1.0])
+    total = wait.plus(ph_exponential(rate=b))
+    grid = np.array([0.0, 0.4, 1.5, 6.0])
+    expect = ((1 - q) * np.exp(-b * grid)
+              + q * (b * np.exp(-a * grid) - a * np.exp(-b * grid)) / (b - a))
+    assert total.ccdf(grid) == pytest.approx(expect, abs=1e-14)
+    assert isinstance(total.ccdf(1.5), float)
+    assert total.ccdf(1.5) == pytest.approx(expect[2], abs=1e-14)
+    assert wait.density(grid) == pytest.approx(q * a * np.exp(-a * grid), abs=1e-14)
+    with pytest.raises(ValueError):
+        total.ccdf(-1.0)
+    with pytest.raises(ValueError):
+        MatrixExpDist([1.0, 0.0], [[-1.0]], [1.0])
 
 
 def test_laplace_matches_numeric_transform():

@@ -13,8 +13,10 @@ from nudgem.resp2 import (
     w2_ccdf,
 )
 from nudgem.swap import chain_size, mean_response, swap_pmf
+from oracles import convolution_ccdf
 
 MIX = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
+ERLANG_MIX = normalized_mix(2 / 3, ph_erlang(2, 0.5), ph_erlang(2, 2.0), 0.7)
 
 
 def test_block_layout_sizes():
@@ -45,7 +47,7 @@ def test_w2_at_zero_is_busy_probability():
 
 def test_w2_density_integrates_to_tail():
     model = build_w2_model(MIX, 2)
-    val, _ = quad(model.w2_density, 0.0, 300.0, limit=300)
+    val, _ = quad(model.w2.density, 0.0, 300.0, limit=300)
     assert val == pytest.approx(MIX.lam, abs=1e-7)
 
 
@@ -85,7 +87,15 @@ def test_w2_decreasing_in_window():
     assert tails == sorted(tails)
 
 
+@pytest.mark.parametrize("mix", [MIX, ERLANG_MIX], ids=["exp", "erlang2"])
+def test_r2_matches_convolution_oracle(mix):
+    # P[W + X > t] = P[X > t] + int_0^t f_X(x) P[W > t - x] dx
+    model = build_w2_model(mix, 2)
+    for t in (0.3, 2.0, 7.0):
+        assert model.r2_ccdf(t) == pytest.approx(
+            convolution_ccdf(mix.ph2, model.w2_ccdf, t), abs=1e-8)
+
+
 def test_r2_multiphase_smoke():
-    mix = normalized_mix(2 / 3, ph_erlang(2, 0.5), ph_erlang(2, 2.0), 0.7)
-    assert r2_ccdf(mix, 2, 0.0) == pytest.approx(1.0, abs=1e-10)
-    assert 0.0 < r2_ccdf(mix, 2, 5.0) < 1.0
+    assert r2_ccdf(ERLANG_MIX, 2, 0.0) == pytest.approx(1.0, abs=1e-10)
+    assert 0.0 < r2_ccdf(ERLANG_MIX, 2, 5.0) < 1.0

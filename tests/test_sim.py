@@ -82,6 +82,13 @@ def test_busy_fraction_near_load():
     assert stats.busy_fraction == pytest.approx(MIX.lam, abs=0.02)
 
 
+def test_busy_fraction_at_most_one_in_heavy_traffic():
+    # the horizon is the last departure, not the last arrival plus its
+    # service (which overshot to 1.06 for this case)
+    stats = _run(nudge_m_policy(5), n=500, seed=1, mix=MIX.with_lambda(0.95))
+    assert stats.busy_fraction <= 1.0
+
+
 def test_swap_caps_respected():
     stats = _run(nudge_m_policy(4), n=50_000)
     assert stats.passes_hist.shape == (5,)
