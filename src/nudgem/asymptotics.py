@@ -21,6 +21,9 @@ from .policy import PolicyFn, all_strings, count_twos, enumerate_policies, \
 
 # Root cross-check tolerance for theta_Z.
 THETA_CROSSCHECK_TOL = 1e-10
+# ATIR differences within this are exact ties in verify_optimality (integral
+# log ratio in the optimum formula) and count as neither direction.
+OPTIMALITY_TIE_TOL = 1e-12
 # Enumeration caps.
 FAMILY_M_CAP = 6
 VERIFY_M_CAP = 3
@@ -216,8 +219,7 @@ class OptimalityReport:
     edge_failures: Tuple[Tuple[tuple, ...], ...]
 
 
-def verify_optimality(m: int, info: DecayInfo, mix: JobMix,
-                      tie_tol: float = 1e-12) -> OptimalityReport:
+def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
     """Exhaustively check strong tail optimality of Nudge-min(M, M_opt)
     within F_M, and the single-increment improvement rule on every edge of
     the enumeration lattice. Small M only (cap 3)."""
@@ -234,7 +236,8 @@ def verify_optimality(m: int, info: DecayInfo, mix: JobMix,
         atirs[pol] = family_prefactors(pol, info, mix).atir
 
     best_atir = max(atirs.values())
-    best = tuple(p for p, a in atirs.items() if a >= best_atir - tie_tol)
+    best = tuple(p for p, a in atirs.items()
+                 if a >= best_atir - OPTIMALITY_TIE_TOL)
     is_optimal = any(p == expected for p in best)
 
     # Increment theorem: raising n(s) by one improves the ATIR iff the
@@ -254,10 +257,8 @@ def verify_optimality(m: int, info: DecayInfo, mix: JobMix,
                     if seen == want:
                         k_prime = pos
                         break
-            improves = atirs[nxt] > atir + tie_tol
-            degrades = atirs[nxt] < atir - tie_tol
-            # A change within tie_tol is an exact tie (integral log ratio in
-            # the optimum formula) and counts as neither direction.
+            improves = atirs[nxt] > atir + OPTIMALITY_TIE_TOL
+            degrades = atirs[nxt] < atir - OPTIMALITY_TIE_TOL
             if improves and k_prime > mo:
                 edge_failures.append((s, tuple(sorted(pol.table.items()))))
             if degrades and k_prime <= mo:

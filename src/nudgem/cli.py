@@ -66,13 +66,19 @@ def parse_grid(text: str) -> List[float]:
     return [float(x) for x in text.split(",")]
 
 
-def resolve_mix(args) -> JobMix:
-    recipe = RECIPES.get(args.recipe) if getattr(args, "recipe", None) else None
+def resolve_mix(args, sweep: bool = False) -> JobMix:
+    """The job mix of --mix or --recipe, at a single --lambda if one is
+    given. A multi-point --lambda is a sweep: only sweep commands accept
+    it, and they set each point's lambda themselves."""
+    recipe = RECIPES.get(args.recipe) if args.recipe else None
     lam = None
-    if getattr(args, "lam", None):
+    if args.lam:
         grid = parse_grid(args.lam)
         if len(grid) == 1:
             lam = grid[0]
+        elif not sweep:
+            raise InvalidDistributionError(
+                f"{args.command} runs at one lambda, got --lambda {args.lam}")
     if args.mix:
         mix = load_mix(args.mix)
         return mix.with_lambda(lam) if lam is not None else mix
@@ -84,11 +90,10 @@ def resolve_mix(args) -> JobMix:
 def resolve_policy(args, default_m: Optional[int] = None) -> PolicyFn:
     """A registered policy name (see ``policy.POLICY_BUILDERS``), else a
     policy table file."""
-    spec = getattr(args, "policy", None) or "nudge-m"
+    spec = args.policy or "nudge-m"
     if policy_key(spec) not in POLICY_BUILDERS:
         return policy_from_table_file(spec)
-    params = {"m": args.m if getattr(args, "m", None) else default_m,
-              "k": getattr(args, "k", None), "l": getattr(args, "l", None)}
+    params = {"m": args.m or default_m, "k": args.k, "l": args.l}
     return named_policy(spec, **{k: v for k, v in params.items() if v is not None})
 
 
@@ -125,7 +130,7 @@ def _manifest(args, extra: dict = None) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_atir(args) -> int:
-    mix = resolve_mix(args)
+    mix = resolve_mix(args, sweep=True)
     recipe = RECIPES.get(args.recipe, {}) if args.recipe else {}
     lam_grid = parse_grid(args.lam) if args.lam else recipe.get("lambda")
     if lam_grid and len(lam_grid) > 1:
@@ -145,9 +150,10 @@ def cmd_atir(args) -> int:
     m_max = args.m if args.m is not None else recipe.get("m", 10)
     info = decay_rate(mix)
     header = ["m", "atir"]
-    use_family = args.policy not in (None, "nudge-m")
+    key = policy_key(args.policy or "nudge-m")
+    use_family = key != "nudge-m"
     if use_family:
-        header.append("atir_" + str(args.policy).replace(",", ""))
+        header.append("atir_" + key)
     rows = []
     for m in range(m_max + 1):
         row = [m, asymptotics.atir_nudge_m(info, mix, m)]
@@ -205,7 +211,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_mean(args) -> int:
-    mix = resolve_mix(args)
+    mix = resolve_mix(args, sweep=True)
     recipe = RECIPES.get(args.recipe, {}) if args.recipe else {}
     lam_grid = parse_grid(args.lam) if args.lam else \
         recipe.get("lambda", [mix.lam])
@@ -315,6 +321,22 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# Each command adds only the flags it reads, so argparse rejects the rest.
+FLAGS: Dict[str, dict] = {
+    "mix": {"help": "job-mix JSON file"},
+    "recipe": {"choices": sorted(RECIPES), "help": "named parameter set"},
+    "policy": {"help": f"{', '.join(POLICY_BUILDERS)} (comma forms such as "
+                       "nudge-k,m also work), or a table file"},
+    "m": {"type": int},
+    "k": {"type": int},
+    "l": {"type": int},
+    "lambda": {"dest": "lam", "help": "arrival rate, or a grid for atir "
+                                      "and mean"},
+    "t": {"help": "time grid"},
+    "out": {"default": "-", "help": "output CSV path (- = stdout)"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nudgem",
@@ -323,42 +345,26 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, policy=True):
-        p.add_argument("--mix", help="job-mix JSON file")
-        p.add_argument("--recipe", choices=sorted(RECIPES),
-                       help="named parameter set")
-        if policy:
-            p.add_argument("--policy",
-                           help=f"{', '.join(POLICY_BUILDERS)} (comma forms "
-                                "such as nudge-k,m also work), or a table file")
-        p.add_argument("--m", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--l", type=int)
-        p.add_argument("--lambda", dest="lam", help="arrival-rate grid")
-        p.add_argument("--t", help="time grid")
-        p.add_argument("--out", default="-", help="output CSV path (- = stdout)")
+    def command(name, func, text, flags=""):
+        # no abbreviations: a dropped --l must not turn into --lambda
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument("--" + flag, **FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("atir", help="asymptotic tail improvement ratios")
-    common(p)
-    p.set_defaults(func=cmd_atir)
-
-    p = sub.add_parser("dist", help="waiting/response-time distributions")
-    common(p)
-    p.set_defaults(func=cmd_dist)
-
-    p = sub.add_parser("mean", help="mean response times and MTIR")
-    common(p)
-    p.set_defaults(func=cmd_mean)
-
-    p = sub.add_parser("simulate", help="discrete-event simulation")
-    common(p)
+    command("atir", cmd_atir, "asymptotic tail improvement ratios",
+            "mix recipe policy m k l lambda out")
+    command("dist", cmd_dist, "waiting/response-time distributions",
+            "mix recipe policy m lambda t out")
+    command("mean", cmd_mean, "mean response times and MTIR",
+            "mix recipe m lambda out")
+    p = command("simulate", cmd_simulate, "discrete-event simulation",
+                "mix recipe policy m k l lambda t out")
     p.add_argument("--jobs", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="run tiered self-checks")
+    p = command("verify", cmd_verify, "run tiered self-checks")
     p.add_argument("--level", choices=("fast", "full"), default="fast")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.linalg import solve_sylvester
 
 from .phtype import JobMix, MatrixExpDist
 
@@ -125,21 +124,6 @@ def solve_riccati(model: FluidModel) -> np.ndarray:
     return np.clip(psi, 0.0, None)
 
 
-def solve_riccati_fixed_point(model: FluidModel, max_iter: int = 200000,
-                              tol: float = 1e-13) -> np.ndarray:
-    """Slow fixed-point oracle: Sylvester iteration from Psi = 0, which
-    converges monotonically to the minimal nonnegative solution. Test use
-    on small models only."""
-    psi = np.zeros_like(model.t_pm)
-    for _ in range(max_iter):
-        rhs = -model.t_pm - psi @ model.t_mp @ psi
-        nxt = solve_sylvester(model.t_pp, model.t_mm, rhs)
-        if np.linalg.norm(nxt - psi, np.inf) < tol:
-            return nxt
-        psi = nxt
-    raise RiccatiError("fixed-point Riccati iteration did not converge")
-
-
 @dataclass(frozen=True)
 class FluidSolution:
     """Stationary fluid: Psi, the zero-level mass c0 and the law of the
@@ -155,12 +139,11 @@ class FluidSolution:
         return self.w1.ccdf(t)
 
 
-def stationary_fluid(model: FluidModel, psi: np.ndarray = None) -> FluidSolution:
+def stationary_fluid(model: FluidModel) -> FluidSolution:
     """Stationary distribution of the fluid with jumps: the law of W_1 from
     K and pi_+ (left eigenvector of Psi P~ at eigenvalue 1, normalized so
     eta = 1), and the zero-level mass c0."""
-    if psi is None:
-        psi = solve_riccati(model)
+    psi = solve_riccati(model)
     p_tilde = model.p_mp - model.p_m0 @ np.linalg.solve(model.t_star_00,
                                                         model.t_star_0p)
     k = model.t_pp + psi @ model.t_mp
@@ -320,14 +303,12 @@ class NudgeMLayout:
                    n_plus=pos)
 
 
-def build_nudge_m_fluid(mix: JobMix, m: int,
-                        layout: NudgeMLayout = None) -> FluidModel:
+def build_nudge_m_fluid(mix: JobMix, m: int) -> FluidModel:
     """Nudge-M fluid model: the background state remembers which of the
     last m arrivals are still-waiting type-2 jobs."""
     if not (1 <= m <= NUDGE_M_CAP):
         raise ValueError(f"window m must be in 1..{NUDGE_M_CAP}")
-    if layout is None:
-        layout = NudgeMLayout.build(m, mix.n1, mix.n2)
+    layout = NudgeMLayout.build(m, mix.n1, mix.n2)
     lam, p = mix.lam, mix.p
     n1, n2 = mix.n1, mix.n2
     a1, a2 = mix.ph1.alpha, mix.ph2.alpha
@@ -385,18 +366,3 @@ def build_nudge_m_fluid(mix: JobMix, m: int,
     return FluidModel(t_mm=t_mm, t_mp=t_mp, t_pm=t_pm, t_pp=t_pp,
                       t_star_00=t_star_00, t_star_0p=t_star_0p,
                       p_m0=p_m0, p_mp=p_mp)
-
-
-def solve_policy_fluid(mix: JobMix, policy: str, m: int = None) -> FluidSolution:
-    """Convenience: build and solve the fluid model for fcfs, nudge-1 or
-    nudge-m."""
-    policy = policy.lower()
-    if policy == "fcfs":
-        model = build_fcfs_fluid(mix)
-    elif policy == "nudge-1":
-        model = build_nudge1_fluid(mix)
-    elif policy == "nudge-m":
-        model = build_nudge_m_fluid(mix, m)
-    else:
-        raise ValueError(f"no fluid construction for policy {policy!r}")
-    return stationary_fluid(model)

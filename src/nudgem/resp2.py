@@ -144,11 +144,3 @@ def build_w2_model(mix: JobMix, m: int, chain: SwapChain = None) -> W2Model:
                                        mix.beta.reshape(1, -1)).ravel()
     w2 = MatrixExpDist(init, t_m, v2)
     return W2Model(mix=mix, extra=extra, w2=w2, r2=w2.plus(mix.ph2))
-
-
-def w2_ccdf(mix: JobMix, m: int, t: float) -> float:
-    return build_w2_model(mix, m).w2_ccdf(t)
-
-
-def r2_ccdf(mix: JobMix, m: int, t: float) -> float:
-    return build_w2_model(mix, m).r2_ccdf(t)

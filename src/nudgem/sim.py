@@ -80,7 +80,7 @@ class SimStats:
     passes_hist: np.ndarray    # passes performed per type-1 arrival, index 0..M
     passed_hist: np.ndarray    # times passed per type-2 job, index 0..M
     times_passed: np.ndarray   # per post-warmup job (0 for type-1)
-    busy_fraction: float
+    busy_fraction: float       # after warm-up, to the last departure
 
     def _select(self, job_type) -> np.ndarray:
         if job_type in ("any", 0, None):
@@ -132,15 +132,13 @@ def simulate(config: SimConfig) -> SimStats:
     service_ends = np.inf
     now_workload = 0.0
     prev_t = 0.0
-    busy = 0.0
 
     def begin_service(t: float):
-        nonlocal in_service, service_ends, busy
+        nonlocal in_service, service_ends
         job = queue.pop(0)
         in_service = job
         start[job] = t
         service_ends = t + service[job]
-        busy += service[job]
 
     for i in range(n):
         t = arrivals[i]
@@ -187,6 +185,9 @@ def simulate(config: SimConfig) -> SimStats:
     passes_hist = np.bincount(n_passes[w:][types[w:] == 1], minlength=m + 1)
     passed_hist = np.bincount(times_passed[w:][types[w:] == 2], minlength=m + 1)
     wait = start - arrivals
+    # work conservation: from job w's arrival to the last departure the
+    # server is busy for the work found then plus all work arriving after
+    busy = workload_seen[w] + service[w:].sum()
     return SimStats(
         config=config,
         job_type=types[w:],
@@ -196,26 +197,23 @@ def simulate(config: SimConfig) -> SimStats:
         passes_hist=passes_hist,
         passed_hist=passed_hist,
         times_passed=times_passed[w:],
-        busy_fraction=busy / done,
+        busy_fraction=float(busy / (done - arrivals[w])),
     )
 
 
-def empirical_ccdf(stats: SimStats, job_type, t: float,
-                   kind: str = "wait") -> Tuple[float, float]:
-    """Batch-means estimate of P[wait > t] or P[response > t]."""
-    values = stats.wait if kind == "wait" else stats.response
+def empirical_ccdf(stats: SimStats, job_type, t: float) -> Tuple[float, float]:
+    """Batch-means estimate of P[wait > t]."""
     mask = stats._select(job_type)
-    return stats._batch_means((values > t).astype(float), mask)
+    return stats._batch_means((stats.wait > t).astype(float), mask)
 
 
 def tail_prefactor_estimate(stats: SimStats, theta_z: float,
                             t_grid: Sequence[float],
-                            job_type="any", kind: str = "wait") -> Tuple[float, float]:
-    """Prefactor of an assumed c e^{-theta_Z t} tail: regression of the
-    log ccdf on t with the slope pinned at -theta_Z (desk-scale runs
-    cannot resolve slope and intercept jointly)."""
-    values = stats.wait if kind == "wait" else stats.response
-    sel = values[stats._select(job_type)]
+                            job_type="any") -> Tuple[float, float]:
+    """Prefactor of an assumed c e^{-theta_Z t} waiting-time tail:
+    regression of the log ccdf on t with the slope pinned at -theta_Z
+    (desk-scale runs cannot resolve slope and intercept jointly)."""
+    sel = stats.wait[stats._select(job_type)]
     logs = []
     for t in t_grid:
         exceed = int((sel > t).sum())

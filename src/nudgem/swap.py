@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import phtype
-from .phtype import JobMix, MatrixExpDist, kron_prod, kron_sum
+from .phtype import JobMix, kron_prod, kron_sum
 
 
 def chain_size(k: int) -> int:
@@ -103,19 +102,15 @@ class SwapChain:
             out[idx[(i, m - i)]] += tail * math.comb(m, i) * p ** i * (1 - p) ** (m - i)
         return out
 
-    def initial_distribution_expm(self, s: float) -> np.ndarray:
-        """Generic-expm oracle for initial_distribution (test use)."""
-        e1 = np.zeros(chain_size(self.m))
-        e1[0] = 1.0
-        return e1 @ phtype.expm(self.w[self.m], s)
-
 
 def build_swap_chain(mix: JobMix, m: int) -> SwapChain:
     """Build all counting chains and per-swap transfer matrices.
 
-    Step ell inverts -(W_k (+) S1) for its own window k = M - ell - 1:
-    one dense inverse per step, the largest (k = M - 1) costing
-    O(M^6 n1^3).
+    Step ell needs the inverse of -(W_k (+) S1) for its own window
+    k = M - ell - 1. The operators nest (window k is the trailing block of
+    window k+1, and all are block upper triangular), so one dense inverse
+    for k = M - 1, costing O(M^6 n1^3), holds every step's inverse as a
+    trailing block.
     """
     if m < 1:
         raise ValueError("window m must be >= 1")
@@ -128,15 +123,12 @@ def build_swap_chain(mix: JobMix, m: int) -> SwapChain:
     alpha1 = mix.ph1.alpha.reshape(1, -1)
     s1_star = mix.ph1.exit.reshape(-1, 1)
 
-    # Each step inverts its own Kronecker sum. The operators nest (window k
-    # is the trailing block of window k+1, and all are block upper
-    # triangular), so the inverse for the largest window holds the others
-    # as trailing blocks; that saving is not taken here.
+    inv_largest = np.linalg.inv(-kron_sum(w[m - 1], s1))
     transfer = []
     for ell in range(m):
         k = m - ell - 1  # window of the chain run during the swap service
-        a = -(kron_sum(w[k], s1))
-        inv = np.linalg.inv(a)
+        n = chain_size(k) * mix.n1
+        inv = inv_largest[-n:, -n:]
         left = kron_prod(u[m - ell], alpha1)
         right = kron_prod(np.eye(chain_size(k)), s1_star)
         transfer.append(left @ inv @ right)
@@ -214,25 +206,6 @@ def unconditional_swap_pmf(mix: JobMix, m: int, chain: SwapChain = None) -> np.n
     pmf = np.array([_workload_average(mix, chain, v) for v in swap_pmf_vectors(chain)])
     pmf[0] += 1.0 - mix.lam
     return pmf
-
-
-def mean_swaps_quadrature(mix: JobMix, m: int, theta_z: float,
-                          chain: SwapChain = None) -> float:
-    """Integral-form cross-check of mean_swaps: adaptive quadrature of the
-    workload density against E[X_swap(s)] on [0, 40/theta_Z]."""
-    if chain is None:
-        chain = build_swap_chain(mix, m)
-    t_mat = mix.T
-    # workload law: P[Z > s] = lambda beta e^{Ts} (-T)^{-1} 1
-    workload = MatrixExpDist(mix.lam * mix.beta, t_mat,
-                             np.linalg.solve(-t_mat, np.ones(t_mat.shape[0])))
-
-    def integrand(s):
-        return workload.density(s) * mean_swaps_at(chain, s)
-
-    upper = 40.0 / theta_z
-    val, _err = quad(integrand, 0.0, upper, limit=200, epsabs=1e-10, epsrel=1e-10)
-    return val
 
 
 def workload_ccdf(mix: JobMix, t: float) -> float:

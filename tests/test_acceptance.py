@@ -102,7 +102,8 @@ def test_tail_closure_type2():
     t = 40.0 / info.theta_z
     for m in (1, 2, 5):
         _, cw2 = prefactors_nudge_m(info, m)
-        est = resp2.w2_ccdf(MIX_A, m, t) * math.exp(info.theta_z * t)
+        w2m = resp2.build_w2_model(MIX_A, m)
+        est = w2m.w2_ccdf(t) * math.exp(info.theta_z * t)
         assert abs(est / cw2 - 1.0) < 1e-3
 
 

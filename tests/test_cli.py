@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nudgem
 from nudgem.asymptotics import decay_rate, family_prefactors
 from nudgem.cli import RECIPES, main, parse_grid
 from nudgem.policy import named_policy
@@ -60,6 +64,18 @@ def test_atir_policy_comma_alias(tmp_path):
             family_prefactors(pol, info, mix).atir, abs=1e-14)
     assert main(["atir", "--recipe", "fig5a", "--policy", "nudge-k",
                  "--m", "2", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("spelling", ["NUDGE-M", "nudge_m"])
+def test_atir_nudge_m_spellings_take_closed_form(tmp_path, spelling):
+    # any registry spelling of nudge-m is the closed form, which has no
+    # window cap (the fig5a recipe runs to m = 10)
+    out = tmp_path / "a.csv"
+    assert main(["atir", "--recipe", "fig5a", "--policy", spelling,
+                 "--out", str(out)]) == 0
+    header, rows = _read(out)
+    assert header == ["m", "atir"]
+    assert len(rows) == 11
 
 
 def test_dist_policy_spelling_via_registry(tmp_path):
@@ -126,6 +142,56 @@ def test_simulate_deterministic(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["atir", "--recipe", "fig5a", "--t", "1"],
+    ["dist", "--recipe", "fig9a", "--m", "2", "--k", "1"],
+    ["dist", "--recipe", "fig9a", "--m", "2", "--l", "1"],
+    ["mean", "--recipe", "fig8", "--policy", "fcfs"],
+    ["mean", "--recipe", "fig8", "--k", "1"],
+    ["mean", "--recipe", "fig8", "--l", "1"],
+    ["mean", "--recipe", "fig8", "--t", "1"],
+], ids=["atir-t", "dist-k", "dist-l", "mean-policy", "mean-k", "mean-l",
+        "mean-t"])
+def test_flags_a_command_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--recipe", "fig9a", "--m", "2", "--lambda", "0.1:0.9:3",
+     "--t", "0,1"],
+    ["simulate", "--recipe", "fig5a", "--lambda", "0.2,0.9", "--jobs", "500"],
+], ids=["dist", "simulate"])
+def test_single_lambda_commands_reject_a_grid(argv, tmp_path):
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_simulate_at_one_lambda(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--recipe", "fig5a", "--lambda", "0.5",
+                 "--jobs", "2000", "--t", "0", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert manifest["n_jobs"] == 2000
+    _, rows = _read(out)
+    values = {r[0]: float(r[1]) for r in rows}
+    # the atom of the wait at zero is near lambda = 0.5, not the recipe's 0.7
+    assert values["wait_ccdf_1_t0"] == pytest.approx(0.5, abs=0.1)
+
+
+def test_cli_import_leaves_out_quadrature():
+    # oracles (quadrature, Sylvester iteration) live in tests/, so the
+    # package's import path does not pay for scipy.integrate
+    src = os.path.dirname(os.path.dirname(nudgem.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, nudgem.cli; print('scipy.integrate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_missing_mix_is_input_error(tmp_path):

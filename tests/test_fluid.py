@@ -10,14 +10,12 @@ from nudgem.fluid import (
     build_nudge1_fluid,
     build_nudge_m_fluid,
     riccati_residual,
-    solve_policy_fluid,
     solve_riccati,
-    solve_riccati_fixed_point,
     stationary_fluid,
 )
 from nudgem.phtype import fit_hyperexp, normalized_mix, ph_erlang, two_class_exp_mix
 from nudgem.swap import workload_ccdf
-from oracles import convolution_ccdf
+from oracles import convolution_ccdf, solve_riccati_fixed_point
 
 MIX = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
 HE_MIX = normalized_mix(2 / 3, ph_erlang(2, 0.5), fit_hyperexp(2.0, 2.0, 0.5),
@@ -127,10 +125,3 @@ def test_layout_block_sizes():
 def test_window_cap_enforced():
     with pytest.raises(ValueError):
         build_nudge_m_fluid(MIX, 11)
-
-
-def test_solve_policy_fluid_dispatch():
-    sol = solve_policy_fluid(MIX, "fcfs")
-    assert sol.c0 == pytest.approx(0.3, abs=1e-10)
-    with pytest.raises(ValueError):
-        solve_policy_fluid(MIX, "nudge-k")

@@ -9,8 +9,6 @@ from nudgem.resp2 import (
     BlockLayout,
     build_extra_wait,
     build_w2_model,
-    r2_ccdf,
-    w2_ccdf,
 )
 from nudgem.swap import chain_size, mean_response, swap_pmf
 from oracles import convolution_ccdf
@@ -62,7 +60,7 @@ def test_w2_tail_prefactor():
     t = 40.0 / info.theta_z
     for m in (1, 2):
         _, cw2 = prefactors_nudge_m(info, m)
-        est = w2_ccdf(MIX, m, t) * math.exp(info.theta_z * t)
+        est = build_w2_model(MIX, m).w2_ccdf(t) * math.exp(info.theta_z * t)
         assert est == pytest.approx(cw2, rel=1e-6)
 
 
@@ -82,7 +80,7 @@ def test_mean_from_distribution_matches_swap_module():
 def test_w2_decreasing_in_window():
     info = decay_rate(MIX)
     t = 25.0 / info.theta_z
-    tails = [w2_ccdf(MIX, m, t) for m in (1, 2, 3)]
+    tails = [build_w2_model(MIX, m).w2_ccdf(t) for m in (1, 2, 3)]
     # larger windows delay type-2 jobs more
     assert tails == sorted(tails)
 
@@ -97,5 +95,6 @@ def test_r2_matches_convolution_oracle(mix):
 
 
 def test_r2_multiphase_smoke():
-    assert r2_ccdf(ERLANG_MIX, 2, 0.0) == pytest.approx(1.0, abs=1e-10)
-    assert 0.0 < r2_ccdf(ERLANG_MIX, 2, 5.0) < 1.0
+    model = build_w2_model(ERLANG_MIX, 2)
+    assert model.r2_ccdf(0.0) == pytest.approx(1.0, abs=1e-10)
+    assert 0.0 < model.r2_ccdf(5.0) < 1.0

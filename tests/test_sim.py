@@ -89,6 +89,24 @@ def test_busy_fraction_at_most_one_in_heavy_traffic():
     assert stats.busy_fraction <= 1.0
 
 
+def test_busy_fraction_counts_only_after_warmup():
+    # the busy time the warmup=0 run's service intervals cover inside
+    # [arrival of job w, last departure] gives the warmup=w run's fraction
+    mix, n, w, seed = MIX.with_lambda(0.95), 20_000, 2_000, 1
+    full = simulate(SimConfig(mix=mix, policy=nudge_m_policy(5), n_jobs=n,
+                              seed=seed, warmup=0))
+    cut = simulate(SimConfig(mix=mix, policy=nudge_m_policy(5), n_jobs=n,
+                             seed=seed, warmup=w))
+    assert np.array_equal(full.wait[w:], cut.wait)
+    arrivals = np.cumsum(np.random.Generator(np.random.Philox(seed))
+                         .exponential(1.0 / mix.lam, n))
+    start, end = arrivals + full.wait, arrivals + full.response
+    horizon = (arrivals[w], end.max())
+    busy = (np.clip(end, *horizon) - np.clip(start, *horizon)).sum()
+    assert cut.busy_fraction == pytest.approx(
+        busy / (horizon[1] - horizon[0]), abs=1e-12)
+
+
 def test_swap_caps_respected():
     stats = _run(nudge_m_policy(4), n=50_000)
     assert stats.passes_hist.shape == (5,)

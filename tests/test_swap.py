@@ -6,6 +6,8 @@ import pytest
 from nudgem.asymptotics import decay_rate
 from nudgem.phtype import (
     JobMix,
+    kron_prod,
+    kron_sum,
     normalized_mix,
     ph_erlang,
     ph_exponential,
@@ -20,13 +22,13 @@ from nudgem.swap import (
     mean_response,
     mean_swaps,
     mean_swaps_at,
-    mean_swaps_quadrature,
     priority_mean_response,
     selector_matrix,
     swap_pmf,
     unconditional_swap_pmf,
     workload_ccdf,
 )
+from oracles import initial_distribution_expm, mean_swaps_quadrature
 
 MIX = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
 
@@ -57,9 +59,25 @@ def test_initial_distribution_matches_expm():
     chain = build_swap_chain(MIX, 4)
     for s in (0.0, 0.3, 2.0, 9.0):
         exact = chain.initial_distribution(s)
-        oracle = chain.initial_distribution_expm(s)
+        oracle = initial_distribution_expm(chain, s)
         assert np.max(np.abs(exact - oracle)) < 1e-12
         assert exact.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_transfers_match_per_step_inverse():
+    # each step's inverse is sliced from the largest window's; compare with
+    # inverting -(W_k (+) S1) of the step's own window
+    mix = normalized_mix(2 / 3, ph_erlang(2, 0.5), ph_exponential(mean=2.0), 0.7)
+    m = 5
+    chain = build_swap_chain(mix, m)
+    alpha1 = mix.ph1.alpha.reshape(1, -1)
+    s1_star = mix.ph1.exit.reshape(-1, 1)
+    for ell in range(m):
+        k = m - ell - 1
+        inv = np.linalg.inv(-kron_sum(chain.w[k], mix.ph1.S))
+        want = (kron_prod(chain.u[m - ell], alpha1) @ inv
+                @ kron_prod(np.eye(chain_size(k)), s1_star))
+        assert np.max(np.abs(chain.transfer[ell] - want)) < 1e-14
 
 
 def test_swap_pmf_is_distribution():
