@@ -22,7 +22,7 @@ from .phtype import (FitError, InstabilityError, InvalidDistributionError,
                      ph_exponential, two_class_exp_mix)
 from .policy import (POLICY_BUILDERS, PolicyError, PolicyFn, named_policy,
                      policy_from_table_file, policy_key)
-from . import asymptotics, fluid, resp2, sim, swap
+from . import asymptotics, fluid, phtype, resp2, sim, swap
 from .asymptotics import ComplexityError, UnsupportedSpectrumError, decay_rate
 from .fluid import NUDGE_M_CAP, RiccatiError, StationarySolveError
 
@@ -285,6 +285,11 @@ def _check_identities() -> List[tuple]:
     sol2 = fluid.stationary_fluid(fluid.build_nudge_m_fluid(mix, 2))
     est = sol2.w1_ccdf(t) * math.exp(info.theta_z * t)
     checks.append(("w1-tail-prefactor-m2", abs(est / cw1 - 1.0) < 1e-3))
+    # the uniformization sum against one dense exponential of the same law
+    w1 = sol2.w1
+    dense = float(w1.init @ phtype.expm(w1.gen, t) @ w1.tail)
+    checks.append(("w1-tail-uniformization-vs-dense",
+                   abs(sol2.w1_ccdf(t) / dense - 1.0) < 1e-10))
     return checks
 
 
@@ -384,6 +389,11 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        # after the two clauses above: ComplexityError,
+        # UnsupportedSpectrumError and LinAlgError are ValueErrors too
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Each one recomputes a package result by a slower, generic route (dense
 ``scipy.linalg.expm``, Sylvester iteration, adaptive quadrature) and so
-does not go through ``phtype.expm`` or ``MatrixExpDist``.
+does not go through ``phtype.expm`` or the evaluation of ``MatrixExpDist``
+(``dense_ccdf`` and ``dense_density`` read only a law's fields).
 """
 
 import numpy as np
@@ -60,3 +61,21 @@ def mean_swaps_quadrature(mix, m, theta_z):
     val, _ = quad(integrand, 0.0, 40.0 / theta_z, limit=200,
                   epsabs=1e-10, epsrel=1e-10)
     return val
+
+
+def dense_ccdf(law, t):
+    """P[X > t] = init e^{gen t} tail of a ``MatrixExpDist`` by one dense
+    matrix exponential per point, at a scalar t or on a 1-D grid."""
+    return _dense_eval(law, t, law.tail)
+
+
+def dense_density(law, t):
+    """f_X(t) = init e^{gen t} (-gen tail) by one dense matrix exponential
+    per point."""
+    return _dense_eval(law, t, -law.gen @ law.tail)
+
+
+def _dense_eval(law, t, vec):
+    ts = np.asarray(t, dtype=float)
+    vals = np.array([law.init @ expm(law.gen * x) @ vec for x in ts.ravel()])
+    return float(vals[0]) if ts.ndim == 0 else vals

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import nudgem
+from nudgem import resp2
 from nudgem.asymptotics import decay_rate, family_prefactors
 from nudgem.cli import RECIPES, main, parse_grid
+from nudgem.phtype import MatrixExpDist
 from nudgem.policy import named_policy
 
 
@@ -194,6 +196,31 @@ def test_cli_import_leaves_out_quadrature():
     assert res.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["dist", "--recipe", "fig9a", "--m", "2", "--t", "abc"], "abc"),
+    (["atir", "--recipe", "fig5a", "--lambda", "0.1:0.9"], "unpack"),
+    (["mean", "--recipe", "fig8", "--m", "0"], "window m must be >= 1"),
+    (["dist", "--recipe", "fig9a", "--m", "2", "--t=-1"], "t must be"),
+], ids=["dist-t-abc", "atir-lambda-two-fields", "mean-m0", "dist-t-negative"])
+def test_value_errors_are_input_errors(argv, message, tmp_path, capsys):
+    # a plain ValueError is an input error (exit 2), not a traceback
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+
+
+def test_unsigned_law_is_numeric_failure(monkeypatch, tmp_path, capsys):
+    # a law whose uniformization terms could differ in sign is refused
+    # where it is built, and the CLI reports a numeric failure (exit 4)
+    def unsigned_w2_model(mix, m):
+        return MatrixExpDist([1.0, 0.0], [[-1.0, -0.5], [0.0, -1.0]], [1.0, 1.0])
+
+    monkeypatch.setattr(resp2, "build_w2_model", unsigned_w2_model)
+    argv = ["dist", "--recipe", "fig9a", "--m", "2", "--t", "0,1"]
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 4
+    assert "differ in sign" in capsys.readouterr().err
+
+
 def test_missing_mix_is_input_error(tmp_path):
     assert main(["atir", "--mix", str(tmp_path / "none.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -204,5 +231,5 @@ def test_missing_mix_is_input_error(tmp_path):
 def test_verify_fast_passes(capsys):
     assert main(["verify", "--level", "fast"]) == 0
     captured = capsys.readouterr()
-    assert "PASS" in captured.out
+    assert "PASS  w1-tail-uniformization-vs-dense" in captured.out
     assert "FAIL" not in captured.out

@@ -1,0 +1,115 @@
+"""Grid evaluation of ``MatrixExpDist`` by uniformization, checked against
+one dense ``scipy.linalg.expm`` per point (``oracles.dense_ccdf`` and
+``oracles.dense_density``)."""
+
+from decimal import Decimal, localcontext
+
+import numpy as np
+import pytest
+
+from oracles import dense_ccdf, dense_density
+
+from nudgem import fluid, resp2
+from nudgem.asymptotics import decay_rate
+from nudgem.cli import RECIPES
+from nudgem.phtype import (MatrixExpDist, fit_hyperexp, normalized_mix,
+                           ph_erlang, ph_exponential, poisson_terms,
+                           poisson_weights)
+
+LAW_RTOL = 1e-12
+
+MIXES = {
+    "fig9a": RECIPES["fig9a"]["mix"](),
+    "fig5b": RECIPES["fig5b"]["mix"](),
+    "erlang3-hyperexp": normalized_mix(2 / 3, ph_erlang(3, 1.0),
+                                       fit_hyperexp(4.0, 2.0, 0.5), 0.7),
+}
+
+
+def _laws(mix, m):
+    sol = fluid.stationary_fluid(fluid.build_nudge_m_fluid(mix, m))
+    w2m = resp2.build_w2_model(mix, m)
+    return {"w1": sol.w1, "r1": sol.w1.plus(mix.ph1),
+            "w2": w2m.w2, "r2": w2m.r2}
+
+
+@pytest.mark.parametrize("name", sorted(MIXES))
+def test_laws_match_dense_expm(name):
+    # the whole default dist grid 0..60/theta_Z plus the 40/theta_Z tail,
+    # where the values are e^{-40}-sized
+    mix = MIXES[name]
+    theta = decay_rate(mix).theta_z
+    grid = np.append(np.linspace(0.0, 60.0 / theta, 25), 40.0 / theta)
+    for law_name, law in _laws(mix, 3).items():
+        np.testing.assert_allclose(law.ccdf(grid), dense_ccdf(law, grid),
+                                   rtol=LAW_RTOL, atol=0, err_msg=law_name)
+        np.testing.assert_allclose(law.density(grid), dense_density(law, grid),
+                                   rtol=LAW_RTOL, atol=0, err_msg=law_name)
+
+
+def test_stiff_law_matches_dense_expm():
+    # Erlang-20 type-1 jobs at lambda = 0.99: q/theta_Z is about 5700, so
+    # the 40/theta_Z tail takes about 2.3e5 uniformization terms. A
+    # relative rounding of gen moves e^{gen t} by about q t eps relative,
+    # for either method, so that is the tolerance here.
+    mix = normalized_mix(2 / 3, ph_erlang(20, 1.0), ph_exponential(mean=4.0), 0.99)
+    theta = decay_rate(mix).theta_z
+    law = fluid.stationary_fluid(fluid.build_nudge_m_fluid(mix, 1)).w1
+    grid = np.array([0.0, 1.0, 10.0, 40.0]) / theta
+    rtol = max(LAW_RTOL, law.rate * grid[-1] * np.finfo(float).eps)
+    assert law.rate / theta > 5000
+    np.testing.assert_allclose(law.ccdf(grid), dense_ccdf(law, grid),
+                               rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("mu", [0.5, 50.0, 900.0, 5000.0])
+def test_poisson_weights_match_pmf(mu):
+    # e^{-mu} mu^k / k! in 50-digit decimals; beyond mu = 745, e^{-mu}
+    # underflows in double precision
+    ref = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        term = (-Decimal(mu)).exp()
+        for k in range(poisson_terms(mu) + 1):
+            if k:
+                term = term * Decimal(mu) / k
+            ref.append(float(term))
+    w = poisson_weights(mu)
+    assert w.shape == (poisson_terms(mu) + 1,)
+    np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-300)
+    # the truncated mass is below 1e-20, so the normalized weights keep it
+    assert abs(sum(ref) - 1.0) < 1e-15
+
+
+def test_unsorted_grid_with_duplicates_matches_pointwise():
+    law = _laws(MIXES["fig9a"], 2)["r2"]
+    grid = np.array([30.0, 0.0, 5.0, 30.0, 0.25, 5.0, 120.0])
+    # each point sums its own prefix of the one product sequence
+    pointwise = np.array([law.ccdf(t) for t in grid])
+    assert np.array_equal(law.ccdf(grid), pointwise)
+    assert isinstance(law.ccdf(5.0), float)
+    assert law.ccdf(np.array([])).shape == (0,)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            law.ccdf([0.0, bad])
+
+
+def test_unsigned_law_is_refused():
+    init, gen, tail = [0.5, 0.5], [[-2.0, 1.0], [0.5, -1.0]], [1.0, 1.0]
+    MatrixExpDist(init, gen, tail)
+    # rounding-sized negatives (relative to q, or to the vector's largest
+    # entry) pass
+    tiny = -1e-15
+    MatrixExpDist([0.5, tiny], [[-2.0, tiny], [0.5, -1.0]], [1.0, tiny])
+    for law in (([0.5, -0.1], gen, tail),
+                (init, [[-2.0, 1.0], [-0.1, -1.0]], tail),
+                (init, gen, [1.0, -0.1])):
+        with pytest.raises(FloatingPointError, match="differ in sign"):
+            MatrixExpDist(*law)
+    # the largest rounding negatives of the package's laws: the exit flow
+    # in R2 = W2 + X2 for Erlang-20 type-2 jobs near lambda = 1
+    mix = normalized_mix(2 / 3, ph_erlang(3, 1.0), ph_erlang(20, 4.0), 0.9999)
+    r2 = resp2.build_w2_model(mix, 2).r2
+    assert np.min(r2.gen - np.diag(np.diag(r2.gen))) < -1e-12 * r2.rate
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        MatrixExpDist([1.0], [[np.nan]], [1.0])
