@@ -167,9 +167,16 @@ def m_heavy(mix: JobMix, info: DecayInfo) -> int:
 def family_prefactors(policy: PolicyFn, info: DecayInfo, mix: JobMix) -> AtirReport:
     """Waiting-time prefactors of an arbitrary family member.
 
-    Direct enumeration of the defining sums: strings of length M for the
-    type-1 prefactor and of length 2M (tagged type-2 job in position M+1)
-    for the type-2 prefactor. Cost O(2^{2M} M); capped at M <= 6.
+    Positions count from 0, newest arrival first. A window w_0..w_{M-1} is
+    the bitmask b with bit i set when w_i = 2, and n(b) is
+    ``policy.by_mask``. The type-1 prefactor is one vectorised sum over the
+    2^M windows. The type-2 prefactor sums over strings s_0..s_{2M-1} with
+    the tagged type-2 job at s_M; a type-1 job at s_{k-1} (k = 1..M) passes
+    the tag iff n(s_k..s_{k+M-1}) > t(s_k..s_{M-1}), which depends only on
+    s_{k-1} and the window s_k..s_{k+M-1}. So a sweep k = M..1 carries one
+    weight per window: it starts from the tag and the M-1 tail symbols,
+    prepends s_{k-1} at each step and sums out the dropped last symbol.
+    Cost O(M 2^M) in numpy; capped at M <= 6.
     """
     m = policy.m
     if m > FAMILY_M_CAP:
@@ -178,30 +185,33 @@ def family_prefactors(policy: PolicyFn, info: DecayInfo, mix: JobMix) -> AtirRep
     if not (0.0 < p < 1.0):
         raise ValueError("family_prefactors requires 0 < p < 1")
     s1t, s2t, st = info.s1_tilde, info.s2_tilde, info.s_tilde
+    size = 1 << m
+    bits = (np.arange(size)[:, None] >> np.arange(m)) & 1  # bits[b, i]
+    twos = bits.sum(axis=1)
+    n = policy.by_mask
 
-    total1 = 0.0
-    for s in all_strings(m):
-        t = count_twos(s)
-        total1 += ((1.0 - p) ** t * p ** (m - t)
-                   * s1t ** (m - t) * s2t ** (t - policy.table[s]))
-    c_w1 = info.c_z / st ** m * total1
+    total1 = np.sum((1.0 - p) ** twos * p ** (m - twos)
+                    * s1t ** (m - twos) * s2t ** (twos - n))
+    c_w1 = info.c_z / st ** m * float(total1)
 
-    total2 = 0.0
-    for s in all_strings(2 * m):
-        if s[m] != 2:  # tagged type-2 job sits in position M+1 (index m)
-            continue
-        t_all = count_twos(s)
-        tail = s[m + 1:]  # positions M+2 .. 2M, the arrivals before the tag
-        t_tail = count_twos(tail)
-        term = ((1.0 - p) ** t_all * p ** (2 * m - t_all) / (1.0 - p)
-                * s1t ** (m - 1 - t_tail) * s2t ** t_tail)
-        # a type-1 job in position k passes the tag iff
-        # n(s_{k+1}..s_{k+M}) > t(s_{k+1}..s_M)
-        for k in range(1, m + 1):
-            if s[k - 1] == 1 and policy.table[s[k: k + m]] > count_twos(s[k: m]):
-                term *= s1t
-        total2 += term
-    c_w2 = info.c_z / st ** (m - 1) * total2
+    # k = M: the tag (bit 0) followed by the tail s_{M+1}..s_{2M-1}, the
+    # arrivals before the tag
+    weight = np.where(bits[:, 0] == 1, ((1.0 - p) * s2t) ** (twos - 1)
+                      * (p * s1t) ** (m - twos), 0.0)
+    half = size >> 1
+    prefix = np.zeros(size, dtype=twos.dtype)  # t(s_k..s_{M-1}): bits 0..M-k-1
+    for j in range(m):  # j = M - k
+        # s_{k-1} = 1 weighs p, times S~1 if that job passes the tag;
+        # s_{k-1} = 2 weighs 1-p
+        one = weight * p * np.where(n > prefix, s1t, 1.0)
+        two = weight * (1.0 - p)
+        # prepending s_{k-1} gives window (b << 1 | [s_{k-1} = 2]) mod 2^M:
+        # bit M-1 drops out and is summed over
+        weight = np.empty(size)
+        weight[0::2] = one[:half] + one[half:]
+        weight[1::2] = two[:half] + two[half:]
+        prefix += bits[:, j]
+    c_w2 = info.c_z / st ** (m - 1) * float(np.sum(weight))
 
     return AtirReport(c_w1=c_w1, c_w2=c_w2,
                       atir=atir_from_prefactors(info, mix, c_w1, c_w2))

@@ -58,12 +58,19 @@ RECIPES: Dict[str, dict] = {
 }
 
 
-def parse_grid(text: str) -> List[float]:
-    """Grids: comma-separated values, or a:b:n for n points from a to b."""
-    if ":" in text:
-        a, b, num = text.split(":")
-        return [float(x) for x in np.linspace(float(a), float(b), int(num))]
-    return [float(x) for x in text.split(",")]
+def parse_grid(text: str, flag: str = "grid") -> List[float]:
+    """Grids: comma-separated values, or a:b:n for n points from a to b.
+    A malformed grid is a ValueError that names the flag and both forms."""
+    fields = text.split(":")
+    try:
+        if len(fields) == 1:
+            return [float(x) for x in text.split(",")]
+        if len(fields) == 3 and int(fields[2]) >= 1:
+            a, b, num = fields
+            return [float(x) for x in np.linspace(float(a), float(b), int(num))]
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} {text!r} is neither v1,v2,... nor a:b:n")
 
 
 def resolve_mix(args, sweep: bool = False) -> JobMix:
@@ -73,7 +80,7 @@ def resolve_mix(args, sweep: bool = False) -> JobMix:
     recipe = RECIPES.get(args.recipe) if args.recipe else None
     lam = None
     if args.lam:
-        grid = parse_grid(args.lam)
+        grid = parse_grid(args.lam, "--lambda")
         if len(grid) == 1:
             lam = grid[0]
         elif not sweep:
@@ -132,7 +139,7 @@ def _manifest(args, extra: dict = None) -> dict:
 def cmd_atir(args) -> int:
     mix = resolve_mix(args, sweep=True)
     recipe = RECIPES.get(args.recipe, {}) if args.recipe else {}
-    lam_grid = parse_grid(args.lam) if args.lam else recipe.get("lambda")
+    lam_grid = parse_grid(args.lam, "--lambda") if args.lam else recipe.get("lambda")
     if lam_grid and len(lam_grid) > 1:
         header = ["lambda", "m_opt", "m_heavy", "atir_m_opt", "atir_m_heavy"]
         rows = []
@@ -181,7 +188,7 @@ def cmd_dist(args) -> int:
         if m > NUDGE_M_CAP:
             raise ComplexityError(f"fluid construction capped at m <= {NUDGE_M_CAP}")
 
-    t_grid = parse_grid(args.t) if args.t else \
+    t_grid = parse_grid(args.t, "--t") if args.t else \
         [float(x) for x in np.linspace(0.0, 60.0 / info.theta_z, 25)]
 
     # every law is built once and evaluated on the whole grid
@@ -213,7 +220,7 @@ def cmd_dist(args) -> int:
 def cmd_mean(args) -> int:
     mix = resolve_mix(args, sweep=True)
     recipe = RECIPES.get(args.recipe, {}) if args.recipe else {}
-    lam_grid = parse_grid(args.lam) if args.lam else \
+    lam_grid = parse_grid(args.lam, "--lambda") if args.lam else \
         recipe.get("lambda", [mix.lam])
     m_fixed = args.m if args.m is not None else recipe.get("m")
     header = ["lambda", "m", "er_fcfs", "er_nudge", "er_priority", "mtir"]
@@ -248,7 +255,7 @@ def cmd_simulate(args) -> int:
     for k, v in enumerate(stats.passed_hist):
         rows.append([f"passed_{k}", int(v), ""])
     if args.t:
-        for t in parse_grid(args.t):
+        for t in parse_grid(args.t, "--t"):
             for jt in (1, 2):
                 e, se = sim.empirical_ccdf(stats, jt, t)
                 rows.append([f"wait_ccdf_{jt}_t{t:g}", e, se])
@@ -266,12 +273,16 @@ def _check_identities() -> List[tuple]:
     checks = []
     mix = _mix_exp_exp()
     info = decay_rate(mix)
-    from .policy import nudge_m_policy
-    for m in (1, 2, 3):
+    from .policy import fcfs_policy, nudge_m_policy
+    for m in (1, 2, 3, asymptotics.FAMILY_M_CAP):
         rep = asymptotics.family_prefactors(nudge_m_policy(m), info, mix)
         cw1, cw2 = asymptotics.prefactors_nudge_m(info, m)
         ok = abs(rep.c_w1 - cw1) < 1e-10 and abs(rep.c_w2 - cw2) < 1e-10
         checks.append((f"family-prefactors-m{m}", ok))
+    m = asymptotics.FAMILY_M_CAP
+    rep = asymptotics.family_prefactors(fcfs_policy(m), info, mix)
+    ok = abs(rep.c_w1 - info.c_z) < 1e-10 and abs(rep.c_w2 - info.c_z) < 1e-10
+    checks.append((f"family-prefactors-fcfs-m{m}", ok))
     sol = fluid.stationary_fluid(fluid.build_fcfs_fluid(mix))
     ok = all(abs(sol.w1_ccdf(t) - swap.workload_ccdf(mix, t)) < 1e-10
              for t in (0.5, 2.0, 8.0))

@@ -67,10 +67,10 @@ def expm(q, t: float = 1.0) -> np.ndarray:
 
 # How far below zero an entry of gen (off the diagonal, relative to the
 # uniformization rate q), init or tail (relative to its largest magnitude)
-# may fall by rounding. The largest such entry found over the package's
-# laws is the exit flow -gen tail that plus() puts into the response laws:
-# about 1.5e-13 for Erlang-20 type-2 jobs at lambda = 0.995 and 2.6e-12 at
-# lambda = 0.9999, growing like 1 / (1 - lambda) with the size of tail.
+# may fall by rounding. The exit flow -gen tail that plus() puts into the
+# response laws would be the largest (2.6e-12 for Erlang-20 type-2 jobs at
+# lambda = 0.9999, growing like 1 / (1 - lambda) with the size of tail), so
+# plus() sets its rounding negatives to zero.
 SIGN_TOL = 1e-10
 
 
@@ -166,7 +166,14 @@ class MatrixExpDist:
     def plus(self, ph: "PhaseType") -> "MatrixExpDist":
         """Law of X + Y for an independent Y ~ PH(alpha, S): X's exit flow
         and its atom at zero both start Y's phases."""
-        gen = np.block([[self.gen, np.outer(-self.gen @ self.tail, ph.alpha)],
+        # -gen tail cancels; an entry below zero by no more than the
+        # rounding bound of its dot product is a zero flow
+        flow = -self.gen @ self.tail
+        neg = np.flatnonzero(flow < 0.0)
+        bound = (flow.shape[0] * np.finfo(float).eps
+                 * (np.abs(self.gen[neg]) @ np.abs(self.tail)))
+        flow[neg[flow[neg] >= -bound]] = 0.0
+        gen = np.block([[self.gen, np.outer(flow, ph.alpha)],
                         [np.zeros((ph.n, self.init.shape[0])), ph.S]])
         init = np.concatenate([self.init, (1.0 - self.init @ self.tail) * ph.alpha])
         return MatrixExpDist(init, gen, np.concatenate([self.tail, np.ones(ph.n)]))

@@ -3,14 +3,18 @@
 A policy is a table n: {1,2}^M -> {0..M} satisfying
   (C1) n(s) <= t(s), where t(s) counts the twos in s,
   (C2) n(s0 s1 ... s_{M-1}) <= n(s) + [s0 = 2] for all s and s0,
-with strings read newest arrival first.
+with strings read newest arrival first. A string is also a bitmask: bit i
+is set when position i (0-based) holds a type-2 job.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Tuple
+
+import numpy as np
 
 String = Tuple[int, ...]
 
@@ -48,6 +52,15 @@ class PolicyFn:
                 left = (s0,) + s[: m - 1]
                 if table[left] > table[s] + (1 if s0 == 2 else 0):
                     raise PolicyError(f"(C2) violated at s0={s0}, s={s}")
+
+    @functools.cached_property
+    def by_mask(self) -> np.ndarray:
+        """The table as an integer array indexed by the string's bitmask,
+        built on first use."""
+        strings = np.array(list(self.table), dtype=np.int64)
+        by_mask = np.zeros(1 << self.m, dtype=np.int64)
+        by_mask[(strings == 2) @ (1 << np.arange(self.m))] = list(self.table.values())
+        return by_mask
 
     def __call__(self, s) -> int:
         return self.table[tuple(s)]

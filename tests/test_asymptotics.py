@@ -1,8 +1,12 @@
+import functools
 import math
+import random
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+
+from oracles import family_prefactors_enum, random_family_member
 
 from nudgem.asymptotics import (
     ComplexityError,
@@ -20,6 +24,7 @@ from nudgem.asymptotics import (
     prefactors_nudge_m,
     verify_optimality,
 )
+from nudgem.cli import RECIPES
 from nudgem.phtype import (
     fit_hyperexp,
     normalized_mix,
@@ -28,7 +33,9 @@ from nudgem.phtype import (
     two_class_exp_mix,
 )
 from nudgem.policy import (
+    enumerate_policies,
     fcfs_policy,
+    named_policy,
     nudge_k_policy,
     nudge_m_policy,
 )
@@ -128,6 +135,44 @@ def test_family_prefactors_match_closed_forms():
         assert rep.c_w1 == pytest.approx(cw1, abs=1e-10)
         assert rep.c_w2 == pytest.approx(cw2, abs=1e-10)
         assert rep.atir == pytest.approx(atir_nudge_m(info, MIX, m), abs=1e-10)
+
+
+ORACLE_MIXES = {
+    "fig5a": RECIPES["fig5a"]["mix"](),
+    "fig5b": RECIPES["fig5b"]["mix"](),
+    **{f"fig5b-lam{lam}": RECIPES["fig5b"]["mix"](lam) for lam in (0.1, 0.5, 0.9)},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_policies():
+    """The 57 named Nudge-M/K,M/M,L/K,L members with M <= 6, every table of
+    F_3, and two random tables for each of M = 4, 5, 6."""
+    named = [("nudge-m", {"m": m}) for m in range(1, 7)]
+    named += [(kind, {"m": m, key: i}) for kind, key in (("nudge-km", "k"),
+                                                         ("nudge-ml", "l"))
+              for m in range(2, 7) for i in range(1, m)]
+    named += [("nudge-kl", {"k": k, "l": l})
+              for k in range(1, 7) for l in range(1, 8 - k)]
+    assert len(named) == 57
+    rng = random.Random(20240717)
+    return ([named_policy(kind, **params) for kind, params in named]
+            + list(enumerate_policies(3))
+            + [random_family_member(m, 2 ** m, rng) for m in (4, 5, 6)
+               for _ in range(2)])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MIXES))
+def test_family_prefactors_match_enumeration(name):
+    # the window sweep against the string enumeration it replaced
+    mix = ORACLE_MIXES[name]
+    info = decay_rate(mix)
+    for pol in _oracle_policies():
+        got = family_prefactors(pol, info, mix)
+        want = family_prefactors_enum(pol, info, mix)
+        assert got.c_w1 == pytest.approx(want.c_w1, rel=1e-13, abs=0)
+        assert got.c_w2 == pytest.approx(want.c_w2, rel=1e-13, abs=0)
+        assert got.atir == pytest.approx(want.atir, rel=0, abs=1e-13)
 
 
 def test_family_prefactors_cap():

@@ -198,10 +198,13 @@ def test_cli_import_leaves_out_quadrature():
 
 @pytest.mark.parametrize("argv, message", [
     (["dist", "--recipe", "fig9a", "--m", "2", "--t", "abc"], "abc"),
-    (["atir", "--recipe", "fig5a", "--lambda", "0.1:0.9"], "unpack"),
+    (["atir", "--recipe", "fig5a", "--lambda", "0.1:0.9"],
+     "--lambda '0.1:0.9' is neither v1,v2,... nor a:b:n"),
     (["mean", "--recipe", "fig8", "--m", "0"], "window m must be >= 1"),
     (["dist", "--recipe", "fig9a", "--m", "2", "--t=-1"], "t must be"),
-], ids=["dist-t-abc", "atir-lambda-two-fields", "mean-m0", "dist-t-negative"])
+    (["atir", "--recipe", "fig5a", "--lambda", "0.1:0.9:0"], "nor a:b:n"),
+], ids=["dist-t-abc", "atir-lambda-two-fields", "mean-m0", "dist-t-negative",
+        "atir-lambda-no-points"])
 def test_value_errors_are_input_errors(argv, message, tmp_path, capsys):
     # a plain ValueError is an input error (exit 2), not a traceback
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
@@ -232,4 +235,7 @@ def test_verify_fast_passes(capsys):
     assert main(["verify", "--level", "fast"]) == 0
     captured = capsys.readouterr()
     assert "PASS  w1-tail-uniformization-vs-dense" in captured.out
+    # the family prefactors at the cap M = 6, for Nudge-M and for FCFS
+    assert "PASS  family-prefactors-m6" in captured.out
+    assert "PASS  family-prefactors-fcfs-m6" in captured.out
     assert "FAIL" not in captured.out

@@ -106,10 +106,20 @@ def test_unsigned_law_is_refused():
                 (init, gen, [1.0, -0.1])):
         with pytest.raises(FloatingPointError, match="differ in sign"):
             MatrixExpDist(*law)
-    # the largest rounding negatives of the package's laws: the exit flow
-    # in R2 = W2 + X2 for Erlang-20 type-2 jobs near lambda = 1
-    mix = normalized_mix(2 / 3, ph_erlang(3, 1.0), ph_erlang(20, 4.0), 0.9999)
-    r2 = resp2.build_w2_model(mix, 2).r2
-    assert np.min(r2.gen - np.diag(np.diag(r2.gen))) < -1e-12 * r2.rate
     with pytest.raises(FloatingPointError, match="non-finite"):
         MatrixExpDist([1.0], [[np.nan]], [1.0])
+
+
+def test_response_exit_flow_has_no_rounding_negatives():
+    # W2's exit flow -gen tail cancels, by about 2.6e-12 q below zero for
+    # Erlang-20 type-2 jobs at lambda = 0.9999; plus() zeroes such entries,
+    # so R2 = W2 + X2 has no negative rate off the diagonal
+    mix = normalized_mix(2 / 3, ph_erlang(3, 1.0), ph_erlang(20, 4.0), 0.9999)
+    model = resp2.build_w2_model(mix, 2)
+    w2, r2 = model.w2, model.r2
+    assert np.min(-w2.gen @ w2.tail) < -1e-12 * w2.rate
+    assert np.min(r2.gen - np.diag(np.diag(r2.gen))) >= 0.0
+    # a flow that is negative beyond rounding is kept, and refused
+    bad = MatrixExpDist([0.5, 0.5], [[-1.0, 1.0], [0.0, -1.0]], [0.1, 1.0])
+    with pytest.raises(FloatingPointError, match="gen off the diagonal"):
+        bad.plus(ph_exponential(mean=1.0))

@@ -1,13 +1,18 @@
-"""Property-based checks for the fitting and policy layers."""
+"""Property-based checks for the fitting, policy and family-prefactor
+layers."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nudgem.phtype import fit_hyperexp
+from oracles import family_prefactors_enum, random_family_member
+
+from nudgem.asymptotics import FAMILY_M_CAP, decay_rate, family_prefactors
+from nudgem.phtype import fit_hyperexp, normalized_mix, ph_exponential
 from nudgem.policy import (
     PolicyFn,
     all_strings,
     count_twos,
+    fcfs_policy,
     nudge_kl_policy,
     nudge_km_policy,
     nudge_ml_policy,
@@ -39,3 +44,36 @@ def test_pass_counts_never_exceed_twos(a, b):
     pol = nudge_kl_policy(a, b)
     for s in all_strings(pol.m):
         assert 0 <= pol(s) <= min(a, count_twos(s))
+
+
+def _exp_hyperexp_mix(p, lam):
+    # the fig5b shape at any split: unit mean work, E[X2] = 4 E[X1]
+    e1 = 1.0 / (p + 4.0 * (1.0 - p))
+    return normalized_mix(p, ph_exponential(mean=e1),
+                          fit_hyperexp(4.0 * e1, 2.0, 0.5), lam=lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 5), p=st.floats(0.05, 0.95),
+       lam=st.floats(0.05, 0.95), rng=st.randoms(use_true_random=False))
+def test_family_prefactors_sweep_equals_enumeration(m, p, lam, rng):
+    mix = _exp_hyperexp_mix(p, lam)
+    info = decay_rate(mix)
+    pol = random_family_member(m, 2 ** m, rng)
+    got = family_prefactors(pol, info, mix)
+    want = family_prefactors_enum(pol, info, mix)
+    assert got.c_w1 == pytest.approx(want.c_w1, rel=1e-13, abs=0)
+    assert got.c_w2 == pytest.approx(want.c_w2, rel=1e-13, abs=0)
+    assert got.atir == pytest.approx(want.atir, rel=0, abs=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(0.05, 0.95), lam=st.floats(0.05, 0.95))
+def test_fcfs_family_prefactors_are_the_workload(p, lam):
+    mix = _exp_hyperexp_mix(p, lam)
+    info = decay_rate(mix)
+    for m in range(1, FAMILY_M_CAP + 1):
+        rep = family_prefactors(fcfs_policy(m), info, mix)
+        assert rep.c_w1 == pytest.approx(info.c_z, rel=1e-12, abs=0)
+        assert rep.c_w2 == pytest.approx(info.c_z, rel=1e-12, abs=0)
+        assert rep.atir == pytest.approx(0.0, abs=1e-12)
