@@ -241,10 +241,14 @@ def cmd_simulate(args) -> int:
     policy = resolve_policy(args, default_m=1)
     cfg = sim.SimConfig(mix=mix, policy=policy, n_jobs=args.jobs,
                         seed=args.seed)
+    began = time.perf_counter()
     stats = sim.simulate(cfg)
+    wall = time.perf_counter() - began
+    # a type with no job after warm-up has no mean or ccdf to report
+    present = [jt for jt in (1, 2) if (stats.job_type == jt).any()]
     header = ["metric", "value", "std_error"]
     rows = []
-    for jt in ("any", 1, 2):
+    for jt in ["any"] + present:
         mw, sw = stats.mean_wait(jt)
         mr, sr = stats.mean_response(jt)
         rows.append([f"mean_wait_{jt}", mw, sw])
@@ -256,12 +260,17 @@ def cmd_simulate(args) -> int:
         rows.append([f"passed_{k}", int(v), ""])
     if args.t:
         for t in parse_grid(args.t, "--t"):
-            for jt in (1, 2):
+            for jt in present:
                 e, se = sim.empirical_ccdf(stats, jt, t)
                 rows.append([f"wait_ccdf_{jt}_t{t:g}", e, se])
     write_csv(args.out, header, rows,
               _manifest(args, {"seed": args.seed, "n_jobs": args.jobs,
-                               "policy_window": policy.m}))
+                               "policy_window": policy.m,
+                               "sim": {"wall_s": wall,
+                                       "jobs_per_s": args.jobs / wall,
+                                       "warmup": cfg.warmup,
+                                       "n_batches": cfg.n_batches,
+                                       "busy_fraction": stats.busy_fraction}}))
     return EXIT_OK
 
 

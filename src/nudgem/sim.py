@@ -2,14 +2,17 @@
 
 Serves as the independent oracle for the analytic modules: Poisson
 arrivals, Bernoulli types, phase-type services, and queue reordering at
-type-1 arrivals driven by an arbitrary family policy table.
+type-1 arrivals driven by an arbitrary family policy table. A run is fixed
+by its seed, and its event loop costs O(M) per arrival for window M,
+independent of the queue length.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +24,8 @@ MIN_EXCEEDANCES = 100
 
 
 class EstimationError(RuntimeError):
-    """Too few tail exceedances for a prefactor estimate."""
+    """Too little data for an estimate: fewer than two batches hold a job
+    of the selected type, or too few tail exceedances for a prefactor."""
 
 
 @dataclass(frozen=True)
@@ -30,7 +34,7 @@ class SimConfig:
     policy: PolicyFn
     n_jobs: int
     seed: int
-    warmup: int = None
+    warmup: Optional[int] = None
     n_batches: int = DEFAULT_BATCHES
 
     def __post_init__(self):
@@ -42,6 +46,11 @@ class SimConfig:
             raise InstabilityError(f"load {self.mix.lam} >= 1")
         if self.n_batches < 2:
             raise ValueError("need at least two batches")
+        if self.n_jobs - self.warmup < self.n_batches:
+            raise ValueError(
+                f"{self.n_jobs} jobs leave {self.n_jobs - self.warmup} after "
+                f"a warm-up of {self.warmup}, fewer than the "
+                f"{self.n_batches} batches")
 
 
 def sample_phase_type(ph: PhaseType, gen: np.random.Generator,
@@ -95,6 +104,10 @@ class SimStats:
             sel = mask[lo:hi]
             if sel.any():
                 means.append(values[lo:hi][sel].mean())
+        if len(means) < 2:
+            raise EstimationError(
+                f"{len(means)} of {b} batches hold a job of the selected "
+                "type; need two")
         means = np.asarray(means)
         return float(means.mean()), float(means.std(ddof=1) / np.sqrt(means.size))
 
@@ -106,7 +119,16 @@ class SimStats:
 
 
 def simulate(config: SimConfig) -> SimStats:
-    """Run one replication; fully determined by config.seed."""
+    """Run one replication; the output is fixed by ``config.seed``.
+
+    Arrival times, types and services are drawn up front from three
+    Philox streams; the event loop draws nothing. The loop does O(M) work
+    per arrival for window M, whatever the queue length: the policy value
+    is looked up by the window bitmask, a type-1 job passes the newest
+    waiting type-2 jobs among the M arrivals before it, and because
+    type-2 jobs keep their arrival order in the queue it goes in front of
+    the oldest of them, which sits among the queue's last M slots.
+    """
     mix, policy = config.mix, config.policy
     n, m = config.n_jobs, policy.m
     base = np.random.Philox(config.seed)
@@ -126,60 +148,71 @@ def simulate(config: SimConfig) -> SimStats:
     times_passed = np.zeros(n, dtype=np.int64)
     n_passes = np.zeros(n, dtype=np.int64)
 
-    queue: list = []            # waiting job ids in service order
-    window = deque(maxlen=m)    # ids of last m arrivals, newest first
-    in_service = -1
-    service_ends = np.inf
+    # memoryviews read and write the arrays as Python scalars, copying nothing
+    arr, typ, svc = memoryview(arrivals), memoryview(types), memoryview(service)
+    beg, seen = memoryview(start), memoryview(workload_seen)
+    passed, passes = memoryview(times_passed), memoryview(n_passes)
+    by_mask = policy.by_mask.tolist()
+    full = (1 << m) - 1
+    mask = 0                    # bit k set when job i-1-k is type 2
+    queue = deque()             # waiting job ids in service order
+    waiting = bytearray(n)      # 1 while the job is in the queue
+    inf = math.inf
+    service_ends = inf          # inf while the server is idle
     now_workload = 0.0
     prev_t = 0.0
 
-    def begin_service(t: float):
-        nonlocal in_service, service_ends
-        job = queue.pop(0)
-        in_service = job
-        start[job] = t
-        service_ends = t + service[job]
-
-    for i in range(n):
-        t = arrivals[i]
-        # departures before this arrival
-        while service_ends <= t:
-            done, in_service = service_ends, -1
+    for i, (t, x, ty) in enumerate(zip(arr, svc, typ)):
+        while service_ends <= t:  # departures before this arrival
             if queue:
-                begin_service(done)
+                job = queue.popleft()
+                waiting[job] = 0
+                beg[job] = service_ends
+                service_ends += svc[job]
             else:
-                service_ends = np.inf
-                break
-        now_workload = max(0.0, now_workload - (t - prev_t))
-        workload_seen[i] = now_workload
-        now_workload += service[i]
+                service_ends = inf
+        now_workload -= t - prev_t  # drains at rate one, down to zero
+        if now_workload <= 0.0:
+            now_workload = 0.0
+        seen[i] = now_workload
+        now_workload += x
         prev_t = t
 
-        if types[i] == 1 and window:
-            s = tuple(types[j] for j in window)
-            want = policy.table[s + (1,) * (m - len(s))]
-            waiting = set(queue)
-            targets = [j for j in window if types[j] == 2 and j in waiting]
-            targets = targets[:want]  # window is newest first
-            if targets:
-                pos = min(queue.index(j) for j in targets)
-                queue.insert(pos, i)
-                for j in targets:
-                    times_passed[j] += 1
+        two = ty == 2
+        if service_ends == inf:  # idle server, empty queue
+            beg[i] = t
+            service_ends = t + x
+        elif two or not by_mask[mask]:
+            queue.append(i)
+            waiting[i] = 1
+        else:
+            want, bits, count = by_mask[mask], mask, 0
+            while bits:  # type-2 jobs in the window, newest first
+                low = bits & -bits
+                bits ^= low
+                j = i - low.bit_length()
+                if waiting[j]:
+                    passed[j] += 1
+                    oldest = j
+                    count += 1
+                    if count == want:
+                        break
+            if count:
+                passes[i] = count
+                k = 1
+                while queue[-k] != oldest:
+                    k += 1
+                queue.insert(-k, i)
             else:
                 queue.append(i)
-            n_passes[i] = len(targets)
-        else:
-            queue.append(i)
-        window.appendleft(i)
-        if in_service < 0:
-            begin_service(t)
+            waiting[i] = 1
+        mask = ((mask << 1) | two) & full
 
     # drain; the last departure ends the busy-time horizon
-    while in_service >= 0:
-        done, in_service = service_ends, -1
-        if queue:
-            begin_service(done)
+    while queue:
+        job = queue.popleft()
+        beg[job] = service_ends
+        service_ends += svc[job]
 
     w = config.warmup
     passes_hist = np.bincount(n_passes[w:][types[w:] == 1], minlength=m + 1)
@@ -197,7 +230,7 @@ def simulate(config: SimConfig) -> SimStats:
         passes_hist=passes_hist,
         passed_hist=passed_hist,
         times_passed=times_passed[w:],
-        busy_fraction=float(busy / (done - arrivals[w])),
+        busy_fraction=float(busy / (service_ends - arrivals[w])),
     )
 
 

@@ -2,10 +2,13 @@
 
 Each one recomputes a package result by a slower, generic route (dense
 ``scipy.linalg.expm``, Sylvester iteration, adaptive quadrature, string
-enumeration) and so does not go through ``phtype.expm``, the evaluation of
-``MatrixExpDist`` (``dense_ccdf`` and ``dense_density`` read only a law's
-fields) or the window sweep of ``asymptotics.family_prefactors``.
+enumeration, a queue scan per arrival) and so does not go through
+``phtype.expm``, the evaluation of ``MatrixExpDist`` (``dense_ccdf`` and
+``dense_density`` read only a law's fields), the window sweep of
+``asymptotics.family_prefactors`` or the event loop of ``sim.simulate``.
 """
+
+from collections import deque
 
 import numpy as np
 from scipy.integrate import quad
@@ -14,6 +17,7 @@ from scipy.linalg import expm, solve_sylvester
 from nudgem.asymptotics import (FAMILY_M_CAP, AtirReport, ComplexityError,
                                 atir_from_prefactors)
 from nudgem.policy import all_strings, count_twos, fcfs_policy, increment_edges
+from nudgem.sim import SimStats, sample_phase_type
 from nudgem.swap import build_swap_chain, mean_swaps_at
 
 
@@ -138,3 +142,102 @@ def random_family_member(m, steps, rng):
             break
         pol = edges[rng.randrange(len(edges))][1]
     return pol
+
+
+def simulate_queue_scan(config):
+    """``sim.simulate`` by the original event loop, which scans the whole
+    queue per type-1 arrival (``list.pop(0)``, ``set(queue)``,
+    ``queue.index``) and keys the policy table by a tuple of types. Must
+    give bit-identical ``SimStats`` for the same config."""
+    mix, policy = config.mix, config.policy
+    n, m = config.n_jobs, policy.m
+    base = np.random.Philox(config.seed)
+    g_arrival = np.random.Generator(base)
+    g_type = np.random.Generator(base.jumped(1))
+    g_service = np.random.Generator(base.jumped(2))
+
+    arrivals = np.cumsum(g_arrival.exponential(1.0 / mix.lam, n))
+    types = np.where(g_type.random(n) < mix.p, 1, 2)
+    service = np.empty(n)
+    is1 = types == 1
+    service[is1] = sample_phase_type(mix.ph1, g_service, int(is1.sum()))
+    service[~is1] = sample_phase_type(mix.ph2, g_service, int((~is1).sum()))
+
+    start = np.empty(n)
+    workload_seen = np.empty(n)
+    times_passed = np.zeros(n, dtype=np.int64)
+    n_passes = np.zeros(n, dtype=np.int64)
+
+    queue: list = []            # waiting job ids in service order
+    window = deque(maxlen=m)    # ids of last m arrivals, newest first
+    in_service = -1
+    service_ends = np.inf
+    now_workload = 0.0
+    prev_t = 0.0
+
+    def begin_service(t: float):
+        nonlocal in_service, service_ends
+        job = queue.pop(0)
+        in_service = job
+        start[job] = t
+        service_ends = t + service[job]
+
+    for i in range(n):
+        t = arrivals[i]
+        # departures before this arrival
+        while service_ends <= t:
+            done, in_service = service_ends, -1
+            if queue:
+                begin_service(done)
+            else:
+                service_ends = np.inf
+                break
+        now_workload = max(0.0, now_workload - (t - prev_t))
+        workload_seen[i] = now_workload
+        now_workload += service[i]
+        prev_t = t
+
+        if types[i] == 1 and window:
+            s = tuple(types[j] for j in window)
+            want = policy.table[s + (1,) * (m - len(s))]
+            waiting = set(queue)
+            targets = [j for j in window if types[j] == 2 and j in waiting]
+            targets = targets[:want]  # window is newest first
+            if targets:
+                pos = min(queue.index(j) for j in targets)
+                queue.insert(pos, i)
+                for j in targets:
+                    times_passed[j] += 1
+            else:
+                queue.append(i)
+            n_passes[i] = len(targets)
+        else:
+            queue.append(i)
+        window.appendleft(i)
+        if in_service < 0:
+            begin_service(t)
+
+    # drain; the last departure ends the busy-time horizon
+    while in_service >= 0:
+        done, in_service = service_ends, -1
+        if queue:
+            begin_service(done)
+
+    w = config.warmup
+    passes_hist = np.bincount(n_passes[w:][types[w:] == 1], minlength=m + 1)
+    passed_hist = np.bincount(times_passed[w:][types[w:] == 2], minlength=m + 1)
+    wait = start - arrivals
+    # work conservation: from job w's arrival to the last departure the
+    # server is busy for the work found then plus all work arriving after
+    busy = workload_seen[w] + service[w:].sum()
+    return SimStats(
+        config=config,
+        job_type=types[w:],
+        wait=wait[w:],
+        response=(wait + service)[w:],
+        workload_seen=workload_seen[w:],
+        passes_hist=passes_hist,
+        passed_hist=passed_hist,
+        times_passed=times_passed[w:],
+        busy_fraction=float(busy / (done - arrivals[w])),
+    )

@@ -178,10 +178,49 @@ def test_simulate_at_one_lambda(tmp_path):
                  "--jobs", "2000", "--t", "0", "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
     assert manifest["n_jobs"] == 2000
+    record = manifest["sim"]
+    assert set(record) == {"wall_s", "jobs_per_s", "warmup", "n_batches",
+                           "busy_fraction"}
+    assert record["wall_s"] > 0
+    assert record["jobs_per_s"] == pytest.approx(2000 / record["wall_s"])
+    assert (record["warmup"], record["n_batches"]) == (200, 30)
     _, rows = _read(out)
     values = {r[0]: float(r[1]) for r in rows}
     # the atom of the wait at zero is near lambda = 0.5, not the recipe's 0.7
     assert values["wait_ccdf_1_t0"] == pytest.approx(0.5, abs=0.1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_too_few_jobs_is_input_error(jobs, tmp_path, capsys):
+    # fewer jobs after warm-up than batches: no mean or error to print
+    assert main(["simulate", "--recipe", "fig5a", "--jobs", jobs,
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"{jobs} jobs leave" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [0, 1])
+def test_simulate_leaves_out_an_absent_type(p, tmp_path):
+    mixfile = tmp_path / "one.json"
+    mixfile.write_text(json.dumps({
+        "p": p, "lambda": 0.6,
+        "type1": {"kind": "exp", "mean": 1.0},
+        "type2": {"kind": "exp", "mean": 1.0},
+    }))
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--mix", str(mixfile), "--m", "3", "--jobs",
+                 "3000", "--t", "0,1", "--out", str(out)]) == 0
+    _, rows = _read(out)
+    names = [r[0] for r in rows]
+    absent = 1 if p == 0 else 2  # p = 0: no type-1 jobs; p = 1: no type-2 jobs
+    assert not [n for n in names if n.endswith(f"_{absent}")
+                and not n.startswith("pass")]
+    assert not [n for n in names if n.startswith(f"wait_ccdf_{absent}_")]
+    for kind in ("wait", "response"):
+        assert f"mean_{kind}_{3 - absent}" in names
+    assert "nan" not in out.read_text()
 
 
 def test_cli_import_leaves_out_quadrature():

@@ -1,9 +1,16 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import random_family_member, simulate_queue_scan
 
 from nudgem.phtype import (
     InstabilityError,
     JobMix,
+    fit_hyperexp,
+    normalized_mix,
     ph_erlang,
     ph_exponential,
     two_class_exp_mix,
@@ -12,6 +19,7 @@ from nudgem.policy import (
     fcfs_policy,
     named_policy,
     nudge_k_policy,
+    nudge_km_policy,
     nudge_m_policy,
     policy_from_table_file,
 )
@@ -34,6 +42,10 @@ def _run(policy, n=60_000, seed=1, mix=MIX):
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(mix=MIX, policy=fcfs_policy(1), n_jobs=10, warmup=10, seed=1)
+    # every batch needs a job after warm-up
+    with pytest.raises(ValueError, match="20 jobs leave 18"):
+        SimConfig(mix=MIX, policy=fcfs_policy(1), n_jobs=20, seed=1)
+    SimConfig(mix=MIX, policy=fcfs_policy(1), n_jobs=33, seed=1)
     with pytest.raises(ValueError):
         SimConfig(mix=MIX, policy=fcfs_policy(1), n_jobs=100, seed=1,
                   n_batches=1)
@@ -151,3 +163,79 @@ def test_tail_prefactor_fcfs():
     est, err = tail_prefactor_estimate(stats, info.theta_z,
                                        np.linspace(4, 20, 9))
     assert est == pytest.approx(info.c_z, abs=max(5 * err, 0.05))
+
+
+def test_batch_means_need_two_batches_with_the_type():
+    # seed 1 leaves one type-1 job after warm-up: a mean, but no standard error
+    stats = _run(fcfs_policy(1), n=60, mix=normalized_mix(
+        0.02, ph_exponential(mean=1.0), ph_exponential(mean=1.0), 0.5))
+    assert (stats.job_type == 1).sum() == 1
+    with pytest.raises(EstimationError, match="1 of 30 batches"):
+        stats.mean_wait(1)
+    with pytest.raises(EstimationError):
+        empirical_ccdf(stats, 1, 0.0)
+    assert np.isfinite(stats.mean_wait(2)[1])
+
+
+# -- the event loop against the queue-scanning oracle -----------------------
+
+SIM_FIELDS = ("job_type", "wait", "response", "workload_seen", "passes_hist",
+              "passed_hist", "times_passed")
+
+
+def assert_same_run(config):
+    """Bit-identical SimStats from ``simulate`` and the oracle."""
+    new, ref = simulate(config), simulate_queue_scan(config)
+    for name in SIM_FIELDS:
+        assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+    assert new.busy_fraction == ref.busy_fraction
+
+
+def _mix(kind, lam, p=2 / 3):
+    ph2 = (fit_hyperexp(4.0, 2.0, 0.5) if kind == "exp-hyperexp"
+           else ph_exponential(mean=4.0))
+    ph1 = ph_erlang(3, 1.0) if kind == "erlang3-exp" else ph_exponential(mean=1.0)
+    return normalized_mix(p, ph1, ph2, lam)
+
+
+def _policy(name, tmp_path):
+    if name == "table-file":
+        pol = named_policy("nudge-ml", m=4, l=2)
+        path = tmp_path / "pol.txt"
+        path.write_text("\n".join("".join(map(str, s)) + f" {n}"
+                                  for s, n in pol.table.items()))
+        return policy_from_table_file(path)
+    if name.startswith("random-m"):
+        m = int(name[len("random-m"):])
+        return random_family_member(m, 4 * m, random.Random(m))
+    return {"fcfs": fcfs_policy(1), "nudge-m1": nudge_m_policy(1),
+            "nudge-m5": nudge_m_policy(5),
+            "nudge-km": nudge_km_policy(2, 4)}[name]
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.95, 0.99])
+@pytest.mark.parametrize("kind", ["exp-exp", "exp-hyperexp", "erlang3-exp"])
+@pytest.mark.parametrize("name", ["fcfs", "nudge-m1", "nudge-m5", "nudge-km",
+                                  "table-file", "random-m3", "random-m5"])
+def test_event_loop_matches_queue_scan(name, kind, lam, tmp_path):
+    assert_same_run(SimConfig(mix=_mix(kind, lam), policy=_policy(name, tmp_path),
+                              n_jobs=4_000, seed=11))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+@pytest.mark.parametrize("warmup", [0, None])
+def test_event_loop_matches_queue_scan_one_type(p, warmup):
+    assert_same_run(SimConfig(mix=_mix("exp-hyperexp", 0.95, p),
+                              policy=nudge_m_policy(3), n_jobs=4_000, seed=12,
+                              warmup=warmup))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 5),
+       lam=st.floats(0.05, 0.99), p=st.one_of(st.just(0.0), st.just(1.0),
+                                               st.floats(0.0, 1.0)),
+       walk=st.integers(0, 1000))
+def test_event_loop_always_matches_queue_scan(seed, m, lam, p, walk):
+    policy = random_family_member(m, 3 * m, random.Random(walk))
+    assert_same_run(SimConfig(mix=_mix("exp-hyperexp", lam, p), policy=policy,
+                              n_jobs=1_500, seed=seed, warmup=0))
