@@ -22,7 +22,7 @@ from .phtype import (FitError, InstabilityError, InvalidDistributionError,
                      ph_exponential, two_class_exp_mix)
 from .policy import (POLICY_BUILDERS, PolicyError, PolicyFn, named_policy,
                      policy_from_table_file, policy_key)
-from . import asymptotics, fluid, phtype, resp2, sim, swap
+from . import asymptotics, fluid, resp2, sim, swap
 from .asymptotics import ComplexityError, UnsupportedSpectrumError, decay_rate
 from .fluid import NUDGE_M_CAP, RiccatiError, StationarySolveError
 
@@ -305,11 +305,13 @@ def _check_identities() -> List[tuple]:
     sol2 = fluid.stationary_fluid(fluid.build_nudge_m_fluid(mix, 2))
     est = sol2.w1_ccdf(t) * math.exp(info.theta_z * t)
     checks.append(("w1-tail-prefactor-m2", abs(est / cw1 - 1.0) < 1e-3))
-    # the uniformization sum against one dense exponential of the same law
-    w1 = sol2.w1
-    dense = float(w1.init @ phtype.expm(w1.gen, t) @ w1.tail)
-    checks.append(("w1-tail-uniformization-vs-dense",
-                   abs(sol2.w1_ccdf(t) / dense - 1.0) < 1e-10))
+    # the uniformization sum against the M/M/1 workload tail
+    # P[Z > t] = lambda e^{-(1 - lambda) t} (unit-mean exponential work)
+    lam = mix.lam
+    mm1 = two_class_exp_mix(mix.p, 1.0, lam)
+    ok = all(abs(swap.workload_ccdf(mm1, t) / (lam * math.exp(-(1.0 - lam) * t)) - 1.0)
+             < 1e-10 for t in (0.5, 8.0, 40.0 / (1.0 - lam)))
+    checks.append(("workload-uniformization-vs-mm1", ok))
     return checks
 
 

@@ -1,7 +1,7 @@
 """Phase-type distributions, two-class job mixes and the dense linear
-algebra kernels (Kronecker product/sum, matrix exponential) used by the
-rest of the package, and the matrix-exponential law type through which
-every waiting- and response-time distribution is evaluated.
+algebra kernels (Kronecker product/sum) used by the rest of the package,
+and the matrix-exponential law type through which every workload,
+waiting- and response-time distribution is evaluated.
 
 Conventions: a phase-type distribution is a pair (alpha, S) where alpha is
 a probability row vector over the transient phases and S the subgenerator;
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 # Default relative tolerance used across the package unless an operation
 # states otherwise.
@@ -48,21 +47,6 @@ def kron_sum(a, b):
     if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
         raise ValueError("kron_sum requires square matrices")
     return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)
-
-
-def expm(q, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential e^{Q t} (scipy's scaling-and-squaring Pade-13).
-
-    For a subgenerator Q and t >= 0 the result is entrywise nonnegative
-    with row sums at most 1 (up to roundoff).
-    """
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    if t < 0:
-        raise ValueError("expm requires t >= 0")
-    m = _scipy_expm(q * t)
-    if not np.all(np.isfinite(m)):
-        raise FloatingPointError("non-finite entries in matrix exponential")
-    return m
 
 
 # How far below zero an entry of gen (off the diagonal, relative to the

@@ -15,7 +15,7 @@ from typing import List
 import numpy as np
 
 from .phtype import JobMix, MatrixExpDist, kron_prod, kron_sum
-from .swap import SwapChain, build_swap_chain, chain_size
+from .swap import SwapChain, build_swap_chain, chain_size, selector_matrix
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,9 @@ class ExtraWaitModel:
     def gamma(self, s: float) -> np.ndarray:
         """Initial vector ((e_1' e^{W_M s} U_M) x alpha1, 0); its total
         mass is the probability of at least one swap."""
-        init = self.chain.initial_distribution(s)
-        head = kron_prod((init @ self.chain.u[self.chain.m]).reshape(1, -1),
+        # U_M drops the first M + 1 (i = 0) coordinates
+        init = self.chain.initial_distribution(s)[self.chain.m + 1:]
+        head = kron_prod(init.reshape(1, -1),
                          self.mix.ph1.alpha.reshape(1, -1)).ravel()
         out = np.zeros(self.layout.size)
         out[: head.shape[0]] = head
@@ -82,7 +83,7 @@ def build_extra_wait(mix: JobMix, m: int, chain: SwapChain = None) -> ExtraWaitM
         diag = kron_sum(chain.w[m - k], s1)
         q[o: o + diag.shape[0], o: o + diag.shape[0]] = diag
         if k < m:
-            off = kron_prod(chain.u[m - k], jump)
+            off = kron_prod(selector_matrix(m - k), jump)
             o2 = layout.offsets[k]
             q[o: o + off.shape[0], o2: o2 + off.shape[1]] = off
     return ExtraWaitModel(mix=mix, chain=chain, layout=layout, q=q)
@@ -124,7 +125,7 @@ def build_w2_model(mix: JobMix, m: int, chain: SwapChain = None) -> W2Model:
     nw = chain_size(m)
     nt = t_mat.shape[0]
     top = kron_sum(chain.w[m], t_mat)
-    coupler = kron_prod(chain.u[m],
+    coupler = kron_prod(selector_matrix(m),
                         np.outer(np.ones(nt), mix.ph1.alpha))  # U_M x 1 alpha1
     n_top = nw * nt
     size = n_top + extra.layout.size

@@ -6,18 +6,25 @@ i + j <= k (i type-1 and j type-2 arrivals observed), absorbing on the
 i + j = k layer. Removing the i = 0 states of the chain for window k
 yields the chain for window k - 1, which the closed-form expressions
 exploit.
+
+Every swap-count law is one push of a probability row vector over the
+window-M states through the per-swap transfer matrices. The law at
+workload s starts from e_1' e^{W_M s}; the law of an arriving type-2 job
+starts from closed-form workload weights (M solves with lambda I - T).
+Every mean is pmf . (0, 1, ..., M). Cost: `build_swap_chain` makes one
+dense inverse of order chain_size(M - 1) n1, O(M^6 n1^3), and keeps the
+dense W_0..W_M; a push is M vector-matrix products, O(M^5) in all.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
 from . import phtype
-from .phtype import JobMix, kron_prod, kron_sum
+from .phtype import JobMix, MatrixExpDist, kron_prod, kron_sum
 
 
 def chain_size(k: int) -> int:
@@ -58,49 +65,38 @@ def selector_matrix(k: int) -> np.ndarray:
     return u
 
 
-def accumulator_vector(k: int) -> np.ndarray:
-    """F_k: ones in the first k+1 entries (the i = 0 states)."""
-    f = np.zeros(chain_size(k))
-    f[: k + 1] = 1.0
-    return f
+def _layer_split(m: int, p: float, layer_mass: np.ndarray) -> np.ndarray:
+    """Row vector over the window-m states (i, j) that gives layer
+    n = i + j the mass layer_mass[n], split over i ~ Binomial(n, p)."""
+    binom = np.zeros((m + 1, m + 1))  # binom[n, i] = C(n, i) p^i (1-p)^(n-i)
+    binom[0, 0] = 1.0
+    for n in range(1, m + 1):
+        binom[n] = (1.0 - p) * binom[n - 1]
+        binom[n, 1:] += p * binom[n - 1, :-1]
+    i, j = np.array(_state_index(m)).T
+    return layer_mass[i + j] * binom[i + j, i]
 
 
 @dataclass(frozen=True)
 class SwapChain:
-    """Precomputed counting chains W_0..W_M with selectors and
-    accumulators, plus the per-swap transfer matrices."""
+    """Precomputed counting chains W_0..W_M and the per-swap transfer
+    matrices."""
 
     m: int
     mix: JobMix
     w: List[np.ndarray]          # W_0 .. W_M
-    u: List[np.ndarray]          # u[0] is None; U_1 .. U_M at indices 1..M
-    f: List[np.ndarray]          # F_0 .. F_M
     transfer: List[np.ndarray]   # step ell: (U_{M-ell} x alpha1)(-(W_{M-ell-1} (+) S1))^{-1}(I x s1*)
-    v_swap: np.ndarray
 
     def initial_distribution(self, s: float) -> np.ndarray:
-        """Row vector e_1' e^{W_M s} via uniformization (exact Poisson
-        mixture: off-diagonal jumps occur at rate lambda everywhere)."""
-        lam = self.mix.lam
-        p = self.mix.p
-        m = self.m
-        # Probability of the first min(n, m) arrivals of a Poisson(lam s)
-        # stream: the chain state is just (#type-1, #type-2) capped at m.
-        out = np.zeros(chain_size(m))
-        states = _state_index(m)
-        idx = {st: r for r, st in enumerate(states)}
-        r = lam * s
-        # P[N = n] for n < m, P[N >= m] for the absorbing layer.
-        tail = 1.0
-        for n in range(m):
-            pn = math.exp(-r) * r ** n / math.factorial(n)
-            tail -= pn
-            for i in range(n + 1):
-                out[idx[(i, n - i)]] += pn * math.comb(n, i) * p ** i * (1 - p) ** (n - i)
-        tail = max(tail, 0.0)
-        for i in range(m + 1):
-            out[idx[(i, m - i)]] += tail * math.comb(m, i) * p ** i * (1 - p) ** (m - i)
-        return out
+        """Row vector e_1' e^{W_M s}: the chain state is (#type-1,
+        #type-2) among the first min(N, M) of the N ~ Poisson(lambda s)
+        arrivals during s."""
+        w = phtype.poisson_weights(self.mix.lam * s)
+        layer = np.zeros(self.m + 1)
+        n = min(self.m, w.shape[0])
+        layer[:n] = w[:n]
+        layer[self.m] = w[self.m:].sum()  # P[N >= M]
+        return _layer_split(self.m, self.mix.p, layer)
 
 
 def build_swap_chain(mix: JobMix, m: int) -> SwapChain:
@@ -116,8 +112,6 @@ def build_swap_chain(mix: JobMix, m: int) -> SwapChain:
         raise ValueError("window m must be >= 1")
     lam, p = mix.lam, mix.p
     w = [counting_matrix(k, lam, p) for k in range(m + 1)]
-    u = [None] + [selector_matrix(k) for k in range(1, m + 1)]
-    f = [accumulator_vector(k) for k in range(m + 1)]
 
     s1 = mix.ph1.S
     alpha1 = mix.ph1.alpha.reshape(1, -1)
@@ -129,35 +123,69 @@ def build_swap_chain(mix: JobMix, m: int) -> SwapChain:
         k = m - ell - 1  # window of the chain run during the swap service
         n = chain_size(k) * mix.n1
         inv = inv_largest[-n:, -n:]
-        left = kron_prod(u[m - ell], alpha1)
+        left = kron_prod(selector_matrix(m - ell), alpha1)
         right = kron_prod(np.eye(chain_size(k)), s1_star)
         transfer.append(left @ inv @ right)
-
-    # v_M^swap = sum_k (prod_{ell<k} transfer_ell) (1 - F_{M-k})
-    v = np.zeros(chain_size(m))
-    prefix = np.eye(chain_size(m))
-    for k in range(m):
-        ones = np.ones(chain_size(m - k))
-        v += prefix @ (ones - f[m - k])
-        if k < m - 1:
-            prefix = prefix @ transfer[k]
-    return SwapChain(m=m, mix=mix, w=w, u=u, f=f, transfer=transfer, v_swap=v)
+    return SwapChain(m=m, mix=mix, w=w, transfer=transfer)
 
 
-def swap_pmf_vectors(chain: SwapChain) -> List[np.ndarray]:
-    """Vectors u_k with P[X_swap(s) = k] = e_1' e^{W_M s} u_k.
+# How far a swap pmf entry may fall below zero, or the pmf's sum miss 1,
+# by rounding. A scan over exp, hyperexp, Erlang-2, Erlang-20 and random
+# phase-type mixes, M up to 24 and s up to 2000 saw no entry below zero
+# and sums off by at most 2.4e-15 up to lambda = 0.99. The unconditional
+# pmf's error grows like 2.4e-16 / (1 - lambda) with the size of
+# (-T)^{-1} 1 (2.4e-13 at lambda = 0.999, 2.3e-11 at 0.99999).
+PMF_TOL = 1e-10
 
-    k = 0..M-1 from the transfer products; k = M by complement.
+
+def _swap_pmf_from(chain: SwapChain, row: np.ndarray) -> np.ndarray:
+    """P[X_swap = k], k = 0..M, for a tagged type-2 job whose window-M
+    counting chain has the law `row` (a probability row vector) when the
+    work it found is done.
+
+    Push `row` through the swaps from the left: after k swaps it is a
+    window-(M-k) vector. Its i = 0 entries (no type-1 arrival passed the
+    job) end the wait at k swaps; its i >= 1 entries start swap k + 1,
+    and transfer[k] carries them to the window-(M-k-1) vector left when
+    that swap's service ends. After swap M the window is spent, so the
+    i >= 1 entries of the window-1 vector are P[X_swap = M].
     """
     m = chain.m
-    vecs = []
-    prefix = np.eye(chain_size(m))
+    pmf = np.empty(m + 1)
     for k in range(m):
-        vecs.append(prefix @ chain.f[m - k])
+        pmf[k] = row[: m - k + 1].sum()
         if k < m - 1:
-            prefix = prefix @ chain.transfer[k]
-    vecs.append(np.ones(chain_size(m)) - sum(vecs))
-    return vecs
+            row = row @ chain.transfer[k]
+    pmf[m] = row[2:].sum()
+    if pmf.min() < -PMF_TOL or abs(pmf.sum() - 1.0) > PMF_TOL:
+        raise FloatingPointError(
+            f"swap pmf sums to 1 {pmf.sum() - 1.0:+.3g} with least entry "
+            f"{pmf.min():.3g}: the counting chain lost or made mass")
+    return pmf
+
+
+def _workload_weights(mix: JobMix, m: int) -> np.ndarray:
+    """Row vector integral of e_1' e^{W_M s} against the law of the workload
+    Z an arrival finds (atom 1 - lambda at 0, density lambda beta e^{Ts} 1).
+
+    With the rows y_n = lambda^{n+1} beta (lambda I - T)^{-(n+1)}, layer
+    n < M holds a_n = y_n 1, from integral of e^{-lambda s} (lambda s)^n / n!
+    e^{Ts} ds = (lambda I - T)^{-(n+1)} / lambda, and the empty system adds
+    1 - lambda to layer 0. The absorbing layer holds sum_{n >= M} a_n =
+    lambda y_{M-1} (-T)^{-1} 1, because (I - lambda (lambda I - T)^{-1})^{-1}
+    (lambda I - T)^{-1} = (-T)^{-1}: a sum, not a complement, so a tiny
+    mass keeps its digits.
+    """
+    lam, t_mat = mix.lam, mix.T
+    res = lam * np.eye(t_mat.shape[0]) - t_mat
+    layer = np.empty(m + 1)
+    y = mix.beta
+    for n in range(m):
+        y = lam * np.linalg.solve(res.T, y)
+        layer[n] = y.sum()
+    layer[m] = lam * y @ np.linalg.solve(-t_mat, np.ones(t_mat.shape[0]))
+    layer[0] += 1.0 - lam
+    return _layer_split(m, mix.p, layer)
 
 
 def swap_pmf(chain: SwapChain, s: float) -> np.ndarray:
@@ -165,37 +193,12 @@ def swap_pmf(chain: SwapChain, s: float) -> np.ndarray:
     sees workload s on arrival; entries k = 0..M."""
     if s < 0:
         raise ValueError("workload s must be >= 0")
-    init = chain.initial_distribution(s)
-    pmf = np.array([float(init @ v) for v in swap_pmf_vectors(chain)])
-    return pmf
+    return _swap_pmf_from(chain, chain.initial_distribution(s))
 
 
 def mean_swaps_at(chain: SwapChain, s: float) -> float:
-    """E[X_swap(s)] = e_1' e^{W_M s} v_M^swap."""
-    if s < 0:
-        raise ValueError("workload s must be >= 0")
-    return float(chain.initial_distribution(s) @ chain.v_swap)
-
-
-def mean_swaps(mix: JobMix, m: int, chain: SwapChain = None) -> float:
-    """Unconditional mean swap count of a tagged type-2 job:
-    -lambda (beta x e_1')(T (+) W_M)^{-1}(1 x v_M^swap)."""
-    if chain is None:
-        chain = build_swap_chain(mix, m)
-    return _workload_average(mix, chain, chain.v_swap)
-
-
-def _workload_average(mix: JobMix, chain: SwapChain, vec: np.ndarray) -> float:
-    """integral of lambda beta e^{Ts} 1 . (e_1' e^{W_M s} vec) ds via the
-    Kronecker closed form."""
-    t_mat = mix.T
-    e1 = np.zeros(chain_size(chain.m))
-    e1[0] = 1.0
-    left = mix.lam * kron_prod(mix.beta.reshape(1, -1), e1.reshape(1, -1))
-    big = kron_sum(t_mat, chain.w[chain.m])
-    rhs = kron_prod(np.ones(t_mat.shape[0]).reshape(-1, 1), vec.reshape(-1, 1))
-    sol = np.linalg.solve(big, rhs)
-    return float(-(left @ sol)[0, 0])
+    """E[X_swap(s)] = sum_k k P[X_swap(s) = k]."""
+    return float(swap_pmf(chain, s) @ np.arange(chain.m + 1))
 
 
 def unconditional_swap_pmf(mix: JobMix, m: int, chain: SwapChain = None) -> np.ndarray:
@@ -203,9 +206,13 @@ def unconditional_swap_pmf(mix: JobMix, m: int, chain: SwapChain = None) -> np.n
     it observes (empty system contributes mass 1 - lambda at k = 0)."""
     if chain is None:
         chain = build_swap_chain(mix, m)
-    pmf = np.array([_workload_average(mix, chain, v) for v in swap_pmf_vectors(chain)])
-    pmf[0] += 1.0 - mix.lam
-    return pmf
+    return _swap_pmf_from(chain, _workload_weights(mix, chain.m))
+
+
+def mean_swaps(mix: JobMix, m: int, chain: SwapChain = None) -> float:
+    """Unconditional mean swap count of a tagged type-2 job."""
+    pmf = unconditional_swap_pmf(mix, m, chain)
+    return float(pmf @ np.arange(pmf.shape[0]))
 
 
 def workload_ccdf(mix: JobMix, t: float) -> float:
@@ -213,14 +220,12 @@ def workload_ccdf(mix: JobMix, t: float) -> float:
     (-T)^{-1} 1; both forms computed, must agree to 1e-10."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    t_mat = mix.T
-    ones = np.ones(t_mat.shape[0])
-    e_tt = phtype.expm(t_mat, t)
-    a = mix.lam * mix.alpha @ e_tt @ np.linalg.solve(-mix.S, ones)
-    b = mix.lam * mix.beta @ e_tt @ np.linalg.solve(-t_mat, ones)
+    ones = np.ones(mix.T.shape[0])
+    a = MatrixExpDist(mix.lam * mix.alpha, mix.T, np.linalg.solve(-mix.S, ones)).ccdf(t)
+    b = MatrixExpDist(mix.lam * mix.beta, mix.T, np.linalg.solve(-mix.T, ones)).ccdf(t)
     if abs(a - b) > 1e-10:
         raise FloatingPointError(f"workload ccdf forms disagree: {a} vs {b}")
-    return float(a)
+    return a
 
 
 def fcfs_mean_response(mix: JobMix) -> float:

@@ -2,9 +2,10 @@
 
 Each one recomputes a package result by a slower, generic route (dense
 ``scipy.linalg.expm``, Sylvester iteration, adaptive quadrature, string
-enumeration, a queue scan per arrival) and so does not go through
-``phtype.expm``, the evaluation of ``MatrixExpDist`` (``dense_ccdf`` and
-``dense_density`` read only a law's fields), the window sweep of
+enumeration, transfer-matrix products and a Kronecker solve, a queue scan
+per arrival) and so does not go through the evaluation of
+``MatrixExpDist`` (``dense_ccdf`` and ``dense_density`` read only a law's
+fields), the row-vector push of the swap laws, the window sweep of
 ``asymptotics.family_prefactors`` or the event loop of ``sim.simulate``.
 """
 
@@ -16,9 +17,10 @@ from scipy.linalg import expm, solve_sylvester
 
 from nudgem.asymptotics import (FAMILY_M_CAP, AtirReport, ComplexityError,
                                 atir_from_prefactors)
+from nudgem.phtype import kron_prod, kron_sum
 from nudgem.policy import all_strings, count_twos, fcfs_policy, increment_edges
 from nudgem.sim import SimStats, sample_phase_type
-from nudgem.swap import build_swap_chain, mean_swaps_at
+from nudgem.swap import build_swap_chain, chain_size
 
 
 def convolution_ccdf(ph, wait_ccdf, t):
@@ -58,17 +60,78 @@ def initial_distribution_expm(chain, s):
 
 def mean_swaps_quadrature(mix, m, theta_z):
     """Unconditional mean swap count as the integral of the workload density
-    f_Z(s) = lambda beta e^{Ts} 1 against E[X_swap(s)] on [0, 40/theta_Z]."""
+    f_Z(s) = lambda beta e^{Ts} 1 against E[X_swap(s)] on [0, 40/theta_Z],
+    with E[X_swap(s)] = e_1' e^{W_M s} v_M^swap from ``swap_mean_vector``."""
     chain = build_swap_chain(mix, m)
     ones = np.ones(mix.T.shape[0])
+    v_swap = swap_mean_vector(chain)
 
     def integrand(s):
         density = mix.lam * float(mix.beta @ expm(mix.T * s) @ ones)
-        return density * mean_swaps_at(chain, s)
+        return density * float(chain.initial_distribution(s) @ v_swap)
 
     val, _ = quad(integrand, 0.0, 40.0 / theta_z, limit=200,
                   epsabs=1e-10, epsrel=1e-10)
     return val
+
+
+def swap_pmf_vectors(chain):
+    """Vectors u_k with P[X_swap(s) = k] = e_1' e^{W_M s} u_k, from the
+    products of the transfer matrices; k = 0..M-1 from the transfer
+    products, k = M by complement."""
+    m = chain.m
+    vecs = []
+    prefix = np.eye(chain_size(m))
+    for k in range(m):
+        vecs.append(prefix @ _accumulator_vector(m - k))
+        if k < m - 1:
+            prefix = prefix @ chain.transfer[k]
+    vecs.append(np.ones(chain_size(m)) - sum(vecs))
+    return vecs
+
+
+def swap_mean_vector(chain):
+    """v_M^swap = sum_k (prod_{ell<k} transfer_ell) (1 - F_{M-k}), so that
+    E[X_swap(s)] = e_1' e^{W_M s} v_M^swap."""
+    m = chain.m
+    v = np.zeros(chain_size(m))
+    prefix = np.eye(chain_size(m))
+    for k in range(m):
+        ones = np.ones(chain_size(m - k))
+        v += prefix @ (ones - _accumulator_vector(m - k))
+        if k < m - 1:
+            prefix = prefix @ chain.transfer[k]
+    return v
+
+
+def _accumulator_vector(k):
+    """F_k: ones in the first k+1 entries (the i = 0 states)."""
+    f = np.zeros(chain_size(k))
+    f[: k + 1] = 1.0
+    return f
+
+
+def workload_average(mix, chain, vec):
+    """integral of lambda beta e^{Ts} 1 . (e_1' e^{W_M s} vec) ds via the
+    Kronecker closed form -lambda (beta x e_1')(T (+) W_M)^{-1}(1 x vec),
+    one dense solve of order chain_size(M) n."""
+    t_mat = mix.T
+    e1 = np.zeros(chain_size(chain.m))
+    e1[0] = 1.0
+    left = mix.lam * kron_prod(mix.beta.reshape(1, -1), e1.reshape(1, -1))
+    big = kron_sum(t_mat, chain.w[chain.m])
+    rhs = kron_prod(np.ones(t_mat.shape[0]).reshape(-1, 1), vec.reshape(-1, 1))
+    sol = np.linalg.solve(big, rhs)
+    return float(-(left @ sol)[0, 0])
+
+
+def unconditional_swap_pmf_kron(mix, chain):
+    """P[X_swap = k] for an arriving type-2 job: each ``swap_pmf_vectors``
+    entry averaged by ``workload_average``, plus the empty-system mass
+    1 - lambda at k = 0."""
+    pmf = np.array([workload_average(mix, chain, v) for v in swap_pmf_vectors(chain)])
+    pmf[0] += 1.0 - mix.lam
+    return pmf
 
 
 def dense_ccdf(law, t):

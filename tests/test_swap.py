@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nudgem.asymptotics import decay_rate
+from nudgem.cli import RECIPES
 from nudgem.phtype import (
     JobMix,
+    PhaseType,
     kron_prod,
     kron_sum,
     normalized_mix,
@@ -14,7 +18,8 @@ from nudgem.phtype import (
     two_class_exp_mix,
 )
 from nudgem.swap import (
-    accumulator_vector,
+    SwapChain,
+    _state_index,
     build_swap_chain,
     chain_size,
     counting_matrix,
@@ -28,7 +33,14 @@ from nudgem.swap import (
     unconditional_swap_pmf,
     workload_ccdf,
 )
-from oracles import initial_distribution_expm, mean_swaps_quadrature
+from oracles import (
+    initial_distribution_expm,
+    mean_swaps_quadrature,
+    swap_mean_vector,
+    swap_pmf_vectors,
+    unconditional_swap_pmf_kron,
+    workload_average,
+)
 
 MIX = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
 
@@ -47,12 +59,6 @@ def test_counting_matrix_structure():
     u = selector_matrix(2)
     inner = u.T @ w @ u
     assert np.allclose(inner, counting_matrix(1, 0.7, 2 / 3))
-
-
-def test_accumulator_marks_no_type1():
-    f = accumulator_vector(3)
-    assert f.sum() == 4
-    assert np.all(f[:4] == 1)
 
 
 def test_initial_distribution_matches_expm():
@@ -75,9 +81,35 @@ def test_transfers_match_per_step_inverse():
     for ell in range(m):
         k = m - ell - 1
         inv = np.linalg.inv(-kron_sum(chain.w[k], mix.ph1.S))
-        want = (kron_prod(chain.u[m - ell], alpha1) @ inv
+        want = (kron_prod(selector_matrix(m - ell), alpha1) @ inv
                 @ kron_prod(np.eye(chain_size(k)), s1_star))
         assert np.max(np.abs(chain.transfer[ell] - want)) < 1e-14
+
+
+def test_initial_distribution_past_factorial_range():
+    # 171! overflows a float, so the layer masses come from Poisson
+    # weights; compare with a log-space reference. initial_distribution
+    # reads only m and mix, so a chain without matrices stands in for the
+    # M = 200 one (its W_M alone would take 3.3 GB)
+    m, p = 200, MIX.p
+    chain = SwapChain(m=m, mix=MIX, w=[], transfer=[])
+    i, j = np.array(_state_index(m)).T
+    for s in (1.0, 250.0):  # lambda s = 0.7: mass near n = 0; 175: P[N >= M] = 0.034
+        r = MIX.lam * s
+        n_top = int(r + 50.0 * math.sqrt(r) + 100.0)
+        log_pois = np.array([-r + n * math.log(r) - math.lgamma(n + 1)
+                             for n in range(max(m, n_top) + 1)])
+        layer = np.exp(log_pois[: m + 1])
+        layer[m] = np.exp(log_pois[m:]).sum()
+        n = i + j
+        log_binom = np.array([math.lgamma(a + b + 1) - math.lgamma(a + 1) - math.lgamma(b + 1)
+                              for a, b in zip(i, j)])
+        want = layer[n] * np.exp(log_binom + i * math.log(p) + j * math.log(1.0 - p))
+        got = chain.initial_distribution(s)
+        assert got.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(got - want)) < 1e-15
+        big = want > 1e-12
+        assert np.max(np.abs(got[big] / want[big] - 1.0)) < 1e-10
 
 
 def test_swap_pmf_is_distribution():
@@ -145,6 +177,65 @@ def test_unconditional_pmf_mass_and_mean():
                                                       abs=1e-10)
     # an empty system on arrival means no swaps at all
     assert pmf[0] >= 1.0 - MIX.lam
+
+
+def test_swap_pmf_refuses_a_chain_that_makes_mass():
+    # the i >= 1 mass carried through the first swap grows by 1%
+    chain = build_swap_chain(MIX, 5)
+    bad = dataclasses.replace(
+        chain, transfer=[1.01 * chain.transfer[0]] + chain.transfer[1:])
+    with pytest.raises(FloatingPointError, match="swap pmf"):
+        swap_pmf(bad, 2.0)
+    with pytest.raises(FloatingPointError, match="swap pmf"):
+        unconditional_swap_pmf(MIX, 5, bad)
+
+
+def _assert_matches_dense_oracles(mix, m):
+    """The row-vector push against the transfer-product vectors and the
+    Kronecker workload average, to 1e-12 relative."""
+    chain = build_swap_chain(mix, m)
+    vecs, v_swap = swap_pmf_vectors(chain), swap_mean_vector(chain)
+    pmf, want = unconditional_swap_pmf(mix, m, chain), unconditional_swap_pmf_kron(mix, chain)
+    assert np.max(np.abs(pmf - want)) <= 1e-12 * np.max(want)
+    assert mean_swaps(mix, m, chain) == pytest.approx(
+        workload_average(mix, chain, v_swap), rel=1e-12, abs=1e-15)
+    for s in (0.0, 0.3, 2.0, 9.0):
+        init = chain.initial_distribution(s)
+        want = np.array([init @ v for v in vecs])
+        assert np.max(np.abs(swap_pmf(chain, s) - want)) <= 1e-12 * np.max(want)
+        assert mean_swaps_at(chain, s) == pytest.approx(
+            init @ v_swap, rel=1e-12, abs=1e-15)
+
+
+def _erlang2_exp(lam):
+    return normalized_mix(2 / 3, ph_erlang(2, 0.5), ph_exponential(mean=2.0), lam)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9, 12])
+@pytest.mark.parametrize("name, lam", [("fig5a", 0.7), ("fig5b", 0.9),
+                                       ("fig9a", 0.95), ("erlang2-exp", 0.5)])
+def test_swap_laws_match_dense_oracles(name, lam, m):
+    mix = _erlang2_exp(lam) if name == "erlang2-exp" else RECIPES[name]["mix"](lam)
+    _assert_matches_dense_oracles(mix, m)
+
+
+def _random_ph(rng, n):
+    """Random PH with n phases: each phase exits at a random share of its
+    rate and otherwise moves to a random later phase."""
+    s = np.diag(-rng.uniform(0.2, 5.0, n))
+    for k in range(n - 1):
+        s[k, k + 1:] = -s[k, k] * rng.uniform(0.0, 0.9) * rng.dirichlet(np.ones(n - k - 1))
+    return PhaseType(rng.dirichlet(np.ones(n)), s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n1=st.integers(1, 3), n2=st.integers(1, 3),
+       m=st.integers(1, 8), lam=st.floats(0.05, 0.99),
+       p=st.floats(0.0, 1.0, exclude_max=True))
+def test_swap_laws_always_match_dense_oracles(seed, n1, n2, m, lam, p):
+    rng = np.random.default_rng(seed)
+    mix = normalized_mix(p, _random_ph(rng, n1), _random_ph(rng, n2), lam)
+    _assert_matches_dense_oracles(mix, m)
 
 
 def test_workload_ccdf_known_mm1():
