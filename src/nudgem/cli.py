@@ -192,7 +192,7 @@ def cmd_dist(args) -> int:
         [float(x) for x in np.linspace(0.0, 60.0 / info.theta_z, 25)]
 
     # every law is built once and evaluated on the whole grid
-    fcfs_w = fluid.stationary_fluid(fluid.build_fcfs_fluid(mix)).w1
+    fcfs_w = swap.workload_law(mix)  # under FCFS, W = Z
     r1f = fcfs_w.plus(mix.ph1).ccdf(t_grid)
     r2f = fcfs_w.plus(mix.ph2).ccdf(t_grid)
     if policy_name == "fcfs":

@@ -1,5 +1,5 @@
 """Phase-type distributions, two-class job mixes and the dense linear
-algebra kernels (Kronecker product/sum) used by the rest of the package,
+algebra kernel (the Kronecker sum) used by the rest of the package,
 and the matrix-exponential law type through which every workload,
 waiting- and response-time distribution is evaluated.
 
@@ -33,11 +33,6 @@ class DecayRateExceededError(ValueError):
 
 class FitError(ValueError):
     """Raised when no valid hyperexponential matches the requested moments."""
-
-
-def kron_prod(a, b):
-    """Kronecker product of two dense matrices."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def kron_sum(a, b):

@@ -10,34 +10,33 @@ closed matrix-exponential forms for the full distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
-from .phtype import JobMix, MatrixExpDist, kron_prod, kron_sum
-from .swap import SwapChain, build_swap_chain, chain_size, selector_matrix
+from .phtype import JobMix, MatrixExpDist, kron_sum
+from .swap import _state_index, chain_size, initial_distribution
 
 
-@dataclass(frozen=True)
-class BlockLayout:
-    """Offsets of the M block rows of the extra-wait subgenerator.
+def counting_matrix(k: int, lam: float, p: float) -> np.ndarray:
+    """Rate matrix W_k of the arrival-counting chain with window k."""
+    states = _state_index(k)
+    idx = {s: r for r, s in enumerate(states)}
+    w = np.zeros((len(states), len(states)))
+    for (i, j), r in idx.items():
+        if i + j >= k:
+            continue  # absorbing layer
+        w[r, r] = -lam
+        w[r, idx[(i + 1, j)]] = lam * p
+        w[r, idx[(i, j + 1)]] = lam * (1.0 - p)
+    return w
 
-    Block k (k = 1..M) has width |W_{M-k}| * n1; the last block reduces to
-    n1 because |W_0| = 1. All block indexing lives here.
-    """
-    m: int
-    n1: int
-    offsets: List[int]
-    size: int
 
-    @classmethod
-    def for_window(cls, m: int, n1: int) -> "BlockLayout":
-        offsets = []
-        pos = 0
-        for k in range(1, m + 1):
-            offsets.append(pos)
-            pos += chain_size(m - k) * n1
-        return cls(m=m, n1=n1, offsets=offsets, size=pos)
+def selector_matrix(k: int) -> np.ndarray:
+    """U_k = [0; I]: removes the first k+1 (i = 0) coordinates."""
+    n, m = chain_size(k), chain_size(k - 1)
+    u = np.zeros((n, m))
+    u[k + 1:, :] = np.eye(m)
+    return u
 
 
 @dataclass(frozen=True)
@@ -45,18 +44,16 @@ class ExtraWaitModel:
     """Phase-type representation (gamma(s), Q) of the extra waiting time."""
 
     mix: JobMix
-    chain: SwapChain
-    layout: BlockLayout
+    m: int
     q: np.ndarray
 
     def gamma(self, s: float) -> np.ndarray:
         """Initial vector ((e_1' e^{W_M s} U_M) x alpha1, 0); its total
         mass is the probability of at least one swap."""
         # U_M drops the first M + 1 (i = 0) coordinates
-        init = self.chain.initial_distribution(s)[self.chain.m + 1:]
-        head = kron_prod(init.reshape(1, -1),
-                         self.mix.ph1.alpha.reshape(1, -1)).ravel()
-        out = np.zeros(self.layout.size)
+        init = initial_distribution(self.mix, self.m, s)[self.m + 1:]
+        head = np.kron(init, self.mix.ph1.alpha)
+        out = np.zeros(self.q.shape[0])
         out[: head.shape[0]] = head
         return out
 
@@ -64,29 +61,25 @@ class ExtraWaitModel:
         """P[W_extra(s) > t] = gamma(s) e^{Qt} 1."""
         if s < 0:
             raise ValueError("s must be >= 0")
-        return MatrixExpDist(self.gamma(s), self.q, np.ones(self.layout.size)).ccdf(t)
+        return MatrixExpDist(self.gamma(s), self.q, np.ones(self.q.shape[0])).ccdf(t)
 
 
-def build_extra_wait(mix: JobMix, m: int, chain: SwapChain = None) -> ExtraWaitModel:
+def build_extra_wait(mix: JobMix, m: int) -> ExtraWaitModel:
     """Assemble the block bidiagonal subgenerator: diagonal blocks
-    W_{M-k} (+) S1, superdiagonal blocks U_{M-k} x s1* alpha1."""
+    W_{M-k} (+) S1, superdiagonal blocks U_{M-k} x s1* alpha1. Block k
+    (k = 1..M) has width chain_size(M - k) n1."""
     if m < 1:
         raise ValueError("window m must be >= 1")
-    if chain is None:
-        chain = build_swap_chain(mix, m)
-    layout = BlockLayout.for_window(m, mix.n1)
-    q = np.zeros((layout.size, layout.size))
-    s1 = mix.ph1.S
+    offsets = np.cumsum([0] + [chain_size(m - k) * mix.n1 for k in range(1, m + 1)])
+    q = np.zeros((offsets[-1], offsets[-1]))
     jump = np.outer(mix.ph1.exit, mix.ph1.alpha)  # s1* alpha1
     for k in range(1, m + 1):
-        o = layout.offsets[k - 1]
-        diag = kron_sum(chain.w[m - k], s1)
-        q[o: o + diag.shape[0], o: o + diag.shape[0]] = diag
+        o, o2 = offsets[k - 1], offsets[k]
+        q[o: o2, o: o2] = kron_sum(counting_matrix(m - k, mix.lam, mix.p), mix.ph1.S)
         if k < m:
-            off = kron_prod(selector_matrix(m - k), jump)
-            o2 = layout.offsets[k]
-            q[o: o + off.shape[0], o2: o2 + off.shape[1]] = off
-    return ExtraWaitModel(mix=mix, chain=chain, layout=layout, q=q)
+            off = np.kron(selector_matrix(m - k), jump)
+            q[o: o2, o2: o2 + off.shape[1]] = off
+    return ExtraWaitModel(mix=mix, m=m, q=q)
 
 
 @dataclass(frozen=True)
@@ -115,33 +108,27 @@ class W2Model:
         return self.r2.ccdf(t)
 
 
-def build_w2_model(mix: JobMix, m: int, chain: SwapChain = None) -> W2Model:
+def build_w2_model(mix: JobMix, m: int) -> W2Model:
     """Assemble T_M = [[W_M (+) T, (U_M x 1 alpha1, 0)], [0, Q]] with
     terminal vector v_2 = [1_W x (-T)^{-1} 1; 1]."""
-    if chain is None:
-        chain = build_swap_chain(mix, m)
-    extra = build_extra_wait(mix, m, chain)
+    extra = build_extra_wait(mix, m)
     t_mat = mix.T
     nw = chain_size(m)
     nt = t_mat.shape[0]
-    top = kron_sum(chain.w[m], t_mat)
-    coupler = kron_prod(selector_matrix(m),
-                        np.outer(np.ones(nt), mix.ph1.alpha))  # U_M x 1 alpha1
+    top = kron_sum(counting_matrix(m, mix.lam, mix.p), t_mat)
+    coupler = np.kron(selector_matrix(m),
+                      np.outer(np.ones(nt), mix.ph1.alpha))  # U_M x 1 alpha1
     n_top = nw * nt
-    size = n_top + extra.layout.size
+    size = n_top + extra.q.shape[0]
     t_m = np.zeros((size, size))
     t_m[:n_top, :n_top] = top
     t_m[:n_top, n_top: n_top + coupler.shape[1]] = coupler
     t_m[n_top:, n_top:] = extra.q
 
     v2 = np.ones(size)
-    v2[:n_top] = kron_prod(np.ones(nw).reshape(-1, 1),
-                           np.linalg.solve(-t_mat, np.ones(nt)).reshape(-1, 1)).ravel()
+    v2[:n_top] = np.tile(np.linalg.solve(-t_mat, np.ones(nt)), nw)
 
     init = np.zeros(size)
-    e1 = np.zeros(nw)
-    e1[0] = 1.0
-    init[:n_top] = mix.lam * kron_prod(e1.reshape(1, -1),
-                                       mix.beta.reshape(1, -1)).ravel()
+    init[:nt] = mix.lam * mix.beta  # e_1' x lambda beta
     w2 = MatrixExpDist(init, t_m, v2)
     return W2Model(mix=mix, extra=extra, w2=w2, r2=w2.plus(mix.ph2))

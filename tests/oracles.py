@@ -2,14 +2,16 @@
 
 Each one recomputes a package result by a slower, generic route (dense
 ``scipy.linalg.expm``, Sylvester iteration, adaptive quadrature, string
-enumeration, transfer-matrix products and a Kronecker solve, a queue scan
-per arrival) and so does not go through the evaluation of
-``MatrixExpDist`` (``dense_ccdf`` and ``dense_density`` read only a law's
-fields), the row-vector push of the swap laws, the window sweep of
+enumeration, a dense counting chain with one inverse per swap and a
+Kronecker solve, a queue scan per arrival) and so does not go through the
+evaluation of ``MatrixExpDist`` (``dense_ccdf`` and ``dense_density``
+read only a law's fields), the arrival-count operator of the swap laws,
+the window sweep of
 ``asymptotics.family_prefactors`` or the event loop of ``sim.simulate``.
 """
 
 from collections import deque
+from typing import List, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -17,10 +19,11 @@ from scipy.linalg import expm, solve_sylvester
 
 from nudgem.asymptotics import (FAMILY_M_CAP, AtirReport, ComplexityError,
                                 atir_from_prefactors)
-from nudgem.phtype import kron_prod, kron_sum
+from nudgem.phtype import kron_sum
 from nudgem.policy import all_strings, count_twos, fcfs_policy, increment_edges
+from nudgem.resp2 import counting_matrix, selector_matrix
 from nudgem.sim import SimStats, sample_phase_type
-from nudgem.swap import build_swap_chain, chain_size
+from nudgem.swap import chain_size
 
 
 def convolution_ccdf(ph, wait_ccdf, t):
@@ -50,6 +53,30 @@ def solve_riccati_fixed_point(model, max_iter=200000, tol=1e-13):
     raise AssertionError("fixed-point Riccati iteration did not converge")
 
 
+class DenseChain(NamedTuple):
+    """Counting chains W_0..W_M and the per-swap transfer matrices."""
+
+    m: int
+    w: List[np.ndarray]
+    transfer: List[np.ndarray]  # step ell: window M - ell -> M - ell - 1
+
+
+def dense_chain(mix, m):
+    """W_k from ``counting_matrix`` and, for each swap ell, the transfer
+    (U_{M-ell} x alpha1)(-(W_k (+) S1))^{-1}(I x s1*) with k = M - ell - 1,
+    one dense inverse per step."""
+    w = [counting_matrix(k, mix.lam, mix.p) for k in range(m + 1)]
+    alpha1 = mix.ph1.alpha.reshape(1, -1)
+    s1_star = mix.ph1.exit.reshape(-1, 1)
+    transfer = []
+    for ell in range(m):
+        k = m - ell - 1
+        inv = np.linalg.inv(-kron_sum(w[k], mix.ph1.S))
+        transfer.append(np.kron(selector_matrix(m - ell), alpha1) @ inv
+                        @ np.kron(np.eye(chain_size(k)), s1_star))
+    return DenseChain(m=m, w=w, transfer=transfer)
+
+
 def initial_distribution_expm(chain, s):
     """Row vector e_1' e^{W_M s} of the window-M counting chain by a dense
     matrix exponential."""
@@ -62,13 +89,13 @@ def mean_swaps_quadrature(mix, m, theta_z):
     """Unconditional mean swap count as the integral of the workload density
     f_Z(s) = lambda beta e^{Ts} 1 against E[X_swap(s)] on [0, 40/theta_Z],
     with E[X_swap(s)] = e_1' e^{W_M s} v_M^swap from ``swap_mean_vector``."""
-    chain = build_swap_chain(mix, m)
+    chain = dense_chain(mix, m)
     ones = np.ones(mix.T.shape[0])
     v_swap = swap_mean_vector(chain)
 
     def integrand(s):
         density = mix.lam * float(mix.beta @ expm(mix.T * s) @ ones)
-        return density * float(chain.initial_distribution(s) @ v_swap)
+        return density * float(initial_distribution_expm(chain, s) @ v_swap)
 
     val, _ = quad(integrand, 0.0, 40.0 / theta_z, limit=200,
                   epsabs=1e-10, epsrel=1e-10)
@@ -118,9 +145,9 @@ def workload_average(mix, chain, vec):
     t_mat = mix.T
     e1 = np.zeros(chain_size(chain.m))
     e1[0] = 1.0
-    left = mix.lam * kron_prod(mix.beta.reshape(1, -1), e1.reshape(1, -1))
+    left = mix.lam * np.kron(mix.beta.reshape(1, -1), e1.reshape(1, -1))
     big = kron_sum(t_mat, chain.w[chain.m])
-    rhs = kron_prod(np.ones(t_mat.shape[0]).reshape(-1, 1), vec.reshape(-1, 1))
+    rhs = np.kron(np.ones(t_mat.shape[0]).reshape(-1, 1), vec.reshape(-1, 1))
     sol = np.linalg.solve(big, rhs)
     return float(-(left @ sol)[0, 0])
 

@@ -137,7 +137,6 @@ def test_sim_mean_response(sim_runs):
 def test_sim_swap_pmf_at_sampled_workloads(sim_runs):
     for name, m in (("nudge1", 1), ("nudge5", 5)):
         stats = sim_runs[name]
-        chain = swap.build_swap_chain(MIX_A, m)
         for s0 in (1.0, 4.0):
             mask = (stats.job_type == 2) & \
                 (np.abs(stats.workload_seen - s0) <= 0.05)
@@ -148,7 +147,7 @@ def test_sim_swap_pmf_at_sampled_workloads(sim_runs):
             emp = np.bincount(counts, minlength=m + 1) / n
             # analytic pmf averaged over the actual sampled workloads
             sub = sampled[:: max(1, n // 300)]
-            ana = np.mean([swap.swap_pmf(chain, s) for s in sub], axis=0)
+            ana = np.mean([swap.swap_pmf(MIX_A, m, s) for s in sub], axis=0)
             se = np.sqrt(np.maximum(ana * (1 - ana), 1e-12) / n)
             assert np.all(np.abs(emp - ana) <= 3 * se + 1e-3), \
                 f"{name}, s={s0}: {emp} vs {ana}"

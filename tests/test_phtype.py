@@ -11,7 +11,6 @@ from nudgem.phtype import (
     MatrixExpDist,
     PhaseType,
     fit_hyperexp,
-    kron_prod,
     kron_sum,
     load_mix,
     mix_from_dict,
@@ -123,7 +122,6 @@ def test_kron_sum_spectrum():
     ev = np.sort(np.linalg.eigvals(kron_sum(a, b)).real)
     expect = np.sort([x + y for x in np.diag(a) for y in np.diag(b)])
     assert np.allclose(ev, expect)
-    assert kron_prod(np.eye(3), np.eye(2)).shape == (6, 6)
 
 
 def test_load_mix_round_trip(tmp_path):

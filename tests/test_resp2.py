@@ -5,30 +5,19 @@ from scipy.integrate import quad
 
 from nudgem.asymptotics import decay_rate, prefactors_nudge_m
 from nudgem.phtype import normalized_mix, ph_erlang, two_class_exp_mix
-from nudgem.resp2 import (
-    BlockLayout,
-    build_extra_wait,
-    build_w2_model,
-)
-from nudgem.swap import chain_size, mean_response, swap_pmf
+from nudgem.resp2 import build_extra_wait, build_w2_model
+from nudgem.swap import mean_response, swap_pmf
 from oracles import convolution_ccdf
 
 MIX = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
 ERLANG_MIX = normalized_mix(2 / 3, ph_erlang(2, 0.5), ph_erlang(2, 2.0), 0.7)
 
 
-def test_block_layout_sizes():
-    layout = BlockLayout.for_window(3, 2)
-    assert layout.offsets == [0, 2 * chain_size(2), 2 * (chain_size(2) + chain_size(1))]
-    assert layout.size == 2 * (chain_size(2) + chain_size(1) + chain_size(0))
-
-
 def test_gamma_mass_equals_swap_probability():
     model = build_extra_wait(MIX, 3)
-    chain = model.chain
     for s in (0.0, 0.7, 4.0):
         mass = model.gamma(s).sum()
-        assert mass == pytest.approx(1.0 - swap_pmf(chain, s)[0], abs=1e-12)
+        assert mass == pytest.approx(1.0 - swap_pmf(MIX, 3, s)[0], abs=1e-12)
 
 
 def test_extra_wait_ccdf_decreasing_in_t():

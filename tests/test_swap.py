@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,33 +7,31 @@ from hypothesis import given, settings, strategies as st
 
 from nudgem.asymptotics import decay_rate
 from nudgem.cli import RECIPES
+from nudgem import swap
 from nudgem.phtype import (
     JobMix,
     PhaseType,
-    kron_prod,
-    kron_sum,
     normalized_mix,
     ph_erlang,
     ph_exponential,
     two_class_exp_mix,
 )
+from nudgem.resp2 import counting_matrix, selector_matrix
 from nudgem.swap import (
-    SwapChain,
+    _service_law,
     _state_index,
-    build_swap_chain,
     chain_size,
-    counting_matrix,
     fcfs_mean_response,
+    initial_distribution,
     mean_response,
     mean_swaps,
-    mean_swaps_at,
     priority_mean_response,
-    selector_matrix,
     swap_pmf,
     unconditional_swap_pmf,
     workload_ccdf,
 )
 from oracles import (
+    dense_chain,
     initial_distribution_expm,
     mean_swaps_quadrature,
     swap_mean_vector,
@@ -62,37 +60,42 @@ def test_counting_matrix_structure():
 
 
 def test_initial_distribution_matches_expm():
-    chain = build_swap_chain(MIX, 4)
+    chain = dense_chain(MIX, 4)
     for s in (0.0, 0.3, 2.0, 9.0):
-        exact = chain.initial_distribution(s)
+        exact = initial_distribution(MIX, 4, s)
         oracle = initial_distribution_expm(chain, s)
         assert np.max(np.abs(exact - oracle)) < 1e-12
         assert exact.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_transfers_match_per_step_inverse():
-    # each step's inverse is sliced from the largest window's; compare with
-    # inverting -(W_k (+) S1) of the step's own window
-    mix = normalized_mix(2 / 3, ph_erlang(2, 0.5), ph_exponential(mean=2.0), 0.7)
+@pytest.mark.parametrize("name", ["erlang2-exp", "random-3-phase"])
+def test_push_step_matches_dense_transfer(name):
+    # one swap (drop the i = 0 states, add the arrivals during the passing
+    # job's service) on each unit row of window M - ell against the dense
+    # transfer row (U x alpha1)(-(W_k (+) S1))^{-1}(I x s1*)
+    if name == "erlang2-exp":
+        mix = _erlang2_exp(0.7)
+    else:
+        ph1 = _random_ph(np.random.default_rng(7), 3)
+        mix = normalized_mix(2 / 3, ph1, ph_exponential(mean=2.0), 0.7)
     m = 5
-    chain = build_swap_chain(mix, m)
-    alpha1 = mix.ph1.alpha.reshape(1, -1)
-    s1_star = mix.ph1.exit.reshape(-1, 1)
+    chain = dense_chain(mix, m)
+    law = _service_law(mix, m - 1)
     for ell in range(m):
-        k = m - ell - 1
-        inv = np.linalg.inv(-kron_sum(chain.w[k], mix.ph1.S))
-        want = (kron_prod(selector_matrix(m - ell), alpha1) @ inv
-                @ kron_prod(np.eye(chain_size(k)), s1_star))
-        assert np.max(np.abs(chain.transfer[ell] - want)) < 1e-14
+        k = m - ell  # window before the step
+        i, j = np.array(_state_index(k - 1)).T
+        for r, (a, b) in enumerate(_state_index(k)):
+            grid = np.zeros((k + 1, k + 1))
+            grid[a + b, a] = 1.0
+            step = swap._add_arrivals(grid[1:, 1:], law, mix.p)
+            assert np.max(np.abs(step[i + j, i] - chain.transfer[ell][r])) < 1e-14
 
 
 def test_initial_distribution_past_factorial_range():
     # 171! overflows a float, so the layer masses come from Poisson
-    # weights; compare with a log-space reference. initial_distribution
-    # reads only m and mix, so a chain without matrices stands in for the
-    # M = 200 one (its W_M alone would take 3.3 GB)
+    # weights; compare with a log-space reference at M = 200, where the
+    # dense W_M alone would take 3.3 GB
     m, p = 200, MIX.p
-    chain = SwapChain(m=m, mix=MIX, w=[], transfer=[])
     i, j = np.array(_state_index(m)).T
     for s in (1.0, 250.0):  # lambda s = 0.7: mass near n = 0; 175: P[N >= M] = 0.034
         r = MIX.lam * s
@@ -105,7 +108,7 @@ def test_initial_distribution_past_factorial_range():
         log_binom = np.array([math.lgamma(a + b + 1) - math.lgamma(a + 1) - math.lgamma(b + 1)
                               for a, b in zip(i, j)])
         want = layer[n] * np.exp(log_binom + i * math.log(p) + j * math.log(1.0 - p))
-        got = chain.initial_distribution(s)
+        got = initial_distribution(MIX, m, s)
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(got - want)) < 1e-15
         big = want > 1e-12
@@ -113,14 +116,13 @@ def test_initial_distribution_past_factorial_range():
 
 
 def test_swap_pmf_is_distribution():
-    chain = build_swap_chain(MIX, 3)
     for s in (0.0, 1.0, 5.0):
-        pmf = swap_pmf(chain, s)
+        pmf = swap_pmf(MIX, 3, s)
         assert pmf.shape == (4,)
         assert np.all(pmf >= -1e-14)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
     # zero workload means no waiting and no swaps
-    assert swap_pmf(chain, 0.0)[0] == pytest.approx(1.0, abs=1e-14)
+    assert swap_pmf(MIX, 3, 0.0)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def _mc_swap_counts(mix, m, s, n_rep, rng):
@@ -147,19 +149,10 @@ def _mc_swap_counts(mix, m, s, n_rep, rng):
 
 def test_swap_pmf_against_definitional_mc():
     rng = np.random.default_rng(1234)
-    chain = build_swap_chain(MIX, 3)
     for s in (0.8, 3.0):
         emp = _mc_swap_counts(MIX, 3, s, 40_000, rng)
-        ana = swap_pmf(chain, s)
+        ana = swap_pmf(MIX, 3, s)
         assert np.max(np.abs(emp - ana)) < 0.01
-
-
-def test_mean_swaps_at_consistent_with_pmf():
-    chain = build_swap_chain(MIX, 4)
-    for s in (0.5, 2.5):
-        pmf = swap_pmf(chain, s)
-        assert mean_swaps_at(chain, s) == pytest.approx(
-            float(pmf @ np.arange(5)), abs=1e-12)
 
 
 def test_mean_swaps_closed_form_vs_quadrature():
@@ -179,31 +172,45 @@ def test_unconditional_pmf_mass_and_mean():
     assert pmf[0] >= 1.0 - MIX.lam
 
 
-def test_swap_pmf_refuses_a_chain_that_makes_mass():
-    # the i >= 1 mass carried through the first swap grows by 1%
-    chain = build_swap_chain(MIX, 5)
-    bad = dataclasses.replace(
-        chain, transfer=[1.01 * chain.transfer[0]] + chain.transfer[1:])
+def test_swap_pmf_refuses_a_chain_that_makes_mass(monkeypatch):
+    # every swap's service carries 1% more mass than it has
+    law = swap._service_law
+    monkeypatch.setattr(swap, "_service_law", lambda mix, k: 1.01 * law(mix, k))
     with pytest.raises(FloatingPointError, match="swap pmf"):
-        swap_pmf(bad, 2.0)
+        swap_pmf(MIX, 5, 2.0)
     with pytest.raises(FloatingPointError, match="swap pmf"):
-        unconditional_swap_pmf(MIX, 5, bad)
+        unconditional_swap_pmf(MIX, 5)
+
+
+def test_heavy_window_runs_in_small_memory():
+    # a dense counting chain at M = 60 would hold about 700 MB
+    mix = RECIPES["fig5b"]["mix"](0.95)
+    tracemalloc.start()
+    try:
+        mean_response(mix, 60)
+        pmf = unconditional_swap_pmf(mix, 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
+    assert peak < 10 * 2 ** 20
 
 
 def _assert_matches_dense_oracles(mix, m):
-    """The row-vector push against the transfer-product vectors and the
-    Kronecker workload average, to 1e-12 relative."""
-    chain = build_swap_chain(mix, m)
+    """The arrival-count operator against the dense transfer-product
+    vectors and the Kronecker workload average, to 1e-12 relative."""
+    chain = dense_chain(mix, m)
     vecs, v_swap = swap_pmf_vectors(chain), swap_mean_vector(chain)
-    pmf, want = unconditional_swap_pmf(mix, m, chain), unconditional_swap_pmf_kron(mix, chain)
+    pmf, want = unconditional_swap_pmf(mix, m), unconditional_swap_pmf_kron(mix, chain)
     assert np.max(np.abs(pmf - want)) <= 1e-12 * np.max(want)
-    assert mean_swaps(mix, m, chain) == pytest.approx(
+    assert mean_swaps(mix, m) == pytest.approx(
         workload_average(mix, chain, v_swap), rel=1e-12, abs=1e-15)
     for s in (0.0, 0.3, 2.0, 9.0):
-        init = chain.initial_distribution(s)
+        init = initial_distribution(mix, m, s)
         want = np.array([init @ v for v in vecs])
-        assert np.max(np.abs(swap_pmf(chain, s) - want)) <= 1e-12 * np.max(want)
-        assert mean_swaps_at(chain, s) == pytest.approx(
+        pmf = swap_pmf(mix, m, s)
+        assert np.max(np.abs(pmf - want)) <= 1e-12 * np.max(want)
+        assert pmf @ np.arange(m + 1) == pytest.approx(
             init @ v_swap, rel=1e-12, abs=1e-15)
 
 
