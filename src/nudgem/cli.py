@@ -174,6 +174,13 @@ def cmd_atir(args) -> int:
     return EXIT_OK
 
 
+def _fluid_record(sol: fluid.FluidSolution) -> dict:
+    """Sizes and numerical health of a fluid solve, for the manifest."""
+    return {"n_minus": sol.model.n_minus, "n_plus": sol.model.n_plus,
+            "riccati_residual": fluid.riccati_residual(sol.model, sol.psi),
+            "c0": sol.c0, "eigen_gap": sol.eigen_gap}
+
+
 def cmd_dist(args) -> int:
     mix = resolve_mix(args)
     recipe = RECIPES.get(args.recipe, {}) if args.recipe else {}
@@ -195,11 +202,13 @@ def cmd_dist(args) -> int:
     fcfs_w = swap.workload_law(mix)  # under FCFS, W = Z
     r1f = fcfs_w.plus(mix.ph1).ccdf(t_grid)
     r2f = fcfs_w.plus(mix.ph2).ccdf(t_grid)
+    extra = {"theta_z": info.theta_z, "m": m}
     if policy_name == "fcfs":
         w1 = w2 = fcfs_w.ccdf(t_grid)
         r1, r2 = r1f, r2f
     else:
         sol = fluid.stationary_fluid(fluid.build_nudge_m_fluid(mix, m))
+        extra["fluid"] = _fluid_record(sol)
         w2m = resp2.build_w2_model(mix, m)
         w1, r1 = sol.w1_ccdf(t_grid), sol.w1.plus(mix.ph1).ccdf(t_grid)
         w2, r2 = w2m.w2_ccdf(t_grid), w2m.r2_ccdf(t_grid)
@@ -212,8 +221,7 @@ def cmd_dist(args) -> int:
         ra = mix.p * r1t + (1.0 - mix.p) * r2t
         tir = 0.0 if rf == 0.0 else 1.0 - ra / rf
         rows.append([t, w1t, r1t, w2t, r2t, tir])
-    write_csv(args.out, header, rows,
-              _manifest(args, {"theta_z": info.theta_z, "m": m}))
+    write_csv(args.out, header, rows, _manifest(args, extra))
     return EXIT_OK
 
 

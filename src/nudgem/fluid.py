@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .phtype import JobMix, MatrixExpDist
 RICCATI_STEP_TOL = 1e-14
 RICCATI_RESIDUAL_TOL = 1e-12
 RICCATI_MAX_ITER = 200
+# Rows of Psi are return probabilities, so each sums to at most 1.
+RICCATI_ROW_SUM_TOL = 1e-10
 # State count grows as 2^m (n1 + 2 n2).
 NUDGE_M_CAP = 10
 
@@ -76,63 +78,145 @@ class FluidModel:
         return self.t_pp.shape[0]
 
 
+def _row_lists(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Padded row lists (idx, val) of a sparse matrix, both rows x k with
+    k the largest nonzero count of a row: row r holds its nonzeros in
+    column order, then padding with index 0 and value 0, so
+    a @ x = sum_j val[:, j, None] * x[idx[:, j]]."""
+    rows, cols = np.nonzero(a)
+    counts = np.bincount(rows, minlength=a.shape[0])
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.zeros((a.shape[0], max(int(counts.max(initial=0)), 1)), dtype=np.intp)
+    val = np.zeros(idx.shape)
+    idx[rows, slot] = cols
+    val[rows, slot] = a[rows, cols]
+    return idx, val
+
+
+def _gather_matmul(lists: Tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """a @ x from the padded row lists of a."""
+    idx, val = lists
+    out = val[:, 0, None] * x[idx[:, 0]]
+    for j in range(1, idx.shape[1]):
+        out += val[:, j, None] * x[idx[:, j]]
+    return out
+
+
+def _residual_norm(model: FluidModel) -> Callable[[np.ndarray], float]:
+    """Psi -> ||T_+- + Psi T_-- + T_++ Psi + Psi (T_-+ Psi)||_inf.
+
+    T_++, T_-- and T_-+ have a few nonzeros per row (under 1% of their
+    entries at m = 8), so their products are gathers over padded row
+    lists, and the one dense product Psi (T_-+ Psi) is n+ x n- x n-, where
+    (Psi T_-+) Psi would be n+ x n+ x n- twice. The rounding differs from
+    the dense form's by a few ulps of the terms, which can move only the
+    stopping test of ``_sda``, never Psi itself.
+    """
+    pp = _row_lists(model.t_pp)
+    mm_cols = _row_lists(model.t_mm.T)
+    mp = _row_lists(model.t_mp)
+
+    def norm(psi: np.ndarray) -> float:
+        res = _gather_matmul(pp, psi)
+        res += _gather_matmul(mm_cols, psi.T).T
+        res += psi @ _gather_matmul(mp, psi)
+        res += model.t_pm
+        return float(np.linalg.norm(res, np.inf))
+
+    return norm
+
+
 def riccati_residual(model: FluidModel, psi: np.ndarray) -> float:
-    res = (model.t_pm + psi @ model.t_mm + model.t_pp @ psi
-           + psi @ model.t_mp @ psi)
-    return float(np.linalg.norm(res, np.inf))
+    """Infinity norm of T_+- + Psi T_-- + T_++ Psi + Psi T_-+ Psi."""
+    return _residual_norm(model)(psi)
+
+
+def _sda(model: FluidModel) -> Tuple[np.ndarray, float]:
+    """SDA iterate H_k and its residual norm at the step that stopped.
+
+    Cast as the M-matrix equation X C X - X D - A X + B = 0 with
+    A = -T_++, D = -T_--, B = T_+-, C = T_-+ and the shift
+    gamma = max diag(A, D). Set-up: W = A_g - B D_g^{-1} C and
+    V = D_g - C A_g^{-1} B, then E = I - 2 gamma V^{-1},
+    F = I - 2 gamma W^{-1}, G = 2 gamma D_g^{-1} C W^{-1} and
+    H = 2 gamma W^{-1} B D_g^{-1}, with W^{-1} and D_g^{-1} C formed once.
+    Each doubling step forms Fi = F (I - HG)^{-1} and Ei = E (I - GH)^{-1}
+    once and updates E <- Ei E, F <- Fi F, G <- G + Ei G F and
+    H <- H + Fi H E. Every product and inverse that feeds H is the same
+    call on the same operands as in the textbook form
+    E (I - GH)^{-1} E, ..., evaluated left to right, so H is the same to
+    the last bit; only the repetitions are gone. Each n+ x n+ temporary
+    is released once used, so at most four are live at a time.
+    The loop stops when H moves by at most RICCATI_STEP_TOL or its
+    residual (``_residual_norm``) is at most RICCATI_RESIDUAL_TOL; that
+    last residual is returned for the final check.
+    """
+    b, c = model.t_pm, model.t_mp
+    m, n = model.n_plus, model.n_minus
+    gamma = max(np.max(-np.diag(model.t_pp)), np.max(-np.diag(model.t_mm)))
+    a_g = gamma * np.eye(m) - model.t_pp  # = -T_++ + gamma I, entry for entry
+    d_g = gamma * np.eye(n) - model.t_mm
+    dgc = np.linalg.solve(d_g, c)
+    w_g = a_g - b @ dgc
+    v_g = d_g - c @ np.linalg.solve(a_g, b)
+    del a_g
+    iw = np.linalg.inv(w_g)
+    h = 2.0 * gamma * np.linalg.solve(w_g, b) @ np.linalg.inv(d_g)
+    del w_g
+    e = np.eye(n) - 2.0 * gamma * np.linalg.inv(v_g)
+    g = 2.0 * gamma * dgc @ iw
+    f = np.eye(m) - 2.0 * gamma * iw
+    del iw
+
+    residual = _residual_norm(model)
+    for _ in range(RICCATI_MAX_ITER):
+        fi = f @ np.linalg.inv(np.eye(m) - h @ g)
+        ei = e @ np.linalg.inv(np.eye(n) - g @ h)
+        h_new = h + fi @ h @ e
+        g = g + ei @ g @ f
+        f = fi @ f
+        del fi
+        e = ei @ e
+        step = np.linalg.norm(h_new - h, np.inf)
+        h = h_new
+        res = residual(h)
+        if step <= RICCATI_STEP_TOL or res <= RICCATI_RESIDUAL_TOL:
+            break
+    return h, res
 
 
 def solve_riccati(model: FluidModel) -> np.ndarray:
     """Minimal nonnegative solution Psi of
-    T_+- + Psi T_-- + T_++ Psi + Psi T_-+ Psi = 0 via SDA.
+    T_+- + Psi T_-- + T_++ Psi + Psi T_-+ Psi = 0 via SDA (``_sda``).
 
-    Cast as the M-matrix equation X C X - X D - A X + B = 0 with
-    A = -T_++, D = -T_--, B = T_+-, C = T_-+.
+    Raises RiccatiError when the last residual exceeds
+    RICCATI_RESIDUAL_TOL, or when a row of Psi sums above
+    1 + RICCATI_ROW_SUM_TOL: Psi[i, j] is the probability that the fluid,
+    started up in phase i, first returns to its level in phase j, so
+    every row of the minimal solution sums to at most 1.
     """
-    a = -model.t_pp
-    d = -model.t_mm
-    b = model.t_pm
-    c = model.t_mp
-    m, n = a.shape[0], d.shape[0]
-    gamma = max(np.max(np.diag(a)), np.max(np.diag(d)))
-    a_g = a + gamma * np.eye(m)
-    d_g = d + gamma * np.eye(n)
-    w_g = a_g - b @ np.linalg.solve(d_g, c)
-    v_g = d_g - c @ np.linalg.solve(a_g, b)
-    e = np.eye(n) - 2.0 * gamma * np.linalg.inv(v_g)
-    f = np.eye(m) - 2.0 * gamma * np.linalg.inv(w_g)
-    g = 2.0 * gamma * np.linalg.solve(d_g, c) @ np.linalg.inv(w_g)
-    h = 2.0 * gamma * np.linalg.solve(w_g, b) @ np.linalg.inv(d_g)
-
-    prev = h.copy()
-    for _ in range(RICCATI_MAX_ITER):
-        igh = np.linalg.inv(np.eye(n) - g @ h)
-        ihg = np.linalg.inv(np.eye(m) - h @ g)
-        e_new = e @ igh @ e
-        f_new = f @ ihg @ f
-        g_new = g + e @ igh @ g @ f
-        h_new = h + f @ ihg @ h @ e
-        e, f, g, h = e_new, f_new, g_new, h_new
-        step = np.linalg.norm(h - prev, np.inf)
-        prev = h.copy()
-        if step <= RICCATI_STEP_TOL or riccati_residual(model, h) <= RICCATI_RESIDUAL_TOL:
-            break
-    psi = h
-    res = riccati_residual(model, psi)
+    psi, res = _sda(model)
     if res > RICCATI_RESIDUAL_TOL:
         raise RiccatiError(f"SDA did not converge (residual {res:.3e})")
-    return np.clip(psi, 0.0, None)
+    np.clip(psi, 0.0, None, out=psi)
+    rows = float(np.max(psi.sum(axis=1)))
+    if rows > 1.0 + RICCATI_ROW_SUM_TOL:
+        raise RiccatiError(f"a row of Psi sums to 1 + {rows - 1.0:.3e}")
+    return psi
 
 
 @dataclass(frozen=True)
 class FluidSolution:
     """Stationary fluid: Psi, the zero-level mass c0 and the law of the
-    level W_1, P[W_1 > t] = pi_+ e^{Kt} (-K)^{-1} Psi 1."""
+    level W_1, P[W_1 > t] = pi_+ e^{Kt} (-K)^{-1} Psi 1. ``eigen_gap`` is
+    the distance from 1 of the second-nearest eigenvalue of P~ Psi (inf
+    when n- = 1)."""
 
     model: FluidModel
     psi: np.ndarray
     c0: float
     w1: MatrixExpDist
+    eigen_gap: float
 
     def w1_ccdf(self, t):
         """P[W_1 > t] at a scalar t or on a 1-D grid."""
@@ -141,23 +225,32 @@ class FluidSolution:
 
 def stationary_fluid(model: FluidModel) -> FluidSolution:
     """Stationary distribution of the fluid with jumps: the law of W_1 from
-    K and pi_+ (left eigenvector of Psi P~ at eigenvalue 1, normalized so
-    eta = 1), and the zero-level mass c0."""
+    K = T_++ + Psi T_-+ and pi_+, and the zero-level mass c0.
+
+    pi_+ is the left eigenvector of the n+ x n+ matrix Psi P~ at
+    eigenvalue 1, normalized so eta = 1. It comes from the n- x n-
+    matrix P~ Psi instead: AB and BA have the same nonzero eigenvalues
+    with the same multiplicities, and x = pi_+ Psi is a left eigenvector
+    of P~ Psi at 1 with pi_+ = pi_+ Psi P~ = x P~. So the checks "an
+    eigenvalue within 1e-8 of 1" and "only one" keep their meaning, and
+    the sign check runs on pi_+ = x P~.
+    """
     psi = solve_riccati(model)
     p_tilde = model.p_mp - model.p_m0 @ np.linalg.solve(model.t_star_00,
                                                         model.t_star_0p)
     k = model.t_pp + psi @ model.t_mp
 
-    mat = psi @ p_tilde  # S+ x S+
-    vals, vecs = np.linalg.eig(mat.T)
+    vals, vecs = np.linalg.eig((p_tilde @ psi).T)  # S- x S-
     dist = np.abs(vals - 1.0)
-    idx = int(np.argmin(dist))
+    order = np.argsort(dist)
+    idx = int(order[0])
     if dist[idx] > 1e-8:
         raise StationarySolveError(
             f"no eigenvalue of Psi P~ near 1 (closest {vals[idx]:.6g})")
     if np.sum(dist < 1e-8) > 1:
         raise StationarySolveError("eigenvalue 1 of Psi P~ is not simple")
-    pi = vecs[:, idx].real
+    eigen_gap = float(dist[order[1]]) if len(order) > 1 else np.inf
+    pi = vecs[:, idx].real @ p_tilde
     if pi.sum() < 0:
         pi = -pi
     if np.any(pi < -1e-8 * np.max(np.abs(pi))):
@@ -176,7 +269,7 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     if not (0.0 < c0 < 1.0):
         raise StationarySolveError(f"zero-level mass c0 = {c0:.6g} outside (0, 1)")
     w1 = MatrixExpDist(pi, k, tail)
-    return FluidSolution(model=model, psi=psi, c0=c0, w1=w1)
+    return FluidSolution(model=model, psi=psi, c0=c0, w1=w1, eigen_gap=eigen_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Independent oracles shared by the test modules (not collected).
 
 Each one recomputes a package result by a slower, generic route (dense
-``scipy.linalg.expm``, Sylvester iteration, adaptive quadrature, string
-enumeration, a dense counting chain with one inverse per swap and a
-Kronecker solve, a queue scan per arrival) and so does not go through the
-evaluation of ``MatrixExpDist`` (``dense_ccdf`` and ``dense_density``
-read only a law's fields), the arrival-count operator of the swap laws,
-the window sweep of
-``asymptotics.family_prefactors`` or the event loop of ``sim.simulate``.
+``scipy.linalg.expm``, Sylvester iteration, the textbook SDA loop with
+dense residuals, the n+-sized eigenproblem for pi_+, adaptive
+quadrature, string enumeration, a dense counting chain with one inverse
+per swap and a Kronecker solve, a queue scan per arrival) and so does not
+go through the evaluation of ``MatrixExpDist`` (``dense_ccdf`` and
+``dense_density`` read only a law's fields), the arrival-count operator
+of the swap laws, the window sweep of ``asymptotics.family_prefactors``
+or the event loop of ``sim.simulate``.
 """
 
 from collections import deque
@@ -19,7 +20,8 @@ from scipy.linalg import expm, solve_sylvester
 
 from nudgem.asymptotics import (FAMILY_M_CAP, AtirReport, ComplexityError,
                                 atir_from_prefactors)
-from nudgem.phtype import kron_sum
+from nudgem.fluid import RICCATI_MAX_ITER, RICCATI_RESIDUAL_TOL, RICCATI_STEP_TOL
+from nudgem.phtype import PhaseType, kron_sum
 from nudgem.policy import all_strings, count_twos, fcfs_policy, increment_edges
 from nudgem.resp2 import counting_matrix, selector_matrix
 from nudgem.sim import SimStats, sample_phase_type
@@ -51,6 +53,74 @@ def solve_riccati_fixed_point(model, max_iter=200000, tol=1e-13):
             return nxt
         psi = nxt
     raise AssertionError("fixed-point Riccati iteration did not converge")
+
+
+def riccati_residual_dense(model, psi):
+    """||T_+- + Psi T_-- + T_++ Psi + Psi T_-+ Psi||_inf by dense products."""
+    res = (model.t_pm + psi @ model.t_mm + model.t_pp @ psi
+           + psi @ model.t_mp @ psi)
+    return float(np.linalg.norm(res, np.inf))
+
+
+def solve_riccati_dense(model):
+    """The textbook SDA loop with dense residual checks: both inverses and
+    every product of E (I - GH)^{-1} E, F (I - HG)^{-1} F,
+    G + E (I - GH)^{-1} G F and H + F (I - HG)^{-1} H E formed as written,
+    and the dense residual after every step. ``fluid.solve_riccati`` must
+    return the same Psi to the last bit."""
+    a = -model.t_pp
+    d = -model.t_mm
+    b = model.t_pm
+    c = model.t_mp
+    m, n = a.shape[0], d.shape[0]
+    gamma = max(np.max(np.diag(a)), np.max(np.diag(d)))
+    a_g = a + gamma * np.eye(m)
+    d_g = d + gamma * np.eye(n)
+    w_g = a_g - b @ np.linalg.solve(d_g, c)
+    v_g = d_g - c @ np.linalg.solve(a_g, b)
+    e = np.eye(n) - 2.0 * gamma * np.linalg.inv(v_g)
+    f = np.eye(m) - 2.0 * gamma * np.linalg.inv(w_g)
+    g = 2.0 * gamma * np.linalg.solve(d_g, c) @ np.linalg.inv(w_g)
+    h = 2.0 * gamma * np.linalg.solve(w_g, b) @ np.linalg.inv(d_g)
+
+    prev = h.copy()
+    for _ in range(RICCATI_MAX_ITER):
+        igh = np.linalg.inv(np.eye(n) - g @ h)
+        ihg = np.linalg.inv(np.eye(m) - h @ g)
+        e_new = e @ igh @ e
+        f_new = f @ ihg @ f
+        g_new = g + e @ igh @ g @ f
+        h_new = h + f @ ihg @ h @ e
+        e, f, g, h = e_new, f_new, g_new, h_new
+        step = np.linalg.norm(h - prev, np.inf)
+        prev = h.copy()
+        if step <= RICCATI_STEP_TOL or riccati_residual_dense(model, h) <= RICCATI_RESIDUAL_TOL:
+            break
+    psi = h
+    res = riccati_residual_dense(model, psi)
+    if res > RICCATI_RESIDUAL_TOL:
+        raise AssertionError(f"SDA did not converge (residual {res:.3e})")
+    return np.clip(psi, 0.0, None)
+
+
+def stationary_pi_dense(model, psi):
+    """pi_+ and c0 from the n+ x n+ eigenproblem of Psi P~: pi_+ is its
+    left eigenvector at eigenvalue 1, normalized so eta = 1."""
+    p_tilde = model.p_mp - model.p_m0 @ np.linalg.solve(model.t_star_00,
+                                                        model.t_star_0p)
+    k = model.t_pp + psi @ model.t_mp
+    vals, vecs = np.linalg.eig((psi @ p_tilde).T)
+    idx = int(np.argmin(np.abs(vals - 1.0)))
+    assert abs(vals[idx] - 1.0) <= 1e-8
+    pi = vecs[:, idx].real
+    if pi.sum() < 0:
+        pi = -pi
+    pi = np.clip(pi, 0.0, None)
+    ones_0 = np.ones(model.t_star_00.shape[0])
+    boundary = psi @ model.p_m0 @ np.linalg.solve(model.t_star_00, ones_0)
+    tail = np.linalg.solve(-k, psi @ np.ones(model.n_minus))
+    pi = pi / float(pi @ (tail - boundary))
+    return pi, -float(pi @ boundary)
 
 
 class DenseChain(NamedTuple):
@@ -219,6 +289,15 @@ def family_prefactors_enum(policy, info, mix):
 
     return AtirReport(c_w1=c_w1, c_w2=c_w2,
                       atir=atir_from_prefactors(info, mix, c_w1, c_w2))
+
+
+def random_ph(rng, n):
+    """Random PH with n phases: each phase exits at a random share of its
+    rate and otherwise moves to a random later phase."""
+    s = np.diag(-rng.uniform(0.2, 5.0, n))
+    for k in range(n - 1):
+        s[k, k + 1:] = -s[k, k] * rng.uniform(0.0, 0.9) * rng.dirichlet(np.ones(n - k - 1))
+    return PhaseType(rng.dirichlet(np.ones(n)), s)
 
 
 def random_family_member(m, steps, rng):

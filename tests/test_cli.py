@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nudgem
-from nudgem import resp2
+from nudgem import fluid, resp2
 from nudgem.asymptotics import decay_rate, family_prefactors
 from nudgem.cli import RECIPES, main, parse_grid
 from nudgem.phtype import MatrixExpDist
@@ -262,6 +262,39 @@ def test_unsigned_law_is_numeric_failure(monkeypatch, tmp_path, capsys):
     argv = ["dist", "--recipe", "fig9a", "--m", "2", "--t", "0,1"]
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 4
     assert "differ in sign" in capsys.readouterr().err
+
+
+def test_psi_rows_above_one_are_numeric_failure(monkeypatch, tmp_path, capsys):
+    real = fluid._sda
+
+    def inflated(model):
+        psi, res = real(model)
+        return 1.01 * psi, res
+
+    monkeypatch.setattr(fluid, "_sda", inflated)
+    argv = ["dist", "--recipe", "fig9a", "--m", "2", "--t", "0,1"]
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 4
+    assert "row of Psi" in capsys.readouterr().err
+
+
+def test_no_eigenvalue_one_is_numeric_failure(monkeypatch, tmp_path, capsys):
+    # 0.5 Psi is substochastic, so only the eigen check can refuse it
+    real = fluid.solve_riccati
+    monkeypatch.setattr(fluid, "solve_riccati", lambda model: 0.5 * real(model))
+    argv = ["dist", "--recipe", "fig9a", "--m", "2", "--t", "0,1"]
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 4
+    assert "no eigenvalue of Psi P~ near 1" in capsys.readouterr().err
+
+
+def test_dist_manifest_fluid_record(tmp_path):
+    out = tmp_path / "d.csv"
+    assert main(["dist", "--recipe", "fig9a", "--m", "3", "--t", "0,2",
+                 "--out", str(out)]) == 0
+    rec = json.loads((tmp_path / "d.csv.manifest.json").read_text())["fluid"]
+    assert (rec["n_minus"], rec["n_plus"]) == (8, 16)
+    assert 0.0 <= rec["riccati_residual"] <= 1e-12
+    assert rec["c0"] == pytest.approx(0.3, abs=1e-9)  # 1 - lambda
+    assert 0.0 < rec["eigen_gap"] <= 2.0
 
 
 def test_missing_mix_is_input_error(tmp_path):

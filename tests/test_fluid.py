@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nudgem.asymptotics import decay_rate, prefactors_nudge_m
+from nudgem.cli import RECIPES
 from nudgem.fluid import (
     NudgeMLayout,
     build_fcfs_fluid,
@@ -15,7 +17,14 @@ from nudgem.fluid import (
 )
 from nudgem.phtype import fit_hyperexp, normalized_mix, ph_erlang, two_class_exp_mix
 from nudgem.swap import workload_ccdf
-from oracles import convolution_ccdf, solve_riccati_fixed_point
+from oracles import (
+    convolution_ccdf,
+    random_ph,
+    riccati_residual_dense,
+    solve_riccati_dense,
+    solve_riccati_fixed_point,
+    stationary_pi_dense,
+)
 
 MIX = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
 HE_MIX = normalized_mix(2 / 3, ph_erlang(2, 0.5), fit_hyperexp(2.0, 2.0, 0.5),
@@ -125,3 +134,56 @@ def test_layout_block_sizes():
 def test_window_cap_enforced():
     with pytest.raises(ValueError):
         build_nudge_m_fluid(MIX, 11)
+
+
+def _random_mix(seed):
+    rng = np.random.default_rng(seed)
+    n1, n2 = rng.integers(1, 4, size=2)
+    return normalized_mix(rng.uniform(0.2, 0.8), random_ph(rng, n1),
+                          random_ph(rng, n2), lam=0.7)
+
+
+ORACLE_MODELS = {
+    "fcfs": lambda: build_fcfs_fluid(MIX),
+    "nudge1": lambda: build_nudge1_fluid(MIX),
+    **{f"{name}-m{m}": (lambda mix=mix, m=m: build_nudge_m_fluid(mix(), m))
+       for name, mix in (("fig5a", RECIPES["fig5a"]["mix"]),
+                         ("fig5b", RECIPES["fig5b"]["mix"]),
+                         ("he", lambda: HE_MIX))
+       for m in range(1, 9)},
+    # (n1, n2) = (3, 2) and (2, 3)
+    "random7-m4": lambda: build_nudge_m_fluid(_random_mix(7), 4),
+    "random9-m5": lambda: build_nudge_m_fluid(_random_mix(9), 5),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MODELS))
+def test_sda_is_bit_identical_to_dense_oracle(name):
+    # the doubling step forms each product once: Psi is the textbook
+    # loop's to the last bit, and pi_+ from the n- x n- eigenproblem
+    # matches the n+ x n+ one
+    model = ORACLE_MODELS[name]()
+    sol = stationary_fluid(model)  # sol.psi is solve_riccati(model)
+    assert np.array_equal(sol.psi, solve_riccati_dense(model))
+    pi, c0 = stationary_pi_dense(model, sol.psi)
+    assert np.max(np.abs(sol.w1.init - pi)) <= 1e-13 * np.max(pi)
+    assert sol.c0 == pytest.approx(c0, rel=1e-13)
+
+
+def test_structured_residual_matches_dense():
+    model = build_nudge_m_fluid(HE_MIX, 4)
+    psi = solve_riccati(model) * 0.999  # off the solution: residual ~1e-3
+    assert riccati_residual(model, psi) == pytest.approx(
+        riccati_residual_dense(model, psi), rel=1e-12)
+
+
+def test_solve_riccati_runs_in_small_memory():
+    # fig5b, m = 7 (n+ = 448): at most four n+ x n+ arrays live at once
+    model = build_nudge_m_fluid(RECIPES["fig5b"]["mix"](), 7)
+    tracemalloc.start()
+    try:
+        solve_riccati(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20

@@ -10,7 +10,6 @@ from nudgem.cli import RECIPES
 from nudgem import swap
 from nudgem.phtype import (
     JobMix,
-    PhaseType,
     normalized_mix,
     ph_erlang,
     ph_exponential,
@@ -34,6 +33,7 @@ from oracles import (
     dense_chain,
     initial_distribution_expm,
     mean_swaps_quadrature,
+    random_ph,
     swap_mean_vector,
     swap_pmf_vectors,
     unconditional_swap_pmf_kron,
@@ -76,7 +76,7 @@ def test_push_step_matches_dense_transfer(name):
     if name == "erlang2-exp":
         mix = _erlang2_exp(0.7)
     else:
-        ph1 = _random_ph(np.random.default_rng(7), 3)
+        ph1 = random_ph(np.random.default_rng(7), 3)
         mix = normalized_mix(2 / 3, ph1, ph_exponential(mean=2.0), 0.7)
     m = 5
     chain = dense_chain(mix, m)
@@ -226,22 +226,13 @@ def test_swap_laws_match_dense_oracles(name, lam, m):
     _assert_matches_dense_oracles(mix, m)
 
 
-def _random_ph(rng, n):
-    """Random PH with n phases: each phase exits at a random share of its
-    rate and otherwise moves to a random later phase."""
-    s = np.diag(-rng.uniform(0.2, 5.0, n))
-    for k in range(n - 1):
-        s[k, k + 1:] = -s[k, k] * rng.uniform(0.0, 0.9) * rng.dirichlet(np.ones(n - k - 1))
-    return PhaseType(rng.dirichlet(np.ones(n)), s)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n1=st.integers(1, 3), n2=st.integers(1, 3),
        m=st.integers(1, 8), lam=st.floats(0.05, 0.99),
        p=st.floats(0.0, 1.0, exclude_max=True))
 def test_swap_laws_always_match_dense_oracles(seed, n1, n2, m, lam, p):
     rng = np.random.default_rng(seed)
-    mix = normalized_mix(p, _random_ph(rng, n1), _random_ph(rng, n2), lam)
+    mix = normalized_mix(p, random_ph(rng, n1), random_ph(rng, n2), lam)
     _assert_matches_dense_oracles(mix, m)
 
 
