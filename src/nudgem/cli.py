@@ -177,6 +177,8 @@ def cmd_atir(args) -> int:
 def _fluid_record(sol: fluid.FluidSolution) -> dict:
     """Sizes and numerical health of a fluid solve, for the manifest."""
     return {"n_minus": sol.model.n_minus, "n_plus": sol.model.n_plus,
+            "n_plus_solved": int(np.count_nonzero(
+                fluid.reachable_plus(sol.model))),
             "riccati_residual": fluid.riccati_residual(sol.model, sol.psi),
             "c0": sol.c0, "eigen_gap": sol.eigen_gap}
 

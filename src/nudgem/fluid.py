@@ -38,13 +38,34 @@ class StationarySolveError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FluidModel:
-    """Partitioned matrices of an MMFQ with jumps."""
+class RiccatiBlocks:
+    """The four generator blocks that Psi's equation
+    T_+- + Psi T_-- + T_++ Psi + Psi T_-+ Psi = 0 reads."""
 
     t_mm: np.ndarray      # S- x S-
     t_mp: np.ndarray      # S- x S+
     t_pm: np.ndarray      # S+ x S-
     t_pp: np.ndarray      # S+ x S+
+
+    @property
+    def n_minus(self) -> int:
+        return self.t_mm.shape[0]
+
+    @property
+    def n_plus(self) -> int:
+        return self.t_pp.shape[0]
+
+    def restrict(self, r: np.ndarray) -> "RiccatiBlocks":
+        """The blocks on the S+ states selected by the boolean mask r."""
+        return RiccatiBlocks(t_mm=self.t_mm, t_mp=self.t_mp[:, r],
+                             t_pm=self.t_pm[r], t_pp=self.t_pp[np.ix_(r, r)])
+
+
+@dataclass(frozen=True)
+class FluidModel(RiccatiBlocks):
+    """Partitioned matrices of an MMFQ with jumps: the Riccati blocks and
+    the level-0 boundary."""
+
     t_star_00: np.ndarray  # S0 x S0
     t_star_0p: np.ndarray  # S0 x S+
     p_m0: np.ndarray      # S- x S0
@@ -68,14 +89,6 @@ class FluidModel:
         zr = np.hstack([self.t_star_00, self.t_star_0p]).sum(axis=1)
         if np.max(np.abs(zr)) > 1e-10:
             raise ValueError("zero-level generator rows must sum to zero")
-
-    @property
-    def n_minus(self) -> int:
-        return self.t_mm.shape[0]
-
-    @property
-    def n_plus(self) -> int:
-        return self.t_pp.shape[0]
 
 
 def _row_lists(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -102,7 +115,7 @@ def _gather_matmul(lists: Tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.nd
     return out
 
 
-def _residual_norm(model: FluidModel) -> Callable[[np.ndarray], float]:
+def _residual_norm(model: RiccatiBlocks) -> Callable[[np.ndarray], float]:
     """Psi -> ||T_+- + Psi T_-- + T_++ Psi + Psi (T_-+ Psi)||_inf.
 
     T_++, T_-- and T_-+ have a few nonzeros per row (under 1% of their
@@ -126,12 +139,12 @@ def _residual_norm(model: FluidModel) -> Callable[[np.ndarray], float]:
     return norm
 
 
-def riccati_residual(model: FluidModel, psi: np.ndarray) -> float:
+def riccati_residual(model: RiccatiBlocks, psi: np.ndarray) -> float:
     """Infinity norm of T_+- + Psi T_-- + T_++ Psi + Psi T_-+ Psi."""
     return _residual_norm(model)(psi)
 
 
-def _sda(model: FluidModel) -> Tuple[np.ndarray, float]:
+def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, float]:
     """SDA iterate H_k and its residual norm at the step that stopped.
 
     Cast as the M-matrix equation X C X - X D - A X + B = 0 with
@@ -149,7 +162,8 @@ def _sda(model: FluidModel) -> Tuple[np.ndarray, float]:
     is released once used, so at most four are live at a time.
     The loop stops when H moves by at most RICCATI_STEP_TOL or its
     residual (``_residual_norm``) is at most RICCATI_RESIDUAL_TOL; that
-    last residual is returned for the final check.
+    test runs on the new H before E, F and G are updated, since the
+    stopping step never uses them. The last residual is returned.
     """
     b, c = model.t_pm, model.t_mp
     m, n = model.n_plus, model.n_minus
@@ -171,37 +185,123 @@ def _sda(model: FluidModel) -> Tuple[np.ndarray, float]:
     residual = _residual_norm(model)
     for _ in range(RICCATI_MAX_ITER):
         fi = f @ np.linalg.inv(np.eye(m) - h @ g)
-        ei = e @ np.linalg.inv(np.eye(n) - g @ h)
         h_new = h + fi @ h @ e
+        step = np.linalg.norm(h_new - h, np.inf)
+        res = residual(h_new)
+        if step <= RICCATI_STEP_TOL or res <= RICCATI_RESIDUAL_TOL:
+            return h_new, res
+        ei = e @ np.linalg.inv(np.eye(n) - g @ h)
         g = g + ei @ g @ f
         f = fi @ f
         del fi
         e = ei @ e
-        step = np.linalg.norm(h_new - h, np.inf)
         h = h_new
-        res = residual(h)
-        if step <= RICCATI_STEP_TOL or res <= RICCATI_RESIDUAL_TOL:
-            break
     return h, res
+
+
+def reachable_plus(model: RiccatiBlocks) -> np.ndarray:
+    """Boolean mask of the S+ states R that Psi's equation reaches: the
+    states T_-+ enters, closed under the moves of T_++. Every other S+
+    state (the set D) has a zero column in T_-+ and in T_++[R], so it is
+    entered only from D or from the level-0 boundary."""
+    moves = model.t_pp != 0
+    reach = np.any(model.t_mp != 0, axis=0)
+    while True:
+        grown = reach | np.any(moves[reach], axis=0)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
+
+
+def _components(a: np.ndarray) -> list:
+    """Connected components of the nonzero pattern of the square matrix a,
+    each as ascending indices, by label propagation."""
+    link = (a != 0) | (a.T != 0)
+    label = np.arange(a.shape[0])
+    while True:
+        new = np.minimum(label, np.where(link, label, label.size).min(axis=1))
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def _boundary_rows(model: RiccatiBlocks, r: np.ndarray,
+                   psi_r: np.ndarray) -> np.ndarray:
+    """Psi[D] for D = ~r from Psi[R] = psi_r.
+
+    As T_-+[:, D] = 0, the rows D of the Riccati equation are the linear
+    Sylvester equation T_++[D,D] X + X U = -(T_+-[D] + T_++[D,R] Psi[R])
+    with U = T_-- + T_-+[:, R] Psi[R]. T_++[D,D] is split into connected
+    components; components with equal blocks B share one solve of
+    (B (x) I + I (x) U^T) vec(X) = vec(rhs), X vectorized by rows, with one
+    right-hand side per component. For Nudge-M that is one n2 n- system
+    with 2^(m-1) right-hand sides.
+    """
+    d, ri = np.flatnonzero(~r), np.flatnonzero(r)
+    n = model.n_minus
+    u = model.t_mm + _gather_matmul(_row_lists(model.t_mp[:, ri]), psi_r)
+    rhs = model.t_pm[d] + _gather_matmul(
+        _row_lists(model.t_pp[np.ix_(d, ri)]), psi_r)
+    b_dd = model.t_pp[np.ix_(d, d)]
+    groups: Dict[Tuple[int, bytes], list] = {}
+    for comp in _components(b_dd):
+        block = b_dd[np.ix_(comp, comp)]
+        groups.setdefault((comp.size, block.tobytes()), [block]).append(comp)
+    out = np.empty((d.size, n))
+    for block, *comps in groups.values():
+        nb = block.shape[0]
+        sylv = np.kron(np.eye(nb), u.T)
+        sylv += np.kron(block, np.eye(n))
+        x = np.linalg.solve(sylv, -np.stack([rhs[c].ravel() for c in comps],
+                                            axis=1))
+        for k, c in enumerate(comps):
+            out[c] = x[:, k].reshape(nb, n)
+    return out
 
 
 def solve_riccati(model: FluidModel) -> np.ndarray:
     """Minimal nonnegative solution Psi of
-    T_+- + Psi T_-- + T_++ Psi + Psi T_-+ Psi = 0 via SDA (``_sda``).
+    T_+- + Psi T_-- + T_++ Psi + Psi T_-+ Psi = 0.
 
-    Raises RiccatiError when the last residual exceeds
-    RICCATI_RESIDUAL_TOL, or when a row of Psi sums above
-    1 + RICCATI_ROW_SUM_TOL: Psi[i, j] is the probability that the fluid,
+    Only the S+ states R of ``reachable_plus`` go through SDA (``_sda``).
+    The others, D, are entered from neither S- nor R. For Nudge-M they
+    are the subset-3 states with s_1 = 0 (Nudge-1: subset 4), "add a
+    type-2 job and return to s", which only the level-0 boundary enters
+    (through t_star_0p and p_mp). With
+    T_++[R,D] = 0 and T_-+[:, D] = 0 the rows R of the equation involve
+    Psi[R] alone, and W = A_g - B D_g^{-1} C is block-triangular, so in
+    exact arithmetic every SDA iterate's rows R are those of the problem
+    restricted to R. SDA therefore runs on the restricted blocks
+    (2^(m-1) (n1 + 2 n2) states for Nudge-M, n1 + 2 n2 for Nudge-1), and
+    Psi[D] follows from one linear Sylvester solve (``_boundary_rows``).
+    When D is empty (FCFS), SDA runs on the whole model.
+
+    Raises RiccatiError when a row of Psi sums above
+    1 + RICCATI_ROW_SUM_TOL (Psi[i, j] is the probability that the fluid,
     started up in phase i, first returns to its level in phase j, so
-    every row of the minimal solution sums to at most 1.
+    every row of the minimal solution sums to at most 1), or when the
+    residual of the whole equation exceeds RICCATI_RESIDUAL_TOL.
     """
-    psi, res = _sda(model)
-    if res > RICCATI_RESIDUAL_TOL:
-        raise RiccatiError(f"SDA did not converge (residual {res:.3e})")
+    r = reachable_plus(model)
+    if r.all():
+        psi, res = _sda(model)
+    else:
+        psi_r = _sda(model.restrict(r))[0]
+        psi = np.empty((model.n_plus, model.n_minus))
+        psi[r] = psi_r
+        psi[~r] = _boundary_rows(model, r, psi_r)
+        res = None
     np.clip(psi, 0.0, None, out=psi)
     rows = float(np.max(psi.sum(axis=1)))
     if rows > 1.0 + RICCATI_ROW_SUM_TOL:
         raise RiccatiError(f"a row of Psi sums to 1 + {rows - 1.0:.3e}")
+    if res is None:  # _sda saw only the rows R
+        res = riccati_residual(model, psi)
+    if res > RICCATI_RESIDUAL_TOL:
+        raise RiccatiError(f"Riccati residual {res:.3e} above "
+                           f"{RICCATI_RESIDUAL_TOL:.0e}")
     return psi
 
 

@@ -66,8 +66,9 @@ def solve_riccati_dense(model):
     """The textbook SDA loop with dense residual checks: both inverses and
     every product of E (I - GH)^{-1} E, F (I - HG)^{-1} F,
     G + E (I - GH)^{-1} G F and H + F (I - HG)^{-1} H E formed as written,
-    and the dense residual after every step. ``fluid.solve_riccati`` must
-    return the same Psi to the last bit."""
+    and the dense residual after every step. On the blocks restricted to
+    the states R of ``fluid.reachable_plus``, it must return the rows R of
+    ``fluid.solve_riccati``'s Psi to the last bit."""
     a = -model.t_pp
     d = -model.t_mm
     b = model.t_pm

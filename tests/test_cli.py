@@ -277,6 +277,18 @@ def test_psi_rows_above_one_are_numeric_failure(monkeypatch, tmp_path, capsys):
     assert "row of Psi" in capsys.readouterr().err
 
 
+def test_boundary_rows_off_the_solution_are_numeric_failure(
+        monkeypatch, tmp_path, capsys):
+    # 0.999 Psi[D] is substochastic, so only the residual of the whole
+    # equation, not the one SDA saw on the rows R, can refuse it
+    real = fluid._boundary_rows
+    monkeypatch.setattr(fluid, "_boundary_rows",
+                        lambda *args: 0.999 * real(*args))
+    argv = ["dist", "--recipe", "fig9a", "--m", "2", "--t", "0,1"]
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 4
+    assert "Riccati residual" in capsys.readouterr().err
+
+
 def test_no_eigenvalue_one_is_numeric_failure(monkeypatch, tmp_path, capsys):
     # 0.5 Psi is substochastic, so only the eigen check can refuse it
     real = fluid.solve_riccati
@@ -292,6 +304,7 @@ def test_dist_manifest_fluid_record(tmp_path):
                  "--out", str(out)]) == 0
     rec = json.loads((tmp_path / "d.csv.manifest.json").read_text())["fluid"]
     assert (rec["n_minus"], rec["n_plus"]) == (8, 16)
+    assert rec["n_plus_solved"] == 12  # 2^(m-1) (n1 + 2 n2)
     assert 0.0 <= rec["riccati_residual"] <= 1e-12
     assert rec["c0"] == pytest.approx(0.3, abs=1e-9)  # 1 - lambda
     assert 0.0 < rec["eigen_gap"] <= 2.0

@@ -7,15 +7,24 @@ import pytest
 from nudgem.asymptotics import decay_rate, prefactors_nudge_m
 from nudgem.cli import RECIPES
 from nudgem.fluid import (
+    RICCATI_RESIDUAL_TOL,
     NudgeMLayout,
     build_fcfs_fluid,
     build_nudge1_fluid,
     build_nudge_m_fluid,
+    reachable_plus,
     riccati_residual,
     solve_riccati,
     stationary_fluid,
 )
-from nudgem.phtype import fit_hyperexp, normalized_mix, ph_erlang, two_class_exp_mix
+from nudgem.phtype import (
+    PhaseType,
+    fit_hyperexp,
+    normalized_mix,
+    ph_erlang,
+    ph_exponential,
+    two_class_exp_mix,
+)
 from nudgem.swap import workload_ccdf
 from oracles import (
     convolution_ccdf,
@@ -143,6 +152,15 @@ def _random_mix(seed):
                           random_ph(rng, n2), lam=0.7)
 
 
+# Type-2 jobs are Erlang-3: S2 is one Jordan block, which the grouped
+# Sylvester solve for Psi[D] cannot diagonalize.
+ERLANG3_MIX = normalized_mix(0.6, ph_exponential(1.0), ph_erlang(3, 3.0), lam=0.7)
+# Type-1 phase 2 is never entered (alpha = (1, 0)) but moves to phase 1,
+# so its S+ states are in D and T_++[D, R] is nonzero.
+UNREACHED_MIX = normalized_mix(
+    0.6, PhaseType([1.0, 0.0], [[-2.0, 0.0], [1.0, -1.0]]), ph_exponential(2.0),
+    lam=0.7)
+
 ORACLE_MODELS = {
     "fcfs": lambda: build_fcfs_fluid(MIX),
     "nudge1": lambda: build_nudge1_fluid(MIX),
@@ -154,20 +172,61 @@ ORACLE_MODELS = {
     # (n1, n2) = (3, 2) and (2, 3)
     "random7-m4": lambda: build_nudge_m_fluid(_random_mix(7), 4),
     "random9-m5": lambda: build_nudge_m_fluid(_random_mix(9), 5),
+    "erlang3-m4": lambda: build_nudge_m_fluid(ERLANG3_MIX, 4),
+    "unreached-fcfs": lambda: build_fcfs_fluid(UNREACHED_MIX),
+    "unreached-m3": lambda: build_nudge_m_fluid(UNREACHED_MIX, 3),
 }
 
 
 @pytest.mark.parametrize("name", list(ORACLE_MODELS))
 def test_sda_is_bit_identical_to_dense_oracle(name):
-    # the doubling step forms each product once: Psi is the textbook
-    # loop's to the last bit, and pi_+ from the n- x n- eigenproblem
-    # matches the n+ x n+ one
+    # SDA runs on the reachable S+ states R only, and forms each product
+    # once: Psi[R] is the textbook loop's on the R-restricted blocks to the
+    # last bit (the whole Psi when R is all of S+, as for FCFS), and pi_+
+    # from the n- x n- eigenproblem matches the n+ x n+ one
     model = ORACLE_MODELS[name]()
     sol = stationary_fluid(model)  # sol.psi is solve_riccati(model)
-    assert np.array_equal(sol.psi, solve_riccati_dense(model))
+    r = reachable_plus(model)
+    assert np.array_equal(sol.psi[r], solve_riccati_dense(model.restrict(r)))
     pi, c0 = stationary_pi_dense(model, sol.psi)
     assert np.max(np.abs(sol.w1.init - pi)) <= 1e-13 * np.max(pi)
     assert sol.c0 == pytest.approx(c0, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MODELS))
+def test_full_psi_matches_oracles(name):
+    # the rows D come from a Sylvester solve, not from SDA: the whole Psi
+    # must match SDA on the whole model and (small models) the fixed-point
+    # iteration, and solve the whole equation
+    model = ORACLE_MODELS[name]()
+    psi = solve_riccati(model)
+    oracles = [solve_riccati_dense(model)]
+    if model.n_plus <= 128:
+        oracles.append(solve_riccati_fixed_point(model))
+    for ref in oracles:
+        assert np.max(np.abs(psi - ref)) <= 1e-12 * np.max(psi)
+    assert riccati_residual(model, psi) <= RICCATI_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("mix", [MIX, HE_MIX, ERLANG3_MIX, _random_mix(9)],
+                         ids=["exp", "he", "erlang3", "random9"])
+def test_reachable_states(mix):
+    # D is exactly the subset-3 states with s_1 = 0 (Nudge-M) and subset 4
+    # (Nudge-1), and empty for FCFS
+    n1, n2 = mix.n1, mix.n2
+    for m in (1, 2, 4):
+        model = build_nudge_m_fluid(mix, m)
+        r = reachable_plus(model)
+        assert r.sum() == 2 ** (m - 1) * (n1 + 2 * n2)
+        lay = NudgeMLayout.build(m, n1, n2)
+        for (s, sub), o in lay.plus_index.items():
+            size = n1 if sub == 1 else n2
+            assert np.all(r[o: o + size] == (sub != 3 or s[0] == 1))
+        assert not model.t_mp[:, ~r].any()
+        assert not model.t_pp[np.ix_(r, ~r)].any()
+    r1 = reachable_plus(build_nudge1_fluid(mix))
+    assert r1.sum() == n1 + 2 * n2 and not r1[n1 + 2 * n2:].any()
+    assert reachable_plus(build_fcfs_fluid(mix)).all()
 
 
 def test_structured_residual_matches_dense():
@@ -178,7 +237,8 @@ def test_structured_residual_matches_dense():
 
 
 def test_solve_riccati_runs_in_small_memory():
-    # fig5b, m = 7 (n+ = 448): at most four n+ x n+ arrays live at once
+    # fig5b, m = 7 (SDA on 320 of n+ = 448 states): at most four
+    # |R| x |R| arrays live at once
     model = build_nudge_m_fluid(RECIPES["fig5b"]["mix"](), 7)
     tracemalloc.start()
     try:
