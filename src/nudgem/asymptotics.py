@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .phtype import InstabilityError, JobMix
-from .policy import PolicyFn, all_strings, count_twos, enumerate_policies, \
-    increment_edges, nudge_km_policy, nudge_ml_policy
+from .policy import PolicyFn, PolicyTables, all_strings, code_weights, \
+    count_twos, nudge_km_policy, nudge_ml_policy, string_masks, valid_tables
 
 # Root cross-check tolerance for theta_Z.
 THETA_CROSSCHECK_TOL = 1e-10
@@ -164,19 +164,26 @@ def m_heavy(mix: JobMix, info: DecayInfo) -> int:
     return math.floor(math.log(mix.e2 / mix.e1) / math.log1p(info.theta_z))
 
 
-def family_prefactors(policy: PolicyFn, info: DecayInfo, mix: JobMix) -> AtirReport:
-    """Waiting-time prefactors of an arbitrary family member.
+def family_prefactors(policy: Union[PolicyFn, PolicyTables], info: DecayInfo,
+                      mix: JobMix) -> AtirReport:
+    """Waiting-time prefactors of an arbitrary family member, or of every
+    row of a ``PolicyTables`` at once.
 
     Positions count from 0, newest arrival first. A window w_0..w_{M-1} is
     the bitmask b with bit i set when w_i = 2, and n(b) is
-    ``policy.by_mask``. The type-1 prefactor is one vectorised sum over the
-    2^M windows. The type-2 prefactor sums over strings s_0..s_{2M-1} with
+    ``policy.by_mask``: one row for a ``PolicyFn``, one row per table for
+    a ``PolicyTables``. Every step below is elementwise over the rows or a
+    sum along one row, so a row's prefactors do not depend on the other
+    rows, and a ``PolicyFn`` is simply the one-row case. The type-1
+    prefactor is one vectorised sum over the 2^M windows. The type-2
+    prefactor sums over strings s_0..s_{2M-1} with
     the tagged type-2 job at s_M; a type-1 job at s_{k-1} (k = 1..M) passes
     the tag iff n(s_k..s_{k+M-1}) > t(s_k..s_{M-1}), which depends only on
     s_{k-1} and the window s_k..s_{k+M-1}. So a sweep k = M..1 carries one
     weight per window: it starts from the tag and the M-1 tail symbols,
     prepends s_{k-1} at each step and sums out the dropped last symbol.
-    Cost O(M 2^M) in numpy; capped at M <= 6.
+    Cost O(M 2^M) per table in numpy; capped at M <= 6. A ``PolicyFn``
+    gives float fields, a ``PolicyTables`` arrays with one entry per row.
     """
     m = policy.m
     if m > FAMILY_M_CAP:
@@ -188,16 +195,17 @@ def family_prefactors(policy: PolicyFn, info: DecayInfo, mix: JobMix) -> AtirRep
     size = 1 << m
     bits = (np.arange(size)[:, None] >> np.arange(m)) & 1  # bits[b, i]
     twos = bits.sum(axis=1)
-    n = policy.by_mask
+    n = np.atleast_2d(policy.by_mask)  # n[row, b]
 
     total1 = np.sum((1.0 - p) ** twos * p ** (m - twos)
-                    * s1t ** (m - twos) * s2t ** (twos - n))
-    c_w1 = info.c_z / st ** m * float(total1)
+                    * s1t ** (m - twos) * s2t ** (twos - n), axis=1)
+    c_w1 = info.c_z / st ** m * total1
 
     # k = M: the tag (bit 0) followed by the tail s_{M+1}..s_{2M-1}, the
     # arrivals before the tag
     weight = np.where(bits[:, 0] == 1, ((1.0 - p) * s2t) ** (twos - 1)
                       * (p * s1t) ** (m - twos), 0.0)
+    weight = np.broadcast_to(weight, n.shape)
     half = size >> 1
     prefix = np.zeros(size, dtype=twos.dtype)  # t(s_k..s_{M-1}): bits 0..M-k-1
     for j in range(m):  # j = M - k
@@ -207,14 +215,17 @@ def family_prefactors(policy: PolicyFn, info: DecayInfo, mix: JobMix) -> AtirRep
         two = weight * (1.0 - p)
         # prepending s_{k-1} gives window (b << 1 | [s_{k-1} = 2]) mod 2^M:
         # bit M-1 drops out and is summed over
-        weight = np.empty(size)
-        weight[0::2] = one[:half] + one[half:]
-        weight[1::2] = two[:half] + two[half:]
+        weight = np.empty(n.shape)
+        weight[:, 0::2] = one[:, :half] + one[:, half:]
+        weight[:, 1::2] = two[:, :half] + two[:, half:]
         prefix += bits[:, j]
-    c_w2 = info.c_z / st ** (m - 1) * float(np.sum(weight))
+    c_w2 = info.c_z / st ** (m - 1) * np.sum(weight, axis=1)
 
-    return AtirReport(c_w1=c_w1, c_w2=c_w2,
-                      atir=atir_from_prefactors(info, mix, c_w1, c_w2))
+    atir = atir_from_prefactors(info, mix, c_w1, c_w2)
+    if isinstance(policy, PolicyFn):
+        return AtirReport(c_w1=float(c_w1[0]), c_w2=float(c_w2[0]),
+                          atir=float(atir[0]))
+    return AtirReport(c_w1=c_w1, c_w2=c_w2, atir=atir)
 
 
 @dataclass(frozen=True)
@@ -232,7 +243,20 @@ class OptimalityReport:
 def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
     """Exhaustively check strong tail optimality of Nudge-min(M, M_opt)
     within F_M, and the single-increment improvement rule on every edge of
-    the enumeration lattice. Small M only (cap 3)."""
+    the enumeration lattice. Small M only (cap 3).
+
+    F_M comes from ``policy.valid_tables`` as one table array, and one
+    batched ``family_prefactors`` call gives every table's ATIR. A table's
+    code (``policy.code_weights``) is its position in the product of the
+    ranges range(t(s) + 1), which is exactly the set of tables meeting
+    (C1); so raising n(s) below t(s) adds the weight of s to the code, and
+    the raised table is in F_M iff its code is one of the enumerated
+    tables' codes, which is the (C2) test a ``PolicyFn`` build would make.
+    Every edge is therefore a lookup in the sorted codes. Only ``expected``
+    and the best tables become ``PolicyFn``; edges and failures are listed
+    by table in enumeration order, then by string in ``all_strings``
+    order.
+    """
     if m > VERIFY_M_CAP:
         raise ComplexityError(f"verify_optimality is capped at M <= {VERIFY_M_CAP}")
     mo = m_opt(info)
@@ -241,44 +265,41 @@ def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
     cap = min(m, mo)
     expected = PolicyFn(m, {s: count_twos(s[:cap]) for s in all_strings(m)})
 
-    atirs: Dict[PolicyFn, float] = {}
-    for pol in enumerate_policies(m):
-        atirs[pol] = family_prefactors(pol, info, mix).atir
-
-    best_atir = max(atirs.values())
-    best = tuple(p for p, a in atirs.items()
-                 if a >= best_atir - OPTIMALITY_TIE_TOL)
+    tables = valid_tables(m)
+    atirs = family_prefactors(tables, info, mix).atir
+    best_atir = float(np.max(atirs))
+    best = tuple(PolicyFn.from_by_mask(m, tables.by_mask[i])
+                 for i in np.flatnonzero(atirs >= best_atir - OPTIMALITY_TIE_TOL))
     is_optimal = any(p == expected for p in best)
 
     # Increment theorem: raising n(s) by one improves the ATIR iff the
     # position of the (n(s)+1)-st two in s is within the first M_opt slots.
-    edge_failures: List[tuple] = []
-    n_edges = 0
-    for pol, atir in atirs.items():
-        for s, nxt in increment_edges(pol):
-            n_edges += 1
-            # position (1-based) of the (n(s)+1)-st two in s
-            want = pol.table[s] + 1
-            seen = 0
-            k_prime = None
-            for pos, v in enumerate(s, start=1):
-                if v == 2:
-                    seen += 1
-                    if seen == want:
-                        k_prime = pos
-                        break
-            improves = atirs[nxt] > atir + OPTIMALITY_TIE_TOL
-            degrades = atirs[nxt] < atir - OPTIMALITY_TIE_TOL
-            if improves and k_prime > mo:
-                edge_failures.append((s, tuple(sorted(pol.table.items()))))
-            if degrades and k_prime <= mo:
-                edge_failures.append((s, tuple(sorted(pol.table.items()))))
+    weights = code_weights(m)
+    codes = tables.by_mask @ weights
+    masks = string_masks(m)  # column j is the j-th string of all_strings
+    n = tables.by_mask[:, masks]
+    bits = (masks[:, None] >> np.arange(m)) & 1
+    raised = codes[:, None] + weights[masks]
+    nxt = np.minimum(np.searchsorted(codes, raised), codes.size - 1)
+    rows, cols = np.nonzero((n < bits.sum(axis=1)) & (codes[nxt] == raised))
+    nxt = nxt[rows, cols]
+    # position (1-based) of the (n(s)+1)-st two in s: one past the number
+    # of positions before which fewer than n(s)+1 twos are seen
+    seen = np.cumsum(bits, axis=1)[cols]
+    k_prime = 1 + np.sum(seen < n[rows, cols][:, None] + 1, axis=1)
+    improves = atirs[nxt] > atirs[rows] + OPTIMALITY_TIE_TOL
+    degrades = atirs[nxt] < atirs[rows] - OPTIMALITY_TIE_TOL
+    failed = (improves & (k_prime > mo)) | (degrades & (k_prime <= mo))
+    strings = list(all_strings(m))
+    edge_failures = tuple(
+        (strings[j], tuple(zip(strings, n[i].tolist())))
+        for i, j in zip(rows[failed].tolist(), cols[failed].tolist()))
 
     return OptimalityReport(m=m, best_policies=best, best_atir=best_atir,
                             expected=expected, n_policies=len(atirs),
-                            n_edges=n_edges,
+                            n_edges=int(rows.size),
                             is_optimal=is_optimal,
-                            edge_failures=tuple(edge_failures))
+                            edge_failures=edge_failures)
 
 
 def increment_ratio(info: DecayInfo, i: int, m: int) -> float:

@@ -179,7 +179,7 @@ def _fluid_record(sol: fluid.FluidSolution) -> dict:
     return {"n_minus": sol.model.n_minus, "n_plus": sol.model.n_plus,
             "n_plus_solved": int(np.count_nonzero(
                 fluid.reachable_plus(sol.model))),
-            "riccati_residual": fluid.riccati_residual(sol.model, sol.psi),
+            "riccati_residual": sol.riccati_residual,
             "c0": sol.c0, "eigen_gap": sol.eigen_gap}
 
 
@@ -302,6 +302,12 @@ def _check_identities() -> List[tuple]:
     rep = asymptotics.family_prefactors(fcfs_policy(m), info, mix)
     ok = abs(rep.c_w1 - info.c_z) < 1e-10 and abs(rep.c_w2 - info.c_z) < 1e-10
     checks.append((f"family-prefactors-fcfs-m{m}", ok))
+    # the optimality theorem: Nudge-min(M, M_opt) is among the best tables
+    # of F_M, and every single-increment edge follows the increment rule
+    for m in range(1, asymptotics.VERIFY_M_CAP + 1):
+        rep = asymptotics.verify_optimality(m, info, mix)
+        checks.append((f"optimality-m{m}",
+                       rep.is_optimal and not rep.edge_failures))
     sol = fluid.stationary_fluid(fluid.build_fcfs_fluid(mix))
     ok = all(abs(sol.w1_ccdf(t) - swap.workload_ccdf(mix, t)) < 1e-10
              for t in (0.5, 2.0, 8.0))

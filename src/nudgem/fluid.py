@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -261,7 +261,8 @@ def _boundary_rows(model: RiccatiBlocks, r: np.ndarray,
     return out
 
 
-def solve_riccati(model: FluidModel) -> np.ndarray:
+def solve_riccati(model: FluidModel,
+                  report: Optional[dict] = None) -> np.ndarray:
     """Minimal nonnegative solution Psi of
     T_+- + Psi T_-- + T_++ Psi + Psi T_-+ Psi = 0.
 
@@ -282,7 +283,10 @@ def solve_riccati(model: FluidModel) -> np.ndarray:
     1 + RICCATI_ROW_SUM_TOL (Psi[i, j] is the probability that the fluid,
     started up in phase i, first returns to its level in phase j, so
     every row of the minimal solution sums to at most 1), or when the
-    residual of the whole equation exceeds RICCATI_RESIDUAL_TOL.
+    residual of the whole equation exceeds RICCATI_RESIDUAL_TOL. That
+    residual, the one checked, is stored as ``report["residual"]`` when a
+    dict ``report`` is given, so a caller can show it without a second
+    evaluation.
     """
     r = reachable_plus(model)
     if r.all():
@@ -302,6 +306,8 @@ def solve_riccati(model: FluidModel) -> np.ndarray:
     if res > RICCATI_RESIDUAL_TOL:
         raise RiccatiError(f"Riccati residual {res:.3e} above "
                            f"{RICCATI_RESIDUAL_TOL:.0e}")
+    if report is not None:
+        report["residual"] = res
     return psi
 
 
@@ -310,13 +316,15 @@ class FluidSolution:
     """Stationary fluid: Psi, the zero-level mass c0 and the law of the
     level W_1, P[W_1 > t] = pi_+ e^{Kt} (-K)^{-1} Psi 1. ``eigen_gap`` is
     the distance from 1 of the second-nearest eigenvalue of P~ Psi (inf
-    when n- = 1)."""
+    when n- = 1). ``riccati_residual`` is the residual ``solve_riccati``
+    checked Psi against."""
 
     model: FluidModel
     psi: np.ndarray
     c0: float
     w1: MatrixExpDist
     eigen_gap: float
+    riccati_residual: float
 
     def w1_ccdf(self, t):
         """P[W_1 > t] at a scalar t or on a 1-D grid."""
@@ -335,7 +343,8 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     eigenvalue within 1e-8 of 1" and "only one" keep their meaning, and
     the sign check runs on pi_+ = x P~.
     """
-    psi = solve_riccati(model)
+    solved: dict = {}
+    psi = solve_riccati(model, report=solved)
     p_tilde = model.p_mp - model.p_m0 @ np.linalg.solve(model.t_star_00,
                                                         model.t_star_0p)
     k = model.t_pp + psi @ model.t_mp
@@ -369,7 +378,8 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     if not (0.0 < c0 < 1.0):
         raise StationarySolveError(f"zero-level mass c0 = {c0:.6g} outside (0, 1)")
     w1 = MatrixExpDist(pi, k, tail)
-    return FluidSolution(model=model, psi=psi, c0=c0, w1=w1, eigen_gap=eigen_gap)
+    return FluidSolution(model=model, psi=psi, c0=c0, w1=w1, eigen_gap=eigen_gap,
+                         riccati_residual=solved["residual"])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Tuple
 
 import numpy as np
 
@@ -61,6 +61,12 @@ class PolicyFn:
         by_mask = np.zeros(1 << self.m, dtype=np.int64)
         by_mask[(strings == 2) @ (1 << np.arange(self.m))] = list(self.table.values())
         return by_mask
+
+    @classmethod
+    def from_by_mask(cls, m: int, by_mask) -> "PolicyFn":
+        """The table whose ``by_mask`` is the given row, checked as usual."""
+        values = np.asarray(by_mask)[string_masks(m)].tolist()
+        return cls(m, dict(zip(all_strings(m), values)))
 
     def __call__(self, s) -> int:
         return self.table[tuple(s)]
@@ -185,42 +191,68 @@ def named_policy(kind: str, **params) -> PolicyFn:
         raise PolicyError(f"policy {kind!r} needs parameter {exc}") from exc
 
 
-def enumerate_policies(m: int) -> Iterator[PolicyFn]:
-    """All valid tables for window m (exhaustive; use only for m <= 3)."""
-    strings = list(all_strings(m))
-    ranges = [range(count_twos(s) + 1) for s in strings]
-    for values in itertools.product(*ranges):
-        table = dict(zip(strings, values))
-        ok = True
-        for s in strings:
-            ns = table[s]
-            for s0 in (1, 2):
-                left = (s0,) + s[: m - 1]
-                if table[left] > ns + (1 if s0 == 2 else 0):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield PolicyFn(m, table)
+def string_masks(m: int) -> np.ndarray:
+    """Bitmask of each string of ``all_strings(m)``, in that order."""
+    lex = np.arange(1 << m)
+    # all_strings counts with s_0 most significant; s_i is bit i of the mask
+    return ((lex[:, None] >> (m - 1 - np.arange(m))) & 1) @ (1 << np.arange(m))
 
 
-def increment_edges(policy: PolicyFn):
-    """Strings s whose n(s) can be raised by one without leaving the family.
+def _radix(m: int) -> np.ndarray:
+    """t(s) + 1, the number of values of n(s), by bitmask."""
+    return (np.arange(1 << m)[:, None] >> np.arange(m) & 1).sum(axis=1) + 1
 
-    Yields (s, incremented PolicyFn) pairs; these are the single-increment
-    edges of the enumeration lattice.
+
+def code_weights(m: int) -> np.ndarray:
+    """Weight of each bitmask in the mixed-radix code of a table.
+
+    The digit of string s is n(s), of radix t(s) + 1, and the digit of the
+    last string of ``all_strings(m)`` varies fastest. ``by_mask @
+    code_weights(m)`` is then the table's position in the product of the
+    ranges range(t(s) + 1), and raising n(s) by one below t(s) adds
+    ``code_weights(m)[s]`` to the code.
     """
-    m = policy.m
-    for s in all_strings(m):
-        if policy.table[s] >= count_twos(s):
-            continue
-        table = dict(policy.table)
-        table[s] += 1
-        try:
-            yield s, PolicyFn(m, table)
-        except PolicyError:
-            continue
+    masks = string_masks(m)
+    radix = _radix(m)
+    lex_weights = np.ones(1 << m, dtype=np.int64)
+    lex_weights[:-1] = np.cumprod(radix[masks][:0:-1])[::-1]
+    weights = np.empty_like(lex_weights)
+    weights[masks] = lex_weights
+    return weights
+
+
+class PolicyTables(NamedTuple):
+    """Many tables of F_M as the rows of one integer array: row i is table
+    i's ``PolicyFn.by_mask``. ``asymptotics.family_prefactors`` reads
+    ``m`` and ``by_mask`` of a ``PolicyFn`` and of this alike."""
+
+    m: int
+    by_mask: np.ndarray
+
+
+def valid_tables(m: int) -> PolicyTables:
+    """Every table of F_m, in the order of the product of the ranges
+    range(t(s) + 1) over ``all_strings(m)`` (so row codes under
+    ``code_weights`` increase). The candidates are the codes of that whole
+    product (864 at m = 3, 14,929,920 at m = 4, so m <= 3 only); (C1)
+    holds by construction. (C2) is checked on all candidates at once, one
+    pair of windows at a time, on digits decoded from the codes:
+    prepending s0 to the window b gives ((b << 1) | s0) mod 2^m. Only the
+    valid codes are decoded into rows.
+    """
+    if m > 3:
+        raise ValueError("valid_tables checks every candidate: m <= 3 only")
+    size = 1 << m
+    weights, radix = code_weights(m), _radix(m)
+    codes = np.arange(int(np.prod(radix)))
+    ok = np.ones(codes.size, dtype=bool)
+    for b in range(size):
+        n_b = codes // weights[b] % radix[b]
+        for s0 in (0, 1):
+            left = ((b << 1) | s0) & (size - 1)
+            ok &= codes // weights[left] % radix[left] <= n_b + s0
+    codes = codes[ok]
+    return PolicyTables(m, codes[:, None] // weights % radix)
 
 
 def policy_from_table_file(path) -> PolicyFn:

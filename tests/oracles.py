@@ -8,21 +8,28 @@ per swap and a Kronecker solve, a queue scan per arrival) and so does not
 go through the evaluation of ``MatrixExpDist`` (``dense_ccdf`` and
 ``dense_density`` read only a law's fields), the arrival-count operator
 of the swap laws, the window sweep of ``asymptotics.family_prefactors``
-or the event loop of ``sim.simulate``.
+or the event loop of ``sim.simulate``. The one exception is
+``verify_optimality_enum``: it checks the table array and the code
+lookups of ``asymptotics.verify_optimality`` by one ``PolicyFn`` per
+table and per lattice edge, and shares its ``family_prefactors`` (one
+table per call), which ``family_prefactors_enum`` checks.
 """
 
+import itertools
 from collections import deque
-from typing import List, NamedTuple
+from typing import Dict, Iterator, List, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm, solve_sylvester
 
-from nudgem.asymptotics import (FAMILY_M_CAP, AtirReport, ComplexityError,
-                                atir_from_prefactors)
+from nudgem.asymptotics import (FAMILY_M_CAP, OPTIMALITY_TIE_TOL, VERIFY_M_CAP,
+                                AtirReport, ComplexityError, OptimalityReport,
+                                atir_from_prefactors, family_prefactors, m_opt)
 from nudgem.fluid import RICCATI_MAX_ITER, RICCATI_RESIDUAL_TOL, RICCATI_STEP_TOL
 from nudgem.phtype import PhaseType, kron_sum
-from nudgem.policy import all_strings, count_twos, fcfs_policy, increment_edges
+from nudgem.policy import (PolicyError, PolicyFn, all_strings, count_twos,
+                           fcfs_policy)
 from nudgem.resp2 import counting_matrix, selector_matrix
 from nudgem.sim import SimStats, sample_phase_type
 from nudgem.swap import chain_size
@@ -292,6 +299,97 @@ def family_prefactors_enum(policy, info, mix):
                       atir=atir_from_prefactors(info, mix, c_w1, c_w2))
 
 
+def enumerate_policies(m: int) -> Iterator[PolicyFn]:
+    """All valid tables for window m (exhaustive; use only for m <= 3)."""
+    strings = list(all_strings(m))
+    ranges = [range(count_twos(s) + 1) for s in strings]
+    for values in itertools.product(*ranges):
+        table = dict(zip(strings, values))
+        ok = True
+        for s in strings:
+            ns = table[s]
+            for s0 in (1, 2):
+                left = (s0,) + s[: m - 1]
+                if table[left] > ns + (1 if s0 == 2 else 0):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            yield PolicyFn(m, table)
+
+
+def increment_edges(policy: PolicyFn):
+    """Strings s whose n(s) can be raised by one without leaving the family.
+
+    Yields (s, incremented PolicyFn) pairs; these are the single-increment
+    edges of the enumeration lattice.
+    """
+    m = policy.m
+    for s in all_strings(m):
+        if policy.table[s] >= count_twos(s):
+            continue
+        table = dict(policy.table)
+        table[s] += 1
+        try:
+            yield s, PolicyFn(m, table)
+        except PolicyError:
+            continue
+
+
+def verify_optimality_enum(m: int, info, mix) -> OptimalityReport:
+    """``asymptotics.verify_optimality`` by one ``PolicyFn`` per table and
+    per increment edge (``enumerate_policies``, ``increment_edges``) and one
+    ``family_prefactors`` call per table. Must give an equal report with
+    the same ``best_atir`` bits."""
+    if m > VERIFY_M_CAP:
+        raise ComplexityError(f"verify_optimality is capped at M <= {VERIFY_M_CAP}")
+    mo = m_opt(info)
+    # Nudge-min(M, M_opt) inside F_M: pass exactly the twos within the
+    # first min(m, mo) positions, i.e. n(s) = t(s_1..s_min(m,mo)).
+    cap = min(m, mo)
+    expected = PolicyFn(m, {s: count_twos(s[:cap]) for s in all_strings(m)})
+
+    atirs: Dict[PolicyFn, float] = {}
+    for pol in enumerate_policies(m):
+        atirs[pol] = family_prefactors(pol, info, mix).atir
+
+    best_atir = max(atirs.values())
+    best = tuple(p for p, a in atirs.items()
+                 if a >= best_atir - OPTIMALITY_TIE_TOL)
+    is_optimal = any(p == expected for p in best)
+
+    # Increment theorem: raising n(s) by one improves the ATIR iff the
+    # position of the (n(s)+1)-st two in s is within the first M_opt slots.
+    edge_failures: List[tuple] = []
+    n_edges = 0
+    for pol, atir in atirs.items():
+        for s, nxt in increment_edges(pol):
+            n_edges += 1
+            # position (1-based) of the (n(s)+1)-st two in s
+            want = pol.table[s] + 1
+            seen = 0
+            k_prime = None
+            for pos, v in enumerate(s, start=1):
+                if v == 2:
+                    seen += 1
+                    if seen == want:
+                        k_prime = pos
+                        break
+            improves = atirs[nxt] > atir + OPTIMALITY_TIE_TOL
+            degrades = atirs[nxt] < atir - OPTIMALITY_TIE_TOL
+            if improves and k_prime > mo:
+                edge_failures.append((s, tuple(sorted(pol.table.items()))))
+            if degrades and k_prime <= mo:
+                edge_failures.append((s, tuple(sorted(pol.table.items()))))
+
+    return OptimalityReport(m=m, best_policies=best, best_atir=best_atir,
+                            expected=expected, n_policies=len(atirs),
+                            n_edges=n_edges,
+                            is_optimal=is_optimal,
+                            edge_failures=tuple(edge_failures))
+
+
 def random_ph(rng, n):
     """Random PH with n phases: each phase exits at a random share of its
     rate and otherwise moves to a random later phase."""
@@ -303,7 +401,7 @@ def random_ph(rng, n):
 
 def random_family_member(m, steps, rng):
     """A random valid table of F_m: a walk of at most ``steps`` single
-    increments (``policy.increment_edges``) from FCFS, each edge picked by
+    increments (``increment_edges``) from FCFS, each edge picked by
     ``rng.randrange``."""
     pol = fcfs_policy(m)
     for _ in range(steps):

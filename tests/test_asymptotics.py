@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oracles import family_prefactors_enum, random_family_member
+from oracles import (enumerate_policies, family_prefactors_enum,
+                     random_family_member, verify_optimality_enum)
 
 from nudgem.asymptotics import (
     ComplexityError,
@@ -24,6 +25,7 @@ from nudgem.asymptotics import (
     prefactors_nudge_m,
     verify_optimality,
 )
+from nudgem import asymptotics
 from nudgem.cli import RECIPES
 from nudgem.phtype import (
     fit_hyperexp,
@@ -33,11 +35,12 @@ from nudgem.phtype import (
     two_class_exp_mix,
 )
 from nudgem.policy import (
-    enumerate_policies,
+    PolicyTables,
     fcfs_policy,
     named_policy,
     nudge_k_policy,
     nudge_m_policy,
+    valid_tables,
 )
 
 MIX = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
@@ -175,6 +178,25 @@ def test_family_prefactors_match_enumeration(name):
         assert got.atir == pytest.approx(want.atir, rel=0, abs=1e-13)
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_MIXES))
+def test_family_prefactors_batch_equals_single(name):
+    # one batched sweep over the tables of each window against one call
+    # per table
+    mix = ORACLE_MIXES[name]
+    info = decay_rate(mix)
+    pols = _oracle_policies()
+    for m in sorted({pol.m for pol in pols}):
+        group = [pol for pol in pols if pol.m == m]
+        batch = family_prefactors(
+            PolicyTables(m, np.array([pol.by_mask for pol in group])), info, mix)
+        assert batch.atir.shape == (len(group),)
+        for i, pol in enumerate(group):
+            want = family_prefactors(pol, info, mix)
+            assert batch.c_w1[i] == pytest.approx(want.c_w1, rel=1e-13, abs=0)
+            assert batch.c_w2[i] == pytest.approx(want.c_w2, rel=1e-13, abs=0)
+            assert batch.atir[i] == pytest.approx(want.atir, rel=0, abs=1e-13)
+
+
 def test_family_prefactors_cap():
     info = decay_rate(MIX)
     with pytest.raises(ComplexityError):
@@ -216,6 +238,60 @@ def test_verify_optimality_small_windows():
         assert rep.is_optimal
         assert not rep.edge_failures
         assert rep.n_policies >= 2
+
+
+VERIFY_MIXES = {
+    "fig5a": RECIPES["fig5a"]["mix"](),
+    **{f"fig5b-lam{lam}": RECIPES["fig5b"]["mix"](lam)
+       for lam in (0.05, 0.5, 0.95, 0.99)},
+    "window1": two_class_exp_mix(p=2 / 3, ratio=1.5, lam=0.7),
+}
+
+
+def _assert_same_report(got, want):
+    assert got == want  # field for field
+    assert got.best_atir.hex() == want.best_atir.hex()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(VERIFY_MIXES))
+def test_verify_optimality_matches_enumeration(name, m):
+    # the table array and code lookups against one PolicyFn per table and
+    # per lattice edge
+    mix = VERIFY_MIXES[name]
+    info = decay_rate(mix)
+    _assert_same_report(verify_optimality(m, info, mix),
+                        verify_optimality_enum(m, info, mix))
+
+
+@pytest.mark.parametrize("wrong_m_opt", [0, 1, 2])
+def test_verify_optimality_failures_match_enumeration(monkeypatch, wrong_m_opt):
+    # a wrong M_opt in both paths makes edges fail the increment rule, so
+    # the failure lists, their order and their format are compared too
+    import oracles
+    for module in (asymptotics, oracles):
+        monkeypatch.setattr(module, "m_opt", lambda info: wrong_m_opt)
+    info = decay_rate(MIX)  # true M_opt = 5
+    for m in (1, 2, 3):
+        got = verify_optimality(m, info, MIX)
+        _assert_same_report(got, verify_optimality_enum(m, info, MIX))
+        # the true optimum passes every two in windows up to 5
+        assert bool(got.edge_failures) == (m > wrong_m_opt)
+        assert got.is_optimal == (m <= wrong_m_opt)
+
+
+def test_verify_optimality_counts_and_builds(monkeypatch):
+    # 2/7/74 tables and 1/8/168 edges; at most 1 + |best| PolicyFn per call
+    built = []
+    real = asymptotics.PolicyFn.__post_init__
+    monkeypatch.setattr(asymptotics.PolicyFn, "__post_init__",
+                        lambda self: built.append(real(self)))
+    info = decay_rate(MIX)
+    for m, tables, edges in ((1, 2, 1), (2, 7, 8), (3, 74, 168)):
+        built.clear()
+        rep = verify_optimality(m, info, MIX)
+        assert (rep.n_policies, rep.n_edges) == (tables, edges)
+        assert len(built) <= 1 + len(rep.best_policies)
 
 
 def test_verify_optimality_cap():

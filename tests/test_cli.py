@@ -292,7 +292,8 @@ def test_boundary_rows_off_the_solution_are_numeric_failure(
 def test_no_eigenvalue_one_is_numeric_failure(monkeypatch, tmp_path, capsys):
     # 0.5 Psi is substochastic, so only the eigen check can refuse it
     real = fluid.solve_riccati
-    monkeypatch.setattr(fluid, "solve_riccati", lambda model: 0.5 * real(model))
+    monkeypatch.setattr(fluid, "solve_riccati",
+                        lambda model, **kw: 0.5 * real(model, **kw))
     argv = ["dist", "--recipe", "fig9a", "--m", "2", "--t", "0,1"]
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 4
     assert "no eigenvalue of Psi P~ near 1" in capsys.readouterr().err
@@ -324,4 +325,7 @@ def test_verify_fast_passes(capsys):
     # the family prefactors at the cap M = 6, for Nudge-M and for FCFS
     assert "PASS  family-prefactors-m6" in captured.out
     assert "PASS  family-prefactors-fcfs-m6" in captured.out
+    # the optimality theorem over F_1, F_2 and F_3
+    for m in (1, 2, 3):
+        assert f"PASS  optimality-m{m}" in captured.out
     assert "FAIL" not in captured.out

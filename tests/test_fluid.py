@@ -229,6 +229,18 @@ def test_reachable_states(mix):
     assert reachable_plus(build_fcfs_fluid(mix)).all()
 
 
+def test_solution_carries_the_checked_residual():
+    # Nudge-M and Nudge-1 check the residual of the clipped Psi, so the
+    # carried value is the one a second evaluation would give
+    for model in (build_nudge_m_fluid(HE_MIX, 3), build_nudge1_fluid(MIX)):
+        sol = stationary_fluid(model)
+        assert sol.riccati_residual == riccati_residual(model, sol.psi)
+        report = {}
+        assert np.array_equal(solve_riccati(model, report=report), sol.psi)
+        assert report == {"residual": sol.riccati_residual}
+    assert stationary_fluid(build_fcfs_fluid(MIX)).riccati_residual < 1e-12
+
+
 def test_structured_residual_matches_dense():
     model = build_nudge_m_fluid(HE_MIX, 4)
     psi = solve_riccati(model) * 0.999  # off the solution: residual ~1e-3

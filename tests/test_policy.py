@@ -1,13 +1,15 @@
+import numpy as np
 import pytest
+
+from oracles import enumerate_policies, increment_edges
 
 from nudgem.policy import (
     PolicyError,
     PolicyFn,
     all_strings,
+    code_weights,
     count_twos,
-    enumerate_policies,
     fcfs_policy,
-    increment_edges,
     named_policy,
     nudge_k_policy,
     nudge_kl_policy,
@@ -16,6 +18,7 @@ from nudgem.policy import (
     nudge_m_policy,
     nudge_ml_policy,
     policy_from_table_file,
+    valid_tables,
 )
 
 
@@ -87,6 +90,24 @@ def test_enumeration_counts_frozen():
     assert sum(1 for _ in enumerate_policies(2)) == 7
     for pol in enumerate_policies(2):
         PolicyFn(pol.m, pol.table)  # revalidates (C1)/(C2)
+    assert [len(valid_tables(m).by_mask) for m in (1, 2, 3)] == [2, 7, 74]
+    with pytest.raises(ValueError):
+        valid_tables(4)  # 14,929,920 candidates: refused before any is built
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_valid_tables_equal_python_enumeration(m):
+    # the same tables in the same order, each a valid PolicyFn row
+    tables = valid_tables(m)
+    assert tables.m == m
+    want = [pol.by_mask for pol in enumerate_policies(m)]
+    assert len(tables.by_mask) == len(want)
+    for row, by_mask in zip(tables.by_mask, want):
+        assert np.array_equal(row, by_mask)
+        assert PolicyFn.from_by_mask(m, row).by_mask.tolist() == row.tolist()
+    # codes are the positions in the product of the ranges, so they increase
+    codes = tables.by_mask @ code_weights(m)
+    assert np.all(np.diff(codes) > 0)
 
 
 def test_increment_edges_stay_in_family():

@@ -1,12 +1,15 @@
 """Property-based checks for the fitting, policy and family-prefactor
 layers."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import family_prefactors_enum, random_family_member
+from oracles import (family_prefactors_enum, random_family_member, random_ph,
+                     verify_optimality_enum)
 
-from nudgem.asymptotics import FAMILY_M_CAP, decay_rate, family_prefactors
+from nudgem.asymptotics import (FAMILY_M_CAP, decay_rate, family_prefactors,
+                                verify_optimality)
 from nudgem.phtype import fit_hyperexp, normalized_mix, ph_exponential
 from nudgem.policy import (
     PolicyFn,
@@ -77,3 +80,19 @@ def test_fcfs_family_prefactors_are_the_workload(p, lam):
         assert rep.c_w1 == pytest.approx(info.c_z, rel=1e-12, abs=0)
         assert rep.c_w2 == pytest.approx(info.c_z, rel=1e-12, abs=0)
         assert rep.atir == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.floats(0.01, 0.99), lam=st.floats(0.05, 0.95),
+       phases=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_verify_optimality_equals_enumeration(p, lam, phases, seed):
+    rng = np.random.default_rng(seed)
+    mix = normalized_mix(p, random_ph(rng, phases[0]), random_ph(rng, phases[1]),
+                         lam=lam)
+    info = decay_rate(mix)
+    for m in (1, 2, 3):
+        got = verify_optimality(m, info, mix)
+        want = verify_optimality_enum(m, info, mix)
+        assert got == want
+        assert got.best_atir.hex() == want.best_atir.hex()
