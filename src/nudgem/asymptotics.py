@@ -17,7 +17,7 @@ import numpy as np
 
 from .phtype import InstabilityError, JobMix
 from .policy import PolicyFn, PolicyTables, all_strings, code_weights, \
-    count_twos, nudge_km_policy, nudge_ml_policy, string_masks, valid_tables
+    nudge_km_policy, nudge_ml_policy, valid_tables, windows
 
 # Root cross-check tolerance for theta_Z.
 THETA_CROSSCHECK_TOL = 1e-10
@@ -182,8 +182,10 @@ def family_prefactors(policy: Union[PolicyFn, PolicyTables], info: DecayInfo,
     s_{k-1} and the window s_k..s_{k+M-1}. So a sweep k = M..1 carries one
     weight per window: it starts from the tag and the M-1 tail symbols,
     prepends s_{k-1} at each step and sums out the dropped last symbol.
-    Cost O(M 2^M) per table in numpy; capped at M <= 6. A ``PolicyFn``
-    gives float fields, a ``PolicyTables`` arrays with one entry per row.
+    Cost O(M 2^M) per table in numpy; capped at M <= 6. The window bits
+    and their popcounts come from ``policy.windows``, built once per M.
+    A ``PolicyFn`` gives float fields, a ``PolicyTables`` arrays with one
+    entry per row.
     """
     m = policy.m
     if m > FAMILY_M_CAP:
@@ -193,8 +195,7 @@ def family_prefactors(policy: Union[PolicyFn, PolicyTables], info: DecayInfo,
         raise ValueError("family_prefactors requires 0 < p < 1")
     s1t, s2t, st = info.s1_tilde, info.s2_tilde, info.s_tilde
     size = 1 << m
-    bits = (np.arange(size)[:, None] >> np.arange(m)) & 1  # bits[b, i]
-    twos = bits.sum(axis=1)
+    bits, twos = windows(m).bits, windows(m).twos  # bits[b, i], t(b)
     n = np.atleast_2d(policy.by_mask)  # n[row, b]
 
     total1 = np.sum((1.0 - p) ** twos * p ** (m - twos)
@@ -203,7 +204,7 @@ def family_prefactors(policy: Union[PolicyFn, PolicyTables], info: DecayInfo,
 
     # k = M: the tag (bit 0) followed by the tail s_{M+1}..s_{2M-1}, the
     # arrivals before the tag
-    weight = np.where(bits[:, 0] == 1, ((1.0 - p) * s2t) ** (twos - 1)
+    weight = np.where(bits[:, 0], ((1.0 - p) * s2t) ** (twos - 1)
                       * (p * s1t) ** (m - twos), 0.0)
     weight = np.broadcast_to(weight, n.shape)
     half = size >> 1
@@ -263,7 +264,7 @@ def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
     # Nudge-min(M, M_opt) inside F_M: pass exactly the twos within the
     # first min(m, mo) positions, i.e. n(s) = t(s_1..s_min(m,mo)).
     cap = min(m, mo)
-    expected = PolicyFn(m, {s: count_twos(s[:cap]) for s in all_strings(m)})
+    expected = PolicyFn.from_by_mask(m, windows(m).bits[:, :cap].sum(axis=1))
 
     tables = valid_tables(m)
     atirs = family_prefactors(tables, info, mix).atir
@@ -276,9 +277,9 @@ def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
     # position of the (n(s)+1)-st two in s is within the first M_opt slots.
     weights = code_weights(m)
     codes = tables.by_mask @ weights
-    masks = string_masks(m)  # column j is the j-th string of all_strings
+    masks = windows(m).masks  # column j is the j-th string of all_strings
     n = tables.by_mask[:, masks]
-    bits = (masks[:, None] >> np.arange(m)) & 1
+    bits = windows(m).bits[masks]
     raised = codes[:, None] + weights[masks]
     nxt = np.minimum(np.searchsorted(codes, raised), codes.size - 1)
     rows, cols = np.nonzero((n < bits.sum(axis=1)) & (codes[nxt] == raised))

@@ -100,7 +100,8 @@ def resolve_policy(args, default_m: Optional[int] = None) -> PolicyFn:
     spec = args.policy or "nudge-m"
     if policy_key(spec) not in POLICY_BUILDERS:
         return policy_from_table_file(spec)
-    params = {"m": args.m or default_m, "k": args.k, "l": args.l}
+    params = {"m": args.m if args.m is not None else default_m,
+              "k": args.k, "l": args.l}
     return named_policy(spec, **{k: v for k, v in params.items() if v is not None})
 
 
@@ -165,9 +166,9 @@ def cmd_atir(args) -> int:
     for m in range(m_max + 1):
         row = [m, asymptotics.atir_nudge_m(info, mix, m)]
         if use_family:
+            # window 0 is FCFS: no table is built for it
             ns = argparse.Namespace(policy=args.policy, m=m, k=args.k, l=args.l)
-            pol = resolve_policy(ns, default_m=max(m, 1))
-            row.append(asymptotics.family_prefactors(pol, info, mix).atir
+            row.append(asymptotics.family_prefactors(resolve_policy(ns), info, mix).atir
                        if m >= 1 else 0.0)
         rows.append(row)
     write_csv(args.out, header, rows, _manifest(args))

@@ -4,7 +4,10 @@ A policy is a table n: {1,2}^M -> {0..M} satisfying
   (C1) n(s) <= t(s), where t(s) counts the twos in s,
   (C2) n(s0 s1 ... s_{M-1}) <= n(s) + [s0 = 2] for all s and s0,
 with strings read newest arrival first. A string is also a bitmask: bit i
-is set when position i (0-based) holds a type-2 job.
+is set when position i (0-based) holds a type-2 job. A table is stored and
+checked as an integer array indexed by bitmask (``PolicyFn.by_mask``), and
+the named members are computed on the window bit matrix
+(``windows``), not string by string.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, NamedTuple, Tuple
+from typing import Callable, Dict, Iterator, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
@@ -31,89 +34,144 @@ class PolicyError(ValueError):
     """Raised when a table violates (C1) or (C2)."""
 
 
-@dataclass(frozen=True)
+class Windows(NamedTuple):
+    """The windows of length m, indexed by bitmask b, as read-only arrays."""
+
+    bits: np.ndarray         # bits[b, i]: position i holds a type-2 job
+    twos: np.ndarray         # t(b), the number of twos
+    ones_before: np.ndarray  # ones_before[b, i]: ones at positions 0..i-1
+    left: np.ndarray         # left[b, s0] = ((b << 1) | s0) mod 2^m
+    s0: np.ndarray           # (0, 1): prepended type 1 or 2, left's columns
+    masks: np.ndarray        # masks[j]: bitmask of the j-th of all_strings(m)
+
+
+@functools.lru_cache(maxsize=None)
+def windows(m: int) -> Windows:
+    """The ``Windows`` of length m, built on first use for each m."""
+    if m < 1:
+        raise PolicyError("window m must be >= 1")
+    b, i, s0 = np.arange(1 << m), np.arange(m), np.arange(2)
+    bits = (b[:, None] >> i & 1).astype(bool)
+    ones = ~bits
+    # all_strings counts with s_0 most significant; s_i is bit i of the mask
+    masks = (b[:, None] >> (m - 1 - i) & 1) @ (1 << i)
+    out = Windows(bits, bits.sum(axis=1),
+                  np.cumsum(ones, axis=1, dtype=np.uint8) - ones,
+                  ((b[:, None] << 1) | s0) & (b.size - 1), s0, masks)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _mask_string(m: int, b: int) -> String:
+    return tuple(2 if b >> i & 1 else 1 for i in range(m))
+
+
+@dataclass(frozen=True, eq=False)
 class PolicyFn:
-    """A member of the family F_M, checked exhaustively at construction."""
+    """A member of the family F_M, checked exhaustively at construction.
+
+    ``PolicyFn(m, table)`` takes the table as a dict keyed by strings or as
+    a row indexed by bitmask (``from_by_mask``). ``__post_init__`` stores
+    it as ``by_mask``, a read-only integer array holding n(s) at the
+    bitmask of s, and checks it.
+    """
 
     m: int
-    table: Dict[String, int]
+    by_mask: np.ndarray
 
     def __post_init__(self):
-        m = self.m
-        table = dict(self.table)
-        object.__setattr__(self, "table", table)
-        if set(table.keys()) != set(all_strings(m)):
-            raise PolicyError(f"table must cover all strings in {{1,2}}^{m}")
-        for s, n in table.items():
-            if not (0 <= n <= count_twos(s)):
-                raise PolicyError(f"(C1) violated at {s}: n={n}, t={count_twos(s)}")
-        for s in all_strings(m):
-            for s0 in (1, 2):
-                left = (s0,) + s[: m - 1]
-                if table[left] > table[s] + (1 if s0 == 2 else 0):
-                    raise PolicyError(f"(C2) violated at s0={s0}, s={s}")
+        m, given = self.m, self.by_mask
+        w = windows(m)
+        size = w.twos.size
+        if isinstance(given, Mapping):
+            try:
+                values = [given[s] for s in all_strings(m)]
+            except KeyError:
+                values = None
+            if values is None or len(given) != size:
+                raise PolicyError(f"table must cover all strings in {{1,2}}^{m}")
+            row = np.empty(size, dtype=np.int64)
+            row[w.masks] = values
+        else:
+            row = np.array(given, dtype=np.int64)
+            if row.shape != (size,):
+                raise PolicyError(f"table must cover all strings in {{1,2}}^{m}")
+        row.flags.writeable = False
+        object.__setattr__(self, "by_mask", row)
+
+        # the first violation is reported in all_strings order, (C1) first
+        ok1 = (0 <= row) & (row <= w.twos)
+        if not ok1.all():
+            b = int(w.masks[np.argmin(ok1[w.masks])])
+            raise PolicyError(f"(C1) violated at {_mask_string(m, b)}: "
+                              f"n={int(row[b])}, t={int(w.twos[b])}")
+        # (C2) on every pair at once: n(left[b, s0]) <= n(b) + s0
+        ok2 = row[w.left] <= row[:, None] + w.s0
+        if not ok2.all():
+            j, s0 = divmod(int(np.argmin(ok2[w.masks])), 2)
+            raise PolicyError(f"(C2) violated at s0={s0 + 1}, "
+                              f"s={_mask_string(m, int(w.masks[j]))}")
 
     @functools.cached_property
-    def by_mask(self) -> np.ndarray:
-        """The table as an integer array indexed by the string's bitmask,
-        built on first use."""
-        strings = np.array(list(self.table), dtype=np.int64)
-        by_mask = np.zeros(1 << self.m, dtype=np.int64)
-        by_mask[(strings == 2) @ (1 << np.arange(self.m))] = list(self.table.values())
-        return by_mask
+    def table(self) -> Dict[String, int]:
+        """The table as a dict keyed by string, built on first use."""
+        return dict(zip(all_strings(self.m),
+                        self.by_mask[windows(self.m).masks].tolist()))
 
     @classmethod
     def from_by_mask(cls, m: int, by_mask) -> "PolicyFn":
         """The table whose ``by_mask`` is the given row, checked as usual."""
-        values = np.asarray(by_mask)[string_masks(m)].tolist()
-        return cls(m, dict(zip(all_strings(m), values)))
+        return cls(m, by_mask)
 
     def __call__(self, s) -> int:
         return self.table[tuple(s)]
 
+    def __reduce__(self):
+        # a copy or an unpickled table is rebuilt and checked, read-only
+        return type(self), (self.m, self.by_mask)
+
     def __hash__(self):
-        return hash((self.m, tuple(sorted(self.table.items()))))
+        return hash((self.m, self.by_mask.tobytes()))
 
     def __eq__(self, other):
-        return isinstance(other, PolicyFn) and self.m == other.m and self.table == other.table
+        return (isinstance(other, PolicyFn) and self.m == other.m
+                and np.array_equal(self.by_mask, other.by_mask))
 
 
-def _make(m: int, fn) -> PolicyFn:
-    return PolicyFn(m, {s: fn(s) for s in all_strings(m)})
+def _twos_before_lth_one(m: int, l: int) -> np.ndarray:
+    """The number of twos in s that have fewer than l ones before them, by
+    bitmask."""
+    w = windows(m)
+    return np.sum(w.bits & (w.ones_before < l), axis=1)
 
 
 def fcfs_policy(m: int = 1) -> PolicyFn:
     """n = 0: never pass anyone."""
-    return _make(m, lambda s: 0)
+    return PolicyFn.from_by_mask(m, np.zeros_like(windows(m).twos))
 
 
 def nudge_m_policy(m: int) -> PolicyFn:
     """Pass every type-2 job among the last m arrivals: n(s) = t(s)."""
-    return _make(m, count_twos)
+    return PolicyFn.from_by_mask(m, windows(m).twos)
 
 
 def nudge_k_policy(k: int) -> PolicyFn:
-    """Pass the leading run of twos: a type-2 job is passed at most once."""
-    def n(s):
-        c = 0
-        for v in s:
-            if v != 2:
-                break
-            c += 1
-        return c
-    return _make(k, n)
+    """Pass the leading run of twos: a type-2 job is passed at most once.
+    The run is the twos with no one before them."""
+    return PolicyFn.from_by_mask(k, _twos_before_lth_one(k, 1))
 
 
 def nudge_l_policy(l: int) -> PolicyFn:
     """Pass at most one type-2 job: n(s) = min(t(s), 1)."""
-    return _make(l, lambda s: min(count_twos(s), 1))
+    return PolicyFn.from_by_mask(l, np.minimum(windows(l).twos, 1))
 
 
 def nudge_km_policy(k: int, m: int) -> PolicyFn:
     """Nudge-M capped at k passes per type-1 job: n(s) = min(t(s), k)."""
     if not (1 <= k <= m):
         raise PolicyError("Nudge-K,M requires 1 <= K <= M")
-    return _make(m, lambda s: min(count_twos(s), k))
+    return PolicyFn.from_by_mask(m, np.minimum(windows(m).twos, k))
 
 
 def nudge_ml_policy(m: int, l: int) -> PolicyFn:
@@ -121,43 +179,18 @@ def nudge_ml_policy(m: int, l: int) -> PolicyFn:
     twos before the l-th one in s."""
     if not (1 <= l <= m):
         raise PolicyError("Nudge-M,L requires 1 <= L <= M")
-
-    def n(s):
-        ones = 0
-        twos = 0
-        for v in s:
-            if v == 1:
-                ones += 1
-                if ones == l:
-                    break
-            else:
-                twos += 1
-        return twos
-    return _make(m, n)
+    return PolicyFn.from_by_mask(m, _twos_before_lth_one(m, l))
 
 
 def nudge_kl_policy(k: int, l: int) -> PolicyFn:
     """At most k passes per type-1 job and at most l times passed per type-2
     job; window K+L-1. Count left to right, stopping at the k-th two or the
-    l-th one; n(s) is the number of twos counted."""
+    l-th one; n(s) is the number of twos counted: the twos before the l-th
+    one, at most k of them."""
     if k < 1 or l < 1:
         raise PolicyError("Nudge-K,L requires K, L >= 1")
     m = k + l - 1
-
-    def n(s):
-        ones = 0
-        twos = 0
-        for v in s:
-            if v == 2:
-                twos += 1
-                if twos == k:
-                    break
-            else:
-                ones += 1
-                if ones == l:
-                    break
-        return twos
-    return _make(m, n)
+    return PolicyFn.from_by_mask(m, np.minimum(_twos_before_lth_one(m, l), k))
 
 
 # Named family members: registry key -> builder over the parameters
@@ -191,16 +224,9 @@ def named_policy(kind: str, **params) -> PolicyFn:
         raise PolicyError(f"policy {kind!r} needs parameter {exc}") from exc
 
 
-def string_masks(m: int) -> np.ndarray:
-    """Bitmask of each string of ``all_strings(m)``, in that order."""
-    lex = np.arange(1 << m)
-    # all_strings counts with s_0 most significant; s_i is bit i of the mask
-    return ((lex[:, None] >> (m - 1 - np.arange(m))) & 1) @ (1 << np.arange(m))
-
-
 def _radix(m: int) -> np.ndarray:
     """t(s) + 1, the number of values of n(s), by bitmask."""
-    return (np.arange(1 << m)[:, None] >> np.arange(m) & 1).sum(axis=1) + 1
+    return windows(m).twos + 1
 
 
 def code_weights(m: int) -> np.ndarray:
@@ -212,7 +238,7 @@ def code_weights(m: int) -> np.ndarray:
     ranges range(t(s) + 1), and raising n(s) by one below t(s) adds
     ``code_weights(m)[s]`` to the code.
     """
-    masks = string_masks(m)
+    masks = windows(m).masks
     radix = _radix(m)
     lex_weights = np.ones(1 << m, dtype=np.int64)
     lex_weights[:-1] = np.cumprod(radix[masks][:0:-1])[::-1]

@@ -3,11 +3,13 @@
 Each one recomputes a package result by a slower, generic route (dense
 ``scipy.linalg.expm``, Sylvester iteration, the textbook SDA loop with
 dense residuals, the n+-sized eigenproblem for pi_+, adaptive
-quadrature, string enumeration, a dense counting chain with one inverse
+quadrature, string enumeration, the named policies and the (C1)/(C2)
+checks one string at a time, a dense counting chain with one inverse
 per swap and a Kronecker solve, a queue scan per arrival) and so does not
 go through the evaluation of ``MatrixExpDist`` (``dense_ccdf`` and
 ``dense_density`` read only a law's fields), the arrival-count operator
-of the swap laws, the window sweep of ``asymptotics.family_prefactors``
+of the swap laws, the window sweep of ``asymptotics.family_prefactors``,
+the bitmask rows and array check of ``policy``
 or the event loop of ``sim.simulate``. The one exception is
 ``verify_optimality_enum``: it checks the table array and the code
 lookups of ``asymptotics.verify_optimality`` by one ``PolicyFn`` per
@@ -299,6 +301,134 @@ def family_prefactors_enum(policy, info, mix):
                       atir=atir_from_prefactors(info, mix, c_w1, c_w2))
 
 
+# --- the paper's definitions, one string at a time -------------------------
+
+def check_table_strings(m: int, table) -> None:
+    """(C1) and (C2) checked string by string, the way ``PolicyFn`` checked
+    them before it held its table as a bitmask array: the same
+    ``PolicyError`` messages, naming the first violating string (C1 in
+    the table's order, C2 in ``all_strings`` order)."""
+    if set(table.keys()) != set(all_strings(m)):
+        raise PolicyError(f"table must cover all strings in {{1,2}}^{m}")
+    for s, n in table.items():
+        if not (0 <= n <= count_twos(s)):
+            raise PolicyError(f"(C1) violated at {s}: n={n}, t={count_twos(s)}")
+    for s in all_strings(m):
+        for s0 in (1, 2):
+            left = (s0,) + s[: m - 1]
+            if table[left] > table[s] + (1 if s0 == 2 else 0):
+                raise PolicyError(f"(C2) violated at s0={s0}, s={s}")
+
+
+def string_mask(s) -> int:
+    """The bitmask of a string: bit i set when s_i = 2."""
+    return sum(1 << i for i, v in enumerate(s) if v == 2)
+
+
+def _make(m: int, fn) -> np.ndarray:
+    """The by_mask row of the table n = fn, one string at a time."""
+    row = np.zeros(1 << m, dtype=np.int64)
+    for s in all_strings(m):
+        row[string_mask(s)] = fn(s)
+    return row
+
+
+def fcfs_strings(m: int = 1) -> np.ndarray:
+    """n = 0: never pass anyone."""
+    return _make(m, lambda s: 0)
+
+
+def nudge_m_strings(m: int) -> np.ndarray:
+    """Pass every type-2 job among the last m arrivals: n(s) = t(s)."""
+    return _make(m, count_twos)
+
+
+def nudge_k_strings(k: int) -> np.ndarray:
+    """Pass the leading run of twos: a type-2 job is passed at most once."""
+    def n(s):
+        c = 0
+        for v in s:
+            if v != 2:
+                break
+            c += 1
+        return c
+    return _make(k, n)
+
+
+def nudge_l_strings(l: int) -> np.ndarray:
+    """Pass at most one type-2 job: n(s) = min(t(s), 1)."""
+    return _make(l, lambda s: min(count_twos(s), 1))
+
+
+def nudge_km_strings(k: int, m: int) -> np.ndarray:
+    """Nudge-M capped at k passes per type-1 job: n(s) = min(t(s), k)."""
+    if not (1 <= k <= m):
+        raise PolicyError("Nudge-K,M requires 1 <= K <= M")
+    return _make(m, lambda s: min(count_twos(s), k))
+
+
+def nudge_ml_strings(m: int, l: int) -> np.ndarray:
+    """Nudge-M where a type-2 job is passed at most l times: n(s) counts the
+    twos before the l-th one in s."""
+    if not (1 <= l <= m):
+        raise PolicyError("Nudge-M,L requires 1 <= L <= M")
+
+    def n(s):
+        ones = 0
+        twos = 0
+        for v in s:
+            if v == 1:
+                ones += 1
+                if ones == l:
+                    break
+            else:
+                twos += 1
+        return twos
+    return _make(m, n)
+
+
+def nudge_kl_strings(k: int, l: int) -> np.ndarray:
+    """At most k passes per type-1 job and at most l times passed per type-2
+    job; window K+L-1. Count left to right, stopping at the k-th two or the
+    l-th one; n(s) is the number of twos counted."""
+    if k < 1 or l < 1:
+        raise PolicyError("Nudge-K,L requires K, L >= 1")
+    m = k + l - 1
+
+    def n(s):
+        ones = 0
+        twos = 0
+        for v in s:
+            if v == 2:
+                twos += 1
+                if twos == k:
+                    break
+            else:
+                ones += 1
+                if ones == l:
+                    break
+        return twos
+    return _make(m, n)
+
+
+def nudge_prefix_strings(m: int, cap: int) -> np.ndarray:
+    """Nudge-cap inside F_m (``verify_optimality``'s ``expected``): pass
+    exactly the twos within the first cap positions."""
+    return _make(m, lambda s: count_twos(s[:cap]))
+
+
+# registry key of ``policy.POLICY_BUILDERS`` -> its string definition
+STRING_BUILDERS = {
+    "fcfs": lambda p: fcfs_strings(p.get("m", 1)),
+    "nudge-m": lambda p: nudge_m_strings(p["m"]),
+    "nudge-k": lambda p: nudge_k_strings(p["k"]),
+    "nudge-l": lambda p: nudge_l_strings(p["l"]),
+    "nudge-km": lambda p: nudge_km_strings(p["k"], p["m"]),
+    "nudge-ml": lambda p: nudge_ml_strings(p["m"], p["l"]),
+    "nudge-kl": lambda p: nudge_kl_strings(p["k"], p["l"]),
+}
+
+
 def enumerate_policies(m: int) -> Iterator[PolicyFn]:
     """All valid tables for window m (exhaustive; use only for m <= 3)."""
     strings = list(all_strings(m))
@@ -348,7 +478,7 @@ def verify_optimality_enum(m: int, info, mix) -> OptimalityReport:
     # Nudge-min(M, M_opt) inside F_M: pass exactly the twos within the
     # first min(m, mo) positions, i.e. n(s) = t(s_1..s_min(m,mo)).
     cap = min(m, mo)
-    expected = PolicyFn(m, {s: count_twos(s[:cap]) for s in all_strings(m)})
+    expected = PolicyFn(m, nudge_prefix_strings(m, cap))
 
     atirs: Dict[PolicyFn, float] = {}
     for pol in enumerate_policies(m):

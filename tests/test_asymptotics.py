@@ -7,7 +7,8 @@ import pytest
 from scipy.optimize import brentq
 
 from oracles import (enumerate_policies, family_prefactors_enum,
-                     random_family_member, verify_optimality_enum)
+                     nudge_prefix_strings, random_family_member,
+                     verify_optimality_enum)
 
 from nudgem.asymptotics import (
     ComplexityError,
@@ -292,6 +293,17 @@ def test_verify_optimality_counts_and_builds(monkeypatch):
         rep = verify_optimality(m, info, MIX)
         assert (rep.n_policies, rep.n_edges) == (tables, edges)
         assert len(built) <= 1 + len(rep.best_policies)
+
+
+@pytest.mark.parametrize("mo", [0, 1, 2, 3, 4])
+def test_expected_table_equals_string_definition(monkeypatch, mo):
+    # Nudge-min(M, M_opt) in F_M passes the twos within the first
+    # min(M, M_opt) positions
+    monkeypatch.setattr(asymptotics, "m_opt", lambda info: mo)
+    info = decay_rate(MIX)
+    for m in (1, 2, 3):
+        got = verify_optimality(m, info, MIX).expected.by_mask
+        assert np.array_equal(got, nudge_prefix_strings(m, min(m, mo)))
 
 
 def test_verify_optimality_cap():

@@ -243,8 +243,12 @@ def test_cli_import_leaves_out_quadrature():
     (["mean", "--recipe", "fig8", "--m", "0"], "window m must be >= 1"),
     (["dist", "--recipe", "fig9a", "--m", "2", "--t=-1"], "t must be"),
     (["atir", "--recipe", "fig5a", "--lambda", "0.1:0.9:0"], "nor a:b:n"),
+    (["simulate", "--recipe", "fig5a", "--policy", "nudge-m", "--m", "0"],
+     "window m must be >= 1"),
+    (["simulate", "--recipe", "fig5a", "--policy", "nudge-m", "--m", "-2"],
+     "window m must be >= 1"),
 ], ids=["dist-t-abc", "atir-lambda-two-fields", "mean-m0", "dist-t-negative",
-        "atir-lambda-no-points"])
+        "atir-lambda-no-points", "simulate-m0", "simulate-m-negative"])
 def test_value_errors_are_input_errors(argv, message, tmp_path, capsys):
     # a plain ValueError is an input error (exit 2), not a traceback
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -1,9 +1,14 @@
+import copy
+import functools
+import pickle
+
 import numpy as np
 import pytest
 
-from oracles import enumerate_policies, increment_edges
+from oracles import STRING_BUILDERS, enumerate_policies, increment_edges
 
 from nudgem.policy import (
+    POLICY_BUILDERS,
     PolicyError,
     PolicyFn,
     all_strings,
@@ -135,3 +140,81 @@ def test_table_file_round_trip(tmp_path):
         lines.append("".join(map(str, s)) + " " + str(n))
     path.write_text("\n".join(lines))
     assert policy_from_table_file(path) == pol
+
+
+def _named_params(max_window):
+    """Every parameter choice of every named builder with window at most
+    max_window."""
+    for w in range(1, max_window + 1):
+        yield "fcfs", {"m": w}
+        yield "nudge-m", {"m": w}
+        yield "nudge-k", {"k": w}
+        yield "nudge-l", {"l": w}
+        for i in range(1, w + 1):
+            yield "nudge-km", {"k": i, "m": w}
+            yield "nudge-ml", {"m": w, "l": i}
+            yield "nudge-kl", {"k": i, "l": w + 1 - i}
+
+
+def test_named_builders_equal_string_definitions():
+    # the bitmask rows against the paper's definitions, one string at a time
+    assert set(STRING_BUILDERS) == set(POLICY_BUILDERS)
+    count = 0
+    for kind, params in _named_params(10):
+        pol = named_policy(kind, **params)
+        assert np.array_equal(pol.by_mask, STRING_BUILDERS[kind](params)), (kind, params)
+        count += 1
+    assert count == 4 * 10 + 3 * 55
+
+
+@pytest.mark.parametrize("build", [fcfs_policy, nudge_m_policy, nudge_k_policy,
+                                   nudge_l_policy])
+@pytest.mark.parametrize("window", [0, -2])
+def test_builders_refuse_window_below_one(build, window):
+    with pytest.raises(PolicyError, match="window m must be >= 1"):
+        build(window)
+
+
+def test_by_mask_is_read_only_and_defines_equality():
+    pol = nudge_km_policy(2, 3)
+    with pytest.raises(ValueError):
+        pol.by_mask[0] = 1
+    row = pol.by_mask.copy()
+    same = PolicyFn.from_by_mask(3, row)
+    row[-1] = 0  # the caller's array is copied, not held
+    assert same == pol and hash(same) == hash(pol)
+    assert PolicyFn(3, pol.table) == pol
+    assert same != nudge_m_policy(3) and same != PolicyFn.from_by_mask(2, [0, 1, 1, 2])
+    assert len({pol, same, nudge_m_policy(3)}) == 2
+    for twin in (copy.deepcopy(pol), pickle.loads(pickle.dumps(pol))):
+        assert twin == pol and not twin.by_mask.flags.writeable
+
+
+def test_every_construction_runs_post_init(monkeypatch, tmp_path):
+    # the benchmark counts tables by wrapping PolicyFn.__post_init__ in the
+    # class dict; every way of building a table must go through it once
+    assert "__post_init__" in PolicyFn.__dict__
+    calls = []
+    real = PolicyFn.__post_init__
+
+    def counted(self):
+        calls.append(self.m)
+        real(self)
+
+    monkeypatch.setattr(PolicyFn, "__post_init__", counted)
+    path = tmp_path / "table.txt"
+    path.write_text("1 0\n2 1\n")
+    builds = [functools.partial(PolicyFn, 1, {(1,): 0, (2,): 1}),
+              functools.partial(PolicyFn.from_by_mask, 2, [0, 1, 1, 2]),
+              functools.partial(policy_from_table_file, path),
+              functools.partial(fcfs_policy, 2), functools.partial(nudge_m_policy, 2),
+              functools.partial(nudge_k_policy, 2), functools.partial(nudge_l_policy, 2),
+              functools.partial(nudge_km_policy, 1, 2),
+              functools.partial(nudge_ml_policy, 2, 1),
+              functools.partial(nudge_kl_policy, 1, 2)]
+    builds += [functools.partial(named_policy, kind, **params)
+               for kind, params in _named_params(2)]
+    for build in builds:
+        before = len(calls)
+        build()
+        assert len(calls) == before + 1, build

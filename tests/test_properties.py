@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (family_prefactors_enum, random_family_member, random_ph,
+from oracles import (check_table_strings, family_prefactors_enum,
+                     random_family_member, random_ph, string_mask,
                      verify_optimality_enum)
 
 from nudgem.asymptotics import (FAMILY_M_CAP, decay_rate, family_prefactors,
                                 verify_optimality)
 from nudgem.phtype import fit_hyperexp, normalized_mix, ph_exponential
 from nudgem.policy import (
+    PolicyError,
     PolicyFn,
     all_strings,
     count_twos,
@@ -47,6 +49,31 @@ def test_pass_counts_never_exceed_twos(a, b):
     pol = nudge_kl_policy(a, b)
     for s in all_strings(pol.m):
         assert 0 <= pol(s) <= min(a, count_twos(s))
+
+
+def _check_message(check):
+    try:
+        check()
+    except PolicyError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_table_check_equals_string_check(data):
+    # the array check of (C1)/(C2) accepts exactly the rows the string loop
+    # accepts, and rejects with the same message
+    m = data.draw(st.integers(1, 5))
+    row = data.draw(st.lists(st.integers(-1, m + 1), min_size=1 << m,
+                             max_size=1 << m))
+    if data.draw(st.booleans()):
+        # clip into 0..t(s) so that (C1) holds and (C2) decides
+        row = [min(max(v, 0), bin(b).count("1")) for b, v in enumerate(row)]
+    table = {s: row[string_mask(s)] for s in all_strings(m)}
+    want = _check_message(lambda: check_table_strings(m, table))
+    assert _check_message(lambda: PolicyFn.from_by_mask(m, row)) == want
+    assert _check_message(lambda: PolicyFn(m, table)) == want
 
 
 def _exp_hyperexp_mix(p, lam):
