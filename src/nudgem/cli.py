@@ -162,17 +162,36 @@ def cmd_atir(args) -> int:
     use_family = key != "nudge-m"
     if use_family:
         header.append("atir_" + key)
+    family = _family_atir(args, info, mix, m_max) if use_family else {}
     rows = []
     for m in range(m_max + 1):
         row = [m, asymptotics.atir_nudge_m(info, mix, m)]
         if use_family:
             # window 0 is FCFS: no table is built for it
-            ns = argparse.Namespace(policy=args.policy, m=m, k=args.k, l=args.l)
-            row.append(asymptotics.family_prefactors(resolve_policy(ns), info, mix).atir
-                       if m >= 1 else 0.0)
+            row.append(family.get(m, "") if m >= 1 else 0.0)
         rows.append(row)
     write_csv(args.out, header, rows, _manifest(args))
     return EXIT_OK
+
+
+def _family_atir(args, info, mix, m_max: int) -> Dict[int, float]:
+    """ATIR of the named policy's member of each window 1..m_max that has
+    one, keyed by window. A parameter that is missing, or a K or L above
+    m_max, is an input error."""
+    members = {}
+    for m in range(m_max, 0, -1):
+        ns = argparse.Namespace(policy=args.policy, m=m, k=args.k, l=args.l)
+        try:
+            pol = resolve_policy(ns)
+        except PolicyError:
+            if m == m_max:
+                raise
+            break  # K > M or L > M, and so for every smaller M
+        members.setdefault(pol.m, pol)
+        if pol.m != m:  # the window is fixed by --k/--l or the table file
+            break
+    return {w: asymptotics.family_prefactors(pol, info, mix).atir
+            for w, pol in members.items() if w <= m_max}
 
 
 def _fluid_record(sol: fluid.FluidSolution) -> dict:

@@ -11,7 +11,6 @@ equation, solved with the structure-preserving doubling algorithm (SDA).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -80,13 +79,15 @@ class FluidModel(RiccatiBlocks):
         assert self.t_star_0p.shape == (n0, np_)
         assert self.p_m0.shape == (nm, n0)
         assert self.p_mp.shape == (nm, np_)
-        gen = np.block([[self.t_mm, self.t_mp], [self.t_pm, self.t_pp]])
-        if np.max(np.abs(gen.sum(axis=1))) > 1e-10:
+        # row sums block by block: no (n- + n+)^2 generator is formed
+        gen = np.concatenate([self.t_mm.sum(axis=1) + self.t_mp.sum(axis=1),
+                              self.t_pm.sum(axis=1) + self.t_pp.sum(axis=1)])
+        if np.max(np.abs(gen)) > 1e-10:
             raise ValueError("fluid generator rows must sum to zero")
-        pr = np.hstack([self.p_m0, self.p_mp]).sum(axis=1)
+        pr = self.p_m0.sum(axis=1) + self.p_mp.sum(axis=1)
         if np.max(np.abs(pr - 1.0)) > 1e-10:
             raise ValueError("boundary transition rows must sum to one")
-        zr = np.hstack([self.t_star_00, self.t_star_0p]).sum(axis=1)
+        zr = self.t_star_00.sum(axis=1) + self.t_star_0p.sum(axis=1)
         if np.max(np.abs(zr)) > 1e-10:
             raise ValueError("zero-level generator rows must sum to zero")
 
@@ -452,120 +453,61 @@ def build_nudge1_fluid(mix: JobMix) -> FluidModel:
                       p_m0=p_m0, p_mp=p_mp)
 
 
-def _shift(s: Tuple[int, ...], v: int) -> Tuple[int, ...]:
-    return (v,) + s[:-1]
-
-
-def _dec(s: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = list(s)
-    for i in range(len(out) - 1, -1, -1):
-        if out[i]:
-            out[i] = 0
-            return tuple(out)
-    raise ValueError("dec of the all-zero state")
-
-
-@dataclass(frozen=True)
-class NudgeMLayout:
-    """Canonical state enumeration shared between model build and tests.
-
-    S- holds all bit-vectors s in binary order (s_1 the most significant
-    bit; s_i = 1 iff the i-th last arrival is a still-waiting type-2 job).
-    S+ concatenates subsets 1 (s_1 = 0, type-1 phases), 2 (s_1 = 0,
-    type-2 phases) and 3 (all s, type-2 phases).
-    """
-    m: int
-    n1: int
-    n2: int
-    minus_index: Dict[Tuple[int, ...], int]
-    plus_offsets: Tuple[int, int, int]
-    plus_index: Dict[Tuple[Tuple[int, ...], int], int]  # (s, subset) -> offset of phase block
-    n_plus: int
-
-    @classmethod
-    def build(cls, m: int, n1: int, n2: int) -> "NudgeMLayout":
-        states = list(itertools.product((0, 1), repeat=m))
-        minus_index = {s: i for i, s in enumerate(states)}
-        half = [s for s in states if s[0] == 0]
-        plus_index = {}
-        pos = 0
-        off1 = pos
-        for s in half:
-            plus_index[(s, 1)] = pos
-            pos += n1
-        off2 = pos
-        for s in half:
-            plus_index[(s, 2)] = pos
-            pos += n2
-        off3 = pos
-        for s in states:
-            plus_index[(s, 3)] = pos
-            pos += n2
-        return cls(m=m, n1=n1, n2=n2, minus_index=minus_index,
-                   plus_offsets=(off1, off2, off3), plus_index=plus_index,
-                   n_plus=pos)
-
-
 def build_nudge_m_fluid(mix: JobMix, m: int) -> FluidModel:
     """Nudge-M fluid model: the background state remembers which of the
-    last m arrivals are still-waiting type-2 jobs."""
+    last m arrivals are still-waiting type-2 jobs.
+
+    An S- state is the window bitmask v with s_1 (the newest arrival) as
+    its most significant bit, the bit reversal of the index of
+    ``PolicyFn.by_mask`` (bit 0 = newest); a permutation of the states
+    would change the rounding of the Riccati solve. An arrival of type x
+    (x = 1 for type 2) moves v to (x << (m - 1)) | (v >> 1); serving the
+    oldest waiting type-2 job clears the lowest set bit, v & (v - 1).
+    S+ holds subset 1 (s_1 = 0, type-1 phases), subset 2 (s_1 = 0, type-2
+    phases) and subset 3 (all v, type-2 phases); with half = 2^(m-1), the
+    phase blocks of v start at v n1, half n1 + v n2 and half (n1 + n2) +
+    v n2. T_++ is I (x) S1, I (x) S2 and I (x) S2 on them, plus the
+    coupling I (x) s2* alpha1 from subset 2 to subset 1.
+    """
     if not (1 <= m <= NUDGE_M_CAP):
         raise ValueError(f"window m must be in 1..{NUDGE_M_CAP}")
-    layout = NudgeMLayout.build(m, mix.n1, mix.n2)
     lam, p = mix.lam, mix.p
     n1, n2 = mix.n1, mix.n2
     a1, a2 = mix.ph1.alpha, mix.ph2.alpha
-    s1, s2 = mix.ph1.S, mix.ph2.S
-    e1, e2 = mix.ph1.exit, mix.ph2.exit
-    nm = 2 ** m
-    npl = layout.n_plus
-    mi = layout.minus_index
-    pi = layout.plus_index
+    nm, half = 1 << m, 1 << (m - 1)
+    v = np.arange(nm)
+    low, even, odd = v[:half], v[0::2], v[1::2]  # s_1 = 0; s_m = 0; s_m = 1
+    # phase indices of each state's block, one row per state
+    sub1 = low[:, None] * n1 + np.arange(n1)
+    sub2 = half * n1 + low[:, None] * n2 + np.arange(n2)
+    sub3 = half * (n1 + n2) + v[:, None] * n2 + np.arange(n2)
+    npl = half * (n1 + n2) + nm * n2
 
     t_mm = -lam * np.eye(nm)
+    t_mm[even, half | (even >> 1)] = lam * (1 - p)
     t_mp = np.zeros((nm, npl))
-    for s, r in mi.items():
-        if s[-1] == 0:
-            t_mm[r, mi[_shift(s, 1)]] += lam * (1 - p)
-            o = pi[(_shift(s, 0), 1)]
-            t_mp[r, o: o + n1] += lam * p * a1
-        else:
-            o = pi[(_shift(s, 0), 2)]
-            t_mp[r, o: o + n2] += lam * p * a2
-            o = pi[(_shift(s, 1), 3)]
-            t_mp[r, o: o + n2] += lam * (1 - p) * a2
+    t_mp[even[:, None], sub1[even >> 1]] = lam * p * a1
+    t_mp[odd[:, None], sub2[odd >> 1]] = lam * p * a2
+    t_mp[odd[:, None], sub3[half | (odd >> 1)]] = lam * (1 - p) * a2
 
     t_pp = np.zeros((npl, npl))
+    for rows, cols, block in ((sub1, sub1, mix.ph1.S), (sub2, sub2, mix.ph2.S),
+                              (sub3, sub3, mix.ph2.S),
+                              (sub2, sub1, np.outer(mix.ph2.exit, a1))):
+        t_pp[rows[:, :, None], cols[:, None, :]] = block
     t_pm = np.zeros((npl, nm))
-    for (s, sub), o in pi.items():
-        if sub == 1:
-            t_pp[o: o + n1, o: o + n1] = s1
-            t_pm[o: o + n1, mi[s]] = e1
-        elif sub == 2:
-            t_pp[o: o + n2, o: o + n2] = s2
-            o1 = pi[(s, 1)]
-            t_pp[o: o + n2, o1: o1 + n1] = np.outer(e2, a1)
-        else:
-            t_pp[o: o + n2, o: o + n2] = s2
-            t_pm[o: o + n2, mi[s]] = e2
+    t_pm[sub1, low[:, None]] = mix.ph1.exit
+    t_pm[sub3, v[:, None]] = mix.ph2.exit
 
-    zero = (0,) * m
-    t_star_00 = np.array([[-lam]])
     t_star_0p = np.zeros((1, npl))
-    o = pi[(zero, 1)]
-    t_star_0p[0, o: o + n1] = lam * p * a1
-    o = pi[(zero, 3)]
-    t_star_0p[0, o: o + n2] = lam * (1 - p) * a2
+    t_star_0p[0, sub1[0]] = lam * p * a1
+    t_star_0p[0, sub3[0]] = lam * (1 - p) * a2
 
-    p_m0 = np.zeros((nm, 1))
+    p_m0 = np.eye(nm, 1)  # the fluid empties in v = 0 only
     p_mp = np.zeros((nm, npl))
-    for s, r in mi.items():
-        if s == zero:
-            p_m0[r, 0] = 1.0
-        else:
-            o = pi[(_dec(s), 3)]
-            p_mp[r, o: o + n2] = a2
+    busy = v[1:]
+    p_mp[busy[:, None], sub3[busy & (busy - 1)]] = a2
 
     return FluidModel(t_mm=t_mm, t_mp=t_mp, t_pm=t_pm, t_pp=t_pp,
-                      t_star_00=t_star_00, t_star_0p=t_star_0p,
+                      t_star_00=np.array([[-lam]]), t_star_0p=t_star_0p,
                       p_m0=p_m0, p_mp=p_mp)

@@ -22,10 +22,6 @@ import numpy as np
 String = Tuple[int, ...]
 
 
-def count_twos(s) -> int:
-    return sum(1 for c in s if c == 2)
-
-
 def all_strings(m: int) -> Iterator[String]:
     return itertools.product((1, 2), repeat=m)
 

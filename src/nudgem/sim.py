@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -20,12 +20,11 @@ from .phtype import InstabilityError, JobMix, PhaseType
 from .policy import PolicyFn
 
 DEFAULT_BATCHES = 30
-MIN_EXCEEDANCES = 100
 
 
 class EstimationError(RuntimeError):
-    """Too little data for an estimate: fewer than two batches hold a job
-    of the selected type, or too few tail exceedances for a prefactor."""
+    """Too little data for an estimate, such as fewer than two batches
+    that hold a job of the selected type."""
 
 
 @dataclass(frozen=True)
@@ -238,24 +237,4 @@ def empirical_ccdf(stats: SimStats, job_type, t: float) -> Tuple[float, float]:
     """Batch-means estimate of P[wait > t]."""
     mask = stats._select(job_type)
     return stats._batch_means((stats.wait > t).astype(float), mask)
-
-
-def tail_prefactor_estimate(stats: SimStats, theta_z: float,
-                            t_grid: Sequence[float],
-                            job_type="any") -> Tuple[float, float]:
-    """Prefactor of an assumed c e^{-theta_Z t} waiting-time tail:
-    regression of the log ccdf on t with the slope pinned at -theta_Z
-    (desk-scale runs cannot resolve slope and intercept jointly)."""
-    sel = stats.wait[stats._select(job_type)]
-    logs = []
-    for t in t_grid:
-        exceed = int((sel > t).sum())
-        if exceed < MIN_EXCEEDANCES:
-            raise EstimationError(
-                f"only {exceed} exceedances at t={t}; need {MIN_EXCEEDANCES}")
-        logs.append(np.log(exceed / sel.size) + theta_z * t)
-    logs = np.asarray(logs)
-    est = float(np.exp(logs.mean()))
-    spread = float(logs.std(ddof=1) / np.sqrt(logs.size)) if logs.size > 1 else 0.0
-    return est, est * spread
 

@@ -5,21 +5,26 @@ Each one recomputes a package result by a slower, generic route (dense
 dense residuals, the n+-sized eigenproblem for pi_+, adaptive
 quadrature, string enumeration, the named policies and the (C1)/(C2)
 checks one string at a time, a dense counting chain with one inverse
-per swap and a Kronecker solve, a queue scan per arrival) and so does not
-go through the evaluation of ``MatrixExpDist`` (``dense_ccdf`` and
-``dense_density`` read only a law's fields), the arrival-count operator
-of the swap laws, the window sweep of ``asymptotics.family_prefactors``,
-the bitmask rows and array check of ``policy``
-or the event loop of ``sim.simulate``. The one exception is
-``verify_optimality_enum``: it checks the table array and the code
-lookups of ``asymptotics.verify_optimality`` by one ``PolicyFn`` per
-table and per lattice edge, and shares its ``family_prefactors`` (one
-table per call), which ``family_prefactors_enum`` checks.
+per swap and a Kronecker solve, a queue scan per arrival, the Nudge-M
+fluid built over tuple-keyed state dicts) and so does not go through the
+evaluation of ``MatrixExpDist`` (``dense_ccdf`` and ``dense_density``
+read only a law's fields), the arrival-count operator of the swap laws,
+the window sweep of ``asymptotics.family_prefactors``, the bitmask rows
+and array check of ``policy``, the bitmask index arithmetic of
+``fluid.build_nudge_m_fluid`` or the event loop of ``sim.simulate``. The
+one exception is ``verify_optimality_enum``: it checks the table array
+and the code lookups of ``asymptotics.verify_optimality`` by one
+``PolicyFn`` per table and per lattice edge, and shares its
+``family_prefactors`` (one table per call), which
+``family_prefactors_enum`` checks. The module also holds two helpers
+only tests use: ``count_twos`` and the simulator's tail-prefactor
+regression ``tail_prefactor_estimate``.
 """
 
 import itertools
 from collections import deque
-from typing import Dict, Iterator, List, NamedTuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -28,12 +33,12 @@ from scipy.linalg import expm, solve_sylvester
 from nudgem.asymptotics import (FAMILY_M_CAP, OPTIMALITY_TIE_TOL, VERIFY_M_CAP,
                                 AtirReport, ComplexityError, OptimalityReport,
                                 atir_from_prefactors, family_prefactors, m_opt)
-from nudgem.fluid import RICCATI_MAX_ITER, RICCATI_RESIDUAL_TOL, RICCATI_STEP_TOL
-from nudgem.phtype import PhaseType, kron_sum
-from nudgem.policy import (PolicyError, PolicyFn, all_strings, count_twos,
-                           fcfs_policy)
+from nudgem.fluid import (NUDGE_M_CAP, RICCATI_MAX_ITER, RICCATI_RESIDUAL_TOL,
+                          RICCATI_STEP_TOL, FluidModel)
+from nudgem.phtype import JobMix, PhaseType, kron_sum
+from nudgem.policy import PolicyError, PolicyFn, all_strings, fcfs_policy
 from nudgem.resp2 import counting_matrix, selector_matrix
-from nudgem.sim import SimStats, sample_phase_type
+from nudgem.sim import EstimationError, SimStats, sample_phase_type
 from nudgem.swap import chain_size
 
 
@@ -131,6 +136,127 @@ def stationary_pi_dense(model, psi):
     tail = np.linalg.solve(-k, psi @ np.ones(model.n_minus))
     pi = pi / float(pi @ (tail - boundary))
     return pi, -float(pi @ boundary)
+
+
+def _shift(s: Tuple[int, ...], v: int) -> Tuple[int, ...]:
+    return (v,) + s[:-1]
+
+
+def _dec(s: Tuple[int, ...]) -> Tuple[int, ...]:
+    out = list(s)
+    for i in range(len(out) - 1, -1, -1):
+        if out[i]:
+            out[i] = 0
+            return tuple(out)
+    raise ValueError("dec of the all-zero state")
+
+
+@dataclass(frozen=True)
+class NudgeMLayout:
+    """The tuple state enumeration of ``build_nudge_m_fluid_tuples``.
+
+    S- holds all bit-vectors s in binary order (s_1 the most significant
+    bit; s_i = 1 iff the i-th last arrival is a still-waiting type-2 job).
+    S+ concatenates subsets 1 (s_1 = 0, type-1 phases), 2 (s_1 = 0,
+    type-2 phases) and 3 (all s, type-2 phases).
+    """
+    m: int
+    n1: int
+    n2: int
+    minus_index: Dict[Tuple[int, ...], int]
+    plus_offsets: Tuple[int, int, int]
+    plus_index: Dict[Tuple[Tuple[int, ...], int], int]  # (s, subset) -> offset of phase block
+    n_plus: int
+
+    @classmethod
+    def build(cls, m: int, n1: int, n2: int) -> "NudgeMLayout":
+        states = list(itertools.product((0, 1), repeat=m))
+        minus_index = {s: i for i, s in enumerate(states)}
+        half = [s for s in states if s[0] == 0]
+        plus_index = {}
+        pos = 0
+        off1 = pos
+        for s in half:
+            plus_index[(s, 1)] = pos
+            pos += n1
+        off2 = pos
+        for s in half:
+            plus_index[(s, 2)] = pos
+            pos += n2
+        off3 = pos
+        for s in states:
+            plus_index[(s, 3)] = pos
+            pos += n2
+        return cls(m=m, n1=n1, n2=n2, minus_index=minus_index,
+                   plus_offsets=(off1, off2, off3), plus_index=plus_index,
+                   n_plus=pos)
+
+
+def build_nudge_m_fluid_tuples(mix: JobMix, m: int) -> FluidModel:
+    """Nudge-M fluid model built on the tuple layout: S- states are
+    bit-vectors s, each subset's phase blocks are found through
+    ``NudgeMLayout``'s dicts, and ``_shift`` and ``_dec`` move s. It must
+    give every array of ``fluid.build_nudge_m_fluid`` to the last bit."""
+    if not (1 <= m <= NUDGE_M_CAP):
+        raise ValueError(f"window m must be in 1..{NUDGE_M_CAP}")
+    layout = NudgeMLayout.build(m, mix.n1, mix.n2)
+    lam, p = mix.lam, mix.p
+    n1, n2 = mix.n1, mix.n2
+    a1, a2 = mix.ph1.alpha, mix.ph2.alpha
+    s1, s2 = mix.ph1.S, mix.ph2.S
+    e1, e2 = mix.ph1.exit, mix.ph2.exit
+    nm = 2 ** m
+    npl = layout.n_plus
+    mi = layout.minus_index
+    pi = layout.plus_index
+
+    t_mm = -lam * np.eye(nm)
+    t_mp = np.zeros((nm, npl))
+    for s, r in mi.items():
+        if s[-1] == 0:
+            t_mm[r, mi[_shift(s, 1)]] += lam * (1 - p)
+            o = pi[(_shift(s, 0), 1)]
+            t_mp[r, o: o + n1] += lam * p * a1
+        else:
+            o = pi[(_shift(s, 0), 2)]
+            t_mp[r, o: o + n2] += lam * p * a2
+            o = pi[(_shift(s, 1), 3)]
+            t_mp[r, o: o + n2] += lam * (1 - p) * a2
+
+    t_pp = np.zeros((npl, npl))
+    t_pm = np.zeros((npl, nm))
+    for (s, sub), o in pi.items():
+        if sub == 1:
+            t_pp[o: o + n1, o: o + n1] = s1
+            t_pm[o: o + n1, mi[s]] = e1
+        elif sub == 2:
+            t_pp[o: o + n2, o: o + n2] = s2
+            o1 = pi[(s, 1)]
+            t_pp[o: o + n2, o1: o1 + n1] = np.outer(e2, a1)
+        else:
+            t_pp[o: o + n2, o: o + n2] = s2
+            t_pm[o: o + n2, mi[s]] = e2
+
+    zero = (0,) * m
+    t_star_00 = np.array([[-lam]])
+    t_star_0p = np.zeros((1, npl))
+    o = pi[(zero, 1)]
+    t_star_0p[0, o: o + n1] = lam * p * a1
+    o = pi[(zero, 3)]
+    t_star_0p[0, o: o + n2] = lam * (1 - p) * a2
+
+    p_m0 = np.zeros((nm, 1))
+    p_mp = np.zeros((nm, npl))
+    for s, r in mi.items():
+        if s == zero:
+            p_m0[r, 0] = 1.0
+        else:
+            o = pi[(_dec(s), 3)]
+            p_mp[r, o: o + n2] = a2
+
+    return FluidModel(t_mm=t_mm, t_mp=t_mp, t_pm=t_pm, t_pp=t_pp,
+                      t_star_00=t_star_00, t_star_0p=t_star_0p,
+                      p_m0=p_m0, p_mp=p_mp)
 
 
 class DenseChain(NamedTuple):
@@ -257,6 +383,11 @@ def _dense_eval(law, t, vec):
     ts = np.asarray(t, dtype=float)
     vals = np.array([law.init @ expm(law.gen * x) @ vec for x in ts.ravel()])
     return float(vals[0]) if ts.ndim == 0 else vals
+
+
+def count_twos(s) -> int:
+    """t(s), the number of twos in the string s."""
+    return sum(1 for c in s if c == 2)
 
 
 def family_prefactors_enum(policy, info, mix):
@@ -540,6 +671,29 @@ def random_family_member(m, steps, rng):
             break
         pol = edges[rng.randrange(len(edges))][1]
     return pol
+
+
+MIN_EXCEEDANCES = 100
+
+
+def tail_prefactor_estimate(stats: SimStats, theta_z: float,
+                            t_grid: Sequence[float],
+                            job_type="any") -> Tuple[float, float]:
+    """Prefactor of an assumed c e^{-theta_Z t} waiting-time tail:
+    regression of the log ccdf on t with the slope pinned at -theta_Z
+    (desk-scale runs cannot resolve slope and intercept jointly)."""
+    sel = stats.wait[stats._select(job_type)]
+    logs = []
+    for t in t_grid:
+        exceed = int((sel > t).sum())
+        if exceed < MIN_EXCEEDANCES:
+            raise EstimationError(
+                f"only {exceed} exceedances at t={t}; need {MIN_EXCEEDANCES}")
+        logs.append(np.log(exceed / sel.size) + theta_z * t)
+    logs = np.asarray(logs)
+    est = float(np.exp(logs.mean()))
+    spread = float(logs.std(ddof=1) / np.sqrt(logs.size)) if logs.size > 1 else 0.0
+    return est, est * spread
 
 
 def simulate_queue_scan(config):

@@ -68,6 +68,45 @@ def test_atir_policy_comma_alias(tmp_path):
                  "--m", "2", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("policy, params, windows", [
+    ("nudge-km", {"k": 2}, [2, 3, 4]),
+    ("nudge-ml", {"l": 2}, [2, 3, 4]),
+    ("nudge-k", {"k": 2}, [2]),
+    ("nudge-l", {"l": 3}, [3]),
+    ("nudge-kl", {"k": 2, "l": 2}, [3]),
+], ids=["km", "ml", "k", "l", "kl"])
+def test_atir_family_column_by_window(tmp_path, policy, params, windows):
+    # row m holds the policy's member of window m: Nudge-K,M and Nudge-M,L
+    # have none below K (L), and Nudge-K, Nudge-L and Nudge-K,L one, at the
+    # window K, L and K + L - 1; the other cells are empty
+    out = tmp_path / "f.csv"
+    flags = [a for key, v in params.items() for a in (f"--{key}", str(v))]
+    assert main(["atir", "--recipe", "fig5b", "--policy", policy, "--m", "4",
+                 *flags, "--out", str(out)]) == 0
+    _, rows = _read(out)
+    assert [int(r[0]) for r in rows] == [0, 1, 2, 3, 4]
+    assert float(rows[0][2]) == 0.0
+    mix = RECIPES["fig5b"]["mix"]()
+    info = decay_rate(mix)
+    for row in rows[1:]:
+        m = int(row[0])
+        if m in windows:
+            pol = named_policy(policy, m=m, **params)
+            assert float(row[2]) == family_prefactors(pol, info, mix).atir
+        else:
+            assert row[2] == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--policy", "nudge-km"],
+    ["--policy", "nudge-ml"],
+    ["--policy", "nudge-kl", "--k", "2"],
+    ["--policy", "nudge-km", "--k", "5"],
+], ids=["km-no-k", "ml-no-l", "kl-no-l", "km-k-above-m"])
+def test_atir_family_parameter_errors(flags):
+    assert main(["atir", "--recipe", "fig5b", "--m", "4", *flags]) == 2
+
+
 @pytest.mark.parametrize("spelling", ["NUDGE-M", "nudge_m"])
 def test_atir_nudge_m_spellings_take_closed_form(tmp_path, spelling):
     # any registry spelling of nudge-m is the closed form, which has no

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from nudgem.asymptotics import decay_rate, prefactors_nudge_m
 from nudgem.cli import RECIPES
 from nudgem.fluid import (
+    NUDGE_M_CAP,
     RICCATI_RESIDUAL_TOL,
-    NudgeMLayout,
+    FluidModel,
     build_fcfs_fluid,
     build_nudge1_fluid,
     build_nudge_m_fluid,
@@ -27,6 +29,7 @@ from nudgem.phtype import (
 )
 from nudgem.swap import workload_ccdf
 from oracles import (
+    build_nudge_m_fluid_tuples,
     convolution_ccdf,
     random_ph,
     riccati_residual_dense,
@@ -134,10 +137,11 @@ def test_fcfs_response_mixture_is_total_response():
 
 
 def test_layout_block_sizes():
-    lay = NudgeMLayout.build(3, 2, 1)
-    assert len(lay.minus_index) == 8
+    model = build_nudge_m_fluid(
+        normalized_mix(0.6, ph_erlang(2, 1.0), ph_exponential(2.0), lam=0.7), 3)
+    assert model.n_minus == 8
     # subsets: 4 strings with a leading zero in blocks 1 and 2, all 8 in 3
-    assert lay.n_plus == 4 * 2 + 4 * 1 + 8 * 1
+    assert model.n_plus == 4 * 2 + 4 * 1 + 8 * 1
 
 
 def test_window_cap_enforced():
@@ -218,10 +222,11 @@ def test_reachable_states(mix):
         model = build_nudge_m_fluid(mix, m)
         r = reachable_plus(model)
         assert r.sum() == 2 ** (m - 1) * (n1 + 2 * n2)
-        lay = NudgeMLayout.build(m, n1, n2)
-        for (s, sub), o in lay.plus_index.items():
-            size = n1 if sub == 1 else n2
-            assert np.all(r[o: o + size] == (sub != 3 or s[0] == 1))
+        # R holds subsets 1 and 2 and the subset-3 blocks with s_1 = 1;
+        # D, between them, the subset-3 blocks with s_1 = 0 (v < half)
+        half = 2 ** (m - 1)
+        d = slice(half * (n1 + n2), half * (n1 + 2 * n2))
+        assert r[:d.start].all() and not r[d].any() and r[d.stop:].all()
         assert not model.t_mp[:, ~r].any()
         assert not model.t_pp[np.ix_(r, ~r)].any()
     r1 = reachable_plus(build_nudge1_fluid(mix))
@@ -259,3 +264,78 @@ def test_solve_riccati_runs_in_small_memory():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2 ** 20
+
+
+# p in {0, 1}: every arrival is of one type, so the rates of the other
+# type's moves are zero
+BUILD_MIXES = {
+    "fig5a": RECIPES["fig5a"]["mix"](),
+    "fig5b": RECIPES["fig5b"]["mix"](),
+    "erlang3": ERLANG3_MIX,
+    "random7": _random_mix(7),
+    "random9": _random_mix(9),
+    "p0": normalized_mix(0.0, ph_erlang(2, 1.0), fit_hyperexp(2.0, 2.0, 0.5),
+                         lam=0.7),
+    "p1": normalized_mix(1.0, ph_erlang(2, 1.0), fit_hyperexp(2.0, 2.0, 0.5),
+                         lam=0.7),
+}
+
+
+def _entries(model):
+    """Shape, nonzero positions and nonzero values of each array: two
+    models' entries are equal exactly when every pair of arrays is
+    ``np.array_equal``. Comparing entries lets one model at a time be
+    alive, which halves the test's memory at m = 10."""
+    out = {}
+    for f in fields(model):
+        a = getattr(model, f.name)
+        idx = np.flatnonzero(a)
+        out[f.name] = (a.shape, idx, a.ravel()[idx])
+    return out
+
+
+@pytest.mark.parametrize("name", list(BUILD_MIXES))
+def test_builder_matches_tuple_layout_oracle(name):
+    # the bitmask index arithmetic places every entry where the tuple
+    # layout's dicts, _shift and _dec did, with the same value to the last
+    # bit, so Psi and every law built on the model are unchanged
+    mix = BUILD_MIXES[name]
+    for m in range(1, NUDGE_M_CAP + 1):
+        want = _entries(build_nudge_m_fluid_tuples(mix, m))
+        got = _entries(build_nudge_m_fluid(mix, m))
+        for key, (shape, idx, values) in want.items():
+            got_shape, got_idx, got_values = got[key]
+            assert got_shape == shape, (m, key)
+            assert np.array_equal(got_idx, idx), (m, key)
+            assert np.array_equal(got_values, values), (m, key)
+
+
+def test_builder_allocates_only_its_arrays():
+    # the row-sum checks of FluidModel run block by block: the build's
+    # tracemalloc peak stays within 1.2x the bytes of the arrays it returns
+    # (an (n- + n+)^2 generator would double it)
+    mix = RECIPES["fig5b"]["mix"]()
+    tracemalloc.start()
+    try:
+        model = build_nudge_m_fluid(mix, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sum(getattr(model, f.name).nbytes for f in fields(model))
+    assert peak <= 1.2 * size
+
+
+@pytest.mark.parametrize("field, message", [
+    ("t_mm", "fluid generator rows must sum to zero"),
+    ("t_pp", "fluid generator rows must sum to zero"),
+    ("p_mp", "boundary transition rows must sum to one"),
+    ("t_star_0p", "zero-level generator rows must sum to zero"),
+], ids=["t_mm", "t_pp", "p_mp", "t_star_0p"])
+def test_model_rejects_a_perturbed_entry(field, message):
+    model = build_nudge_m_fluid(HE_MIX, 3)
+    arrays = {f.name: getattr(model, f.name) for f in fields(model)}
+    FluidModel(**arrays)
+    bad = arrays[field].copy()
+    bad[bad.shape[0] // 2, bad.shape[1] // 2] += 1e-9
+    with pytest.raises(ValueError, match=message):
+        FluidModel(**{**arrays, field: bad})

@@ -5,7 +5,8 @@ import pickle
 import numpy as np
 import pytest
 
-from oracles import STRING_BUILDERS, enumerate_policies, increment_edges
+from oracles import (STRING_BUILDERS, count_twos, enumerate_policies,
+                     increment_edges)
 
 from nudgem.policy import (
     POLICY_BUILDERS,
@@ -13,7 +14,6 @@ from nudgem.policy import (
     PolicyFn,
     all_strings,
     code_weights,
-    count_twos,
     fcfs_policy,
     named_policy,
     nudge_k_policy,

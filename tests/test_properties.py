@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (check_table_strings, family_prefactors_enum,
+from oracles import (check_table_strings, count_twos, family_prefactors_enum,
                      random_family_member, random_ph, string_mask,
                      verify_optimality_enum)
 
@@ -16,7 +16,6 @@ from nudgem.policy import (
     PolicyError,
     PolicyFn,
     all_strings,
-    count_twos,
     fcfs_policy,
     nudge_kl_policy,
     nudge_km_policy,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_family_member, simulate_queue_scan
+from oracles import (random_family_member, simulate_queue_scan,
+                     tail_prefactor_estimate)
 
 from nudgem.phtype import (
     InstabilityError,
@@ -29,7 +30,6 @@ from nudgem.sim import (
     empirical_ccdf,
     sample_phase_type,
     simulate,
-    tail_prefactor_estimate,
 )
 
 MIX = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
