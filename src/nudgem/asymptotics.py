@@ -264,12 +264,12 @@ def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
     # Nudge-min(M, M_opt) inside F_M: pass exactly the twos within the
     # first min(m, mo) positions, i.e. n(s) = t(s_1..s_min(m,mo)).
     cap = min(m, mo)
-    expected = PolicyFn.from_by_mask(m, windows(m).bits[:, :cap].sum(axis=1))
+    expected = PolicyFn(m, windows(m).bits[:, :cap].sum(axis=1))
 
     tables = valid_tables(m)
     atirs = family_prefactors(tables, info, mix).atir
     best_atir = float(np.max(atirs))
-    best = tuple(PolicyFn.from_by_mask(m, tables.by_mask[i])
+    best = tuple(PolicyFn(m, tables.by_mask[i])
                  for i in np.flatnonzero(atirs >= best_atir - OPTIMALITY_TIE_TOL))
     is_optimal = any(p == expected for p in best)
 

@@ -68,9 +68,9 @@ class PolicyFn:
     """A member of the family F_M, checked exhaustively at construction.
 
     ``PolicyFn(m, table)`` takes the table as a dict keyed by strings or as
-    a row indexed by bitmask (``from_by_mask``). ``__post_init__`` stores
-    it as ``by_mask``, a read-only integer array holding n(s) at the
-    bitmask of s, and checks it.
+    a row indexed by bitmask. ``__post_init__`` stores it as ``by_mask``, a
+    read-only integer array holding n(s) at the bitmask of s, and checks
+    it.
     """
 
     m: int
@@ -115,11 +115,6 @@ class PolicyFn:
         return dict(zip(all_strings(self.m),
                         self.by_mask[windows(self.m).masks].tolist()))
 
-    @classmethod
-    def from_by_mask(cls, m: int, by_mask) -> "PolicyFn":
-        """The table whose ``by_mask`` is the given row, checked as usual."""
-        return cls(m, by_mask)
-
     def __call__(self, s) -> int:
         return self.table[tuple(s)]
 
@@ -144,30 +139,30 @@ def _twos_before_lth_one(m: int, l: int) -> np.ndarray:
 
 def fcfs_policy(m: int = 1) -> PolicyFn:
     """n = 0: never pass anyone."""
-    return PolicyFn.from_by_mask(m, np.zeros_like(windows(m).twos))
+    return PolicyFn(m, np.zeros_like(windows(m).twos))
 
 
 def nudge_m_policy(m: int) -> PolicyFn:
     """Pass every type-2 job among the last m arrivals: n(s) = t(s)."""
-    return PolicyFn.from_by_mask(m, windows(m).twos)
+    return PolicyFn(m, windows(m).twos)
 
 
 def nudge_k_policy(k: int) -> PolicyFn:
     """Pass the leading run of twos: a type-2 job is passed at most once.
     The run is the twos with no one before them."""
-    return PolicyFn.from_by_mask(k, _twos_before_lth_one(k, 1))
+    return PolicyFn(k, _twos_before_lth_one(k, 1))
 
 
 def nudge_l_policy(l: int) -> PolicyFn:
     """Pass at most one type-2 job: n(s) = min(t(s), 1)."""
-    return PolicyFn.from_by_mask(l, np.minimum(windows(l).twos, 1))
+    return PolicyFn(l, np.minimum(windows(l).twos, 1))
 
 
 def nudge_km_policy(k: int, m: int) -> PolicyFn:
     """Nudge-M capped at k passes per type-1 job: n(s) = min(t(s), k)."""
     if not (1 <= k <= m):
         raise PolicyError("Nudge-K,M requires 1 <= K <= M")
-    return PolicyFn.from_by_mask(m, np.minimum(windows(m).twos, k))
+    return PolicyFn(m, np.minimum(windows(m).twos, k))
 
 
 def nudge_ml_policy(m: int, l: int) -> PolicyFn:
@@ -175,7 +170,7 @@ def nudge_ml_policy(m: int, l: int) -> PolicyFn:
     twos before the l-th one in s."""
     if not (1 <= l <= m):
         raise PolicyError("Nudge-M,L requires 1 <= L <= M")
-    return PolicyFn.from_by_mask(m, _twos_before_lth_one(m, l))
+    return PolicyFn(m, _twos_before_lth_one(m, l))
 
 
 def nudge_kl_policy(k: int, l: int) -> PolicyFn:
@@ -186,7 +181,7 @@ def nudge_kl_policy(k: int, l: int) -> PolicyFn:
     if k < 1 or l < 1:
         raise PolicyError("Nudge-K,L requires K, L >= 1")
     m = k + l - 1
-    return PolicyFn.from_by_mask(m, np.minimum(_twos_before_lth_one(m, l), k))
+    return PolicyFn(m, np.minimum(_twos_before_lth_one(m, l), k))
 
 
 # Named family members: registry key -> builder over the parameters

@@ -14,7 +14,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phtype import JobMix, MatrixExpDist, kron_sum
-from .swap import _state_index, chain_size, initial_distribution
+from .swap import _arrival_law, _binomial_table
+
+
+def chain_size(k: int) -> int:
+    """Number of states (i, j) with i + j <= k."""
+    return (k + 1) * (k + 2) // 2
+
+
+def _state_index(k: int):
+    """Lexicographic state order for window k: (0,0), (0,1), ..., (0,k),
+    (1,0), ..., so that dropping the first k+1 states leaves the window
+    k-1 chain."""
+    return [(i, j) for i in range(k + 1) for j in range(k + 1 - i)]
+
+
+def initial_distribution(mix: JobMix, m: int, s: float) -> np.ndarray:
+    """Row vector e_1' e^{W_m s} over the window-m states in `_state_index`
+    order: N ~ Poisson(lambda s) arrivals, counted up to the absorbing
+    layer, put P[N = n] Bin(n, p)(i) on the state (i, n - i)."""
+    i, j = np.array(_state_index(m)).T
+    return _arrival_law(mix, m, s)[i + j] * _binomial_table(m, mix.p)[i + j, i]
 
 
 def counting_matrix(k: int, lam: float, p: float) -> np.ndarray:

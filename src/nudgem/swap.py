@@ -1,20 +1,31 @@
 """Swap counts of a tagged type-2 job under Nudge-M and the resulting
 mean response times.
 
-A tagged type-2 job with window M watches the arrivals after it: the
-state (i, j), i + j <= M, counts the type-1 and type-2 arrivals seen, and
-the layer i + j = M absorbs. Every swap-count law is one operator,
-`_add_arrivals`, applied to a grid over those states: it adds a random
-number N of arrivals, each type-1 w.p. p, counted up to the absorbing
-layer. N is Poisson(lambda s) after a workload s; `_count_law` gives
-its law averaged over the workload an arriving job finds, and over one
-type-1 service for each swap. A grid starts as a
-point mass at (0, 0); after k swaps its i = 0 mass is P[X_swap = k], and
-the i >= 1 mass, less the passing job, is carried through that job's
-service. Every mean is pmf . (0, 1, ..., M).
+A tagged type-2 job with window M is passed by every type-1 job among
+the next M arrivals that comes while it still waits; each arrival is
+type-1 w.p. p. a_0 is the law of the arrivals during the work the job
+finds: Poisson(lambda s) after a workload s, or `_count_law`'s average
+over the workload an arrival finds. c is the law of the arrivals during
+one type-1 service. After that work and k passing services, R_k jobs
+have arrived, T_k of them type-1. The wait ends at the first k with
+T_k = k, unless the window closes first (R reaches M): then every
+type-1 job of the window passes, and X_swap = T_M ~ Bin(M, p).
 
-Cost: O(M^4) flops and O(M^2) memory for a law, plus M solves of order
-n1 + n2 or n1; no matrix of order chain_size(M) is formed.
+Y_k = T_k - k is a walk with i.i.d. steps Bin(N, p) - 1 >= -1. By the
+hitting-time theorem (Kemperman, The Passage Problem for a Stationary
+Markov Chain, 1961; van der Hofstad & Keane, Amer. Math. Monthly 115(8),
+2008), whose cycle lemma keeps the mark R_k (a cyclic shift of the
+steps keeps their sum), the first hit is at step k >= 1 with R_k = r
+w.p. q(k, r) = (p/k) Bin(r-1, p)(k-1) [(n a_0) * c^{*k}](r), and at
+k = 0 w.p. q(0, r) = a_0(r) (1-p)^r. A hit with r < M comes before the
+window closes, and the M - r arrivals after it are fresh, so
+
+    P[X_swap = k] = sum_r q(k, r) + Bin(M, p)(k)
+                    - sum_{j, r < M} q(j, r) Bin(M - r, p)(k - j).
+
+Every mean is pmf . (0, 1, ..., M). Cost: O(M^3) flops and O(M^2)
+memory for a law (M truncated convolutions and products with a Pascal
+table of Bin(n, p)), plus M solves of order n1 + n2 or n1.
 """
 
 from __future__ import annotations
@@ -25,22 +36,6 @@ import numpy as np
 
 from . import phtype
 from .phtype import JobMix, MatrixExpDist
-
-
-def chain_size(k: int) -> int:
-    """Number of states (i, j) with i + j <= k."""
-    return (k + 1) * (k + 2) // 2
-
-
-def _state_index(k: int):
-    """Lexicographic state order for window k: (0,0), (0,1), ..., (0,k),
-    (1,0), ..., so that dropping the first k+1 states leaves the window
-    k-1 chain."""
-    states = []
-    for i in range(k + 1):
-        for j in range(k + 1 - i):
-            states.append((i, j))
-    return states
 
 
 def _count_law(init, gen, v, lam: float, k: int) -> np.ndarray:
@@ -70,87 +65,72 @@ def _service_law(mix: JobMix, k: int) -> np.ndarray:
     return _count_law(mix.ph1.alpha, mix.ph1.S, mix.ph1.exit, mix.lam, k)
 
 
-def _add_arrivals(grid: np.ndarray, law: np.ndarray, p: float) -> np.ndarray:
-    """The window-K grid after N more arrivals, each type-1 w.p. p, counted
-    up to the absorbing layer K. law[c] = P[N = c] for c < K, and the
-    entries from law[K] on sum to P[N >= K].
-
-    grid[n, i] is the mass of state (i, n - i), n = i + j. Mass on layer
-    n reaches layer n + c < K w.p. law[c] and layer K w.p. P[N >= K - n];
-    one arrival moves (n, i) to (n + 1, i + 1) w.p. p and to (n + 1, i)
-    otherwise. cur holds the source layers 0..K - c after c arrivals, so
-    the sweep costs O(K^3).
-    """
-    k = grid.shape[0] - 1
-    tail = np.cumsum(law[::-1])[::-1]
-    out = np.zeros_like(grid)
-    cur = grid
-    for c in range(k + 1):
-        out[c:k] += law[c] * cur[:-1]
-        out[k] += tail[c] * cur[-1]
-        nxt = (1.0 - p) * cur[:-1]
-        nxt[:, 1:] += p * cur[:-1, :-1]
-        cur = nxt
-    return out
-
-
-def _start_grid(law: np.ndarray, p: float) -> np.ndarray:
-    """Window-K grid of a chain started at (0, 0) after N ~ law arrivals."""
-    point = np.zeros((law.shape[0], law.shape[0]))
-    point[0, 0] = 1.0
-    return _add_arrivals(point, law, p)
-
-
-def _arrival_grid(mix: JobMix, m: int, s: float) -> np.ndarray:
-    """Window-m grid e_1' e^{W_m s}: N ~ Poisson(lambda s) arrivals during
-    the workload s."""
+def _arrival_law(mix: JobMix, k: int, s: float) -> np.ndarray:
+    """Poisson(lambda s) arrivals during the workload s, counted up to k."""
     w = phtype.poisson_weights(mix.lam * s)
-    law = np.zeros(m + 1)
-    n = min(m, w.shape[0])
+    law = np.zeros(k + 1)
+    n = min(k, w.shape[0])
     law[:n] = w[:n]
-    law[m] = w[m:].sum()  # P[N >= M]
-    return _start_grid(law, mix.p)
+    law[k] = w[k:].sum()  # P[N >= k]
+    return law
 
 
-def initial_distribution(mix: JobMix, m: int, s: float) -> np.ndarray:
-    """Row vector e_1' e^{W_m s} over the window-m states in `_state_index`
-    order."""
-    i, j = np.array(_state_index(m)).T
-    return _arrival_grid(mix, m, s)[i + j, i]
+def _binomial_table(k: int, p: float) -> np.ndarray:
+    """b[n, i] = Bin(n, p)(i) for n, i = 0..k, by Pascal's rule."""
+    b = np.zeros((k + 1, k + 1))
+    b[0, 0] = 1.0
+    for n in range(1, k + 1):
+        b[n] = (1.0 - p) * b[n - 1]
+        b[n, 1:] += p * b[n - 1, :-1]
+    return b
 
 
-# How far a swap pmf entry may fall below zero, or the pmf's sum miss 1,
-# by rounding. A scan over exp, hyperexp, Erlang-2, Erlang-20 and random
-# phase-type mixes, M up to 24 and s up to 2000 saw no entry below zero
-# and sums off by at most 2.4e-15 up to lambda = 0.99. The unconditional
-# pmf's error grows like 2.4e-16 / (1 - lambda) with the size of
-# (-T)^{-1} 1 (2.4e-13 at lambda = 0.999, 2.3e-11 at 0.99999).
+# How far a swap pmf entry may fall below zero, or the pmf's sum or an
+# arrival law's mass miss 1, by rounding. On 400 random phase-type mixes
+# (M up to 24, lambda up to 0.99) the least entry was -1.1e-16 and the sum
+# off 1 by at most 4.4e-16 (1.6e-15 on fig5b at lambda = 0.999, M = 301).
+# The workload count law's mass error grows like 2.4e-16 / (1 - lambda)
+# with the size of (-T)^{-1} 1 (1.9e-11 at 0.99999 for Erlang-20 type-2).
 PMF_TOL = 1e-10
 
 
-def _swap_pmf_from(mix: JobMix, grid: np.ndarray) -> np.ndarray:
-    """P[X_swap = k], k = 0..M, for a tagged type-2 job whose window-M
-    counting chain has the law `grid` when the work it found is done.
+def _swap_pmf_from(mix: JobMix, law: np.ndarray) -> np.ndarray:
+    """P[X_swap = k], k = 0..M, for a tagged type-2 job that sees N ~ law
+    arrivals during the work it finds (law[M] = P[N >= M]), by the
+    hitting-time formula of the module docstring.
 
-    After k swaps the grid has window M - k. Its i = 0 mass (no type-1
-    arrival passed the job) ends the wait at k swaps; its i >= 1 mass
-    starts swap k + 1, whose type-1 job leaves the window (grid[1:, 1:])
-    while the arrivals during its service are added. After swap M the
-    window is spent, and the mass left is P[X_swap = M].
+    [(n a_0) * c^{*k}](r) is E[N_0; R_k = r]; given N_0 and R_k = r the r
+    marks are i.i.d., so E[T_0; T_k = k, R_k = r] is p Bin(r-1, p)(k-1)
+    times it, and the theorem divides that by k. Both input laws must
+    have mass 1: the formula sums to 1 whatever they hold.
     """
-    m = grid.shape[0] - 1
+    m = law.shape[0] - 1
     if m < 1:
         raise ValueError("window m must be >= 1")
-    law = _service_law(mix, m - 1)
-    pmf = np.empty(m + 1)
+    c = _service_law(mix, m)
+    for what, x in (("the found work", law), ("a type-1 service", c)):
+        if abs(x.sum() - 1.0) > PMF_TOL:
+            raise FloatingPointError(
+                f"swap pmf: the arrivals during {what} sum to 1 "
+                f"{x.sum() - 1.0:+.3g}: the count law lost or made mass")
+    binom = _binomial_table(m, mix.p)
+    closes = binom[m:0:-1]  # Bin(M - r, p), r = 0..M-1
+    g = np.arange(m) * law[:m]  # (n a_0) * c^{*k} below M
+    q = law[:m] * binom[:m, 0]
+    hit, comp = np.zeros(m + 1), np.zeros(m + 1)
     for k in range(m):
-        pmf[k] = grid[:, 0].sum()
-        grid = _add_arrivals(grid[1:, 1:], law, mix.p)
-    pmf[m] = grid.sum()
+        if k:
+            g = np.convolve(g, c[:m])[:m]
+            q[1:] = mix.p / k * binom[:m - 1, k - 1] * g[1:]
+            q[0] = 0.0
+        hit[k] = q.sum()
+        # q(k, r) = 0 for r < k, and Bin(M - r, p) ends at M - r
+        comp[k:] += q[k:] @ closes[k:, :m + 1 - k]
+    pmf = hit + binom[m] - comp
     if pmf.min() < -PMF_TOL or abs(pmf.sum() - 1.0) > PMF_TOL:
         raise FloatingPointError(
             f"swap pmf sums to 1 {pmf.sum() - 1.0:+.3g} with least entry "
-            f"{pmf.min():.3g}: the counting chain lost or made mass")
+            f"{pmf.min():.3g}: the hitting-time formula lost or made mass")
     return pmf
 
 
@@ -159,7 +139,7 @@ def swap_pmf(mix: JobMix, m: int, s: float) -> np.ndarray:
     sees workload s on arrival; entries k = 0..M."""
     if s < 0:
         raise ValueError("workload s must be >= 0")
-    return _swap_pmf_from(mix, _arrival_grid(mix, m, s))
+    return _swap_pmf_from(mix, _arrival_law(mix, m, s))
 
 
 def unconditional_swap_pmf(mix: JobMix, m: int) -> np.ndarray:
@@ -169,7 +149,7 @@ def unconditional_swap_pmf(mix: JobMix, m: int) -> np.ndarray:
     law = _count_law(mix.lam * mix.beta, mix.T, np.ones(mix.T.shape[0]),
                      mix.lam, m)
     law[0] += 1.0 - mix.lam
-    return _swap_pmf_from(mix, _start_grid(law, mix.p))
+    return _swap_pmf_from(mix, law)
 
 
 def mean_swaps(mix: JobMix, m: int) -> float:

@@ -5,10 +5,12 @@ Each one recomputes a package result by a slower, generic route (dense
 dense residuals, the n+-sized eigenproblem for pi_+, adaptive
 quadrature, string enumeration, the named policies and the (C1)/(C2)
 checks one string at a time, a dense counting chain with one inverse
-per swap and a Kronecker solve, a queue scan per arrival, the Nudge-M
+per swap and a Kronecker solve, the arrival-count grid over the
+counting chain's states, a queue scan per arrival, the Nudge-M
 fluid built over tuple-keyed state dicts) and so does not go through the
 evaluation of ``MatrixExpDist`` (``dense_ccdf`` and ``dense_density``
-read only a law's fields), the arrival-count operator of the swap laws,
+read only a law's fields), the hitting-time formula of the swap laws
+(the grid shares only the arrival-count laws of ``swap``),
 the window sweep of ``asymptotics.family_prefactors``, the bitmask rows
 and array check of ``policy``, the bitmask index arithmetic of
 ``fluid.build_nudge_m_fluid`` or the event loop of ``sim.simulate``. The
@@ -37,9 +39,9 @@ from nudgem.fluid import (NUDGE_M_CAP, RICCATI_MAX_ITER, RICCATI_RESIDUAL_TOL,
                           RICCATI_STEP_TOL, FluidModel)
 from nudgem.phtype import JobMix, PhaseType, kron_sum
 from nudgem.policy import PolicyError, PolicyFn, all_strings, fcfs_policy
-from nudgem.resp2 import counting_matrix, selector_matrix
+from nudgem.resp2 import chain_size, counting_matrix, selector_matrix
 from nudgem.sim import EstimationError, SimStats, sample_phase_type
-from nudgem.swap import chain_size
+from nudgem.swap import _arrival_law, _count_law, _service_law
 
 
 def convolution_ccdf(ph, wait_ccdf, t):
@@ -364,6 +366,59 @@ def unconditional_swap_pmf_kron(mix, chain):
     1 - lambda at k = 0."""
     pmf = np.array([workload_average(mix, chain, v) for v in swap_pmf_vectors(chain)])
     pmf[0] += 1.0 - mix.lam
+    return pmf
+
+
+def _add_arrivals(grid: np.ndarray, law: np.ndarray, p: float) -> np.ndarray:
+    """The window-K grid after N more arrivals, each type-1 w.p. p, counted
+    up to the absorbing layer K. law[c] = P[N = c] for c < K, and the
+    entries from law[K] on sum to P[N >= K].
+
+    grid[n, i] is the mass of state (i, n - i), n = i + j. Mass on layer
+    n reaches layer n + c < K w.p. law[c] and layer K w.p. P[N >= K - n];
+    one arrival moves (n, i) to (n + 1, i + 1) w.p. p and to (n + 1, i)
+    otherwise. cur holds the source layers 0..K - c after c arrivals, so
+    the sweep costs O(K^3).
+    """
+    k = grid.shape[0] - 1
+    tail = np.cumsum(law[::-1])[::-1]
+    out = np.zeros_like(grid)
+    cur = grid
+    for c in range(k + 1):
+        out[c:k] += law[c] * cur[:-1]
+        out[k] += tail[c] * cur[-1]
+        nxt = (1.0 - p) * cur[:-1]
+        nxt[:, 1:] += p * cur[:-1, :-1]
+        cur = nxt
+    return out
+
+
+def _start_grid(law: np.ndarray, p: float) -> np.ndarray:
+    """Window-K grid of a chain started at (0, 0) after N ~ law arrivals."""
+    point = np.zeros((law.shape[0], law.shape[0]))
+    point[0, 0] = 1.0
+    return _add_arrivals(point, law, p)
+
+
+def swap_pmf_grid(mix, m, s=None):
+    """P[X_swap = k] by the arrival-count grid over the window-M states:
+    after the workload s (or, with s None, the workload an arrival finds)
+    and k swaps, the i = 0 mass ends the wait; the i >= 1 mass loses the
+    passing job (grid[1:, 1:]) and gains the arrivals during its service.
+    O(M^4) flops; it shares only the count laws with ``swap``."""
+    if s is None:
+        law = _count_law(mix.lam * mix.beta, mix.T, np.ones(mix.T.shape[0]),
+                         mix.lam, m)
+        law[0] += 1.0 - mix.lam
+    else:
+        law = _arrival_law(mix, m, s)
+    grid = _start_grid(law, mix.p)
+    service = _service_law(mix, m - 1)
+    pmf = np.empty(m + 1)
+    for k in range(m):
+        pmf[k] = grid[:, 0].sum()
+        grid = _add_arrivals(grid[1:, 1:], service, mix.p)
+    pmf[m] = grid.sum()
     return pmf
 
 

@@ -109,7 +109,7 @@ def test_valid_tables_equal_python_enumeration(m):
     assert len(tables.by_mask) == len(want)
     for row, by_mask in zip(tables.by_mask, want):
         assert np.array_equal(row, by_mask)
-        assert PolicyFn.from_by_mask(m, row).by_mask.tolist() == row.tolist()
+        assert PolicyFn(m, row).by_mask.tolist() == row.tolist()
     # codes are the positions in the product of the ranges, so they increase
     codes = tables.by_mask @ code_weights(m)
     assert np.all(np.diff(codes) > 0)
@@ -180,11 +180,11 @@ def test_by_mask_is_read_only_and_defines_equality():
     with pytest.raises(ValueError):
         pol.by_mask[0] = 1
     row = pol.by_mask.copy()
-    same = PolicyFn.from_by_mask(3, row)
+    same = PolicyFn(3, row)
     row[-1] = 0  # the caller's array is copied, not held
     assert same == pol and hash(same) == hash(pol)
     assert PolicyFn(3, pol.table) == pol
-    assert same != nudge_m_policy(3) and same != PolicyFn.from_by_mask(2, [0, 1, 1, 2])
+    assert same != nudge_m_policy(3) and same != PolicyFn(2, [0, 1, 1, 2])
     assert len({pol, same, nudge_m_policy(3)}) == 2
     for twin in (copy.deepcopy(pol), pickle.loads(pickle.dumps(pol))):
         assert twin == pol and not twin.by_mask.flags.writeable
@@ -205,7 +205,6 @@ def test_every_construction_runs_post_init(monkeypatch, tmp_path):
     path = tmp_path / "table.txt"
     path.write_text("1 0\n2 1\n")
     builds = [functools.partial(PolicyFn, 1, {(1,): 0, (2,): 1}),
-              functools.partial(PolicyFn.from_by_mask, 2, [0, 1, 1, 2]),
               functools.partial(policy_from_table_file, path),
               functools.partial(fcfs_policy, 2), functools.partial(nudge_m_policy, 2),
               functools.partial(nudge_k_policy, 2), functools.partial(nudge_l_policy, 2),

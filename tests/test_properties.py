@@ -71,7 +71,7 @@ def test_table_check_equals_string_check(data):
         row = [min(max(v, 0), bin(b).count("1")) for b, v in enumerate(row)]
     table = {s: row[string_mask(s)] for s in all_strings(m)}
     want = _check_message(lambda: check_table_strings(m, table))
-    assert _check_message(lambda: PolicyFn.from_by_mask(m, row)) == want
+    assert _check_message(lambda: PolicyFn(m, row)) == want
     assert _check_message(lambda: PolicyFn(m, table)) == want
 
 

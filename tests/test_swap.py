@@ -15,13 +15,16 @@ from nudgem.phtype import (
     ph_exponential,
     two_class_exp_mix,
 )
-from nudgem.resp2 import counting_matrix, selector_matrix
-from nudgem.swap import (
-    _service_law,
+from nudgem.resp2 import (
     _state_index,
     chain_size,
-    fcfs_mean_response,
+    counting_matrix,
     initial_distribution,
+    selector_matrix,
+)
+from nudgem.swap import (
+    _service_law,
+    fcfs_mean_response,
     mean_response,
     mean_swaps,
     priority_mean_response,
@@ -30,11 +33,13 @@ from nudgem.swap import (
     workload_ccdf,
 )
 from oracles import (
+    _add_arrivals,
     dense_chain,
     initial_distribution_expm,
     mean_swaps_quadrature,
     random_ph,
     swap_mean_vector,
+    swap_pmf_grid,
     swap_pmf_vectors,
     unconditional_swap_pmf_kron,
     workload_average,
@@ -87,7 +92,7 @@ def test_push_step_matches_dense_transfer(name):
         for r, (a, b) in enumerate(_state_index(k)):
             grid = np.zeros((k + 1, k + 1))
             grid[a + b, a] = 1.0
-            step = swap._add_arrivals(grid[1:, 1:], law, mix.p)
+            step = _add_arrivals(grid[1:, 1:], law, mix.p)
             assert np.max(np.abs(step[i + j, i] - chain.transfer[ell][r])) < 1e-14
 
 
@@ -123,6 +128,14 @@ def test_swap_pmf_is_distribution():
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
     # zero workload means no waiting and no swaps
     assert swap_pmf(MIX, 3, 0.0)[0] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_window_that_always_closes_first_gives_binomial():
+    # after a workload of 7,000 mean arrivals the window of 12 is full
+    # before the job could start: every type-1 job of the window passes
+    m, p = 12, MIX.p
+    want = [math.comb(m, k) * p ** k * (1.0 - p) ** (m - k) for k in range(m + 1)]
+    np.testing.assert_allclose(swap_pmf(MIX, m, 1e4), want, rtol=1e-13, atol=0.0)
 
 
 def _mc_swap_counts(mix, m, s, n_rep, rng):
@@ -197,7 +210,7 @@ def test_heavy_window_runs_in_small_memory():
 
 
 def _assert_matches_dense_oracles(mix, m):
-    """The arrival-count operator against the dense transfer-product
+    """The hitting-time swap laws against the dense transfer-product
     vectors and the Kronecker workload average, to 1e-12 relative."""
     chain = dense_chain(mix, m)
     vecs, v_swap = swap_pmf_vectors(chain), swap_mean_vector(chain)
@@ -212,6 +225,18 @@ def _assert_matches_dense_oracles(mix, m):
         assert np.max(np.abs(pmf - want)) <= 1e-12 * np.max(want)
         assert pmf @ np.arange(m + 1) == pytest.approx(
             init @ v_swap, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("lam, m", [(0.95, 60), (0.99, 150)])
+def test_swap_laws_match_grid_oracle_past_dense_range(lam, m):
+    # the dense chain would hold 0.7 GB at M = 60; the grid sweep does not
+    mix = RECIPES["fig5b"]["mix"](lam)
+    k = np.arange(m + 1)
+    for s in (None, 0.5 * m):
+        pmf = unconditional_swap_pmf(mix, m) if s is None else swap_pmf(mix, m, s)
+        want = swap_pmf_grid(mix, m, s)
+        assert np.max(np.abs(pmf - want)) <= 1e-12 * np.max(want)
+        assert pmf @ k == pytest.approx(want @ k, rel=1e-12)
 
 
 def _erlang2_exp(lam):
