@@ -17,7 +17,7 @@ import numpy as np
 
 from .phtype import InstabilityError, JobMix
 from .policy import PolicyFn, PolicyTables, all_strings, code_weights, \
-    nudge_km_policy, nudge_ml_policy, valid_tables, windows
+    valid_tables, windows
 
 # Root cross-check tolerance for theta_Z.
 THETA_CROSSCHECK_TOL = 1e-10
@@ -117,10 +117,12 @@ def prefactors_nudge_m(info: DecayInfo, m: int) -> Tuple[float, float]:
 def atir_from_prefactors(info: DecayInfo, mix: JobMix,
                          c_w1: float, c_w2: float) -> float:
     """ATIR over FCFS from waiting-time prefactors: the response-time
-    prefactor adds one service transform factor per type."""
-    return 1.0 \
-        - mix.p * c_w1 * info.s1_tilde / (info.c_z * info.s_tilde) \
-        - (1.0 - mix.p) * c_w2 * info.s2_tilde / (info.c_z * info.s_tilde)
+    prefactor adds one service transform factor per type. Since
+    S~ = p S~1 + (1-p) S~2, the ATIR is the prefactors' gaps to c_Z
+    weighted by type, and c_w1 = c_w2 = c_Z gives exactly 0."""
+    return (mix.p * info.s1_tilde * (info.c_z - c_w1)
+            + (1.0 - mix.p) * info.s2_tilde * (info.c_z - c_w2)) \
+        / (info.c_z * info.s_tilde)
 
 
 def atir_nudge_m(info: DecayInfo, mix: JobMix, m) -> float:
@@ -221,6 +223,9 @@ def family_prefactors(policy: Union[PolicyFn, PolicyTables], info: DecayInfo,
         weight[:, 1::2] = two[:, :half] + two[:, half:]
         prefix += bits[:, j]
     c_w2 = info.c_z / st ** (m - 1) * np.sum(weight, axis=1)
+    # a table with n = 0 passes no one, so W = Z for both types
+    idle = ~n.any(axis=1)
+    c_w1[idle] = c_w2[idle] = info.c_z
 
     atir = atir_from_prefactors(info, mix, c_w1, c_w2)
     if isinstance(policy, PolicyFn):
@@ -301,41 +306,6 @@ def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
                             n_edges=int(rows.size),
                             is_optimal=is_optimal,
                             edge_failures=edge_failures)
-
-
-def increment_ratio(info: DecayInfo, i: int, m: int) -> float:
-    """Ratio of ATIR increments of Nudge-K,M over Nudge-M,L at K = L = i:
-    sum_{j<i} C(M,j) w1^{M-j} w^j / sum_{j<i} C(M,j) w^{M-j} w1^j."""
-    num = sum(math.comb(m, j) * info.w1 ** (m - j) * info.w ** j for j in range(i))
-    den = sum(math.comb(m, j) * info.w ** (m - j) * info.w1 ** j for j in range(i))
-    return num / den
-
-
-@dataclass(frozen=True)
-class KmMlComparison:
-    atir_km: float
-    atir_ml: float
-    sign: int          # sign of ATIR_{K,M}(i) - ATIR_{M,L}(i)
-    predicate: bool    # S~1(-theta_Z) > (1-p)/p
-    ratio: float       # increment ratio of the two policies
-
-
-def compare_km_ml(i: int, m: int, info: DecayInfo, mix: JobMix) -> KmMlComparison:
-    """Compare ATIR of Nudge-K,M and Nudge-M,L at K = L = i for
-    1 <= i < M <= M_opt; the ordering is predicted by w1 > w, i.e.
-    S~1(-theta_Z) > (1-p)/p."""
-    if not (1 <= i < m):
-        raise ValueError("requires 1 <= i < M")
-    if m > m_opt(info):
-        raise ValueError("requires M <= M_opt")
-    a_km = family_prefactors(nudge_km_policy(i, m), info, mix).atir
-    a_ml = family_prefactors(nudge_ml_policy(m, i), info, mix).atir
-    diff = a_km - a_ml
-    sign = 0 if abs(diff) < 1e-14 else (1 if diff > 0 else -1)
-    predicate = info.s1_tilde > (1.0 - mix.p) / mix.p
-    return KmMlComparison(atir_km=a_km, atir_ml=a_ml, sign=sign,
-                          predicate=predicate,
-                          ratio=increment_ratio(info, i, m))
 
 
 def best_nudge_kl(info: DecayInfo, mix: JobMix,

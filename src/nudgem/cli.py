@@ -348,6 +348,21 @@ def _check_identities() -> List[tuple]:
     ok = all(abs(swap.workload_ccdf(mm1, t) / (lam * math.exp(-(1.0 - lam) * t)) - 1.0)
              < 1e-10 for t in (0.5, 8.0, 40.0 / (1.0 - lam)))
     checks.append(("workload-uniformization-vs-mm1", ok))
+    # heavy traffic: the gap of ATIR_M(M_opt) to 1 - e1^{-p e1} e2^{-(1-p) e2}
+    # over 1 - lambda agrees within 1% at lambda = 0.999 and 0.9999, and
+    # M_heavy - M_opt = 2 from lambda = 0.99 on
+    for name, make in (("exp-exp", _mix_exp_exp),
+                       ("exp-hyperexp", _mix_exp_hyperexp)):
+        gaps, steps = [], []
+        for lam in (0.99, 0.999, 0.9999):
+            mx = make(lam)
+            inf = decay_rate(mx)
+            mo = asymptotics.m_opt(inf)
+            limit = asymptotics.heavy_traffic_atir(mx.p, mx.e1, mx.e2)
+            gaps.append((asymptotics.atir_nudge_m(inf, mx, mo) - limit) / (1.0 - lam))
+            steps.append(asymptotics.m_heavy(mx, inf) - mo)
+        ok = steps == [2, 2, 2] and abs(gaps[1] / gaps[2] - 1.0) < 0.01
+        checks.append((f"heavy-traffic-limit-{name}", ok))
     return checks
 
 

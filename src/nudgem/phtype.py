@@ -195,14 +195,41 @@ class PhaseType:
         return -self.S.sum(axis=1)
 
     def moment(self, k: int) -> float:
-        return ph_moment(self, k)
+        """k-th moment k! alpha (-S)^{-k} 1."""
+        if k < 1:
+            raise ValueError("moment order must be a positive integer")
+        neg_s = -self.S
+        v = np.ones(self.n)
+        try:
+            for _ in range(k):
+                v = np.linalg.solve(neg_s, v)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidDistributionError("singular (-S)") from exc
+        return float(math.factorial(k) * self.alpha @ v)
 
     @property
     def mean(self) -> float:
-        return ph_moment(self, 1)
+        return self.moment(1)
 
     def laplace(self, s: float) -> float:
-        return laplace_at(self, s)
+        """Laplace transform alpha (sI - S)^{-1} s* of the PH distribution.
+
+        Valid for s > -theta where theta is the decay rate of the
+        distribution; below that the resolvent blows up or changes sign.
+        """
+        if s == 0.0:
+            return 1.0
+        a = s * np.eye(self.n) - self.S
+        try:
+            x = np.linalg.solve(a, self.exit)
+        except np.linalg.LinAlgError as exc:
+            raise DecayRateExceededError(f"sI - S singular at s={s}") from exc
+        val = float(self.alpha @ x)
+        # Beyond the abscissa of convergence the algebraic expression goes
+        # negative or the solve becomes meaningless; flag it.
+        if s < 0 and val < 0:
+            raise DecayRateExceededError(f"transform not convergent at s={s}")
+        return val
 
     def ccdf(self, t):
         """P[X > t] = alpha e^{S t} 1, at a scalar t or on a 1-D grid."""
@@ -213,41 +240,6 @@ class PhaseType:
         if c <= 0:
             raise ValueError("scale factor must be positive")
         return PhaseType(self.alpha, self.S / c)
-
-
-def ph_moment(ph: PhaseType, k: int) -> float:
-    """k-th moment k! alpha (-S)^{-k} 1."""
-    if k < 1:
-        raise ValueError("moment order must be a positive integer")
-    neg_s = -ph.S
-    v = np.ones(ph.n)
-    try:
-        for _ in range(k):
-            v = np.linalg.solve(neg_s, v)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidDistributionError("singular (-S)") from exc
-    return float(math.factorial(k) * ph.alpha @ v)
-
-
-def laplace_at(ph: PhaseType, s: float) -> float:
-    """Laplace transform alpha (sI - S)^{-1} s* of the PH distribution.
-
-    Valid for s > -theta where theta is the decay rate of the distribution;
-    below that the resolvent blows up or changes sign.
-    """
-    if s == 0.0:
-        return 1.0
-    a = s * np.eye(ph.n) - ph.S
-    try:
-        x = np.linalg.solve(a, ph.exit)
-    except np.linalg.LinAlgError as exc:
-        raise DecayRateExceededError(f"sI - S singular at s={s}") from exc
-    val = float(ph.alpha @ x)
-    # Beyond the abscissa of convergence the algebraic expression goes
-    # negative or the solve becomes meaningless; flag it.
-    if s < 0 and val < 0:
-        raise DecayRateExceededError(f"transform not convergent at s={s}")
-    return val
 
 
 def ph_exponential(rate: float = None, mean: float = None) -> PhaseType:

@@ -4,9 +4,9 @@ mean response times.
 A tagged type-2 job with window M is passed by every type-1 job among
 the next M arrivals that comes while it still waits; each arrival is
 type-1 w.p. p. a_0 is the law of the arrivals during the work the job
-finds: Poisson(lambda s) after a workload s, or `_count_law`'s average
-over the workload an arrival finds. c is the law of the arrivals during
-one type-1 service. After that work and k passing services, R_k jobs
+finds, `_count_law`'s average over the workload an arrival finds
+(Poisson(lambda s) after a fixed workload s). c is the law of the
+arrivals during one type-1 service. After that work and k passing services, R_k jobs
 have arrived, T_k of them type-1. The wait ends at the first k with
 T_k = k, unless the window closes first (R reaches M): then every
 type-1 job of the window passes, and X_swap = T_M ~ Bin(M, p).
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import phtype
 from .phtype import JobMix, MatrixExpDist
 
 
@@ -63,16 +62,6 @@ def _count_law(init, gen, v, lam: float, k: int) -> np.ndarray:
 def _service_law(mix: JobMix, k: int) -> np.ndarray:
     """Arrivals during one type-1 service, counted up to k."""
     return _count_law(mix.ph1.alpha, mix.ph1.S, mix.ph1.exit, mix.lam, k)
-
-
-def _arrival_law(mix: JobMix, k: int, s: float) -> np.ndarray:
-    """Poisson(lambda s) arrivals during the workload s, counted up to k."""
-    w = phtype.poisson_weights(mix.lam * s)
-    law = np.zeros(k + 1)
-    n = min(k, w.shape[0])
-    law[:n] = w[:n]
-    law[k] = w[k:].sum()  # P[N >= k]
-    return law
 
 
 def _binomial_table(k: int, p: float) -> np.ndarray:
@@ -132,14 +121,6 @@ def _swap_pmf_from(mix: JobMix, law: np.ndarray) -> np.ndarray:
             f"swap pmf sums to 1 {pmf.sum() - 1.0:+.3g} with least entry "
             f"{pmf.min():.3g}: the hitting-time formula lost or made mass")
     return pmf
-
-
-def swap_pmf(mix: JobMix, m: int, s: float) -> np.ndarray:
-    """Distribution of the number of swaps for a tagged type-2 job that
-    sees workload s on arrival; entries k = 0..M."""
-    if s < 0:
-        raise ValueError("workload s must be >= 0")
-    return _swap_pmf_from(mix, _arrival_law(mix, m, s))
 
 
 def unconditional_swap_pmf(mix: JobMix, m: int) -> np.ndarray:
@@ -213,9 +194,6 @@ def priority_mean_response(mix: JobMix) -> float:
     rho1 = lam * p * mix.e1
     rho2 = lam * (1.0 - p) * mix.e2
     resid = lam * mix.second_moment() / 2.0
-    if p >= 1.0:
-        w = resid / (1.0 - rho1)
-        return w + mix.e1
     w1 = resid / (1.0 - rho1)
     w2 = resid / ((1.0 - rho1) * (1.0 - rho1 - rho2))
     return p * (w1 + mix.e1) + (1.0 - p) * (w2 + mix.e2)

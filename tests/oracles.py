@@ -18,12 +18,17 @@ one exception is ``verify_optimality_enum``: it checks the table array
 and the code lookups of ``asymptotics.verify_optimality`` by one
 ``PolicyFn`` per table and per lattice edge, and shares its
 ``family_prefactors`` (one table per call), which
-``family_prefactors_enum`` checks. The module also holds two helpers
-only tests use: ``count_twos`` and the simulator's tail-prefactor
-regression ``tail_prefactor_estimate``.
+``family_prefactors_enum`` checks. ``build_w2_model_per_k`` is the
+reference for ``resp2.build_w2_model``: it builds one counting chain and
+one selector matrix per block, where the package cuts every block from
+W_M. The module also holds helpers only tests use: ``count_twos``, the
+simulator's tail-prefactor regression ``tail_prefactor_estimate``, the
+conditional swap law ``swap_pmf`` and the Nudge-K,M against Nudge-M,L
+comparison ``compare_km_ml``.
 """
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
@@ -37,11 +42,13 @@ from nudgem.asymptotics import (FAMILY_M_CAP, OPTIMALITY_TIE_TOL, VERIFY_M_CAP,
                                 atir_from_prefactors, family_prefactors, m_opt)
 from nudgem.fluid import (NUDGE_M_CAP, RICCATI_MAX_ITER, RICCATI_RESIDUAL_TOL,
                           RICCATI_STEP_TOL, FluidModel)
-from nudgem.phtype import JobMix, PhaseType, kron_sum
-from nudgem.policy import PolicyError, PolicyFn, all_strings, fcfs_policy
-from nudgem.resp2 import chain_size, counting_matrix, selector_matrix
+from nudgem.phtype import (JobMix, MatrixExpDist, PhaseType, kron_sum,
+                           poisson_weights)
+from nudgem.policy import (PolicyError, PolicyFn, all_strings, fcfs_policy,
+                           nudge_km_policy, nudge_ml_policy)
+from nudgem.resp2 import W2Model, _state_index, chain_size, counting_matrix
 from nudgem.sim import EstimationError, SimStats, sample_phase_type
-from nudgem.swap import _arrival_law, _count_law, _service_law
+from nudgem.swap import _binomial_table, _count_law, _service_law, _swap_pmf_from
 
 
 def convolution_ccdf(ph, wait_ccdf, t):
@@ -261,6 +268,61 @@ def build_nudge_m_fluid_tuples(mix: JobMix, m: int) -> FluidModel:
                       p_m0=p_m0, p_mp=p_mp)
 
 
+def selector_matrix(k: int) -> np.ndarray:
+    """U_k = [0; I]: removes the first k+1 (i = 0) coordinates."""
+    n, m = chain_size(k), chain_size(k - 1)
+    u = np.zeros((n, m))
+    u[k + 1:, :] = np.eye(m)
+    return u
+
+
+def build_extra_wait_per_k(mix: JobMix, m: int) -> np.ndarray:
+    """The extra-wait subgenerator Q with one ``counting_matrix`` and one
+    ``selector_matrix`` per block: diagonal blocks W_{M-k} (+) S1,
+    superdiagonal blocks U_{M-k} x s1* alpha1. Block k (k = 1..M) has width
+    chain_size(M - k) n1."""
+    if m < 1:
+        raise ValueError("window m must be >= 1")
+    offsets = np.cumsum([0] + [chain_size(m - k) * mix.n1 for k in range(1, m + 1)])
+    q = np.zeros((offsets[-1], offsets[-1]))
+    jump = np.outer(mix.ph1.exit, mix.ph1.alpha)  # s1* alpha1
+    for k in range(1, m + 1):
+        o, o2 = offsets[k - 1], offsets[k]
+        q[o: o2, o: o2] = kron_sum(counting_matrix(m - k, mix.lam, mix.p), mix.ph1.S)
+        if k < m:
+            off = np.kron(selector_matrix(m - k), jump)
+            q[o: o2, o2: o2 + off.shape[1]] = off
+    return q
+
+
+def build_w2_model_per_k(mix: JobMix, m: int) -> W2Model:
+    """``resp2.build_w2_model`` assembled from ``build_extra_wait_per_k``,
+    a second ``counting_matrix`` for W_M and ``selector_matrix`` for U_M:
+    T_M = [[W_M (+) T, (U_M x 1 alpha1, 0)], [0, Q]] with terminal vector
+    v_2 = [1_W x (-T)^{-1} 1; 1]."""
+    q = build_extra_wait_per_k(mix, m)
+    t_mat = mix.T
+    nw = chain_size(m)
+    nt = t_mat.shape[0]
+    top = kron_sum(counting_matrix(m, mix.lam, mix.p), t_mat)
+    coupler = np.kron(selector_matrix(m),
+                      np.outer(np.ones(nt), mix.ph1.alpha))  # U_M x 1 alpha1
+    n_top = nw * nt
+    size = n_top + q.shape[0]
+    t_m = np.zeros((size, size))
+    t_m[:n_top, :n_top] = top
+    t_m[:n_top, n_top: n_top + coupler.shape[1]] = coupler
+    t_m[n_top:, n_top:] = q
+
+    v2 = np.ones(size)
+    v2[:n_top] = np.tile(np.linalg.solve(-t_mat, np.ones(nt)), nw)
+
+    init = np.zeros(size)
+    init[:nt] = mix.lam * mix.beta  # e_1' x lambda beta
+    w2 = MatrixExpDist(init, t_m, v2)
+    return W2Model(w2=w2, r2=w2.plus(mix.ph2))
+
+
 class DenseChain(NamedTuple):
     """Counting chains W_0..W_M and the per-swap transfer matrices."""
 
@@ -283,6 +345,24 @@ def dense_chain(mix, m):
         transfer.append(np.kron(selector_matrix(m - ell), alpha1) @ inv
                         @ np.kron(np.eye(chain_size(k)), s1_star))
     return DenseChain(m=m, w=w, transfer=transfer)
+
+
+def _arrival_law(mix: JobMix, k: int, s: float) -> np.ndarray:
+    """Poisson(lambda s) arrivals during the workload s, counted up to k."""
+    w = poisson_weights(mix.lam * s)
+    law = np.zeros(k + 1)
+    n = min(k, w.shape[0])
+    law[:n] = w[:n]
+    law[k] = w[k:].sum()  # P[N >= k]
+    return law
+
+
+def initial_distribution(mix: JobMix, m: int, s: float) -> np.ndarray:
+    """Row vector e_1' e^{W_m s} over the window-m states in `_state_index`
+    order: N ~ Poisson(lambda s) arrivals, counted up to the absorbing
+    layer, put P[N = n] Bin(n, p)(i) on the state (i, n - i)."""
+    i, j = np.array(_state_index(m)).T
+    return _arrival_law(mix, m, s)[i + j] * _binomial_table(m, mix.p)[i + j, i]
 
 
 def initial_distribution_expm(chain, s):
@@ -398,6 +478,15 @@ def _start_grid(law: np.ndarray, p: float) -> np.ndarray:
     point = np.zeros((law.shape[0], law.shape[0]))
     point[0, 0] = 1.0
     return _add_arrivals(point, law, p)
+
+
+def swap_pmf(mix, m, s):
+    """Distribution of the number of swaps for a tagged type-2 job that
+    sees workload s on arrival; entries k = 0..M, by the hitting-time
+    formula of ``swap`` with the Poisson(lambda s) count law."""
+    if s < 0:
+        raise ValueError("workload s must be >= 0")
+    return _swap_pmf_from(mix, _arrival_law(mix, m, s))
 
 
 def swap_pmf_grid(mix, m, s=None):
@@ -704,6 +793,41 @@ def verify_optimality_enum(m: int, info, mix) -> OptimalityReport:
                             n_edges=n_edges,
                             is_optimal=is_optimal,
                             edge_failures=tuple(edge_failures))
+
+
+def increment_ratio(info, i: int, m: int) -> float:
+    """Ratio of ATIR increments of Nudge-K,M over Nudge-M,L at K = L = i:
+    sum_{j<i} C(M,j) w1^{M-j} w^j / sum_{j<i} C(M,j) w^{M-j} w1^j."""
+    num = sum(math.comb(m, j) * info.w1 ** (m - j) * info.w ** j for j in range(i))
+    den = sum(math.comb(m, j) * info.w ** (m - j) * info.w1 ** j for j in range(i))
+    return num / den
+
+
+@dataclass(frozen=True)
+class KmMlComparison:
+    atir_km: float
+    atir_ml: float
+    sign: int          # sign of ATIR_{K,M}(i) - ATIR_{M,L}(i)
+    predicate: bool    # S~1(-theta_Z) > (1-p)/p
+    ratio: float       # increment ratio of the two policies
+
+
+def compare_km_ml(i: int, m: int, info, mix) -> KmMlComparison:
+    """Compare ATIR of Nudge-K,M and Nudge-M,L at K = L = i for
+    1 <= i < M <= M_opt; the ordering is predicted by w1 > w, i.e.
+    S~1(-theta_Z) > (1-p)/p."""
+    if not (1 <= i < m):
+        raise ValueError("requires 1 <= i < M")
+    if m > m_opt(info):
+        raise ValueError("requires M <= M_opt")
+    a_km = family_prefactors(nudge_km_policy(i, m), info, mix).atir
+    a_ml = family_prefactors(nudge_ml_policy(m, i), info, mix).atir
+    diff = a_km - a_ml
+    sign = 0 if abs(diff) < 1e-14 else (1 if diff > 0 else -1)
+    predicate = info.s1_tilde > (1.0 - mix.p) / mix.p
+    return KmMlComparison(atir_km=a_km, atir_ml=a_ml, sign=sign,
+                          predicate=predicate,
+                          ratio=increment_ratio(info, i, m))
 
 
 def random_ph(rng, n):

@@ -14,7 +14,6 @@ import pytest
 from nudgem import asymptotics, fluid, resp2, swap
 from nudgem.asymptotics import (
     atir_nudge_m,
-    compare_km_ml,
     decay_rate,
     family_prefactors,
     heavy_traffic_atir,
@@ -25,6 +24,7 @@ from nudgem.asymptotics import (
 from nudgem.phtype import fit_hyperexp, normalized_mix, ph_exponential, two_class_exp_mix
 from nudgem.policy import fcfs_policy, nudge_m_policy
 from nudgem.sim import SimConfig, empirical_ccdf, simulate
+from oracles import compare_km_ml, swap_pmf
 
 MIX_A = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
 
@@ -147,7 +147,7 @@ def test_sim_swap_pmf_at_sampled_workloads(sim_runs):
             emp = np.bincount(counts, minlength=m + 1) / n
             # analytic pmf averaged over the actual sampled workloads
             sub = sampled[:: max(1, n // 300)]
-            ana = np.mean([swap.swap_pmf(MIX_A, m, s) for s in sub], axis=0)
+            ana = np.mean([swap_pmf(MIX_A, m, s) for s in sub], axis=0)
             se = np.sqrt(np.maximum(ana * (1 - ana), 1e-12) / n)
             assert np.all(np.abs(emp - ana) <= 3 * se + 1e-3), \
                 f"{name}, s={s0}: {emp} vs {ana}"

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oracles import (enumerate_policies, family_prefactors_enum,
-                     nudge_prefix_strings, random_family_member,
+from oracles import (compare_km_ml, enumerate_policies, family_prefactors_enum,
+                     increment_ratio, nudge_prefix_strings, random_family_member,
                      verify_optimality_enum)
 
 from nudgem.asymptotics import (
@@ -15,11 +15,9 @@ from nudgem.asymptotics import (
     atir_from_prefactors,
     atir_nudge_m,
     best_nudge_kl,
-    compare_km_ml,
     decay_rate,
     family_prefactors,
     heavy_traffic_atir,
-    increment_ratio,
     m_heavy,
     m_opt,
     m_opt_raw,

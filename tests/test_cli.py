@@ -97,6 +97,16 @@ def test_atir_family_column_by_window(tmp_path, policy, params, windows):
             assert row[2] == ""
 
 
+def test_atir_fcfs_column_is_zero(tmp_path):
+    # FCFS passes no one, so W = Z and its ATIR is 0, not a rounding residue
+    out = tmp_path / "f.csv"
+    assert main(["atir", "--recipe", "fig5b", "--policy", "fcfs", "--m", "6",
+                 "--out", str(out)]) == 0
+    header, rows = _read(out)
+    assert header == ["m", "atir", "atir_fcfs"]
+    assert [float(r[2]) for r in rows] == [0.0] * 7
+
+
 @pytest.mark.parametrize("flags", [
     ["--policy", "nudge-km"],
     ["--policy", "nudge-ml"],
@@ -371,4 +381,7 @@ def test_verify_fast_passes(capsys):
     # the optimality theorem over F_1, F_2 and F_3
     for m in (1, 2, 3):
         assert f"PASS  optimality-m{m}" in captured.out
+    # the heavy-traffic ATIR limit on both reference mixes
+    for mix in ("exp-exp", "exp-hyperexp"):
+        assert f"PASS  heavy-traffic-limit-{mix}" in captured.out
     assert "FAIL" not in captured.out

@@ -1,29 +1,56 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from nudgem.asymptotics import decay_rate, prefactors_nudge_m
-from nudgem.phtype import normalized_mix, ph_erlang, two_class_exp_mix
-from nudgem.resp2 import build_extra_wait, build_w2_model
-from nudgem.swap import mean_response, swap_pmf
-from oracles import convolution_ccdf
+from nudgem.cli import RECIPES
+from nudgem.phtype import MatrixExpDist, normalized_mix, ph_erlang, two_class_exp_mix
+from nudgem.resp2 import build_extra_wait, build_w2_model, counting_matrix
+from nudgem.swap import mean_response
+from oracles import (build_w2_model_per_k, convolution_ccdf, initial_distribution,
+                     swap_pmf)
 
 MIX = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
 ERLANG_MIX = normalized_mix(2 / 3, ph_erlang(2, 0.5), ph_erlang(2, 2.0), 0.7)
 
 
+def _extra_wait(mix, m, s):
+    """(gamma(s), Q) of the extra waiting time after workload s: gamma(s)
+    is ((e_1' e^{W_M s} U_M) x alpha1, 0), whose mass is the probability
+    of at least one swap; U_M drops the first M + 1 (i = 0) states."""
+    q = build_extra_wait(mix, m, counting_matrix(m, mix.lam, mix.p))
+    head = np.kron(initial_distribution(mix, m, s)[m + 1:], mix.ph1.alpha)
+    gamma = np.zeros(q.shape[0])
+    gamma[: head.shape[0]] = head
+    return gamma, q
+
+
 def test_gamma_mass_equals_swap_probability():
-    model = build_extra_wait(MIX, 3)
     for s in (0.0, 0.7, 4.0):
-        mass = model.gamma(s).sum()
+        mass = _extra_wait(MIX, 3, s)[0].sum()
         assert mass == pytest.approx(1.0 - swap_pmf(MIX, 3, s)[0], abs=1e-12)
 
 
 def test_extra_wait_ccdf_decreasing_in_t():
-    model = build_extra_wait(MIX, 2)
-    values = [model.ccdf(2.0, t) for t in (0.0, 0.5, 1.5, 4.0)]
+    gamma, q = _extra_wait(MIX, 2, 2.0)
+    law = MatrixExpDist(gamma, q, np.ones(q.shape[0]))
+    values = [law.ccdf(t) for t in (0.0, 0.5, 1.5, 4.0)]
     assert all(a >= b - 1e-14 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("mix", [RECIPES["fig9a"]["mix"](), RECIPES["fig5b"]["mix"](),
+                                 ERLANG_MIX], ids=["fig9a", "fig5b", "erlang2"])
+def test_w2_model_is_bit_identical_to_per_k_assembly(mix):
+    # every block cut from the one W_M equals its own counting chain, and
+    # every identity coupling equals the selector product
+    for m in range(1, 11):
+        got, want = build_w2_model(mix, m), build_w2_model_per_k(mix, m)
+        assert np.array_equal(got.t_m, want.t_m)
+        assert np.array_equal(got.w2.init, want.w2.init)
+        assert np.array_equal(got.w2.tail, want.w2.tail)
+        assert np.array_equal(got.r2.gen, want.r2.gen)
 
 
 def test_w2_at_zero_is_busy_probability():

@@ -19,8 +19,6 @@ from nudgem.resp2 import (
     _state_index,
     chain_size,
     counting_matrix,
-    initial_distribution,
-    selector_matrix,
 )
 from nudgem.swap import (
     _service_law,
@@ -28,17 +26,19 @@ from nudgem.swap import (
     mean_response,
     mean_swaps,
     priority_mean_response,
-    swap_pmf,
     unconditional_swap_pmf,
     workload_ccdf,
 )
 from oracles import (
     _add_arrivals,
     dense_chain,
+    initial_distribution,
     initial_distribution_expm,
     mean_swaps_quadrature,
     random_ph,
+    selector_matrix,
     swap_mean_vector,
+    swap_pmf,
     swap_pmf_grid,
     swap_pmf_vectors,
     unconditional_swap_pmf_kron,
@@ -296,6 +296,14 @@ def test_mean_response_no_gain_for_equal_means():
 def test_priority_bound_dominates_nudge():
     rep = mean_response(MIX, 5)
     assert priority_mean_response(MIX) <= rep.nudge + 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_priority_with_one_class_is_fcfs(p):
+    # one class left: the Pollaczek-Khinchine mean lambda E[X^2] / (2 (1 - lambda)) + 1
+    mix = normalized_mix(p, ph_erlang(2, 0.5), ph_exponential(mean=2.0), 0.7)
+    want = mix.lam * mix.second_moment() / (2.0 * (1.0 - mix.lam)) + 1.0
+    assert priority_mean_response(mix) == pytest.approx(want, rel=1e-14)
 
 
 def test_mean_swaps_grows_with_window():
