@@ -16,7 +16,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .phtype import InstabilityError, JobMix
-from .policy import PolicyFn, PolicyTables, all_strings, code_weights, \
+from .policy import PolicyFn, PolicyTables, all_strings, c2_pairs, \
     valid_tables, windows
 
 # Root cross-check tolerance for theta_Z.
@@ -251,17 +251,14 @@ def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
     within F_M, and the single-increment improvement rule on every edge of
     the enumeration lattice. Small M only (cap 3).
 
-    F_M comes from ``policy.valid_tables`` as one table array, and one
-    batched ``family_prefactors`` call gives every table's ATIR. A table's
-    code (``policy.code_weights``) is its position in the product of the
-    ranges range(t(s) + 1), which is exactly the set of tables meeting
-    (C1); so raising n(s) below t(s) adds the weight of s to the code, and
-    the raised table is in F_M iff its code is one of the enumerated
-    tables' codes, which is the (C2) test a ``PolicyFn`` build would make.
-    Every edge is therefore a lookup in the sorted codes. Only ``expected``
-    and the best tables become ``PolicyFn``; edges and failures are listed
-    by table in enumeration order, then by string in ``all_strings``
-    order.
+    F_M comes from ``policy.valid_tables`` as one table array. An edge
+    raises n(s) by one where n(s) < t(s), so (C1) still holds, and is kept
+    when the raised row meets (C2) (``policy.c2_pairs``), the check a
+    ``PolicyFn`` build would make. One batched ``family_prefactors`` call
+    over the tables and the raised rows gives every ATIR. Only
+    ``expected`` and the best tables become ``PolicyFn``; edges and
+    failures are listed by table in enumeration order, then by string in
+    ``all_strings`` order.
     """
     if m > VERIFY_M_CAP:
         raise ComplexityError(f"verify_optimality is capped at M <= {VERIFY_M_CAP}")
@@ -272,29 +269,30 @@ def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
     expected = PolicyFn(m, windows(m).bits[:, :cap].sum(axis=1))
 
     tables = valid_tables(m)
-    atirs = family_prefactors(tables, info, mix).atir
+    masks = windows(m).masks  # column j is the j-th string of all_strings
+    n = tables.by_mask[:, masks]
+    bits = windows(m).bits[masks]
+    # Increment theorem: raising n(s) by one improves the ATIR iff the
+    # position of the (n(s)+1)-st two in s is within the first M_opt slots.
+    rows, cols = np.nonzero(n < bits.sum(axis=1))
+    raised = tables.by_mask[rows]
+    raised[np.arange(rows.size), masks[cols]] += 1
+    keep = c2_pairs(m, raised).all(axis=(1, 2))
+    rows, cols, raised = rows[keep], cols[keep], raised[keep]
+    both = PolicyTables(m, np.concatenate([tables.by_mask, raised]))
+    atirs, raised_atirs = np.split(family_prefactors(both, info, mix).atir,
+                                   [len(tables.by_mask)])
     best_atir = float(np.max(atirs))
     best = tuple(PolicyFn(m, tables.by_mask[i])
                  for i in np.flatnonzero(atirs >= best_atir - OPTIMALITY_TIE_TOL))
     is_optimal = any(p == expected for p in best)
 
-    # Increment theorem: raising n(s) by one improves the ATIR iff the
-    # position of the (n(s)+1)-st two in s is within the first M_opt slots.
-    weights = code_weights(m)
-    codes = tables.by_mask @ weights
-    masks = windows(m).masks  # column j is the j-th string of all_strings
-    n = tables.by_mask[:, masks]
-    bits = windows(m).bits[masks]
-    raised = codes[:, None] + weights[masks]
-    nxt = np.minimum(np.searchsorted(codes, raised), codes.size - 1)
-    rows, cols = np.nonzero((n < bits.sum(axis=1)) & (codes[nxt] == raised))
-    nxt = nxt[rows, cols]
     # position (1-based) of the (n(s)+1)-st two in s: one past the number
     # of positions before which fewer than n(s)+1 twos are seen
     seen = np.cumsum(bits, axis=1)[cols]
     k_prime = 1 + np.sum(seen < n[rows, cols][:, None] + 1, axis=1)
-    improves = atirs[nxt] > atirs[rows] + OPTIMALITY_TIE_TOL
-    degrades = atirs[nxt] < atirs[rows] - OPTIMALITY_TIE_TOL
+    improves = raised_atirs > atirs[rows] + OPTIMALITY_TIE_TOL
+    degrades = raised_atirs < atirs[rows] - OPTIMALITY_TIE_TOL
     failed = (improves & (k_prime > mo)) | (degrades & (k_prime <= mo))
     strings = list(all_strings(m))
     edge_failures = tuple(

@@ -156,6 +156,8 @@ def cmd_atir(args) -> int:
         return EXIT_OK
 
     m_max = args.m if args.m is not None else recipe.get("m", 10)
+    if m_max < 0:
+        raise ValueError("m must be >= 0")
     info = decay_rate(mix)
     header = ["m", "atir"]
     key = policy_key(args.policy or "nudge-m")

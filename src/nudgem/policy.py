@@ -63,6 +63,14 @@ def _mask_string(m: int, b: int) -> String:
     return tuple(2 if b >> i & 1 else 1 for i in range(m))
 
 
+def c2_pairs(m: int, rows: np.ndarray) -> np.ndarray:
+    """(C2) on table rows indexed by bitmask, pair by pair: entry
+    [..., b, s0] holds n(((b << 1) | s0) mod 2^m) <= n(b) + s0, where
+    s0 = 1 prepends a type-2 job to the window b and s0 = 0 a type-1 job."""
+    w = windows(m)
+    return rows[..., w.left] <= rows[..., :, None] + w.s0
+
+
 @dataclass(frozen=True, eq=False)
 class PolicyFn:
     """A member of the family F_M, checked exhaustively at construction.
@@ -102,8 +110,7 @@ class PolicyFn:
             b = int(w.masks[np.argmin(ok1[w.masks])])
             raise PolicyError(f"(C1) violated at {_mask_string(m, b)}: "
                               f"n={int(row[b])}, t={int(w.twos[b])}")
-        # (C2) on every pair at once: n(left[b, s0]) <= n(b) + s0
-        ok2 = row[w.left] <= row[:, None] + w.s0
+        ok2 = c2_pairs(m, row)
         if not ok2.all():
             j, s0 = divmod(int(np.argmin(ok2[w.masks])), 2)
             raise PolicyError(f"(C2) violated at s0={s0 + 1}, "
@@ -215,33 +222,12 @@ def named_policy(kind: str, **params) -> PolicyFn:
         raise PolicyError(f"policy {kind!r} needs parameter {exc}") from exc
 
 
-def _radix(m: int) -> np.ndarray:
-    """t(s) + 1, the number of values of n(s), by bitmask."""
-    return windows(m).twos + 1
-
-
-def code_weights(m: int) -> np.ndarray:
-    """Weight of each bitmask in the mixed-radix code of a table.
-
-    The digit of string s is n(s), of radix t(s) + 1, and the digit of the
-    last string of ``all_strings(m)`` varies fastest. ``by_mask @
-    code_weights(m)`` is then the table's position in the product of the
-    ranges range(t(s) + 1), and raising n(s) by one below t(s) adds
-    ``code_weights(m)[s]`` to the code.
-    """
-    masks = windows(m).masks
-    radix = _radix(m)
-    lex_weights = np.ones(1 << m, dtype=np.int64)
-    lex_weights[:-1] = np.cumprod(radix[masks][:0:-1])[::-1]
-    weights = np.empty_like(lex_weights)
-    weights[masks] = lex_weights
-    return weights
-
-
 class PolicyTables(NamedTuple):
     """Many tables of F_M as the rows of one integer array: row i is table
-    i's ``PolicyFn.by_mask``. ``asymptotics.family_prefactors`` reads
-    ``m`` and ``by_mask`` of a ``PolicyFn`` and of this alike."""
+    i's ``PolicyFn.by_mask``, unchecked; ``valid_tables`` and
+    ``asymptotics.verify_optimality`` keep only rows that pass
+    ``c2_pairs``. ``asymptotics.family_prefactors`` reads ``m`` and
+    ``by_mask`` of a ``PolicyFn`` and of this alike."""
 
     m: int
     by_mask: np.ndarray
@@ -249,27 +235,17 @@ class PolicyTables(NamedTuple):
 
 def valid_tables(m: int) -> PolicyTables:
     """Every table of F_m, in the order of the product of the ranges
-    range(t(s) + 1) over ``all_strings(m)`` (so row codes under
-    ``code_weights`` increase). The candidates are the codes of that whole
-    product (864 at m = 3, 14,929,920 at m = 4, so m <= 3 only); (C1)
-    holds by construction. (C2) is checked on all candidates at once, one
-    pair of windows at a time, on digits decoded from the codes:
-    prepending s0 to the window b gives ((b << 1) | s0) mod 2^m. Only the
-    valid codes are decoded into rows.
+    range(t(s) + 1) over ``all_strings(m)``, the last string varying
+    fastest. The candidates are that whole product (864 at m = 3,
+    14,929,920 at m = 4, so m <= 3 only), so (C1) holds by construction;
+    the rows that meet ``c2_pairs`` at every pair are kept.
     """
     if m > 3:
         raise ValueError("valid_tables checks every candidate: m <= 3 only")
-    size = 1 << m
-    weights, radix = code_weights(m), _radix(m)
-    codes = np.arange(int(np.prod(radix)))
-    ok = np.ones(codes.size, dtype=bool)
-    for b in range(size):
-        n_b = codes // weights[b] % radix[b]
-        for s0 in (0, 1):
-            left = ((b << 1) | s0) & (size - 1)
-            ok &= codes // weights[left] % radix[left] <= n_b + s0
-    codes = codes[ok]
-    return PolicyTables(m, codes[:, None] // weights % radix)
+    w = windows(m)
+    rows = np.empty((int(np.prod(w.twos + 1)), 1 << m), dtype=np.int64)
+    rows[:, w.masks] = np.indices(w.twos[w.masks] + 1).reshape(1 << m, -1).T
+    return PolicyTables(m, rows[c2_pairs(m, rows).all(axis=(1, 2))])
 
 
 def policy_from_table_file(path) -> PolicyFn:

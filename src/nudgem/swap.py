@@ -94,8 +94,6 @@ def _swap_pmf_from(mix: JobMix, law: np.ndarray) -> np.ndarray:
     have mass 1: the formula sums to 1 whatever they hold.
     """
     m = law.shape[0] - 1
-    if m < 1:
-        raise ValueError("window m must be >= 1")
     c = _service_law(mix, m)
     for what, x in (("the found work", law), ("a type-1 service", c)):
         if abs(x.sum() - 1.0) > PMF_TOL:
@@ -127,6 +125,8 @@ def unconditional_swap_pmf(mix: JobMix, m: int) -> np.ndarray:
     """P[X_swap = k] for an arriving type-2 job, mixing over the workload Z
     it observes: arrivals during Z (density lambda beta e^{Ts} 1), plus the
     empty system's 1 - lambda with none."""
+    if m < 1:
+        raise ValueError("window m must be >= 1")
     law = _count_law(mix.lam * mix.beta, mix.T, np.ones(mix.T.shape[0]),
                      mix.lam, m)
     law[0] += 1.0 - mix.lam

@@ -296,8 +296,12 @@ def test_cli_import_leaves_out_quadrature():
      "window m must be >= 1"),
     (["simulate", "--recipe", "fig5a", "--policy", "nudge-m", "--m", "-2"],
      "window m must be >= 1"),
+    (["mean", "--recipe", "fig8", "--m", "-1", "--lambda", "0.5"],
+     "window m must be >= 1"),
+    (["atir", "--recipe", "fig5b", "--m", "-1"], "m must be >= 0"),
 ], ids=["dist-t-abc", "atir-lambda-two-fields", "mean-m0", "dist-t-negative",
-        "atir-lambda-no-points", "simulate-m0", "simulate-m-negative"])
+        "atir-lambda-no-points", "simulate-m0", "simulate-m-negative",
+        "mean-m-negative", "atir-m-negative"])
 def test_value_errors_are_input_errors(argv, message, tmp_path, capsys):
     # a plain ValueError is an input error (exit 2), not a traceback
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
