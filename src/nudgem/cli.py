@@ -178,8 +178,9 @@ def cmd_atir(args) -> int:
 
 def _family_atir(args, info, mix, m_max: int) -> Dict[int, float]:
     """ATIR of the named policy's member of each window 1..m_max that has
-    one, keyed by window. A parameter that is missing, or a K or L above
-    m_max, is an input error."""
+    one, keyed by window; windows above ``asymptotics.FAMILY_M_CAP`` have
+    none. A parameter that is missing, or a K or L above m_max, is an
+    input error."""
     members = {}
     for m in range(m_max, 0, -1):
         ns = argparse.Namespace(policy=args.policy, m=m, k=args.k, l=args.l)
@@ -193,7 +194,8 @@ def _family_atir(args, info, mix, m_max: int) -> Dict[int, float]:
         if pol.m != m:  # the window is fixed by --k/--l or the table file
             break
     return {w: asymptotics.family_prefactors(pol, info, mix).atir
-            for w, pol in members.items() if w <= m_max}
+            for w, pol in members.items()
+            if w <= min(m_max, asymptotics.FAMILY_M_CAP)}
 
 
 def _fluid_record(sol: fluid.FluidSolution) -> dict:
@@ -202,6 +204,7 @@ def _fluid_record(sol: fluid.FluidSolution) -> dict:
             "n_plus_solved": int(np.count_nonzero(
                 fluid.reachable_plus(sol.model))),
             "riccati_residual": sol.riccati_residual,
+            "sda_steps": sol.sda_steps,
             "c0": sol.c0, "eigen_gap": sol.eigen_gap}
 
 

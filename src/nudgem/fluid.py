@@ -145,59 +145,61 @@ def riccati_residual(model: RiccatiBlocks, psi: np.ndarray) -> float:
     return _residual_norm(model)(psi)
 
 
-def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, float]:
-    """SDA iterate H_k and its residual norm at the step that stopped.
+def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, float, int]:
+    """SDA iterate H_k, its residual norm and k at the step that stopped.
 
     Cast as the M-matrix equation X C X - X D - A X + B = 0 with
     A = -T_++, D = -T_--, B = T_+-, C = T_-+ and the shift
-    gamma = max diag(A, D). Set-up: W = A_g - B D_g^{-1} C and
-    V = D_g - C A_g^{-1} B, then E = I - 2 gamma V^{-1},
-    F = I - 2 gamma W^{-1}, G = 2 gamma D_g^{-1} C W^{-1} and
-    H = 2 gamma W^{-1} B D_g^{-1}, with W^{-1} and D_g^{-1} C formed once.
-    Each doubling step forms Fi = F (I - HG)^{-1} and Ei = E (I - GH)^{-1}
-    once and updates E <- Ei E, F <- Fi F, G <- G + Ei G F and
-    H <- H + Fi H E. Every product and inverse that feeds H is the same
-    call on the same operands as in the textbook form
-    E (I - GH)^{-1} E, ..., evaluated left to right, so H is the same to
-    the last bit; only the repetitions are gone. Each n+ x n+ temporary
-    is released once used, so at most four are live at a time.
+    gamma = max diag(A, D); r = n+ and n = n-. Set-up: D_g^{-1} is formed
+    once and W = A_g - B (D_g^{-1} C) is inverted once, the one r x r
+    inverse of the solve. Then F = I - 2 gamma W^{-1},
+    G = 2 gamma (D_g^{-1} C) W^{-1}, H = 2 gamma (W^{-1} B) D_g^{-1} and,
+    as Woodbury gives V^{-1} = D_g^{-1} + (D_g^{-1} C) W^{-1} B D_g^{-1}
+    for V = D_g - C A_g^{-1} B, E = I - 2 gamma D_g^{-1} - (D_g^{-1} C) H.
+    Each doubling step inverts only the n x n matrix I - GH: with
+    X = (I - GH)^{-1}, the push-through identity
+    F (I - HG)^{-1} H = (F H) X and (I - HG)^{-1} = I + H X G give
+    H <- H + (F H X) E, G <- G + (E X)(G F), F <- F F + (F H X)(G F)
+    and E <- (E X) E. A step costs one r x r x r product (F F) and
+    O(r^2 n + r n^2 + n^3) more. Every added term is a sum of nonnegative
+    matrices (E, F, G, H, D_g^{-1}, W^{-1} and X are >= 0), so no
+    cancellation is added. A step holds at most two r x r arrays.
     The loop stops when H moves by at most RICCATI_STEP_TOL or its
     residual (``_residual_norm``) is at most RICCATI_RESIDUAL_TOL; that
     test runs on the new H before E, F and G are updated, since the
-    stopping step never uses them. The last residual is returned.
+    stopping step never uses them. The last residual and the number of
+    doubling steps taken are returned.
     """
     b, c = model.t_pm, model.t_mp
-    m, n = model.n_plus, model.n_minus
+    r, n = model.n_plus, model.n_minus
     gamma = max(np.max(-np.diag(model.t_pp)), np.max(-np.diag(model.t_mm)))
-    a_g = gamma * np.eye(m) - model.t_pp  # = -T_++ + gamma I, entry for entry
-    d_g = gamma * np.eye(n) - model.t_mm
-    dgc = np.linalg.solve(d_g, c)
-    w_g = a_g - b @ dgc
-    v_g = d_g - c @ np.linalg.solve(a_g, b)
-    del a_g
-    iw = np.linalg.inv(w_g)
-    h = 2.0 * gamma * np.linalg.solve(w_g, b) @ np.linalg.inv(d_g)
-    del w_g
-    e = np.eye(n) - 2.0 * gamma * np.linalg.inv(v_g)
+    idg = np.linalg.inv(gamma * np.eye(n) - model.t_mm)
+    dgc = idg @ c
+    # A_g = gamma I - T_++ = -T_++ + gamma I, entry for entry
+    iw = np.linalg.inv(gamma * np.eye(r) - model.t_pp - b @ dgc)
+    h = 2.0 * gamma * (iw @ b) @ idg
+    e = np.eye(n) - 2.0 * gamma * idg - dgc @ h
     g = 2.0 * gamma * dgc @ iw
-    f = np.eye(m) - 2.0 * gamma * iw
+    f = np.eye(r) - 2.0 * gamma * iw
     del iw
 
     residual = _residual_norm(model)
-    for _ in range(RICCATI_MAX_ITER):
-        fi = f @ np.linalg.inv(np.eye(m) - h @ g)
-        h_new = h + fi @ h @ e
+    for steps in range(1, RICCATI_MAX_ITER + 1):
+        igh = np.linalg.inv(np.eye(n) - g @ h)
+        fhi = (f @ h) @ igh
+        h_new = h + fhi @ e
         step = np.linalg.norm(h_new - h, np.inf)
         res = residual(h_new)
         if step <= RICCATI_STEP_TOL or res <= RICCATI_RESIDUAL_TOL:
-            return h_new, res
-        ei = e @ np.linalg.inv(np.eye(n) - g @ h)
-        g = g + ei @ g @ f
-        f = fi @ f
-        del fi
+            break
+        gf = g @ f
+        ei = e @ igh
+        g = g + ei @ gf
+        f = f @ f
+        f += fhi @ gf
         e = ei @ e
         h = h_new
-    return h, res
+    return h_new, res, steps
 
 
 def reachable_plus(model: RiccatiBlocks) -> np.ndarray:
@@ -285,15 +287,16 @@ def solve_riccati(model: FluidModel,
     started up in phase i, first returns to its level in phase j, so
     every row of the minimal solution sums to at most 1), or when the
     residual of the whole equation exceeds RICCATI_RESIDUAL_TOL. That
-    residual, the one checked, is stored as ``report["residual"]`` when a
-    dict ``report`` is given, so a caller can show it without a second
+    residual, the one checked, is stored as ``report["residual"]`` and the
+    number of SDA doubling steps as ``report["steps"]`` when a dict
+    ``report`` is given, so a caller can show them without a second
     evaluation.
     """
     r = reachable_plus(model)
     if r.all():
-        psi, res = _sda(model)
+        psi, res, steps = _sda(model)
     else:
-        psi_r = _sda(model.restrict(r))[0]
+        psi_r, _, steps = _sda(model.restrict(r))
         psi = np.empty((model.n_plus, model.n_minus))
         psi[r] = psi_r
         psi[~r] = _boundary_rows(model, r, psi_r)
@@ -308,7 +311,7 @@ def solve_riccati(model: FluidModel,
         raise RiccatiError(f"Riccati residual {res:.3e} above "
                            f"{RICCATI_RESIDUAL_TOL:.0e}")
     if report is not None:
-        report["residual"] = res
+        report.update(residual=res, steps=steps)
     return psi
 
 
@@ -318,7 +321,8 @@ class FluidSolution:
     level W_1, P[W_1 > t] = pi_+ e^{Kt} (-K)^{-1} Psi 1. ``eigen_gap`` is
     the distance from 1 of the second-nearest eigenvalue of P~ Psi (inf
     when n- = 1). ``riccati_residual`` is the residual ``solve_riccati``
-    checked Psi against."""
+    checked Psi against, and ``sda_steps`` the number of doubling steps
+    it took."""
 
     model: FluidModel
     psi: np.ndarray
@@ -326,6 +330,7 @@ class FluidSolution:
     w1: MatrixExpDist
     eigen_gap: float
     riccati_residual: float
+    sda_steps: int
 
     def w1_ccdf(self, t):
         """P[W_1 > t] at a scalar t or on a 1-D grid."""
@@ -380,7 +385,8 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
         raise StationarySolveError(f"zero-level mass c0 = {c0:.6g} outside (0, 1)")
     w1 = MatrixExpDist(pi, k, tail)
     return FluidSolution(model=model, psi=psi, c0=c0, w1=w1, eigen_gap=eigen_gap,
-                         riccati_residual=solved["residual"])
+                         riccati_residual=solved["residual"],
+                         sda_steps=solved["steps"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Independent oracles shared by the test modules (not collected).
 
 Each one recomputes a package result by a slower, generic route (dense
-``scipy.linalg.expm``, Sylvester iteration, the textbook SDA loop with
-dense residuals, the n+-sized eigenproblem for pi_+, adaptive
-quadrature, string enumeration, the named policies and the (C1)/(C2)
-checks one string at a time, a dense counting chain with one inverse
-per swap and a Kronecker solve, the arrival-count grid over the
-counting chain's states, a queue scan per arrival, the Nudge-M
-fluid built over tuple-keyed state dicts) and so does not go through the
+``scipy.linalg.expm``, Sylvester iteration, the textbook SDA loops, with
+two inverses a step and with one, with dense residuals, the n+-sized
+eigenproblem for pi_+, adaptive quadrature, string enumeration, the
+named policies and the (C1)/(C2) checks one string at a time, a dense
+counting chain with one inverse per swap and a Kronecker solve, the
+arrival-count grid over the counting chain's states, a queue scan per
+arrival, the Nudge-M fluid built over tuple-keyed state dicts) and so
+does not go through the
 evaluation of ``MatrixExpDist`` (``dense_ccdf`` and ``dense_density``
 read only a law's fields), the hitting-time formula of the swap laws
 (the grid shares only the arrival-count laws of ``swap``),
@@ -85,13 +86,32 @@ def riccati_residual_dense(model, psi):
     return float(np.linalg.norm(res, np.inf))
 
 
+def _sda_converged(model, h, prev) -> bool:
+    """The SDA stopping test on dense residuals: H moved by at most
+    RICCATI_STEP_TOL or its residual is at most RICCATI_RESIDUAL_TOL."""
+    return (np.linalg.norm(h - prev, np.inf) <= RICCATI_STEP_TOL
+            or riccati_residual_dense(model, h) <= RICCATI_RESIDUAL_TOL)
+
+
+def _sda_result(model, h):
+    """The converged SDA iterate, clipped at 0, after a dense residual
+    check."""
+    res = riccati_residual_dense(model, h)
+    if res > RICCATI_RESIDUAL_TOL:
+        raise AssertionError(f"SDA did not converge (residual {res:.3e})")
+    return np.clip(h, 0.0, None)
+
+
 def solve_riccati_dense(model):
-    """The textbook SDA loop with dense residual checks: both inverses and
-    every product of E (I - GH)^{-1} E, F (I - HG)^{-1} F,
-    G + E (I - GH)^{-1} G F and H + F (I - HG)^{-1} H E formed as written,
-    and the dense residual after every step. On the blocks restricted to
-    the states R of ``fluid.reachable_plus``, it must return the rows R of
-    ``fluid.solve_riccati``'s Psi to the last bit."""
+    """The two-inverse textbook SDA loop with dense residual checks: both
+    set-up inverses W^{-1} and V^{-1}, both step inverses (I - GH)^{-1}
+    and (I - HG)^{-1}, and every product of E (I - GH)^{-1} E,
+    F (I - HG)^{-1} F, G + E (I - GH)^{-1} G F and H + F (I - HG)^{-1} H E
+    formed as written, and the dense residual after every step. Its
+    arithmetic is not that of ``fluid.solve_riccati``, so on the blocks
+    restricted to the states R of ``fluid.reachable_plus`` it agrees with
+    that Psi's rows R to rounding only, about 1e-14 of the largest
+    entry."""
     a = -model.t_pp
     d = -model.t_mm
     b = model.t_pm
@@ -116,15 +136,47 @@ def solve_riccati_dense(model):
         g_new = g + e @ igh @ g @ f
         h_new = h + f @ ihg @ h @ e
         e, f, g, h = e_new, f_new, g_new, h_new
-        step = np.linalg.norm(h - prev, np.inf)
-        prev = h.copy()
-        if step <= RICCATI_STEP_TOL or riccati_residual_dense(model, h) <= RICCATI_RESIDUAL_TOL:
+        if _sda_converged(model, h, prev):
             break
-    psi = h
-    res = riccati_residual_dense(model, psi)
-    if res > RICCATI_RESIDUAL_TOL:
-        raise AssertionError(f"SDA did not converge (residual {res:.3e})")
-    return np.clip(psi, 0.0, None)
+        prev = h.copy()
+    return _sda_result(model, h)
+
+
+def solve_riccati_one_lu_dense(model):
+    """The textbook SDA loop in the form with one r x r inverse, with
+    dense residual checks. Set-up: D_g^{-1} and W^{-1} for
+    W = A_g - B D_g^{-1} C, then H = 2 gamma (W^{-1} B) D_g^{-1} and, by
+    Woodbury, E = I - 2 gamma D_g^{-1} - (D_g^{-1} C) H. Each step inverts
+    only X = (I - GH)^{-1} and forms, as written,
+    E X E, F F + (F H X)(G F), G + (E X)(G F) and H + (F H X) E, from
+    (I - HG)^{-1} = I + H X G and F (I - HG)^{-1} H = F H X. On the blocks
+    restricted to the states R of ``fluid.reachable_plus``, it must return
+    the rows R of ``fluid.solve_riccati``'s Psi to the last bit."""
+    a = -model.t_pp
+    d = -model.t_mm
+    b = model.t_pm
+    c = model.t_mp
+    m, n = a.shape[0], d.shape[0]
+    gamma = max(np.max(np.diag(a)), np.max(np.diag(d)))
+    idg = np.linalg.inv(d + gamma * np.eye(n))
+    iw = np.linalg.inv(a + gamma * np.eye(m) - b @ (idg @ c))
+    h = 2.0 * gamma * (iw @ b) @ idg
+    e = np.eye(n) - 2.0 * gamma * idg - (idg @ c) @ h
+    f = np.eye(m) - 2.0 * gamma * iw
+    g = 2.0 * gamma * (idg @ c) @ iw
+
+    prev = h.copy()
+    for _ in range(RICCATI_MAX_ITER):
+        x = np.linalg.inv(np.eye(n) - g @ h)
+        e_new = e @ x @ e
+        f_new = f @ f + f @ h @ x @ (g @ f)
+        g_new = g + e @ x @ (g @ f)
+        h_new = h + f @ h @ x @ e
+        e, f, g, h = e_new, f_new, g_new, h_new
+        if _sda_converged(model, h, prev):
+            break
+        prev = h.copy()
+    return _sda_result(model, h)
 
 
 def stationary_pi_dense(model, psi):

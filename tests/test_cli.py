@@ -9,7 +9,7 @@ import pytest
 
 import nudgem
 from nudgem import fluid, resp2
-from nudgem.asymptotics import decay_rate, family_prefactors
+from nudgem.asymptotics import FAMILY_M_CAP, decay_rate, family_prefactors
 from nudgem.cli import RECIPES, main, parse_grid
 from nudgem.phtype import MatrixExpDist
 from nudgem.policy import named_policy
@@ -95,6 +95,25 @@ def test_atir_family_column_by_window(tmp_path, policy, params, windows):
             assert float(row[2]) == family_prefactors(pol, info, mix).atir
         else:
             assert row[2] == ""
+
+
+def test_atir_family_column_blank_above_cap(tmp_path):
+    # the fig5b recipe runs to m = 12: the Nudge-K,M column is blank where
+    # the window is above FAMILY_M_CAP (and at m = 1 < K), while the
+    # closed-form Nudge-M column keeps every row
+    out = tmp_path / "f.csv"
+    assert main(["atir", "--recipe", "fig5b", "--policy", "nudge-km", "--k", "2",
+                 "--out", str(out)]) == 0
+    _, rows = _read(out)
+    assert [int(r[0]) for r in rows] == list(range(13))
+    assert all(r[1] != "" for r in rows)
+    mix = RECIPES["fig5b"]["mix"]()
+    info = decay_rate(mix)
+    for row in rows[2:FAMILY_M_CAP + 1]:
+        pol = named_policy("nudge-km", k=2, m=int(row[0]))
+        assert float(row[2]) == family_prefactors(pol, info, mix).atir
+    assert [r[2] for r in rows[FAMILY_M_CAP + 1:]] == [""] * (12 - FAMILY_M_CAP)
+    assert rows[1][2] == ""
 
 
 def test_atir_fcfs_column_is_zero(tmp_path):
@@ -325,8 +344,8 @@ def test_psi_rows_above_one_are_numeric_failure(monkeypatch, tmp_path, capsys):
     real = fluid._sda
 
     def inflated(model):
-        psi, res = real(model)
-        return 1.01 * psi, res
+        psi, *rest = real(model)
+        return (1.01 * psi, *rest)
 
     monkeypatch.setattr(fluid, "_sda", inflated)
     argv = ["dist", "--recipe", "fig9a", "--m", "2", "--t", "0,1"]
@@ -364,6 +383,7 @@ def test_dist_manifest_fluid_record(tmp_path):
     assert (rec["n_minus"], rec["n_plus"]) == (8, 16)
     assert rec["n_plus_solved"] == 12  # 2^(m-1) (n1 + 2 n2)
     assert 0.0 <= rec["riccati_residual"] <= 1e-12
+    assert rec["sda_steps"] == 8
     assert rec["c0"] == pytest.approx(0.3, abs=1e-9)  # 1 - lambda
     assert 0.0 < rec["eigen_gap"] <= 2.0
 

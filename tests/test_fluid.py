@@ -5,12 +5,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from nudgem import fluid
 from nudgem.asymptotics import decay_rate, prefactors_nudge_m
 from nudgem.cli import RECIPES
 from nudgem.fluid import (
     NUDGE_M_CAP,
     RICCATI_RESIDUAL_TOL,
     FluidModel,
+    _boundary_rows,
     build_fcfs_fluid,
     build_nudge1_fluid,
     build_nudge_m_fluid,
@@ -35,6 +37,7 @@ from oracles import (
     riccati_residual_dense,
     solve_riccati_dense,
     solve_riccati_fixed_point,
+    solve_riccati_one_lu_dense,
     stationary_pi_dense,
 )
 
@@ -185,16 +188,54 @@ ORACLE_MODELS = {
 @pytest.mark.parametrize("name", list(ORACLE_MODELS))
 def test_sda_is_bit_identical_to_dense_oracle(name):
     # SDA runs on the reachable S+ states R only, and forms each product
-    # once: Psi[R] is the textbook loop's on the R-restricted blocks to the
-    # last bit (the whole Psi when R is all of S+, as for FCFS), and pi_+
-    # from the n- x n- eigenproblem matches the n+ x n+ one
+    # once: Psi[R] is the one-inverse textbook loop's on the R-restricted
+    # blocks to the last bit (the whole Psi when R is all of S+, as for
+    # FCFS), and pi_+ from the n- x n- eigenproblem matches the n+ x n+ one
     model = ORACLE_MODELS[name]()
     sol = stationary_fluid(model)  # sol.psi is solve_riccati(model)
     r = reachable_plus(model)
-    assert np.array_equal(sol.psi[r], solve_riccati_dense(model.restrict(r)))
+    assert np.array_equal(sol.psi[r],
+                          solve_riccati_one_lu_dense(model.restrict(r)))
     pi, c0 = stationary_pi_dense(model, sol.psi)
     assert np.max(np.abs(sol.w1.init - pi)) <= 1e-13 * np.max(pi)
     assert sol.c0 == pytest.approx(c0, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MODELS))
+def test_sda_matches_two_inverse_oracle(name):
+    # the two-inverse loop shares none of the step's arithmetic: on R the
+    # two differ by rounding only
+    model = ORACLE_MODELS[name]()
+    psi = solve_riccati(model)
+    r = reachable_plus(model)
+    ref = solve_riccati_dense(model.restrict(r))
+    assert np.max(np.abs(psi[r] - ref)) <= 1e-14 * np.max(psi)
+
+
+def _two_inverse_riccati(model, report):
+    """solve_riccati with Psi[R] from the two-inverse textbook loop."""
+    r = reachable_plus(model)
+    psi = np.empty((model.n_plus, model.n_minus))
+    psi[r] = solve_riccati_dense(model.restrict(r))
+    psi[~r] = _boundary_rows(model, r, psi[r])
+    np.clip(psi, 0.0, None, out=psi)
+    report.update(residual=riccati_residual(model, psi), steps=0)
+    return psi
+
+
+@pytest.mark.parametrize("recipe, m", [("fig5b", 6), ("fig5b", 7), ("fig5a", 8)],
+                         ids=["fig5b-m6", "fig5b-m7", "fig5a-m8"])
+def test_tail_matches_two_inverse_law(recipe, m, monkeypatch):
+    # P[W_1 > 40 / theta_Z] moves about 65 times as much as Psi, relative
+    # to its size: the law built from this Psi stays within 1e-12 relative
+    # of the law built from the two-inverse loop's Psi
+    mix = RECIPES[recipe]["mix"]()
+    t = 40.0 / decay_rate(mix).theta_z
+    model = build_nudge_m_fluid(mix, m)
+    tail = stationary_fluid(model).w1_ccdf(t)
+    monkeypatch.setattr(fluid, "solve_riccati", _two_inverse_riccati)
+    want = stationary_fluid(model).w1_ccdf(t)
+    assert abs(tail - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("name", list(ORACLE_MODELS))
@@ -242,7 +283,8 @@ def test_solution_carries_the_checked_residual():
         assert sol.riccati_residual == riccati_residual(model, sol.psi)
         report = {}
         assert np.array_equal(solve_riccati(model, report=report), sol.psi)
-        assert report == {"residual": sol.riccati_residual}
+        assert report == {"residual": sol.riccati_residual,
+                          "steps": sol.sda_steps}
     assert stationary_fluid(build_fcfs_fluid(MIX)).riccati_residual < 1e-12
 
 
