@@ -178,24 +178,28 @@ def cmd_atir(args) -> int:
 
 def _family_atir(args, info, mix, m_max: int) -> Dict[int, float]:
     """ATIR of the named policy's member of each window 1..m_max that has
-    one, keyed by window; windows above ``asymptotics.FAMILY_M_CAP`` have
-    none. A parameter that is missing, or a K or L above m_max, is an
-    input error."""
+    one, keyed by window. Windows above ``asymptotics.FAMILY_M_CAP`` have
+    none, and no table is built for them. A parameter that is missing, or
+    a K or L above m_max, is an input error."""
+    top = min(m_max, asymptotics.FAMILY_M_CAP)
+    # the least window of Nudge-K,M is K and that of Nudge-M,L is L
+    least = {"nudge-km": args.k, "nudge-ml": args.l}.get(policy_key(args.policy))
+    if least is not None and top < least <= m_max:
+        return {}  # every member is above the cap
     members = {}
-    for m in range(m_max, 0, -1):
+    for m in range(top, 0, -1):
         ns = argparse.Namespace(policy=args.policy, m=m, k=args.k, l=args.l)
         try:
             pol = resolve_policy(ns)
         except PolicyError:
-            if m == m_max:
+            if m == top:
                 raise
             break  # K > M or L > M, and so for every smaller M
         members.setdefault(pol.m, pol)
         if pol.m != m:  # the window is fixed by --k/--l or the table file
             break
     return {w: asymptotics.family_prefactors(pol, info, mix).atir
-            for w, pol in members.items()
-            if w <= min(m_max, asymptotics.FAMILY_M_CAP)}
+            for w, pol in members.items() if w <= top}
 
 
 def _fluid_record(sol: fluid.FluidSolution) -> dict:
@@ -206,6 +210,12 @@ def _fluid_record(sol: fluid.FluidSolution) -> dict:
             "riccati_residual": sol.riccati_residual,
             "sda_steps": sol.sda_steps,
             "c0": sol.c0, "eigen_gap": sol.eigen_gap}
+
+
+def _law_record(law, t_max: float) -> dict:
+    """Size, uniformization rate and product counts of one law's grid."""
+    return {"n": law.init.shape[0], "q": law.rate, "q_t_max": law.rate * t_max,
+            **law.products(t_max)._asdict()}
 
 
 def cmd_dist(args) -> int:
@@ -227,18 +237,23 @@ def cmd_dist(args) -> int:
 
     # every law is built once and evaluated on the whole grid
     fcfs_w = swap.workload_law(mix)  # under FCFS, W = Z
-    r1f = fcfs_w.plus(mix.ph1).ccdf(t_grid)
-    r2f = fcfs_w.plus(mix.ph2).ccdf(t_grid)
+    fcfs_r1, fcfs_r2 = fcfs_w.plus(mix.ph1), fcfs_w.plus(mix.ph2)
+    r1f, r2f = fcfs_r1.ccdf(t_grid), fcfs_r2.ccdf(t_grid)
     extra = {"theta_z": info.theta_z, "m": m}
     if policy_name == "fcfs":
+        laws = {"w1": fcfs_w, "r1": fcfs_r1, "w2": fcfs_w, "r2": fcfs_r2}
         w1 = w2 = fcfs_w.ccdf(t_grid)
         r1, r2 = r1f, r2f
     else:
         sol = fluid.stationary_fluid(fluid.build_nudge_m_fluid(mix, m))
         extra["fluid"] = _fluid_record(sol)
         w2m = resp2.build_w2_model(mix, m)
-        w1, r1 = sol.w1_ccdf(t_grid), sol.w1.plus(mix.ph1).ccdf(t_grid)
+        laws = {"w1": sol.w1, "r1": sol.w1.plus(mix.ph1),
+                "w2": w2m.w2, "r2": w2m.r2}
+        w1, r1 = sol.w1_ccdf(t_grid), laws["r1"].ccdf(t_grid)
         w2, r2 = w2m.w2_ccdf(t_grid), w2m.r2_ccdf(t_grid)
+    t_max = max(t_grid, default=0.0)
+    extra["laws"] = {name: _law_record(law, t_max) for name, law in laws.items()}
 
     header = ["t", "w1_ccdf", "r1_ccdf", "w2_ccdf", "r2_ccdf", "tir"]
     rows = []

@@ -44,7 +44,7 @@ from nudgem.asymptotics import (FAMILY_M_CAP, OPTIMALITY_TIE_TOL, VERIFY_M_CAP,
 from nudgem.fluid import (NUDGE_M_CAP, RICCATI_MAX_ITER, RICCATI_RESIDUAL_TOL,
                           RICCATI_STEP_TOL, FluidModel)
 from nudgem.phtype import (JobMix, MatrixExpDist, PhaseType, kron_sum,
-                           poisson_weights)
+                           poisson_terms, poisson_weights)
 from nudgem.policy import (PolicyError, PolicyFn, all_strings, fcfs_policy,
                            nudge_km_policy, nudge_ml_policy)
 from nudgem.resp2 import W2Model, _state_index, chain_size, counting_matrix
@@ -579,6 +579,21 @@ def _dense_eval(law, t, vec):
     ts = np.asarray(t, dtype=float)
     vals = np.array([law.init @ expm(law.gen * x) @ vec for x in ts.ravel()])
     return float(vals[0]) if ts.ndim == 0 else vals
+
+
+def sequential_ccdf(law, grid):
+    """P[X > t] on a 1-D grid by uniformization with one matrix-vector
+    product per term, s_k = init P^k tail for k <= poisson_terms(q t_max):
+    the loop that the blocked ``MatrixExpDist`` evaluation replaced."""
+    q = law.rate
+    p = np.eye(law.init.shape[0]) + law.gen / q
+    vec = law.tail
+    terms = np.empty(poisson_terms(q * float(np.max(grid))) + 1)
+    terms[0] = law.init @ vec
+    for k in range(1, terms.shape[0]):
+        vec = p @ vec
+        terms[k] = law.init @ vec
+    return np.array([w @ terms[:w.shape[0]] for w in map(poisson_weights, q * grid)])
 
 
 def count_twos(s) -> int:

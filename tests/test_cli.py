@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nudgem
-from nudgem import fluid, resp2
+from nudgem import cli, fluid, resp2
 from nudgem.asymptotics import FAMILY_M_CAP, decay_rate, family_prefactors
 from nudgem.cli import RECIPES, main, parse_grid
 from nudgem.phtype import MatrixExpDist
@@ -114,6 +114,37 @@ def test_atir_family_column_blank_above_cap(tmp_path):
         assert float(row[2]) == family_prefactors(pol, info, mix).atir
     assert [r[2] for r in rows[FAMILY_M_CAP + 1:]] == [""] * (12 - FAMILY_M_CAP)
     assert rows[1][2] == ""
+
+
+def test_atir_family_builds_no_table_above_cap(monkeypatch, tmp_path):
+    # --m 18 asks for windows up to 18; only those up to FAMILY_M_CAP = 6
+    # are built, and their cells are those of --m 6. A K above the cap
+    # builds none, and a K above --m stays an input error
+    built = []
+    real = cli.resolve_policy
+
+    def counted(args, default_m=None):
+        pol = real(args, default_m)
+        built.append(pol.m)
+        return pol
+
+    def atir(k, m):
+        out = tmp_path / f"k{k}m{m}.csv"
+        code = main(["atir", "--recipe", "fig5b", "--policy", "nudge-km",
+                     "--k", str(k), "--m", str(m), "--out", str(out)])
+        return code, out.read_text().splitlines() if code == 0 else None
+
+    monkeypatch.setattr(cli, "resolve_policy", counted)
+    assert FAMILY_M_CAP == 6
+    (code, big), (code6, small) = atir(2, 18), atir(2, 6)
+    assert (code, code6) == (0, 0) and built == [6, 5, 4, 3, 2] * 2
+    assert big[:8] == small
+    assert all(line.endswith(",") for line in big[8:])
+    built.clear()
+    code, lines = atir(8, 18)
+    assert code == 0 and built == []
+    assert lines[1].endswith(",0.0") and all(line.endswith(",") for line in lines[2:])
+    assert [atir(19, m)[0] for m in (4, 18)] == [2, 2]
 
 
 def test_atir_fcfs_column_is_zero(tmp_path):
@@ -386,6 +417,24 @@ def test_dist_manifest_fluid_record(tmp_path):
     assert rec["sda_steps"] == 8
     assert rec["c0"] == pytest.approx(0.3, abs=1e-9)  # 1 - lambda
     assert 0.0 < rec["eigen_gap"] <= 2.0
+
+
+def test_dist_manifest_law_records(tmp_path):
+    # each law's size, rate, q t_max and products on the default grid
+    # (0 to 60/theta_Z): 31 rows, 5 squarings for P^32 and K // 32 columns
+    out = tmp_path / "d.csv"
+    assert main(["dist", "--recipe", "fig9a", "--m", "3", "--out", str(out)]) == 0
+    laws = json.loads((tmp_path / "d.csv.manifest.json").read_text())["laws"]
+    t_max = 60.0 / decay_rate(RECIPES["fig9a"]["mix"]()).theta_z
+    expect = {"w1": (16, 1.990997453888077, 29), "r1": (17, 2.0, 29),
+              "w2": (30, 2.7, 37), "r2": (31, 2.7, 37)}
+    assert sorted(laws) == sorted(expect)
+    for name, (n, q, columns) in expect.items():
+        rec = laws[name]
+        assert (rec["n"], rec["rows"], rec["squarings"], rec["columns"]) == \
+            (n, 31, 5, columns)
+        assert rec["q"] == pytest.approx(q, rel=1e-12)
+        assert rec["q_t_max"] == pytest.approx(q * t_max, rel=1e-12)
 
 
 def test_missing_mix_is_input_error(tmp_path):

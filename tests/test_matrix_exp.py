@@ -7,14 +7,14 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from oracles import dense_ccdf, dense_density
+from oracles import dense_ccdf, dense_density, sequential_ccdf
 
-from nudgem import fluid, resp2
+from nudgem import fluid, phtype, resp2
 from nudgem.asymptotics import decay_rate
 from nudgem.cli import RECIPES
-from nudgem.phtype import (MatrixExpDist, fit_hyperexp, normalized_mix,
-                           ph_erlang, ph_exponential, poisson_terms,
-                           poisson_weights)
+from nudgem.phtype import (BLOCK_LOG2, MatrixExpDist, fit_hyperexp,
+                           normalized_mix, ph_erlang, ph_exponential,
+                           poisson_terms, poisson_weights)
 
 LAW_RTOL = 1e-12
 
@@ -47,6 +47,18 @@ def test_laws_match_dense_expm(name):
                                    rtol=LAW_RTOL, atol=0, err_msg=law_name)
 
 
+@pytest.mark.parametrize("name", sorted(MIXES))
+def test_laws_match_sequential_uniformization(name):
+    # the blocks reassociate the products of the one-product-per-term loop;
+    # each term's relative rounding grows like K eps either way
+    mix = MIXES[name]
+    grid = np.linspace(0.0, 60.0 / decay_rate(mix).theta_z, 25)
+    for law_name, law in _laws(mix, 3).items():
+        rtol = poisson_terms(law.rate * grid[-1]) * np.finfo(float).eps
+        np.testing.assert_allclose(law.ccdf(grid), sequential_ccdf(law, grid),
+                                   rtol=rtol, atol=0, err_msg=law_name)
+
+
 def test_stiff_law_matches_dense_expm():
     # Erlang-20 type-1 jobs at lambda = 0.99: q/theta_Z is about 5700, so
     # the 40/theta_Z tail takes about 2.3e5 uniformization terms. A
@@ -59,6 +71,50 @@ def test_stiff_law_matches_dense_expm():
     rtol = max(LAW_RTOL, law.rate * grid[-1] * np.finfo(float).eps)
     assert law.rate / theta > 5000
     np.testing.assert_allclose(law.ccdf(grid), dense_ccdf(law, grid),
+                               rtol=rtol, atol=0)
+
+
+def _t_for_terms(law, k):
+    """A t whose grid needs exactly K = k: poisson_terms(q t) == k >= 40."""
+    root = (-10.0 + np.sqrt(100.0 + 4.0 * (k - 40.5))) / 2.0 if k > 40 else 0.0
+    t = root * root / law.rate
+    assert poisson_terms(law.rate * t) == k
+    return t
+
+
+@pytest.mark.parametrize("log2", sorted({BLOCK_LOG2, 6}))
+def test_block_edges_match_pointwise_and_dense_expm(monkeypatch, log2):
+    # grid points whose K sits on either side of the first block edges
+    # (K = A - 1 needs no P^A), and one point over twenty blocks; poisson_terms
+    # is at least 40, so the edges below 40 are left out
+    monkeypatch.setattr(phtype, "BLOCK_LOG2", log2)
+    a = 1 << log2
+    law = _laws(MIXES["fig9a"], 2)["r2"]
+    ks = [k for k in (a - 1, a, a + 1, 2 * a - 1, 2 * a, 2 * a + 1, 20 * a) if k >= 40]
+    grid = np.array([_t_for_terms(law, k) for k in ks])
+    for k, t in zip(ks, grid):
+        plan = law.products(t)
+        assert plan == (a - 1, log2 if k >= a else 0, k // a)
+    for evaluate, dense in ((law.ccdf, dense_ccdf), (law.density, dense_density)):
+        vals = evaluate(grid)
+        assert np.array_equal(vals, [evaluate(t) for t in grid])
+        np.testing.assert_allclose(vals, dense(law, grid), rtol=LAW_RTOL, atol=0)
+
+
+def test_stiff_response_law_matches_dense_expm():
+    # R2 for Erlang-20 type-1 jobs at lambda = 0.99 (n = 84): the 26-point
+    # grid to 60/theta_Z needs K of about 8.9e4 terms, which the blocks
+    # reach in under 3,000 products; the tolerance is that of
+    # test_stiff_law_matches_dense_expm
+    mix = normalized_mix(2 / 3, ph_erlang(20, 1.0), ph_exponential(mean=1.0), 0.99)
+    law = resp2.build_w2_model(mix, 1).r2
+    grid = np.linspace(0.0, 60.0 / decay_rate(mix).theta_z, 26)
+    assert law.init.shape == (84,) and poisson_terms(law.rate * grid[-1]) > 85_000
+    assert sum(law.products(grid[-1])) < 3000
+    rtol = max(LAW_RTOL, law.rate * grid[-1] * np.finfo(float).eps)
+    np.testing.assert_allclose(law.ccdf(grid), dense_ccdf(law, grid),
+                               rtol=rtol, atol=0)
+    np.testing.assert_allclose(law.density(grid), dense_density(law, grid),
                                rtol=rtol, atol=0)
 
 
