@@ -205,8 +205,7 @@ def _family_atir(args, info, mix, m_max: int) -> Dict[int, float]:
 def _fluid_record(sol: fluid.FluidSolution) -> dict:
     """Sizes and numerical health of a fluid solve, for the manifest."""
     return {"n_minus": sol.model.n_minus, "n_plus": sol.model.n_plus,
-            "n_plus_solved": int(np.count_nonzero(
-                fluid.reachable_plus(sol.model))),
+            "n_plus_solved": sol.n_plus_solved,
             "riccati_residual": sol.riccati_residual,
             "sda_steps": sol.sda_steps,
             "c0": sol.c0, "eigen_gap": sol.eigen_gap}
@@ -235,25 +234,33 @@ def cmd_dist(args) -> int:
     t_grid = parse_grid(args.t, "--t") if args.t else \
         [float(x) for x in np.linspace(0.0, 60.0 / info.theta_z, 25)]
 
-    # every law is built once and evaluated on the whole grid
+    # every law is built once; a waiting-time law and its response law
+    # share one evaluation on the whole grid (``ccdf_pair``)
     fcfs_w = swap.workload_law(mix)  # under FCFS, W = Z
     fcfs_r1, fcfs_r2 = fcfs_w.plus(mix.ph1), fcfs_w.plus(mix.ph2)
-    r1f, r2f = fcfs_r1.ccdf(t_grid), fcfs_r2.ccdf(t_grid)
+    wf, r1f = fcfs_r1.ccdf_pair(fcfs_w, t_grid)
+    r2f = fcfs_r2.ccdf(t_grid)
     extra = {"theta_z": info.theta_z, "m": m}
     if policy_name == "fcfs":
         laws = {"w1": fcfs_w, "r1": fcfs_r1, "w2": fcfs_w, "r2": fcfs_r2}
-        w1 = w2 = fcfs_w.ccdf(t_grid)
+        via = {"w1": "r1", "w2": "r1"}
+        w1 = w2 = wf
         r1, r2 = r1f, r2f
     else:
         sol = fluid.stationary_fluid(fluid.build_nudge_m_fluid(mix, m))
         extra["fluid"] = _fluid_record(sol)
         w2m = resp2.build_w2_model(mix, m)
-        laws = {"w1": sol.w1, "r1": sol.w1.plus(mix.ph1),
-                "w2": w2m.w2, "r2": w2m.r2}
-        w1, r1 = sol.w1_ccdf(t_grid), laws["r1"].ccdf(t_grid)
-        w2, r2 = w2m.w2_ccdf(t_grid), w2m.r2_ccdf(t_grid)
+        r1_law = sol.w1.plus(mix.ph1)
+        laws = {"w1": sol.w1, "r1": r1_law, "w2": w2m.w2, "r2": w2m.r2}
+        via = {"w1": "r1", "w2": "r2"}
+        w1, r1 = r1_law.ccdf_pair(sol.w1, t_grid)
+        w2, r2 = w2m.r2.ccdf_pair(w2m.w2, t_grid)
     t_max = max(t_grid, default=0.0)
     extra["laws"] = {name: _law_record(law, t_max) for name, law in laws.items()}
+    # a waiting-time law made no products of its own: it was read off the
+    # P^A of its response law, whose counts it carries
+    for name, by in via.items():
+        extra["laws"][name].update(laws[by].products(t_max)._asdict(), via=by)
 
     header = ["t", "w1_ccdf", "r1_ccdf", "w2_ccdf", "r2_ccdf", "tir"]
     rows = []

@@ -230,6 +230,21 @@ def _components(a: np.ndarray) -> list:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
+def _d_groups(model: RiccatiBlocks, d: np.ndarray) -> list:
+    """The connected components of T_++[D,D] for the S+ states d, grouped
+    by equal blocks: (B, comps) pairs, comps holding one component per row
+    as positions in d, in the order of ``_components``; none when d is
+    empty."""
+    if not d.size:
+        return []
+    b_dd = model.t_pp[np.ix_(d, d)]
+    groups: Dict[Tuple[int, bytes], list] = {}
+    for comp in _components(b_dd):
+        block = b_dd[np.ix_(comp, comp)]
+        groups.setdefault((comp.size, block.tobytes()), [block]).append(comp)
+    return [(block, np.array(comps)) for block, *comps in groups.values()]
+
+
 def _boundary_rows(model: RiccatiBlocks, r: np.ndarray,
                    psi_r: np.ndarray) -> np.ndarray:
     """Psi[D] for D = ~r from Psi[R] = psi_r.
@@ -247,13 +262,8 @@ def _boundary_rows(model: RiccatiBlocks, r: np.ndarray,
     u = model.t_mm + _gather_matmul(_row_lists(model.t_mp[:, ri]), psi_r)
     rhs = model.t_pm[d] + _gather_matmul(
         _row_lists(model.t_pp[np.ix_(d, ri)]), psi_r)
-    b_dd = model.t_pp[np.ix_(d, d)]
-    groups: Dict[Tuple[int, bytes], list] = {}
-    for comp in _components(b_dd):
-        block = b_dd[np.ix_(comp, comp)]
-        groups.setdefault((comp.size, block.tobytes()), [block]).append(comp)
     out = np.empty((d.size, n))
-    for block, *comps in groups.values():
+    for block, comps in _d_groups(model, d):
         nb = block.shape[0]
         sylv = np.kron(np.eye(nb), u.T)
         sylv += np.kron(block, np.eye(n))
@@ -317,29 +327,78 @@ def solve_riccati(model: FluidModel,
 
 @dataclass(frozen=True)
 class FluidSolution:
-    """Stationary fluid: Psi, the zero-level mass c0 and the law of the
-    level W_1, P[W_1 > t] = pi_+ e^{Kt} (-K)^{-1} Psi 1. ``eigen_gap`` is
-    the distance from 1 of the second-nearest eigenvalue of P~ Psi (inf
-    when n- = 1). ``riccati_residual`` is the residual ``solve_riccati``
-    checked Psi against, and ``sda_steps`` the number of doubling steps
-    it took."""
+    """Stationary fluid: Psi, pi_+ (normalized so eta = 1), the zero-level
+    mass c0 and the law of the level W_1 (``stationary_fluid``).
+    ``eigen_gap`` is the distance from 1 of the second-nearest eigenvalue
+    of P~ Psi (inf when n- = 1). ``riccati_residual`` is the residual
+    ``solve_riccati`` checked Psi against, ``sda_steps`` the number of
+    doubling steps it took and ``n_plus_solved`` the number |R| of S+
+    states they ran on."""
 
     model: FluidModel
     psi: np.ndarray
+    pi_plus: np.ndarray
     c0: float
     w1: MatrixExpDist
     eigen_gap: float
     riccati_residual: float
     sda_steps: int
+    n_plus_solved: int
 
     def w1_ccdf(self, t):
         """P[W_1 > t] at a scalar t or on a 1-D grid."""
         return self.w1.ccdf(t)
 
 
+# pi_+ on the components of a D group is proportional to one phase law in
+# exact arithmetic: the components are entered only from the level-0
+# boundary, for Nudge-M with alpha_2. Rounding moves it off by at most
+# 2.7e-16 max pi_+ on the test oracle models (random mixes; exactly 0 when
+# the group's phase law has one nonzero entry) and by 0 on the fig5a and
+# fig5b recipes up to m = 10 and 9. The bound is 370 times that worst
+# case. Components entered with two different phase laws are off by
+# 2.3e-3 to 9.1e-3 max pi_+ in the tests' models.
+LUMP_TOL = 1e-13
+
+
+def _lump_d(model: FluidModel, d: np.ndarray, pi_d: np.ndarray,
+            scale: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block per group of D components (``_d_groups``) that carries
+    pi_+ mass, for the law of W_1.
+
+    The components of a group share their block B = K[c, c] = T_++[c, c],
+    and pi_+ on each is m_c beta for one phase law beta. So the level
+    started in the group evolves by B from beta whichever component it is
+    in, and leaves for R at the rates sum_c w_c K[c, R] with w_c = m_c / M
+    (exact lumpability). Returns the S+ states of one component per kept
+    group; u, whose row j of a group puts w_c on phase j of each of
+    its components; and the lumped pi_+, sum_c pi_+[c]. A group without
+    mass is dropped; one whose pi_+ rows are off m_c beta by more than
+    LUMP_TOL scale raises StationarySolveError.
+    """
+    reps, us, inits = [np.zeros(0, np.intp)], [np.zeros((0, d.size))], [np.zeros(0)]
+    for _, comps in _d_groups(model, d):
+        rows = pi_d[comps]                      # one row per component
+        mass, init = rows.sum(axis=1), rows.sum(axis=0)
+        if not init.any():
+            continue
+        beta = init / mass.sum()
+        if np.max(np.abs(rows - np.outer(mass, beta))) > LUMP_TOL * scale:
+            raise StationarySolveError(
+                "pi_+ on a group of boundary-entered components is not "
+                "proportional to one phase law")
+        u = np.zeros((comps.shape[1], d.size))
+        u[np.arange(comps.shape[1]), comps] = (mass / mass.sum())[:, None]
+        reps.append(d[comps[0]])
+        us.append(u)
+        inits.append(init)
+    return np.concatenate(reps), np.concatenate(us), np.concatenate(inits)
+
+
 def stationary_fluid(model: FluidModel) -> FluidSolution:
-    """Stationary distribution of the fluid with jumps: the law of W_1 from
-    K = T_++ + Psi T_-+ and pi_+, and the zero-level mass c0.
+    """Stationary distribution of the fluid with jumps: pi_+, the
+    zero-level mass c0 and the law of W_1,
+    P[W_1 > t] = pi_+ e^{Kt} (-K)^{-1} Psi 1 with K = T_++ + Psi T_-+.
 
     pi_+ is the left eigenvector of the n+ x n+ matrix Psi P~ at
     eigenvalue 1, normalized so eta = 1. It comes from the n- x n-
@@ -348,12 +407,17 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     of P~ Psi at 1 with pi_+ = pi_+ Psi P~ = x P~. So the checks "an
     eigenvalue within 1e-8 of 1" and "only one" keep their meaning, and
     the sign check runs on pi_+ = x P~.
+
+    K is not formed at size n+. With R the states of ``reachable_plus``
+    and D the rest, K[R, D] = 0 and K[D, D] = T_++[D, D], so the law is
+    built on R plus one block per group of D components (``_lump_d``),
+    with the tail (-K_l)^{-1} Psi_l 1 of that lumped system. For Nudge-M
+    the 2^(m-1) n2 states of D become one copy of S2.
     """
     solved: dict = {}
     psi = solve_riccati(model, report=solved)
     p_tilde = model.p_mp - model.p_m0 @ np.linalg.solve(model.t_star_00,
                                                         model.t_star_0p)
-    k = model.t_pp + psi @ model.t_mp
 
     vals, vecs = np.linalg.eig((p_tilde @ psi).T)  # S- x S-
     dist = np.abs(vals - 1.0)
@@ -372,21 +436,34 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
         raise StationarySolveError("pi_+ eigenvector is not sign-definite")
     pi = np.clip(pi, 0.0, None)
 
-    ones_m = np.ones(model.n_minus)
+    r = reachable_plus(model)
+    ri, d = np.flatnonzero(r), np.flatnonzero(~r)
+    reps, u, init_d = _lump_d(model, d, pi[d], np.max(pi))
+    nr = ri.size
+    keep = np.concatenate([ri, reps])
+    # T_++[R, R], the groups' blocks B and the zero blocks between them
+    k = model.t_pp[np.ix_(keep, keep)]
+    k[nr:, :nr] = u @ model.t_pp[np.ix_(d, ri)]
+    psi_l = np.concatenate([psi[ri], u @ psi[d]])
+    # Psi_l T_-+[:, R] from the few nonzeros of each column of T_-+
+    k[:, :nr] += _gather_matmul(_row_lists(model.t_mp[:, ri].T), psi_l.T).T
+    tail = np.linalg.solve(-k, psi_l @ np.ones(model.n_minus))
+    init = np.concatenate([pi[ri], init_d])
+
     ones_0 = np.ones(model.t_star_00.shape[0])
     boundary = psi @ model.p_m0 @ np.linalg.solve(model.t_star_00, ones_0)
-    tail = np.linalg.solve(-k, psi @ ones_m)  # (-K)^{-1} Psi 1
-    eta = float(pi @ (tail - boundary))
+    eta = float(init @ tail - pi @ boundary)
     if eta <= 0:
         raise StationarySolveError(f"normalizing constant eta = {eta:.3e} <= 0")
     pi = pi / eta
     c0 = -float(pi @ boundary)
     if not (0.0 < c0 < 1.0):
         raise StationarySolveError(f"zero-level mass c0 = {c0:.6g} outside (0, 1)")
-    w1 = MatrixExpDist(pi, k, tail)
-    return FluidSolution(model=model, psi=psi, c0=c0, w1=w1, eigen_gap=eigen_gap,
+    w1 = MatrixExpDist(init / eta, k, tail)
+    return FluidSolution(model=model, psi=psi, pi_plus=pi, c0=c0, w1=w1,
+                         eigen_gap=eigen_gap,
                          riccati_residual=solved["residual"],
-                         sda_steps=solved["steps"])
+                         sda_steps=solved["steps"], n_plus_solved=nr)
 
 
 # ---------------------------------------------------------------------------

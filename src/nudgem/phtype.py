@@ -146,6 +146,8 @@ class MatrixExpDist:
         return Products((1 << BLOCK_LOG2) - 1, BLOCK_LOG2 if columns else 0, columns)
 
     def _eval(self, t, vec: np.ndarray):
+        """init e^{gen t} vec on the grid t for a vector vec, or for each
+        column of a matrix vec (one value per point and column)."""
         ts = np.asarray(t, dtype=float)
         if np.any(ts < 0) or not np.all(np.isfinite(ts)):
             raise ValueError("t must be finite and >= 0")
@@ -160,7 +162,7 @@ class MatrixExpDist:
             rows[a] = rows[a - 1] @ p
         for _ in range(plan.squarings):  # P^A; the first squaring frees P
             p = p @ p
-        cols = np.empty((plan.columns + 1, p.shape[0]))  # cols[b] = P^{bA} vec
+        cols = np.empty((plan.columns + 1,) + vec.shape)  # cols[b] = P^{bA} vec
         cols[0] = vec
         for b in range(1, plan.columns + 1):
             cols[b] = p @ cols[b - 1]
@@ -168,10 +170,13 @@ class MatrixExpDist:
         # shape per column whatever the grid, so each term is the same
         # number on every grid
         terms = np.concatenate([rows @ col for col in cols])
-        vals = np.array([w @ terms[:w.shape[0]] for w in map(poisson_weights, mus)])
+        vals = np.array([w @ terms[:w.shape[0]] for w in map(poisson_weights, mus)]
+                        ).reshape(mus.shape + vec.shape[1:])
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError("non-finite matrix-exponential law value")
-        return float(vals[0]) if ts.ndim == 0 else vals
+        if ts.ndim:
+            return vals
+        return float(vals[0]) if vec.ndim == 1 else vals[0]
 
     def ccdf(self, t):
         """P[X > t] for a scalar t (float) or a 1-D grid (array)."""
@@ -180,6 +185,28 @@ class MatrixExpDist:
     def density(self, t):
         """f_X(t) = init e^{gen t} (-gen tail) for t > 0 (the atom excluded)."""
         return self._eval(t, -self.gen @ self.tail)
+
+    def ccdf_pair(self, head: "MatrixExpDist", t):
+        """(P[X > t], P[X + Y > t]) for this law the law of X + Y =
+        head.plus(ph), from this law's one generator.
+
+        Its generator is block upper triangular with head's in the leading
+        block and init starts with head's, so
+        init e^{gen t} [tail_X; 0] = init_X e^{gen_X t} tail_X: [tail_X; 0]
+        rides as a second column of every giant step and head's law forms
+        no P^A of its own. Its rate is this law's q, at least head's, so
+        its values differ from ``head.ccdf``'s by rounding only.
+        """
+        n = head.init.shape[0]
+        if not (np.array_equal(self.gen[:n, :n], head.gen)
+                and np.array_equal(self.init[:n], head.init)
+                and not self.gen[n:, :n].any()):
+            raise ValueError("head is not the leading block of this law")
+        vecs = np.zeros((self.tail.shape[0], 2))
+        vecs[:n, 0] = head.tail
+        vecs[:, 1] = self.tail
+        head_vals, vals = self._eval(t, vecs).T
+        return head_vals, vals
 
     def plus(self, ph: "PhaseType") -> "MatrixExpDist":
         """Law of X + Y for an independent Y ~ PH(alpha, S): X's exit flow

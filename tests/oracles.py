@@ -8,21 +8,23 @@ named policies and the (C1)/(C2) checks one string at a time, a dense
 counting chain with one inverse per swap and a Kronecker solve, the
 arrival-count grid over the counting chain's states, a queue scan per
 arrival, the Nudge-M fluid built over tuple-keyed state dicts) and so
-does not go through the
-evaluation of ``MatrixExpDist`` (``dense_ccdf`` and ``dense_density``
-read only a law's fields), the hitting-time formula of the swap laws
-(the grid shares only the arrival-count laws of ``swap``),
-the window sweep of ``asymptotics.family_prefactors``, the bitmask rows
-and array check of ``policy``, the bitmask index arithmetic of
-``fluid.build_nudge_m_fluid`` or the event loop of ``sim.simulate``. The
-one exception is ``verify_optimality_enum``: it checks the table array
-and the code lookups of ``asymptotics.verify_optimality`` by one
+does not go through the evaluation of ``MatrixExpDist`` (``dense_ccdf``
+and ``dense_density`` read only a law's fields), the hitting-time
+formula of the swap laws (the grid shares only the arrival-count laws of
+``swap``), the window sweep of ``asymptotics.family_prefactors``, the
+bitmask rows and array check of ``policy``, the bitmask index arithmetic
+of ``fluid.build_nudge_m_fluid`` or the event loop of ``sim.simulate``.
+There are two exceptions. ``verify_optimality_enum`` checks the table
+array and the code lookups of ``asymptotics.verify_optimality`` by one
 ``PolicyFn`` per table and per lattice edge, and shares its
 ``family_prefactors`` (one table per call), which
-``family_prefactors_enum`` checks. ``build_w2_model_per_k`` is the
-reference for ``resp2.build_w2_model``: it builds one counting chain and
-one selector matrix per block, where the package cuts every block from
-W_M. The module also holds helpers only tests use: ``count_twos``, the
+``family_prefactors_enum`` checks. ``unlumped_w1_law``, the law of W_1
+on all n+ states, is a ``MatrixExpDist``: it checks how
+``fluid.stationary_fluid`` lumps the set D, not how a law is evaluated,
+which ``dense_ccdf`` checks. ``build_w2_model_per_k`` is the reference
+for ``resp2.build_w2_model``: it builds one counting chain and one
+selector matrix per block, where the package cuts every block from W_M.
+The module also holds helpers only tests use: ``count_twos``, the
 simulator's tail-prefactor regression ``tail_prefactor_estimate``, the
 conditional swap law ``swap_pmf`` and the Nudge-K,M against Nudge-M,L
 comparison ``compare_km_ml``.
@@ -31,7 +33,7 @@ comparison ``compare_km_ml``.
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +44,7 @@ from nudgem.asymptotics import (FAMILY_M_CAP, OPTIMALITY_TIE_TOL, VERIFY_M_CAP,
                                 AtirReport, ComplexityError, OptimalityReport,
                                 atir_from_prefactors, family_prefactors, m_opt)
 from nudgem.fluid import (NUDGE_M_CAP, RICCATI_MAX_ITER, RICCATI_RESIDUAL_TOL,
-                          RICCATI_STEP_TOL, FluidModel)
+                          RICCATI_STEP_TOL, FluidModel, build_nudge_m_fluid)
 from nudgem.phtype import (JobMix, MatrixExpDist, PhaseType, kron_sum,
                            poisson_terms, poisson_weights)
 from nudgem.policy import (PolicyError, PolicyFn, all_strings, fcfs_policy,
@@ -177,6 +179,25 @@ def solve_riccati_one_lu_dense(model):
             break
         prev = h.copy()
     return _sda_result(model, h)
+
+
+def unlumped_w1_law(model, psi, pi):
+    """The law of W_1 on all n+ states of S+, with the set D not lumped:
+    init pi_+, generator K = T_++ + Psi T_-+ and tail (-K)^{-1} Psi 1."""
+    k = model.t_pp + psi @ model.t_mp
+    return MatrixExpDist(pi, k, np.linalg.solve(-k, psi @ np.ones(model.n_minus)))
+
+
+def mixed_entry_fluid(mix: JobMix, m: int) -> FluidModel:
+    """The Nudge-M fluid (m >= 3) in which serving from window 3 enters
+    the subset-3 state 2 with the type-2 phases in reverse order: two
+    components of D with the one block S2 entered with different phase
+    laws (when alpha_2 is not its own reverse)."""
+    model = build_nudge_m_fluid(mix, m)
+    p_mp = model.p_mp.copy()
+    cols = np.flatnonzero(p_mp[3])
+    p_mp[3, cols] = p_mp[3, cols[::-1]]
+    return replace(model, p_mp=p_mp)
 
 
 def stationary_pi_dense(model, psi):

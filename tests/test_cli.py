@@ -13,6 +13,7 @@ from nudgem.asymptotics import FAMILY_M_CAP, decay_rate, family_prefactors
 from nudgem.cli import RECIPES, main, parse_grid
 from nudgem.phtype import MatrixExpDist
 from nudgem.policy import named_policy
+from oracles import mixed_entry_fluid
 
 
 def _read(path):
@@ -406,6 +407,22 @@ def test_no_eigenvalue_one_is_numeric_failure(monkeypatch, tmp_path, capsys):
     assert "no eigenvalue of Psi P~ near 1" in capsys.readouterr().err
 
 
+def test_boundary_entry_with_two_phase_laws_is_numeric_failure(
+        monkeypatch, tmp_path, capsys):
+    # D's components entered with two phase laws cannot be lumped into one
+    # block: the CLI reports a numeric failure (exit 4)
+    mixfile = tmp_path / "mix.json"
+    mixfile.write_text(json.dumps({
+        "p": 0.6, "lambda": 0.7, "normalize": True,
+        "type1": {"kind": "exp", "mean": 1.0},
+        "type2": {"alpha": [0.7, 0.3], "S": [[-1.6, 0.8], [0.0, -1.8]]},
+    }))
+    monkeypatch.setattr(fluid, "build_nudge_m_fluid", mixed_entry_fluid)
+    argv = ["dist", "--mix", str(mixfile), "--m", "3", "--t", "0,1"]
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 4
+    assert "not proportional" in capsys.readouterr().err
+
+
 def test_dist_manifest_fluid_record(tmp_path):
     out = tmp_path / "d.csv"
     assert main(["dist", "--recipe", "fig9a", "--m", "3", "--t", "0,2",
@@ -426,7 +443,7 @@ def test_dist_manifest_law_records(tmp_path):
     assert main(["dist", "--recipe", "fig9a", "--m", "3", "--out", str(out)]) == 0
     laws = json.loads((tmp_path / "d.csv.manifest.json").read_text())["laws"]
     t_max = 60.0 / decay_rate(RECIPES["fig9a"]["mix"]()).theta_z
-    expect = {"w1": (16, 1.990997453888077, 29), "r1": (17, 2.0, 29),
+    expect = {"w1": (13, 1.990997453888077, 29), "r1": (14, 2.0, 29),
               "w2": (30, 2.7, 37), "r2": (31, 2.7, 37)}
     assert sorted(laws) == sorted(expect)
     for name, (n, q, columns) in expect.items():
@@ -435,6 +452,23 @@ def test_dist_manifest_law_records(tmp_path):
             (n, 31, 5, columns)
         assert rec["q"] == pytest.approx(q, rel=1e-12)
         assert rec["q_t_max"] == pytest.approx(q * t_max, rel=1e-12)
+
+
+@pytest.mark.parametrize("policy, via", [
+    ("nudge-m", {"w1": "r1", "w2": "r2"}),
+    ("fcfs", {"w1": "r1", "w2": "r1"}),
+])
+def test_dist_manifest_waiting_laws_ride_on_response_laws(tmp_path, policy, via):
+    # a waiting-time law is read off its response law's P^A: its record
+    # names that law and carries its product counts, not counts of its own
+    out = tmp_path / "d.csv"
+    assert main(["dist", "--recipe", "fig9a", "--policy", policy, "--m", "3",
+                 "--out", str(out)]) == 0
+    laws = json.loads((tmp_path / "d.csv.manifest.json").read_text())["laws"]
+    assert {name: rec["via"] for name, rec in laws.items() if "via" in rec} == via
+    for name, by in via.items():
+        for key in ("rows", "squarings", "columns"):
+            assert laws[name][key] == laws[by][key]
 
 
 def test_missing_mix_is_input_error(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nudgem.fluid import (
     NUDGE_M_CAP,
     RICCATI_RESIDUAL_TOL,
     FluidModel,
+    StationarySolveError,
     _boundary_rows,
     build_fcfs_fluid,
     build_nudge1_fluid,
@@ -27,18 +29,21 @@ from nudgem.phtype import (
     normalized_mix,
     ph_erlang,
     ph_exponential,
+    poisson_terms,
     two_class_exp_mix,
 )
 from nudgem.swap import workload_ccdf
 from oracles import (
     build_nudge_m_fluid_tuples,
     convolution_ccdf,
+    mixed_entry_fluid,
     random_ph,
     riccati_residual_dense,
     solve_riccati_dense,
     solve_riccati_fixed_point,
     solve_riccati_one_lu_dense,
     stationary_pi_dense,
+    unlumped_w1_law,
 )
 
 MIX = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
@@ -168,21 +173,36 @@ UNREACHED_MIX = normalized_mix(
     0.6, PhaseType([1.0, 0.0], [[-2.0, 0.0], [1.0, -1.0]]), ph_exponential(2.0),
     lam=0.7)
 
-ORACLE_MODELS = {
-    "fcfs": lambda: build_fcfs_fluid(MIX),
-    "nudge1": lambda: build_nudge1_fluid(MIX),
-    **{f"{name}-m{m}": (lambda mix=mix, m=m: build_nudge_m_fluid(mix(), m))
-       for name, mix in (("fig5a", RECIPES["fig5a"]["mix"]),
-                         ("fig5b", RECIPES["fig5b"]["mix"]),
-                         ("he", lambda: HE_MIX))
+
+def _boundary_entered_fcfs(mix):
+    """FCFS on UNREACHED_MIX with the level-0 boundary starting half of the
+    type-1 jobs in phase 2: that D state carries pi_+ mass and moves into
+    R, so T_++[D, R] enters W_1's law."""
+    model = build_fcfs_fluid(mix)
+    t0p = model.t_star_0p.copy()
+    t0p[0, :2] = t0p[0, :2].sum() / 2
+    return replace(model, t_star_0p=t0p)
+
+
+# name: (mix, builder); the mix also gives theta_Z for a law's grid
+ORACLE_CASES = {
+    "fcfs": (MIX, build_fcfs_fluid),
+    "nudge1": (MIX, build_nudge1_fluid),
+    **{f"{name}-m{m}": (mix, partial(build_nudge_m_fluid, m=m))
+       for name, mix in (("fig5a", RECIPES["fig5a"]["mix"]()),
+                         ("fig5b", RECIPES["fig5b"]["mix"]()),
+                         ("he", HE_MIX))
        for m in range(1, 9)},
     # (n1, n2) = (3, 2) and (2, 3)
-    "random7-m4": lambda: build_nudge_m_fluid(_random_mix(7), 4),
-    "random9-m5": lambda: build_nudge_m_fluid(_random_mix(9), 5),
-    "erlang3-m4": lambda: build_nudge_m_fluid(ERLANG3_MIX, 4),
-    "unreached-fcfs": lambda: build_fcfs_fluid(UNREACHED_MIX),
-    "unreached-m3": lambda: build_nudge_m_fluid(UNREACHED_MIX, 3),
+    "random7-m4": (_random_mix(7), partial(build_nudge_m_fluid, m=4)),
+    "random9-m5": (_random_mix(9), partial(build_nudge_m_fluid, m=5)),
+    "erlang3-m4": (ERLANG3_MIX, partial(build_nudge_m_fluid, m=4)),
+    "unreached-fcfs": (UNREACHED_MIX, build_fcfs_fluid),
+    "unreached-m3": (UNREACHED_MIX, partial(build_nudge_m_fluid, m=3)),
+    "boundary-fcfs": (UNREACHED_MIX, _boundary_entered_fcfs),
 }
+ORACLE_MODELS = {name: partial(build, mix)
+                 for name, (mix, build) in ORACLE_CASES.items()}
 
 
 @pytest.mark.parametrize("name", list(ORACLE_MODELS))
@@ -197,8 +217,49 @@ def test_sda_is_bit_identical_to_dense_oracle(name):
     assert np.array_equal(sol.psi[r],
                           solve_riccati_one_lu_dense(model.restrict(r)))
     pi, c0 = stationary_pi_dense(model, sol.psi)
-    assert np.max(np.abs(sol.w1.init - pi)) <= 1e-13 * np.max(pi)
+    assert np.max(np.abs(sol.pi_plus - pi)) <= 1e-13 * np.max(pi)
     assert sol.c0 == pytest.approx(c0, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MODELS))
+def test_lumped_w1_matches_unlumped_law(name):
+    # W_1's law on R plus one block per group of D against its law on all
+    # n+ states, on the 25-point dist grid and at 40/theta_Z; either law's
+    # terms round by about K eps relative
+    mix, build = ORACLE_CASES[name]
+    model = build(mix)
+    sol = stationary_fluid(model)
+    want = unlumped_w1_law(model, sol.psi, sol.pi_plus)
+    theta = decay_rate(mix).theta_z
+    grid = np.append(np.linspace(0.0, 60.0 / theta, 25), 40.0 / theta)
+    rtol = poisson_terms(max(sol.w1.rate, want.rate) * grid[-2]) * np.finfo(float).eps
+    for got, ref in ((sol.w1.ccdf, want.ccdf), (sol.w1.density, want.density)):
+        np.testing.assert_allclose(got(grid), ref(grid), rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("mix", [MIX, HE_MIX, ERLANG3_MIX, _random_mix(9)],
+                         ids=["exp", "he", "erlang3", "random9"])
+def test_lumped_w1_size(mix):
+    # the 2^(m-1) n2 states of D become one copy of S2; a group that pi_+
+    # never enters (UNREACHED_MIX's type-1 phase 2) is dropped
+    for m in (1, 2, 4):
+        sol = stationary_fluid(build_nudge_m_fluid(mix, m))
+        assert sol.n_plus_solved == 2 ** (m - 1) * (mix.n1 + 2 * mix.n2)
+        assert sol.w1.init.shape == (sol.n_plus_solved + mix.n2,)
+    sizes = {name: stationary_fluid(ORACLE_MODELS[name]()).w1.init.shape[0]
+             for name in ("unreached-fcfs", "unreached-m3", "boundary-fcfs")}
+    assert sizes == {"unreached-fcfs": 2, "unreached-m3": 4 * (1 + 2) + 1,
+                     "boundary-fcfs": 3}
+
+
+@pytest.mark.parametrize("seed", [7, 9])
+def test_boundary_entry_with_two_phase_laws_is_refused(seed):
+    # two components of D's one group (a connected S2) entered with alpha_2
+    # and with alpha_2 reversed: pi_+ on them is 9.1e-3 (seed 7) and 2.3e-3
+    # (seed 9) max pi_+ off proportional, so no lumped law is built
+    model = mixed_entry_fluid(_random_mix(seed), 3)
+    with pytest.raises(StationarySolveError, match="not proportional"):
+        stationary_fluid(model)
 
 
 @pytest.mark.parametrize("name", list(ORACLE_MODELS))

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import dense_ccdf, dense_density, sequential_ccdf
 
-from nudgem import fluid, phtype, resp2
+from nudgem import fluid, phtype, resp2, swap
 from nudgem.asymptotics import decay_rate
 from nudgem.cli import RECIPES
 from nudgem.phtype import (BLOCK_LOG2, MatrixExpDist, fit_hyperexp,
@@ -116,6 +116,56 @@ def test_stiff_response_law_matches_dense_expm():
                                rtol=rtol, atol=0)
     np.testing.assert_allclose(law.density(grid), dense_density(law, grid),
                                rtol=rtol, atol=0)
+
+
+def _pairs(mix, m):
+    """(W, R) pairs whose R = W.plus(X): the type-1 and type-2 laws of
+    Nudge-M, and FCFS's workload with type-1 service."""
+    laws = _laws(mix, m)
+    fcfs_w = swap.workload_law(mix)
+    return {"w1-r1": (laws["w1"], laws["r1"]), "w2-r2": (laws["w2"], laws["r2"]),
+            "fcfs": (fcfs_w, fcfs_w.plus(mix.ph1))}
+
+
+@pytest.mark.parametrize("name", sorted(MIXES))
+def test_pair_matches_separate_ccdf(name):
+    # W's values come from R's generator, at R's rate q: they differ from
+    # W's own evaluation by rounding only, about K eps relative
+    mix = MIXES[name]
+    theta = decay_rate(mix).theta_z
+    grid = np.append(np.linspace(0.0, 60.0 / theta, 25), 40.0 / theta)
+    for pair_name, (w, r) in _pairs(mix, 3).items():
+        rtol = poisson_terms(r.rate * grid[-2]) * np.finfo(float).eps
+        w_vals, r_vals = r.ccdf_pair(w, grid)
+        np.testing.assert_allclose(w_vals, w.ccdf(grid), rtol=rtol, atol=0,
+                                   err_msg=pair_name)
+        np.testing.assert_allclose(r_vals, r.ccdf(grid), rtol=rtol, atol=0,
+                                   err_msg=pair_name)
+
+
+def test_pair_grid_matches_pointwise():
+    w, r = _pairs(MIXES["fig9a"], 2)["w1-r1"]
+    grid = np.array([30.0, 0.0, 5.0, 30.0, 0.25, 5.0, 120.0])
+    w_vals, r_vals = r.ccdf_pair(w, grid)
+    pointwise = [r.ccdf_pair(w, t) for t in grid]
+    assert np.array_equal(w_vals, [p[0] for p in pointwise])
+    assert np.array_equal(r_vals, [p[1] for p in pointwise])
+    assert all(isinstance(v, float) for v in pointwise[0])
+    assert [v.shape for v in r.ccdf_pair(w, np.array([]))] == [(0,), (0,)]
+
+
+def test_pair_needs_the_leading_block():
+    # only a law whose generator starts with W's, block upper triangular,
+    # and whose init starts with W's carries W's values
+    w, r = _pairs(MIXES["fig9a"], 2)["w1-r1"]
+    w2, _ = _pairs(MIXES["fig9a"], 2)["w2-r2"]
+    scaled = MatrixExpDist(w.init, 2.0 * w.gen, w.tail)
+    for head in (w2, scaled, MatrixExpDist(0.5 * w.init, w.gen, w.tail)):
+        with pytest.raises(ValueError, match="leading block"):
+            r.ccdf_pair(head, [1.0])
+    lower = MatrixExpDist(r.init, r.gen.T.copy(), r.tail)
+    with pytest.raises(ValueError, match="leading block"):
+        lower.ccdf_pair(MatrixExpDist(w.init, w.gen.T.copy(), w.tail), [1.0])
 
 
 @pytest.mark.parametrize("mu", [0.5, 50.0, 900.0, 5000.0])
