@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -306,13 +306,11 @@ def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
                             edge_failures=edge_failures)
 
 
-def best_nudge_kl(info: DecayInfo, mix: JobMix,
-                  k_max: Optional[int] = None) -> Tuple[int, int, float]:
+def best_nudge_kl(info: DecayInfo, mix: JobMix) -> Tuple[int, int, float]:
     """Brute-force optimal (K, L) for Nudge-K,L over the admissible
     rectangle K, L <= M_opt (window K+L-1 capped by enumeration limits)."""
     from .policy import nudge_kl_policy
-    mo = max(1, m_opt(info))
-    cap = k_max if k_max is not None else mo
+    cap = max(1, m_opt(info))
     best = (1, 1, -math.inf)
     for k in range(1, cap + 1):
         for l in range(1, cap + 1):

@@ -234,17 +234,18 @@ def cmd_dist(args) -> int:
     t_grid = parse_grid(args.t, "--t") if args.t else \
         [float(x) for x in np.linspace(0.0, 60.0 / info.theta_z, 25)]
 
-    # every law is built once; a waiting-time law and its response law
-    # share one evaluation on the whole grid (``ccdf_pair``)
+    # every law is built once; a Nudge-M waiting-time law and its response
+    # law share one evaluation on the whole grid (``ccdf_pair``). FCFS's W
+    # gets its own: paired with R_1 it would be uniformized at R_1's
+    # higher rate, which costs accuracy.
     fcfs_w = swap.workload_law(mix)  # under FCFS, W = Z
     fcfs_r1, fcfs_r2 = fcfs_w.plus(mix.ph1), fcfs_w.plus(mix.ph2)
-    wf, r1f = fcfs_r1.ccdf_pair(fcfs_w, t_grid)
-    r2f = fcfs_r2.ccdf(t_grid)
+    r1f, r2f = fcfs_r1.ccdf(t_grid), fcfs_r2.ccdf(t_grid)
     extra = {"theta_z": info.theta_z, "m": m}
     if policy_name == "fcfs":
         laws = {"w1": fcfs_w, "r1": fcfs_r1, "w2": fcfs_w, "r2": fcfs_r2}
-        via = {"w1": "r1", "w2": "r1"}
-        w1 = w2 = wf
+        via = {}
+        w1 = w2 = fcfs_w.ccdf(t_grid)
         r1, r2 = r1f, r2f
     else:
         sol = fluid.stationary_fluid(fluid.build_nudge_m_fluid(mix, m))

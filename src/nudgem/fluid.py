@@ -145,8 +145,8 @@ def riccati_residual(model: RiccatiBlocks, psi: np.ndarray) -> float:
     return _residual_norm(model)(psi)
 
 
-def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, float, int]:
-    """SDA iterate H_k, its residual norm and k at the step that stopped.
+def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, int]:
+    """SDA iterate H_k and k at the step that stopped.
 
     Cast as the M-matrix equation X C X - X D - A X + B = 0 with
     A = -T_++, D = -T_--, B = T_+-, C = T_-+ and the shift
@@ -167,8 +167,8 @@ def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, float, int]:
     The loop stops when H moves by at most RICCATI_STEP_TOL or its
     residual (``_residual_norm``) is at most RICCATI_RESIDUAL_TOL; that
     test runs on the new H before E, F and G are updated, since the
-    stopping step never uses them. The last residual and the number of
-    doubling steps taken are returned.
+    stopping step never uses them. The number of doubling steps taken is
+    returned with H.
     """
     b, c = model.t_pm, model.t_mp
     r, n = model.n_plus, model.n_minus
@@ -199,7 +199,7 @@ def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, float, int]:
         f += fhi @ gf
         e = ei @ e
         h = h_new
-    return h_new, res, steps
+    return h_new, steps
 
 
 def reachable_plus(model: RiccatiBlocks) -> np.ndarray:
@@ -289,39 +289,33 @@ def solve_riccati(model: FluidModel,
     exact arithmetic every SDA iterate's rows R are those of the problem
     restricted to R. SDA therefore runs on the restricted blocks
     (2^(m-1) (n1 + 2 n2) states for Nudge-M, n1 + 2 n2 for Nudge-1), and
-    Psi[D] follows from one linear Sylvester solve (``_boundary_rows``).
-    When D is empty (FCFS), SDA runs on the whole model.
+    Psi[D] follows from one linear Sylvester solve (``_boundary_rows``),
+    which has no rows when D is empty (FCFS).
 
     Raises RiccatiError when a row of Psi sums above
     1 + RICCATI_ROW_SUM_TOL (Psi[i, j] is the probability that the fluid,
     started up in phase i, first returns to its level in phase j, so
     every row of the minimal solution sums to at most 1), or when the
-    residual of the whole equation exceeds RICCATI_RESIDUAL_TOL. That
-    residual, the one checked, is stored as ``report["residual"]`` and the
-    number of SDA doubling steps as ``report["steps"]`` when a dict
-    ``report`` is given, so a caller can show them without a second
-    evaluation.
+    residual of the whole equation exceeds RICCATI_RESIDUAL_TOL. A dict
+    ``report``, when given, receives the mask R as ``report["reachable"]``,
+    that residual, the one checked, as ``report["residual"]`` and the
+    number of SDA doubling steps as ``report["steps"]``, so a caller need
+    not compute them again.
     """
     r = reachable_plus(model)
-    if r.all():
-        psi, res, steps = _sda(model)
-    else:
-        psi_r, _, steps = _sda(model.restrict(r))
-        psi = np.empty((model.n_plus, model.n_minus))
-        psi[r] = psi_r
-        psi[~r] = _boundary_rows(model, r, psi_r)
-        res = None
+    psi = np.empty((model.n_plus, model.n_minus))
+    psi[r], steps = _sda(model.restrict(r))
+    psi[~r] = _boundary_rows(model, r, psi[r])
     np.clip(psi, 0.0, None, out=psi)
     rows = float(np.max(psi.sum(axis=1)))
     if rows > 1.0 + RICCATI_ROW_SUM_TOL:
         raise RiccatiError(f"a row of Psi sums to 1 + {rows - 1.0:.3e}")
-    if res is None:  # _sda saw only the rows R
-        res = riccati_residual(model, psi)
+    res = riccati_residual(model, psi)
     if res > RICCATI_RESIDUAL_TOL:
         raise RiccatiError(f"Riccati residual {res:.3e} above "
                            f"{RICCATI_RESIDUAL_TOL:.0e}")
     if report is not None:
-        report.update(residual=res, steps=steps)
+        report.update(reachable=r, residual=res, steps=steps)
     return psi
 
 
@@ -409,10 +403,11 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     the sign check runs on pi_+ = x P~.
 
     K is not formed at size n+. With R the states of ``reachable_plus``
-    and D the rest, K[R, D] = 0 and K[D, D] = T_++[D, D], so the law is
-    built on R plus one block per group of D components (``_lump_d``),
-    with the tail (-K_l)^{-1} Psi_l 1 of that lumped system. For Nudge-M
-    the 2^(m-1) n2 states of D become one copy of S2.
+    (from ``solve_riccati``'s report) and D the rest, K[R, D] = 0 and
+    K[D, D] = T_++[D, D], so the law is built on R plus one block per
+    group of D components (``_lump_d``), with the tail (-K_l)^{-1} Psi_l 1
+    of that lumped system. For Nudge-M the 2^(m-1) n2 states of D become
+    one copy of S2.
     """
     solved: dict = {}
     psi = solve_riccati(model, report=solved)
@@ -436,7 +431,7 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
         raise StationarySolveError("pi_+ eigenvector is not sign-definite")
     pi = np.clip(pi, 0.0, None)
 
-    r = reachable_plus(model)
+    r = solved["reachable"]
     ri, d = np.flatnonzero(r), np.flatnonzero(~r)
     reps, u, init_d = _lump_d(model, d, pi[d], np.max(pi))
     nr = ri.size

@@ -11,6 +11,7 @@ from oracles import (compare_km_ml, enumerate_policies, family_prefactors_enum,
                      verify_optimality_enum)
 
 from nudgem.asymptotics import (
+    FAMILY_M_CAP,
     ComplexityError,
     atir_from_prefactors,
     atir_nudge_m,
@@ -327,9 +328,11 @@ def test_compare_km_ml_reference_mix():
 
 
 def test_best_nudge_kl_beats_plain_caps():
+    # K and L range up to M_opt = 5, with windows K + L - 1 up to the cap
     info = decay_rate(MIX)
-    k, l, atir = best_nudge_kl(info, MIX, k_max=3)
-    assert 1 <= k <= 3 and 1 <= l <= 3
+    k, l, atir = best_nudge_kl(info, MIX)
+    assert 1 <= k <= m_opt(info) and 1 <= l <= m_opt(info)
+    assert k + l - 1 <= FAMILY_M_CAP
     from nudgem.policy import nudge_kl_policy
     assert atir == pytest.approx(
         family_prefactors(nudge_kl_policy(k, l), info, MIX).atir)

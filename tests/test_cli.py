@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nudgem
-from nudgem import cli, fluid, resp2
+from nudgem import cli, fluid, resp2, swap
 from nudgem.asymptotics import FAMILY_M_CAP, decay_rate, family_prefactors
 from nudgem.cli import RECIPES, main, parse_grid
 from nudgem.phtype import MatrixExpDist
@@ -456,7 +456,7 @@ def test_dist_manifest_law_records(tmp_path):
 
 @pytest.mark.parametrize("policy, via", [
     ("nudge-m", {"w1": "r1", "w2": "r2"}),
-    ("fcfs", {"w1": "r1", "w2": "r1"}),
+    ("fcfs", {}),
 ])
 def test_dist_manifest_waiting_laws_ride_on_response_laws(tmp_path, policy, via):
     # a waiting-time law is read off its response law's P^A: its record
@@ -469,6 +469,20 @@ def test_dist_manifest_waiting_laws_ride_on_response_laws(tmp_path, policy, via)
     for name, by in via.items():
         for key in ("rows", "squarings", "columns"):
             assert laws[name][key] == laws[by][key]
+
+
+@pytest.mark.parametrize("recipe", ["fig5b", "fig9a"])
+def test_dist_fcfs_waiting_times_are_the_workload_law(tmp_path, recipe):
+    # under FCFS both types wait the workload Z, whose own law gives the
+    # w1 and w2 columns: read off R_1's P^A it would be uniformized at
+    # R_1's higher rate and differ by up to 7.1e-14 relative
+    out = tmp_path / "f.csv"
+    assert main(["dist", "--recipe", recipe, "--policy", "fcfs",
+                 "--out", str(out)]) == 0
+    _, rows = _read(out)
+    cols = np.array(rows, dtype=float).T
+    want = swap.workload_law(RECIPES[recipe]["mix"]()).ccdf(cols[0])
+    assert np.array_equal(cols[1], want) and np.array_equal(cols[3], want)
 
 
 def test_missing_mix_is_input_error(tmp_path):

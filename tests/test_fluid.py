@@ -280,7 +280,7 @@ def _two_inverse_riccati(model, report):
     psi[r] = solve_riccati_dense(model.restrict(r))
     psi[~r] = _boundary_rows(model, r, psi[r])
     np.clip(psi, 0.0, None, out=psi)
-    report.update(residual=riccati_residual(model, psi), steps=0)
+    report.update(reachable=r, residual=riccati_residual(model, psi), steps=0)
     return psi
 
 
@@ -337,15 +337,19 @@ def test_reachable_states(mix):
 
 
 def test_solution_carries_the_checked_residual():
-    # Nudge-M and Nudge-1 check the residual of the clipped Psi, so the
-    # carried value is the one a second evaluation would give
-    for model in (build_nudge_m_fluid(HE_MIX, 3), build_nudge1_fluid(MIX)):
+    # every model, FCFS (D empty) included, checks the residual of the
+    # clipped Psi, so the carried value is the one a second evaluation
+    # would give; the report also carries the S+ states R that SDA ran on
+    for model in (build_nudge_m_fluid(HE_MIX, 3), build_nudge1_fluid(MIX),
+                  build_fcfs_fluid(MIX), ORACLE_MODELS["boundary-fcfs"]()):
         sol = stationary_fluid(model)
         assert sol.riccati_residual == riccati_residual(model, sol.psi)
         report = {}
         assert np.array_equal(solve_riccati(model, report=report), sol.psi)
-        assert report == {"residual": sol.riccati_residual,
-                          "steps": sol.sda_steps}
+        assert report.keys() == {"reachable", "residual", "steps"}
+        assert report["residual"] == sol.riccati_residual
+        assert report["steps"] == sol.sda_steps
+        assert np.array_equal(report["reachable"], reachable_plus(model))
     assert stationary_fluid(build_fcfs_fluid(MIX)).riccati_residual < 1e-12
 
 
