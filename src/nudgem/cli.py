@@ -208,7 +208,9 @@ def _fluid_record(sol: fluid.FluidSolution) -> dict:
             "n_plus_solved": sol.n_plus_solved,
             "riccati_residual": sol.riccati_residual,
             "sda_steps": sol.sda_steps,
-            "c0": sol.c0, "eigen_gap": sol.eigen_gap}
+            "residual_evals": sol.residual_evals,
+            "c0": sol.c0, "eigen_gap": sol.eigen_gap,
+            "pi_eig_n": sol.pi_eig_n}
 
 
 def _law_record(law, t_max: float) -> dict:

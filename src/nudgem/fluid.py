@@ -145,8 +145,50 @@ def riccati_residual(model: RiccatiBlocks, psi: np.ndarray) -> float:
     return _residual_norm(model)(psi)
 
 
-def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, int]:
-    """SDA iterate H_k and k at the step that stopped.
+def _residual_bound(model: RiccatiBlocks) -> Callable[[np.ndarray], float]:
+    """Psi -> a lower bound on the value ``_residual_norm`` computes for
+    Psi, from matrix-vector products only.
+
+    Any R has ||R 1||_inf <= ||R||_inf, and
+    R 1 = T_+- 1 + Psi (T_-- 1) + T_++ (Psi 1) + Psi (T_-+ (Psi 1)) costs
+    O(n+ n-) flops, not n+ n- n-. Rows of R 1 and of the residual are each
+    computed to within gamma_k a_i, with a the same expression in |T| and
+    |Psi|, k = 2 n- + n+ + 4 the longest chain of products and sums and
+    gamma_k = k u / (1 - k u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., SIAM 2002, sec. 3.5); the norm's sum
+    over a row loses at most gamma_n- more. So the computed residual is at
+    least max_i (1 - gamma_n-) |b_i| - 3 gamma_k a_i for b the computed
+    R 1 (the 3 covers 2 gamma_k / (1 - gamma_k) and the rounding of a and
+    of the bound), and where that exceeds a tolerance, so does the
+    residual.
+    """
+    unit = np.finfo(float).eps / 2
+
+    def gamma(k: int) -> float:
+        return k * unit / (1.0 - k * unit)
+
+    def r_ones(psi, pp, mp, pm1, mm1) -> np.ndarray:
+        psi1 = psi.sum(axis=1)[:, None]
+        return (pm1 + psi @ mm1 + _gather_matmul(pp, psi1)[:, 0]
+                + psi @ _gather_matmul(mp, psi1)[:, 0])
+
+    pp, mp = _row_lists(model.t_pp), _row_lists(model.t_mp)
+    signed = (pp, mp, model.t_pm.sum(axis=1), model.t_mm.sum(axis=1))
+    absolute = ((pp[0], np.abs(pp[1])), (mp[0], np.abs(mp[1])),
+                np.abs(model.t_pm).sum(axis=1), np.abs(model.t_mm).sum(axis=1))
+    n = model.n_minus
+    scale_b, scale_a = 1.0 - gamma(n), 3.0 * gamma(2 * n + model.n_plus + 4)
+
+    def bound(psi: np.ndarray) -> float:
+        b = np.abs(r_ones(psi, *signed))
+        a = r_ones(np.abs(psi), *absolute)
+        return float(np.max(scale_b * b - scale_a * a, initial=-np.inf))
+
+    return bound
+
+
+def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, int, int]:
+    """SDA iterate H_k, k at the step that stopped and the residual count.
 
     Cast as the M-matrix equation X C X - X D - A X + B = 0 with
     A = -T_++, D = -T_--, B = T_+-, C = T_-+ and the shift
@@ -167,8 +209,13 @@ def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, int]:
     The loop stops when H moves by at most RICCATI_STEP_TOL or its
     residual (``_residual_norm``) is at most RICCATI_RESIDUAL_TOL; that
     test runs on the new H before E, F and G are updated, since the
-    stopping step never uses them. The number of doubling steps taken is
-    returned with H.
+    stopping step never uses them. The n+ x n- x n- residual is evaluated
+    only where its lower bound ``_residual_bound`` (matrix-vector products)
+    is at most RICCATI_RESIDUAL_TOL: elsewhere the residual exceeds the
+    tolerance too, so every step stops or continues as it would on the
+    residual alone, and a solve evaluates it about once, at the last
+    step. The number of doubling steps taken and the number of residuals
+    evaluated are returned with H.
     """
     b, c = model.t_pm, model.t_mp
     r, n = model.n_plus, model.n_minus
@@ -183,15 +230,18 @@ def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, int]:
     f = np.eye(r) - 2.0 * gamma * iw
     del iw
 
-    residual = _residual_norm(model)
+    residual, lower = _residual_norm(model), _residual_bound(model)
+    evals = 0
     for steps in range(1, RICCATI_MAX_ITER + 1):
         igh = np.linalg.inv(np.eye(n) - g @ h)
         fhi = (f @ h) @ igh
         h_new = h + fhi @ e
-        step = np.linalg.norm(h_new - h, np.inf)
-        res = residual(h_new)
-        if step <= RICCATI_STEP_TOL or res <= RICCATI_RESIDUAL_TOL:
+        if np.linalg.norm(h_new - h, np.inf) <= RICCATI_STEP_TOL:
             break
+        if lower(h_new) <= RICCATI_RESIDUAL_TOL:
+            evals += 1
+            if residual(h_new) <= RICCATI_RESIDUAL_TOL:
+                break
         gf = g @ f
         ei = e @ igh
         g = g + ei @ gf
@@ -199,7 +249,7 @@ def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, int]:
         f += fhi @ gf
         e = ei @ e
         h = h_new
-    return h_new, steps
+    return h_new, steps, evals
 
 
 def reachable_plus(model: RiccatiBlocks) -> np.ndarray:
@@ -245,9 +295,10 @@ def _d_groups(model: RiccatiBlocks, d: np.ndarray) -> list:
     return [(block, np.array(comps)) for block, *comps in groups.values()]
 
 
-def _boundary_rows(model: RiccatiBlocks, r: np.ndarray,
-                   psi_r: np.ndarray) -> np.ndarray:
-    """Psi[D] for D = ~r from Psi[R] = psi_r.
+def _boundary_rows(model: RiccatiBlocks, r: np.ndarray, psi_r: np.ndarray,
+                   groups: list) -> np.ndarray:
+    """Psi[D] for D = ~r from Psi[R] = psi_r and the groups
+    ``_d_groups(model, D)``.
 
     As T_-+[:, D] = 0, the rows D of the Riccati equation are the linear
     Sylvester equation T_++[D,D] X + X U = -(T_+-[D] + T_++[D,R] Psi[R])
@@ -263,7 +314,7 @@ def _boundary_rows(model: RiccatiBlocks, r: np.ndarray,
     rhs = model.t_pm[d] + _gather_matmul(
         _row_lists(model.t_pp[np.ix_(d, ri)]), psi_r)
     out = np.empty((d.size, n))
-    for block, comps in _d_groups(model, d):
+    for block, comps in groups:
         nb = block.shape[0]
         sylv = np.kron(np.eye(nb), u.T)
         sylv += np.kron(block, np.eye(n))
@@ -298,14 +349,17 @@ def solve_riccati(model: FluidModel,
     every row of the minimal solution sums to at most 1), or when the
     residual of the whole equation exceeds RICCATI_RESIDUAL_TOL. A dict
     ``report``, when given, receives the mask R as ``report["reachable"]``,
-    that residual, the one checked, as ``report["residual"]`` and the
-    number of SDA doubling steps as ``report["steps"]``, so a caller need
-    not compute them again.
+    the groups of D components (``_d_groups``) as ``report["groups"]``,
+    that residual, the one checked, as ``report["residual"]``, the number
+    of SDA doubling steps as ``report["steps"]`` and the number of full
+    residuals they evaluated as ``report["residual_evals"]``, so a caller
+    need not compute them again.
     """
     r = reachable_plus(model)
+    groups = _d_groups(model, np.flatnonzero(~r))
     psi = np.empty((model.n_plus, model.n_minus))
-    psi[r], steps = _sda(model.restrict(r))
-    psi[~r] = _boundary_rows(model, r, psi[r])
+    psi[r], steps, evals = _sda(model.restrict(r))
+    psi[~r] = _boundary_rows(model, r, psi[r], groups)
     np.clip(psi, 0.0, None, out=psi)
     rows = float(np.max(psi.sum(axis=1)))
     if rows > 1.0 + RICCATI_ROW_SUM_TOL:
@@ -315,7 +369,8 @@ def solve_riccati(model: FluidModel,
         raise RiccatiError(f"Riccati residual {res:.3e} above "
                            f"{RICCATI_RESIDUAL_TOL:.0e}")
     if report is not None:
-        report.update(reachable=r, residual=res, steps=steps)
+        report.update(reachable=r, groups=groups, residual=res, steps=steps,
+                      residual_evals=evals)
     return psi
 
 
@@ -326,8 +381,10 @@ class FluidSolution:
     ``eigen_gap`` is the distance from 1 of the second-nearest eigenvalue
     of P~ Psi (inf when n- = 1). ``riccati_residual`` is the residual
     ``solve_riccati`` checked Psi against, ``sda_steps`` the number of
-    doubling steps it took and ``n_plus_solved`` the number |R| of S+
-    states they ran on."""
+    doubling steps it took, ``residual_evals`` the number of full
+    residuals they evaluated and ``n_plus_solved`` the number |R| of S+
+    states they ran on. ``pi_eig_n`` is the size k of the eigenproblem
+    that gave pi_+, the number of distinct rows of P~."""
 
     model: FluidModel
     psi: np.ndarray
@@ -337,7 +394,9 @@ class FluidSolution:
     eigen_gap: float
     riccati_residual: float
     sda_steps: int
+    residual_evals: int
     n_plus_solved: int
+    pi_eig_n: int
 
     def w1_ccdf(self, t):
         """P[W_1 > t] at a scalar t or on a 1-D grid."""
@@ -355,10 +414,10 @@ class FluidSolution:
 LUMP_TOL = 1e-13
 
 
-def _lump_d(model: FluidModel, d: np.ndarray, pi_d: np.ndarray,
+def _lump_d(d: np.ndarray, groups: list, pi_d: np.ndarray,
             scale: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One block per group of D components (``_d_groups``) that carries
-    pi_+ mass, for the law of W_1.
+    """One block per group of the D components (``groups``, from
+    ``_d_groups``) that carries pi_+ mass, for the law of W_1.
 
     The components of a group share their block B = K[c, c] = T_++[c, c],
     and pi_+ on each is m_c beta for one phase law beta. So the level
@@ -371,7 +430,7 @@ def _lump_d(model: FluidModel, d: np.ndarray, pi_d: np.ndarray,
     LUMP_TOL scale raises StationarySolveError.
     """
     reps, us, inits = [np.zeros(0, np.intp)], [np.zeros((0, d.size))], [np.zeros(0)]
-    for _, comps in _d_groups(model, d):
+    for _, comps in groups:
         rows = pi_d[comps]                      # one row per component
         mass, init = rows.sum(axis=1), rows.sum(axis=0)
         if not init.any():
@@ -389,18 +448,33 @@ def _lump_d(model: FluidModel, d: np.ndarray, pi_d: np.ndarray,
     return np.concatenate(reps), np.concatenate(us), np.concatenate(inits)
 
 
+def _distinct_rows(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The first of each set of equal rows of a (equal bytes), in order of
+    appearance, and each row's position among them: a = S a[first] with
+    the 0/1 map S[i, label[i]] = 1."""
+    seen: Dict[bytes, int] = {}
+    label = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in a],
+                     dtype=np.intp)
+    return np.unique(label, return_index=True)[1], label
+
+
 def stationary_fluid(model: FluidModel) -> FluidSolution:
     """Stationary distribution of the fluid with jumps: pi_+, the
     zero-level mass c0 and the law of W_1,
     P[W_1 > t] = pi_+ e^{Kt} (-K)^{-1} Psi 1 with K = T_++ + Psi T_-+.
 
     pi_+ is the left eigenvector of the n+ x n+ matrix Psi P~ at
-    eigenvalue 1, normalized so eta = 1. It comes from the n- x n-
-    matrix P~ Psi instead: AB and BA have the same nonzero eigenvalues
-    with the same multiplicities, and x = pi_+ Psi is a left eigenvector
-    of P~ Psi at 1 with pi_+ = pi_+ Psi P~ = x P~. So the checks "an
-    eigenvalue within 1e-8 of 1" and "only one" keep their meaning, and
-    the sign check runs on pi_+ = x P~.
+    eigenvalue 1, normalized so eta = 1. AB and BA have the same nonzero
+    eigenvalues with the same multiplicities, so it comes from a k x k
+    matrix instead: with U the k distinct rows of P~ (``_distinct_rows``)
+    and S the n- x k 0/1 map with P~ = S U, Psi P~ = (Psi S) U and
+    B = (U Psi) S share them. A left eigenvector y of B at 1 gives
+    pi_+ = y U, as pi_+ Psi P~ = y (U Psi S) U = y U. For Nudge-M the row
+    of window v depends on v & (v - 1) only, so k = 2^(m-1) + 1 of
+    n- = 2^m. The other n- - k eigenvalues of P~ Psi are 0, at distance 1
+    from 1: the checks "an eigenvalue within 1e-8 of 1" and "only one"
+    keep their meaning on B, ``eigen_gap`` is the smaller of B's second
+    distance and 1 (when k < n-), and the sign check runs on pi_+ = y U.
 
     K is not formed at size n+. With R the states of ``reachable_plus``
     (from ``solve_riccati``'s report) and D the rest, K[R, D] = 0 and
@@ -414,7 +488,12 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     p_tilde = model.p_mp - model.p_m0 @ np.linalg.solve(model.t_star_00,
                                                         model.t_star_0p)
 
-    vals, vecs = np.linalg.eig((p_tilde @ psi).T)  # S- x S-
+    first, label = _distinct_rows(p_tilde)
+    p_rows, n, n_eig = p_tilde[first], model.n_minus, first.size
+    s_map = np.zeros((n, n_eig))
+    s_map[np.arange(n), label] = 1.0
+    # B = (U Psi) S from the few nonzeros of each row of U
+    vals, vecs = np.linalg.eig((_gather_matmul(_row_lists(p_rows), psi) @ s_map).T)
     dist = np.abs(vals - 1.0)
     order = np.argsort(dist)
     idx = int(order[0])
@@ -423,8 +502,10 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
             f"no eigenvalue of Psi P~ near 1 (closest {vals[idx]:.6g})")
     if np.sum(dist < 1e-8) > 1:
         raise StationarySolveError("eigenvalue 1 of Psi P~ is not simple")
-    eigen_gap = float(dist[order[1]]) if len(order) > 1 else np.inf
-    pi = vecs[:, idx].real @ p_tilde
+    # P~ Psi's n - n_eig further eigenvalues are 0
+    others = dist[order[1:2]].tolist() + [1.0] * (n_eig < n)
+    eigen_gap = float(min(others, default=np.inf))
+    pi = vecs[:, idx].real @ p_rows
     if pi.sum() < 0:
         pi = -pi
     if np.any(pi < -1e-8 * np.max(np.abs(pi))):
@@ -433,7 +514,7 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
 
     r = solved["reachable"]
     ri, d = np.flatnonzero(r), np.flatnonzero(~r)
-    reps, u, init_d = _lump_d(model, d, pi[d], np.max(pi))
+    reps, u, init_d = _lump_d(d, solved["groups"], pi[d], np.max(pi))
     nr = ri.size
     keep = np.concatenate([ri, reps])
     # T_++[R, R], the groups' blocks B and the zero blocks between them
@@ -458,7 +539,9 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     return FluidSolution(model=model, psi=psi, pi_plus=pi, c0=c0, w1=w1,
                          eigen_gap=eigen_gap,
                          riccati_residual=solved["residual"],
-                         sda_steps=solved["steps"], n_plus_solved=nr)
+                         sda_steps=solved["steps"],
+                         residual_evals=solved["residual_evals"],
+                         n_plus_solved=nr, pi_eig_n=n_eig)
 
 
 # ---------------------------------------------------------------------------

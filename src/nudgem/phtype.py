@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -60,20 +60,25 @@ def poisson_terms(mu: float) -> int:
     return int(math.ceil(mu + 10.0 * math.sqrt(mu) + 40.0))
 
 
-def poisson_weights(mu: float) -> np.ndarray:
-    """Poisson(mu) probabilities e^{-mu} mu^k / k! for k = 0..poisson_terms(mu).
+def poisson_weights(mu: float) -> Tuple[int, np.ndarray]:
+    """Poisson(mu) probabilities e^{-mu} mu^k / k! on the window
+    k = start..poisson_terms(mu), with the first index start.
 
-    Fox & Glynn (CACM 31(4), 1988): ratio recursion outward from the mode,
-    normalized by the sum. No e^{-mu}, factorial or logarithm is formed, so
-    the weights near the mode stay accurate where e^{-mu} underflows
-    (mu > 745); the far ones underflow to 0.
+    start = max(0, floor(mu - 10 sqrt(mu) - 40)) mirrors the right end:
+    by the Chernoff bound P[N <= mu - x] <= e^{-x^2 / (2 mu)}, the mass
+    below it is at most e^{-50} < 1e-20. Fox & Glynn (CACM 31(4), 1988):
+    ratio recursion outward from the mode, normalized by the sum. No
+    e^{-mu}, factorial or logarithm is formed, so the weights near the
+    mode stay accurate where e^{-mu} underflows (mu > 745); the far ones
+    underflow to 0.
     """
     k_max, mode = poisson_terms(mu), int(mu)
-    w = np.empty(k_max + 1)
-    w[mode] = 1.0
-    w[mode + 1:] = np.cumprod(mu / np.arange(mode + 1, k_max + 1))
-    w[:mode] = np.cumprod(np.arange(mode, 0, -1) / mu)[::-1]
-    return w / w.sum()
+    start = max(0, int(math.floor(mu - 10.0 * math.sqrt(mu) - 40.0)))
+    w = np.empty(k_max + 1 - start)
+    w[mode - start] = 1.0
+    w[mode - start + 1:] = np.cumprod(mu / np.arange(mode + 1, k_max + 1))
+    w[:mode - start] = np.cumprod(np.arange(mode, start, -1) / mu)[::-1]
+    return start, w / w.sum()
 
 
 # The uniformization series in blocks of A = 2^BLOCK_LOG2 terms, split
@@ -100,9 +105,10 @@ class MatrixExpDist:
     entrywise nonnegative P = I + gen / q,
     init e^{gen t} v = sum_k Poisson(qt)(k) init P^k v over
     k <= K = poisson_terms(q t_max), and one sequence of terms serves
-    every grid point. Term k = a + bA, with A = 2^BLOCK_LOG2, is
-    (init P^a) . (P^{bA} v): A rows init P^a, P^A by log2 A squarings
-    and K / A + 1 columns P^{bA} v. A grid costs about
+    every grid point; each point dots its weights with the terms of its
+    own Poisson window only (``poisson_weights``). Term k = a + bA, with
+    A = 2^BLOCK_LOG2, is (init P^a) . (P^{bA} v): A rows init P^a, P^A by
+    log2 A squarings and K / A + 1 columns P^{bA} v. A grid costs about
     log2(A) n^3 + (A + K / A) n^2 multiply-adds in place of K n^2
     (``products`` counts them), so a lone point with A <= K below a few
     hundred pays for squarings where K matrix-vector products were
@@ -170,7 +176,8 @@ class MatrixExpDist:
         # shape per column whatever the grid, so each term is the same
         # number on every grid
         terms = np.concatenate([rows @ col for col in cols])
-        vals = np.array([w @ terms[:w.shape[0]] for w in map(poisson_weights, mus)]
+        vals = np.array([w @ terms[start:start + w.shape[0]]
+                         for start, w in map(poisson_weights, mus)]
                         ).reshape(mus.shape + vec.shape[1:])
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError("non-finite matrix-exponential law value")

@@ -200,6 +200,16 @@ def mixed_entry_fluid(mix: JobMix, m: int) -> FluidModel:
     return replace(model, p_mp=p_mp)
 
 
+def eigen_gap_dense(model, psi):
+    """Distance from 1 of the second-nearest eigenvalue of the n- x n-
+    matrix P~ Psi, from its full dense eigenproblem (inf when n- = 1)."""
+    p_tilde = model.p_mp - model.p_m0 @ np.linalg.solve(model.t_star_00,
+                                                        model.t_star_0p)
+    vals, _ = np.linalg.eig(p_tilde @ psi)
+    dist = np.sort(np.abs(vals - 1.0))
+    return float(dist[1]) if dist.size > 1 else np.inf
+
+
 def stationary_pi_dense(model, psi):
     """pi_+ and c0 from the n+ x n+ eigenproblem of Psi P~: pi_+ is its
     left eigenvector at eigenvalue 1, normalized so eta = 1."""
@@ -422,7 +432,9 @@ def dense_chain(mix, m):
 
 def _arrival_law(mix: JobMix, k: int, s: float) -> np.ndarray:
     """Poisson(lambda s) arrivals during the workload s, counted up to k."""
-    w = poisson_weights(mix.lam * s)
+    start, window = poisson_weights(mix.lam * s)
+    w = np.zeros(start + window.shape[0])
+    w[start:] = window
     law = np.zeros(k + 1)
     n = min(k, w.shape[0])
     law[:n] = w[:n]
@@ -614,7 +626,8 @@ def sequential_ccdf(law, grid):
     for k in range(1, terms.shape[0]):
         vec = p @ vec
         terms[k] = law.init @ vec
-    return np.array([w @ terms[:w.shape[0]] for w in map(poisson_weights, q * grid)])
+    return np.array([w @ terms[start:start + w.shape[0]]
+                     for start, w in map(poisson_weights, q * grid)])
 
 
 def count_twos(s) -> int:

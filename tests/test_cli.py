@@ -432,8 +432,10 @@ def test_dist_manifest_fluid_record(tmp_path):
     assert rec["n_plus_solved"] == 12  # 2^(m-1) (n1 + 2 n2)
     assert 0.0 <= rec["riccati_residual"] <= 1e-12
     assert rec["sda_steps"] == 8
+    assert 1 <= rec["residual_evals"] <= rec["sda_steps"]
     assert rec["c0"] == pytest.approx(0.3, abs=1e-9)  # 1 - lambda
     assert 0.0 < rec["eigen_gap"] <= 2.0
+    assert rec["pi_eig_n"] == 2 ** (3 - 1) + 1  # P~'s distinct rows
 
 
 def test_dist_manifest_law_records(tmp_path):

@@ -15,6 +15,8 @@ from nudgem.fluid import (
     FluidModel,
     StationarySolveError,
     _boundary_rows,
+    _d_groups,
+    _residual_bound,
     build_fcfs_fluid,
     build_nudge1_fluid,
     build_nudge_m_fluid,
@@ -36,6 +38,7 @@ from nudgem.swap import workload_ccdf
 from oracles import (
     build_nudge_m_fluid_tuples,
     convolution_ccdf,
+    eigen_gap_dense,
     mixed_entry_fluid,
     random_ph,
     riccati_residual_dense,
@@ -276,11 +279,14 @@ def test_sda_matches_two_inverse_oracle(name):
 def _two_inverse_riccati(model, report):
     """solve_riccati with Psi[R] from the two-inverse textbook loop."""
     r = reachable_plus(model)
+    groups = _d_groups(model, np.flatnonzero(~r))
     psi = np.empty((model.n_plus, model.n_minus))
     psi[r] = solve_riccati_dense(model.restrict(r))
-    psi[~r] = _boundary_rows(model, r, psi[r])
+    psi[~r] = _boundary_rows(model, r, psi[r], groups)
     np.clip(psi, 0.0, None, out=psi)
-    report.update(reachable=r, residual=riccati_residual(model, psi), steps=0)
+    report.update(reachable=r, groups=groups,
+                  residual=riccati_residual(model, psi), steps=0,
+                  residual_evals=0)
     return psi
 
 
@@ -339,18 +345,80 @@ def test_reachable_states(mix):
 def test_solution_carries_the_checked_residual():
     # every model, FCFS (D empty) included, checks the residual of the
     # clipped Psi, so the carried value is the one a second evaluation
-    # would give; the report also carries the S+ states R that SDA ran on
+    # would give; the report also carries the S+ states R that SDA ran on,
+    # the groups of the others and the number of full residuals SDA took
     for model in (build_nudge_m_fluid(HE_MIX, 3), build_nudge1_fluid(MIX),
                   build_fcfs_fluid(MIX), ORACLE_MODELS["boundary-fcfs"]()):
         sol = stationary_fluid(model)
         assert sol.riccati_residual == riccati_residual(model, sol.psi)
         report = {}
         assert np.array_equal(solve_riccati(model, report=report), sol.psi)
-        assert report.keys() == {"reachable", "residual", "steps"}
+        assert report.keys() == {"reachable", "groups", "residual", "steps",
+                                 "residual_evals"}
         assert report["residual"] == sol.riccati_residual
         assert report["steps"] == sol.sda_steps
+        assert report["residual_evals"] == sol.residual_evals
         assert np.array_equal(report["reachable"], reachable_plus(model))
+        want = _d_groups(model, np.flatnonzero(~report["reachable"]))
+        assert len(report["groups"]) == len(want)
+        for (block, comps), (want_block, want_comps) in zip(report["groups"], want):
+            assert np.array_equal(block, want_block)
+            assert np.array_equal(comps, want_comps)
     assert stationary_fluid(build_fcfs_fluid(MIX)).riccati_residual < 1e-12
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MODELS))
+def test_reduced_eigenproblem_matches_dense(name):
+    # pi_+ comes from the k x k matrix on P~'s distinct rows: k is their
+    # number (2^(m-1) + 1 for Nudge-M), and the gap equals that of the full
+    # n- x n- eigenproblem, whose n- - k further eigenvalues are 0
+    mix, build = ORACLE_CASES[name]
+    model = build(mix)
+    sol = stationary_fluid(model)
+    p_tilde = model.p_mp - model.p_m0 @ np.linalg.solve(model.t_star_00,
+                                                        model.t_star_0p)
+    assert sol.pi_eig_n == np.unique(p_tilde, axis=0).shape[0]
+    m = getattr(build, "keywords", {}).get("m")
+    if m is not None:
+        assert sol.pi_eig_n == 2 ** (m - 1) + 1
+    want = eigen_gap_dense(model, sol.psi)
+    assert sol.eigen_gap == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["fcfs", "nudge1", "fig5b-m6", "fig5a-m5",
+                                  "he-m4", "random9-m5", "erlang3-m4",
+                                  "boundary-fcfs"])
+def test_residual_bound_never_exceeds_residual(name, monkeypatch):
+    # the bound minus its rounding slack stays at most the residual, dense
+    # or structured, on every SDA iterate it is asked about and on random
+    # H >= 0, far from and near the solution; on the iterates it rules out
+    # all but the last residual or two
+    model = ORACLE_MODELS[name]()
+    seen = []
+
+    def recording(blocks):
+        bound = _residual_bound(blocks)
+
+        def record(h):
+            seen.append((blocks, h.copy(), bound(h)))
+            return seen[-1][2]
+        return record
+
+    monkeypatch.setattr(fluid, "_residual_bound", recording)
+    report = {}
+    psi = solve_riccati(model, report=report)
+    assert report["steps"] - 1 <= len(seen) <= report["steps"]
+    assert 1 <= report["residual_evals"] <= 2
+    rng = np.random.default_rng(5)
+    stochastic = rng.uniform(size=psi.shape)
+    stochastic /= stochastic.sum(axis=1, keepdims=True)
+    near = [np.clip(psi + scale * rng.standard_normal(psi.shape), 0.0, None)
+            for scale in (1e-16, 1e-14, 1e-12, 1e-6)]
+    lower = _residual_bound(model)
+    seen += [(model, h, lower(h)) for h in (stochastic, *near)]
+    for blocks, h, low in seen:
+        assert low <= riccati_residual_dense(blocks, h)
+        assert low <= riccati_residual(blocks, h)
 
 
 def test_structured_residual_matches_dense():

@@ -2,10 +2,12 @@
 one dense ``scipy.linalg.expm`` per point (``oracles.dense_ccdf`` and
 ``oracles.dense_density``)."""
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from oracles import dense_ccdf, dense_density, sequential_ccdf
 
@@ -180,11 +182,28 @@ def test_poisson_weights_match_pmf(mu):
             if k:
                 term = term * Decimal(mu) / k
             ref.append(float(term))
-    w = poisson_weights(mu)
-    assert w.shape == (poisson_terms(mu) + 1,)
-    np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-300)
+    start, w = poisson_weights(mu)
+    assert w.shape == (poisson_terms(mu) + 1 - start,)
+    np.testing.assert_allclose(w, ref[start:], rtol=1e-12, atol=1e-300)
     # the truncated mass is below 1e-20, so the normalized weights keep it
     assert abs(sum(ref) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("mu", [0.5, 30.0, 900.0, 5000.0, 1e5])
+def test_poisson_window_loses_under_1e20(mu):
+    # against the pmf in log space on every index 0..K + 20 sqrt(mu) + 200:
+    # the window is at most 20 sqrt(mu) + 83 wide, the mass left of it and
+    # right of it is each below 1e-20, and
+    # the window holds the pmf (log-space rounding: k log mu is ~1e6 at
+    # mu = 1e5, so about 1e-10 relative)
+    start, w = poisson_weights(mu)
+    k_max = poisson_terms(mu)
+    k = np.arange(k_max + int(20 * math.sqrt(mu)) + 201)
+    pmf = np.exp(k * math.log(mu) - mu - gammaln(k + 1))
+    assert w.shape[0] <= 20 * math.sqrt(mu) + 83  # mirrors the right end
+    assert math.fsum(pmf[:start]) < 1e-20
+    assert math.fsum(pmf[k_max + 1:]) < 1e-20
+    np.testing.assert_allclose(w, pmf[start:k_max + 1], rtol=1e-8, atol=1e-30)
 
 
 def test_unsorted_grid_with_duplicates_matches_pointwise():

@@ -2,14 +2,20 @@
 
     python tools/mutate.py                 # the whole catalogue
     python tools/mutate.py NAME [NAME...]  # some entries only
+    python tools/mutate.py --jobs 1        # one mutant at a time
 
 Each entry of ``tools/mutants.json`` names a file under ``src/``, an exact
 snippet that occurs in it once, the snippet's replacement, and the tests
-that must catch the change. The script copies ``src/``, ``tests/`` and
-``pyproject.toml`` into a temporary directory and first runs every named
-test on the unmutated copy. Then, for each entry, it applies the
-replacement to the copy, runs the entry's tests with pytest and restores
+that must catch the change. The script makes one copy of ``src/``,
+``tests/`` and ``pyproject.toml`` per worker in a temporary directory, and
+first runs every named test on the unmutated copies, split among the
+workers. Then each worker takes entries in turn: it applies the
+replacement to its copy, runs the entry's tests with pytest and restores
 the file. A mutant is killed when pytest reports failed tests (exit 1).
+There are ``--jobs`` workers, by default ``os.cpu_count()``, never more
+than there are entries; each pytest gets an equal share of the CPUs for
+its BLAS threads unless OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or
+MKL_NUM_THREADS is set. Results print in catalogue order.
 
 Exit status 0 when every mutant is killed. Exit status 1 when a mutant
 survives, when a snippet is missing or occurs more than once (the
@@ -21,24 +27,30 @@ dependencies (pytest, hypothesis, scipy) that the suite needs.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CATALOGUE = ROOT / "tools" / "mutants.json"
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_tests(copy: Path, tests) -> tuple:
+def run_tests(copy: Path, tests, threads: int) -> tuple:
     """pytest's exit code and last output line for the given test ids,
     run in the copy with its own src/ on the path."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                PYTHONDONTWRITEBYTECODE="1")
+    for name in BLAS_THREADS:
+        env.setdefault(name, str(threads))
     res = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "-o", "addopts=", *tests],
@@ -47,46 +59,72 @@ def run_tests(copy: Path, tests) -> tuple:
     return res.returncode, lines[-1] if lines else res.stderr.strip()
 
 
+def make_copy(copy: Path) -> None:
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, copy / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+
+
 def main(argv) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("names", nargs="*", help="catalogue entries to run")
+    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                    help="parallel workers, one copy each")
+    args = ap.parse_args(argv)
     entries = json.loads(CATALOGUE.read_text(encoding="utf-8"))
-    if argv:
-        unknown = set(argv) - {e["name"] for e in entries}
+    if args.names:
+        unknown = set(args.names) - {e["name"] for e in entries}
         if unknown:
             print(f"unknown mutants: {', '.join(sorted(unknown))}")
             return 1
-        entries = [e for e in entries if e["name"] in argv]
-    bad = 0
+        entries = [e for e in entries if e["name"] in args.names]
+    jobs = max(1, min(args.jobs, len(entries)))
+    threads = max(1, (os.cpu_count() or 1) // jobs)
     with tempfile.TemporaryDirectory(prefix="nudgem-mutate-") as tmp:
-        copy = Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, copy / part,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        copies: queue.SimpleQueue = queue.SimpleQueue()
+        for i in range(jobs):
+            make_copy(Path(tmp) / str(i))
+            copies.put(Path(tmp) / str(i))
 
-        tests = sorted({t for e in entries for t in e["tests"]})
-        code, last = run_tests(copy, tests)
-        if code != 0:
-            print(f"unmutated tests do not pass (pytest exit {code}): {last}")
-            return 1
+        def in_a_copy(task, *args):
+            """task(copy, *args) in a copy no other worker holds."""
+            copy = copies.get()
+            try:
+                return task(copy, *args)
+            finally:
+                copies.put(copy)
 
-        for entry in entries:
+        def run_entry(copy: Path, entry) -> tuple:
             name, target = entry["name"], copy / entry["file"]
             original = target.read_text(encoding="utf-8")
             found = original.count(entry["find"])
             if found != 1:
-                print(f"ERROR    {name}: snippet found {found} times in {entry['file']}")
-                bad += 1
-                continue
+                return 1, f"ERROR    {name}: snippet found {found} times in {entry['file']}"
             target.write_text(original.replace(entry["find"], entry["replace"]),
                               encoding="utf-8")
             began = time.perf_counter()
             try:
-                code, last = run_tests(copy, entry["tests"])
+                code, last = run_tests(copy, entry["tests"], threads)
             finally:
                 target.write_text(original, encoding="utf-8")
             verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
-            bad += code != 1
-            print(f"{verdict:8s} {name} ({time.perf_counter() - began:.1f} s): {last}")
+            return int(code != 1), (f"{verdict:8s} {name} "
+                                    f"({time.perf_counter() - began:.1f} s): {last}")
+
+        with ThreadPoolExecutor(jobs) as pool:
+            tests = sorted({t for e in entries for t in e["tests"]})
+            shares = [tests[i::jobs] for i in range(min(jobs, len(tests)))]
+            for code, last in pool.map(
+                    lambda share: in_a_copy(run_tests, share, threads), shares):
+                if code != 0:
+                    print(f"unmutated tests do not pass (pytest exit {code}): {last}")
+                    return 1
+            bad = 0
+            for failed, line in pool.map(
+                    lambda entry: in_a_copy(run_entry, entry), entries):
+                bad += failed
+                print(line, flush=True)
     print(f"{len(entries) - bad} of {len(entries)} mutants killed")
     return 1 if bad else 0
 
