@@ -295,10 +295,9 @@ def _d_groups(model: RiccatiBlocks, d: np.ndarray) -> list:
     return [(block, np.array(comps)) for block, *comps in groups.values()]
 
 
-def _boundary_rows(model: RiccatiBlocks, r: np.ndarray, psi_r: np.ndarray,
-                   groups: list) -> np.ndarray:
-    """Psi[D] for D = ~r from Psi[R] = psi_r and the groups
-    ``_d_groups(model, D)``.
+def _boundary_rows(model: RiccatiBlocks, r: np.ndarray,
+                   psi_r: np.ndarray) -> np.ndarray:
+    """Psi[D] for D = ~r from Psi[R] = psi_r.
 
     As T_-+[:, D] = 0, the rows D of the Riccati equation are the linear
     Sylvester equation T_++[D,D] X + X U = -(T_+-[D] + T_++[D,R] Psi[R])
@@ -314,7 +313,7 @@ def _boundary_rows(model: RiccatiBlocks, r: np.ndarray, psi_r: np.ndarray,
     rhs = model.t_pm[d] + _gather_matmul(
         _row_lists(model.t_pp[np.ix_(d, ri)]), psi_r)
     out = np.empty((d.size, n))
-    for block, comps in groups:
+    for block, comps in _d_groups(model, d):
         nb = block.shape[0]
         sylv = np.kron(np.eye(nb), u.T)
         sylv += np.kron(block, np.eye(n))
@@ -349,17 +348,15 @@ def solve_riccati(model: FluidModel,
     every row of the minimal solution sums to at most 1), or when the
     residual of the whole equation exceeds RICCATI_RESIDUAL_TOL. A dict
     ``report``, when given, receives the mask R as ``report["reachable"]``,
-    the groups of D components (``_d_groups``) as ``report["groups"]``,
     that residual, the one checked, as ``report["residual"]``, the number
     of SDA doubling steps as ``report["steps"]`` and the number of full
     residuals they evaluated as ``report["residual_evals"]``, so a caller
     need not compute them again.
     """
     r = reachable_plus(model)
-    groups = _d_groups(model, np.flatnonzero(~r))
     psi = np.empty((model.n_plus, model.n_minus))
     psi[r], steps, evals = _sda(model.restrict(r))
-    psi[~r] = _boundary_rows(model, r, psi[r], groups)
+    psi[~r] = _boundary_rows(model, r, psi[r])
     np.clip(psi, 0.0, None, out=psi)
     rows = float(np.max(psi.sum(axis=1)))
     if rows > 1.0 + RICCATI_ROW_SUM_TOL:
@@ -369,7 +366,7 @@ def solve_riccati(model: FluidModel,
         raise RiccatiError(f"Riccati residual {res:.3e} above "
                            f"{RICCATI_RESIDUAL_TOL:.0e}")
     if report is not None:
-        report.update(reachable=r, groups=groups, residual=res, steps=steps,
+        report.update(reachable=r, residual=res, steps=steps,
                       residual_evals=evals)
     return psi
 
@@ -414,10 +411,10 @@ class FluidSolution:
 LUMP_TOL = 1e-13
 
 
-def _lump_d(d: np.ndarray, groups: list, pi_d: np.ndarray,
+def _lump_d(model: FluidModel, d: np.ndarray, pi_d: np.ndarray,
             scale: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One block per group of the D components (``groups``, from
-    ``_d_groups``) that carries pi_+ mass, for the law of W_1.
+    """One block per group of D components (``_d_groups``) that carries
+    pi_+ mass, for the law of W_1.
 
     The components of a group share their block B = K[c, c] = T_++[c, c],
     and pi_+ on each is m_c beta for one phase law beta. So the level
@@ -430,7 +427,7 @@ def _lump_d(d: np.ndarray, groups: list, pi_d: np.ndarray,
     LUMP_TOL scale raises StationarySolveError.
     """
     reps, us, inits = [np.zeros(0, np.intp)], [np.zeros((0, d.size))], [np.zeros(0)]
-    for _, comps in groups:
+    for _, comps in _d_groups(model, d):
         rows = pi_d[comps]                      # one row per component
         mass, init = rows.sum(axis=1), rows.sum(axis=0)
         if not init.any():
@@ -514,7 +511,7 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
 
     r = solved["reachable"]
     ri, d = np.flatnonzero(r), np.flatnonzero(~r)
-    reps, u, init_d = _lump_d(d, solved["groups"], pi[d], np.max(pi))
+    reps, u, init_d = _lump_d(model, d, pi[d], np.max(pi))
     nr = ri.size
     keep = np.concatenate([ri, reps])
     # T_++[R, R], the groups' blocks B and the zero blocks between them

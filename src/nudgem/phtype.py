@@ -66,7 +66,14 @@ def poisson_weights(mu: float) -> Tuple[int, np.ndarray]:
 
     start = max(0, floor(mu - 10 sqrt(mu) - 40)) mirrors the right end:
     by the Chernoff bound P[N <= mu - x] <= e^{-x^2 / (2 mu)}, the mass
-    below it is at most e^{-50} < 1e-20. Fox & Glynn (CACM 31(4), 1988):
+    below it is at most e^{-50} < 1e-20. That bounds an absolute error; a
+    small value sum_k w_k c_k keeps its relative accuracy too. When the
+    terms decay as c_k ~ c_0 rho^k, w_k c_k / sum is the tilted Poisson(mu
+    rho) pmf, centred at mu - theta with theta = mu (1 - rho) =
+    -log(value / c_0), so the window drops at most e^{-x^2 / (2 mu)} of
+    the value, x = 10 sqrt(mu) + 40 - theta: under e^{-50} for values down
+    to e^{-40} c_0 and, as start > 0 only for mu > 170, under e^{-35} down
+    to e^{-60} c_0. Fox & Glynn (CACM 31(4), 1988):
     ratio recursion outward from the mode, normalized by the sum. No
     e^{-mu}, factorial or logarithm is formed, so the weights near the
     mode stay accurate where e^{-mu} underflows (mu > 745); the far ones

@@ -15,7 +15,6 @@ from nudgem.fluid import (
     FluidModel,
     StationarySolveError,
     _boundary_rows,
-    _d_groups,
     _residual_bound,
     build_fcfs_fluid,
     build_nudge1_fluid,
@@ -279,13 +278,11 @@ def test_sda_matches_two_inverse_oracle(name):
 def _two_inverse_riccati(model, report):
     """solve_riccati with Psi[R] from the two-inverse textbook loop."""
     r = reachable_plus(model)
-    groups = _d_groups(model, np.flatnonzero(~r))
     psi = np.empty((model.n_plus, model.n_minus))
     psi[r] = solve_riccati_dense(model.restrict(r))
-    psi[~r] = _boundary_rows(model, r, psi[r], groups)
+    psi[~r] = _boundary_rows(model, r, psi[r])
     np.clip(psi, 0.0, None, out=psi)
-    report.update(reachable=r, groups=groups,
-                  residual=riccati_residual(model, psi), steps=0,
+    report.update(reachable=r, residual=riccati_residual(model, psi), steps=0,
                   residual_evals=0)
     return psi
 
@@ -345,25 +342,20 @@ def test_reachable_states(mix):
 def test_solution_carries_the_checked_residual():
     # every model, FCFS (D empty) included, checks the residual of the
     # clipped Psi, so the carried value is the one a second evaluation
-    # would give; the report also carries the S+ states R that SDA ran on,
-    # the groups of the others and the number of full residuals SDA took
+    # would give; the report also carries the S+ states R that SDA ran on
+    # and the number of full residuals SDA took
     for model in (build_nudge_m_fluid(HE_MIX, 3), build_nudge1_fluid(MIX),
                   build_fcfs_fluid(MIX), ORACLE_MODELS["boundary-fcfs"]()):
         sol = stationary_fluid(model)
         assert sol.riccati_residual == riccati_residual(model, sol.psi)
         report = {}
         assert np.array_equal(solve_riccati(model, report=report), sol.psi)
-        assert report.keys() == {"reachable", "groups", "residual", "steps",
+        assert report.keys() == {"reachable", "residual", "steps",
                                  "residual_evals"}
         assert report["residual"] == sol.riccati_residual
         assert report["steps"] == sol.sda_steps
         assert report["residual_evals"] == sol.residual_evals
         assert np.array_equal(report["reachable"], reachable_plus(model))
-        want = _d_groups(model, np.flatnonzero(~report["reachable"]))
-        assert len(report["groups"]) == len(want)
-        for (block, comps), (want_block, want_comps) in zip(report["groups"], want):
-            assert np.array_equal(block, want_block)
-            assert np.array_equal(comps, want_comps)
     assert stationary_fluid(build_fcfs_fluid(MIX)).riccati_residual < 1e-12
 
 

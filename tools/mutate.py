@@ -2,7 +2,6 @@
 
     python tools/mutate.py                 # the whole catalogue
     python tools/mutate.py NAME [NAME...]  # some entries only
-    python tools/mutate.py --jobs 1        # one mutant at a time
 
 Each entry of ``tools/mutants.json`` names a file under ``src/``, an exact
 snippet that occurs in it once, the snippet's replacement, and the tests
@@ -12,10 +11,9 @@ first runs every named test on the unmutated copies, split among the
 workers. Then each worker takes entries in turn: it applies the
 replacement to its copy, runs the entry's tests with pytest and restores
 the file. A mutant is killed when pytest reports failed tests (exit 1).
-There are ``--jobs`` workers, by default ``os.cpu_count()``, never more
-than there are entries; each pytest gets an equal share of the CPUs for
-its BLAS threads unless OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or
-MKL_NUM_THREADS is set. Results print in catalogue order.
+There are ``os.cpu_count()`` workers, never more than there are entries;
+each pytest gets an equal share of the CPUs for its BLAS threads unless
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is set. Results print in catalogue order.
 
 Exit status 0 when every mutant is killed. Exit status 1 when a mutant
 survives, when a snippet is missing or occurs more than once (the
@@ -27,7 +25,6 @@ dependencies (pytest, hypothesis, scipy) that the suite needs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import queue
@@ -67,19 +64,14 @@ def make_copy(copy: Path) -> None:
 
 
 def main(argv) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("names", nargs="*", help="catalogue entries to run")
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="parallel workers, one copy each")
-    args = ap.parse_args(argv)
     entries = json.loads(CATALOGUE.read_text(encoding="utf-8"))
-    if args.names:
-        unknown = set(args.names) - {e["name"] for e in entries}
+    if argv:
+        unknown = set(argv) - {e["name"] for e in entries}
         if unknown:
             print(f"unknown mutants: {', '.join(sorted(unknown))}")
             return 1
-        entries = [e for e in entries if e["name"] in args.names]
-    jobs = max(1, min(args.jobs, len(entries)))
+        entries = [e for e in entries if e["name"] in argv]
+    jobs = max(1, min(os.cpu_count() or 1, len(entries)))
     threads = max(1, (os.cpu_count() or 1) // jobs)
     with tempfile.TemporaryDirectory(prefix="nudgem-mutate-") as tmp:
         copies: queue.SimpleQueue = queue.SimpleQueue()
