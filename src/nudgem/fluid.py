@@ -63,33 +63,29 @@ class RiccatiBlocks:
 @dataclass(frozen=True)
 class FluidModel(RiccatiBlocks):
     """Partitioned matrices of an MMFQ with jumps: the Riccati blocks and
-    the level-0 boundary."""
+    the level-0 boundary. The level stays at 0 only in one state, the
+    empty system, so the boundary is two vectors."""
 
-    t_star_00: np.ndarray  # S0 x S0
-    t_star_0p: np.ndarray  # S0 x S+
-    p_m0: np.ndarray      # S- x S0
+    t_star_0p: np.ndarray  # S+: rates out of level 0; lambda_0 their sum
+    p_m0: np.ndarray      # S-: P[stay at level 0], else jump by p_mp
     p_mp: np.ndarray      # S- x S+
 
     def __post_init__(self):
-        nm = self.t_mm.shape[0]
-        np_ = self.t_pp.shape[0]
-        n0 = self.t_star_00.shape[0]
+        nm, np_ = self.n_minus, self.n_plus
         assert self.t_mp.shape == (nm, np_)
         assert self.t_pm.shape == (np_, nm)
-        assert self.t_star_0p.shape == (n0, np_)
-        assert self.p_m0.shape == (nm, n0)
+        assert self.t_star_0p.shape == (np_,)
+        assert self.p_m0.shape == (nm,)
         assert self.p_mp.shape == (nm, np_)
         # row sums block by block: no (n- + n+)^2 generator is formed
         gen = np.concatenate([self.t_mm.sum(axis=1) + self.t_mp.sum(axis=1),
                               self.t_pm.sum(axis=1) + self.t_pp.sum(axis=1)])
         if np.max(np.abs(gen)) > 1e-10:
             raise ValueError("fluid generator rows must sum to zero")
-        pr = self.p_m0.sum(axis=1) + self.p_mp.sum(axis=1)
-        if np.max(np.abs(pr - 1.0)) > 1e-10:
+        if np.max(np.abs(self.p_m0 + self.p_mp.sum(axis=1) - 1.0)) > 1e-10:
             raise ValueError("boundary transition rows must sum to one")
-        zr = self.t_star_00.sum(axis=1) + self.t_star_0p.sum(axis=1)
-        if np.max(np.abs(zr)) > 1e-10:
-            raise ValueError("zero-level generator rows must sum to zero")
+        if np.any(self.t_star_0p < 0) or not self.t_star_0p.sum() > 0:
+            raise ValueError("level-0 exit rates must be >= 0 with a positive sum")
 
 
 def _row_lists(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -330,17 +326,16 @@ def solve_riccati(model: FluidModel,
     T_+- + Psi T_-- + T_++ Psi + Psi T_-+ Psi = 0.
 
     Only the S+ states R of ``reachable_plus`` go through SDA (``_sda``).
-    The others, D, are entered from neither S- nor R. For Nudge-M they
-    are the subset-3 states with s_1 = 0 (Nudge-1: subset 4), "add a
-    type-2 job and return to s", which only the level-0 boundary enters
-    (through t_star_0p and p_mp). With
-    T_++[R,D] = 0 and T_-+[:, D] = 0 the rows R of the equation involve
-    Psi[R] alone, and W = A_g - B D_g^{-1} C is block-triangular, so in
-    exact arithmetic every SDA iterate's rows R are those of the problem
-    restricted to R. SDA therefore runs on the restricted blocks
-    (2^(m-1) (n1 + 2 n2) states for Nudge-M, n1 + 2 n2 for Nudge-1), and
-    Psi[D] follows from one linear Sylvester solve (``_boundary_rows``),
-    which has no rows when D is empty (FCFS).
+    The others, D, are entered from neither S- nor R. For Nudge-M they are
+    the subset-3 states with s_1 = 0 (Nudge-1: subset 4), "add a type-2 job
+    and return to s", which only the level-0 boundary enters (through
+    t_star_0p and p_mp). With T_++[R,D] = 0 and T_-+[:, D] = 0 the rows R
+    of the equation involve Psi[R] alone, and W = A_g - B D_g^{-1} C is
+    block-triangular, so in exact arithmetic every SDA iterate's rows R are
+    those of the problem restricted to R. SDA therefore runs on the
+    restricted blocks (2^(m-1) (n1 + 2 n2) states for Nudge-M, n1 + 2 n2
+    for Nudge-1), and Psi[D] follows from one linear Sylvester solve
+    (``_boundary_rows``), which has no rows when D is empty (FCFS).
 
     Raises RiccatiError when a row of Psi sums above
     1 + RICCATI_ROW_SUM_TOL (Psi[i, j] is the probability that the fluid,
@@ -459,6 +454,8 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     """Stationary distribution of the fluid with jumps: pi_+, the
     zero-level mass c0 and the law of W_1,
     P[W_1 > t] = pi_+ e^{Kt} (-K)^{-1} Psi 1 with K = T_++ + Psi T_-+.
+    Level 0 is one state, left at rate lambda_0 = sum t_star_0p, so
+    P~ = p_mp + p_m0 (x) t_star_0p / lambda_0 and c0 = pi_+ Psi p_m0 / lambda_0.
 
     pi_+ is the left eigenvector of the n+ x n+ matrix Psi P~ at
     eigenvalue 1, normalized so eta = 1. AB and BA have the same nonzero
@@ -482,8 +479,8 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     """
     solved: dict = {}
     psi = solve_riccati(model, report=solved)
-    p_tilde = model.p_mp - model.p_m0 @ np.linalg.solve(model.t_star_00,
-                                                        model.t_star_0p)
+    lam0 = model.t_star_0p.sum()
+    p_tilde = model.p_mp + np.outer(model.p_m0, model.t_star_0p / lam0)
 
     first, label = _distinct_rows(p_tilde)
     p_rows, n, n_eig = p_tilde[first], model.n_minus, first.size
@@ -523,8 +520,7 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     tail = np.linalg.solve(-k, psi_l @ np.ones(model.n_minus))
     init = np.concatenate([pi[ri], init_d])
 
-    ones_0 = np.ones(model.t_star_00.shape[0])
-    boundary = psi @ model.p_m0 @ np.linalg.solve(model.t_star_00, ones_0)
+    boundary = -(psi @ model.p_m0) / lam0
     eta = float(init @ tail - pi @ boundary)
     if eta <= 0:
         raise StationarySolveError(f"normalizing constant eta = {eta:.3e} <= 0")
@@ -548,17 +544,14 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
 def build_fcfs_fluid(mix: JobMix) -> FluidModel:
     """FCFS: the fluid is exactly the workload."""
     lam = mix.lam
-    alpha = mix.alpha.reshape(1, -1)
-    n = mix.n1 + mix.n2
     return FluidModel(
         t_mm=np.array([[-lam]]),
-        t_mp=lam * alpha,
+        t_mp=lam * mix.alpha.reshape(1, -1),
         t_pm=mix.exit.reshape(-1, 1),
         t_pp=mix.S,
-        t_star_00=np.array([[-lam]]),
-        t_star_0p=lam * alpha,
-        p_m0=np.array([[1.0]]),
-        p_mp=np.zeros((1, n)),
+        t_star_0p=lam * mix.alpha,
+        p_m0=np.ones(1),
+        p_mp=np.zeros((1, mix.n1 + mix.n2)),
     )
 
 
@@ -598,17 +591,16 @@ def build_nudge1_fluid(mix: JobMix) -> FluidModel:
     t_pm[o3: o3 + n2, 1] = e2.ravel()
     t_pm[o4: o4 + n2, 0] = e2.ravel()
 
-    t_star_0p = np.zeros((1, np_tot))
-    t_star_0p[0, o1: o1 + n1] = lam * p * a1
-    t_star_0p[0, o4: o4 + n2] = lam * (1 - p) * a2
+    t_star_0p = np.zeros(np_tot)
+    t_star_0p[o1: o1 + n1] = lam * p * a1
+    t_star_0p[o4: o4 + n2] = lam * (1 - p) * a2
 
-    p_m0 = np.array([[1.0], [0.0]])
+    p_m0 = np.array([1.0, 0.0])
     p_mp = np.zeros((2, np_tot))
     p_mp[1, o4: o4 + n2] = a2
 
     return FluidModel(t_mm=t_mm, t_mp=t_mp, t_pm=t_pm, t_pp=t_pp,
-                      t_star_00=np.array([[-lam]]), t_star_0p=t_star_0p,
-                      p_m0=p_m0, p_mp=p_mp)
+                      t_star_0p=t_star_0p, p_m0=p_m0, p_mp=p_mp)
 
 
 def build_nudge_m_fluid(mix: JobMix, m: int) -> FluidModel:
@@ -657,15 +649,15 @@ def build_nudge_m_fluid(mix: JobMix, m: int) -> FluidModel:
     t_pm[sub1, low[:, None]] = mix.ph1.exit
     t_pm[sub3, v[:, None]] = mix.ph2.exit
 
-    t_star_0p = np.zeros((1, npl))
-    t_star_0p[0, sub1[0]] = lam * p * a1
-    t_star_0p[0, sub3[0]] = lam * (1 - p) * a2
+    t_star_0p = np.zeros(npl)
+    t_star_0p[sub1[0]] = lam * p * a1
+    t_star_0p[sub3[0]] = lam * (1 - p) * a2
 
-    p_m0 = np.eye(nm, 1)  # the fluid empties in v = 0 only
+    p_m0 = np.zeros(nm)
+    p_m0[0] = 1.0  # the fluid empties in v = 0 only
     p_mp = np.zeros((nm, npl))
     busy = v[1:]
     p_mp[busy[:, None], sub3[busy & (busy - 1)]] = a2
 
     return FluidModel(t_mm=t_mm, t_mp=t_mp, t_pm=t_pm, t_pp=t_pp,
-                      t_star_00=np.array([[-lam]]), t_star_0p=t_star_0p,
-                      p_m0=p_m0, p_mp=p_mp)
+                      t_star_0p=t_star_0p, p_m0=p_m0, p_mp=p_mp)

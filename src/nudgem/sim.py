@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .phtype import InstabilityError, JobMix, PhaseType
+from .phtype import JobMix, PhaseType
 from .policy import PolicyFn
 
 DEFAULT_BATCHES = 30
@@ -41,8 +41,6 @@ class SimConfig:
             object.__setattr__(self, "warmup", self.n_jobs // 10)
         if not (0 <= self.warmup < self.n_jobs):
             raise ValueError("need n_jobs > warmup >= 0")
-        if self.mix.lam >= 1.0:
-            raise InstabilityError(f"load {self.mix.lam} >= 1")
         if self.n_batches < 2:
             raise ValueError("need at least two batches")
         if self.n_jobs - self.warmup < self.n_batches:

@@ -203,8 +203,8 @@ def mixed_entry_fluid(mix: JobMix, m: int) -> FluidModel:
 def eigen_gap_dense(model, psi):
     """Distance from 1 of the second-nearest eigenvalue of the n- x n-
     matrix P~ Psi, from its full dense eigenproblem (inf when n- = 1)."""
-    p_tilde = model.p_mp - model.p_m0 @ np.linalg.solve(model.t_star_00,
-                                                        model.t_star_0p)
+    lam0 = model.t_star_0p.sum()
+    p_tilde = model.p_mp + np.outer(model.p_m0, model.t_star_0p / lam0)
     vals, _ = np.linalg.eig(p_tilde @ psi)
     dist = np.sort(np.abs(vals - 1.0))
     return float(dist[1]) if dist.size > 1 else np.inf
@@ -213,8 +213,8 @@ def eigen_gap_dense(model, psi):
 def stationary_pi_dense(model, psi):
     """pi_+ and c0 from the n+ x n+ eigenproblem of Psi P~: pi_+ is its
     left eigenvector at eigenvalue 1, normalized so eta = 1."""
-    p_tilde = model.p_mp - model.p_m0 @ np.linalg.solve(model.t_star_00,
-                                                        model.t_star_0p)
+    lam0 = model.t_star_0p.sum()
+    p_tilde = model.p_mp + np.outer(model.p_m0, model.t_star_0p / lam0)
     k = model.t_pp + psi @ model.t_mp
     vals, vecs = np.linalg.eig((psi @ p_tilde).T)
     idx = int(np.argmin(np.abs(vals - 1.0)))
@@ -223,8 +223,7 @@ def stationary_pi_dense(model, psi):
     if pi.sum() < 0:
         pi = -pi
     pi = np.clip(pi, 0.0, None)
-    ones_0 = np.ones(model.t_star_00.shape[0])
-    boundary = psi @ model.p_m0 @ np.linalg.solve(model.t_star_00, ones_0)
+    boundary = -(psi @ model.p_m0) / lam0
     tail = np.linalg.solve(-k, psi @ np.ones(model.n_minus))
     pi = pi / float(pi @ (tail - boundary))
     return pi, -float(pi @ boundary)
@@ -330,25 +329,23 @@ def build_nudge_m_fluid_tuples(mix: JobMix, m: int) -> FluidModel:
             t_pm[o: o + n2, mi[s]] = e2
 
     zero = (0,) * m
-    t_star_00 = np.array([[-lam]])
-    t_star_0p = np.zeros((1, npl))
+    t_star_0p = np.zeros(npl)
     o = pi[(zero, 1)]
-    t_star_0p[0, o: o + n1] = lam * p * a1
+    t_star_0p[o: o + n1] = lam * p * a1
     o = pi[(zero, 3)]
-    t_star_0p[0, o: o + n2] = lam * (1 - p) * a2
+    t_star_0p[o: o + n2] = lam * (1 - p) * a2
 
-    p_m0 = np.zeros((nm, 1))
+    p_m0 = np.zeros(nm)
     p_mp = np.zeros((nm, npl))
     for s, r in mi.items():
         if s == zero:
-            p_m0[r, 0] = 1.0
+            p_m0[r] = 1.0
         else:
             o = pi[(_dec(s), 3)]
             p_mp[r, o: o + n2] = a2
 
     return FluidModel(t_mm=t_mm, t_mp=t_mp, t_pm=t_pm, t_pp=t_pp,
-                      t_star_00=t_star_00, t_star_0p=t_star_0p,
-                      p_m0=p_m0, p_mp=p_mp)
+                      t_star_0p=t_star_0p, p_m0=p_m0, p_mp=p_mp)
 
 
 def selector_matrix(k: int) -> np.ndarray:

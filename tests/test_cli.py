@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -407,6 +408,22 @@ def test_no_eigenvalue_one_is_numeric_failure(monkeypatch, tmp_path, capsys):
     assert "no eigenvalue of Psi P~ near 1" in capsys.readouterr().err
 
 
+def test_c0_off_one_minus_lambda_is_numeric_failure(monkeypatch, tmp_path, capsys):
+    # c0 = 1 - lambda (PASTA) is checked at run time: a c0 moved by 1e-6
+    # passes every check of the solve, and dist refuses it and writes no CSV
+    real = fluid.stationary_fluid
+
+    def shifted(model):
+        sol = real(model)
+        return replace(sol, c0=sol.c0 + 1e-6)
+
+    monkeypatch.setattr(fluid, "stationary_fluid", shifted)
+    argv = ["dist", "--recipe", "fig9a", "--m", "2", "--t", "0,1"]
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 4
+    assert "off 1 - lambda" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_boundary_entry_with_two_phase_laws_is_numeric_failure(
         monkeypatch, tmp_path, capsys):
     # D's components entered with two phase laws cannot be lumped into one
@@ -434,6 +451,8 @@ def test_dist_manifest_fluid_record(tmp_path):
     assert rec["sda_steps"] == 8
     assert 1 <= rec["residual_evals"] <= rec["sda_steps"]
     assert rec["c0"] == pytest.approx(0.3, abs=1e-9)  # 1 - lambda
+    assert rec["c0_gap"] == abs(rec["c0"] - (1.0 - 0.7))
+    assert rec["c0_gap"] <= cli.C0_GAP_TOL / (1.0 - 0.7)
     assert 0.0 < rec["eigen_gap"] <= 2.0
     assert rec["pi_eig_n"] == 2 ** (3 - 1) + 1  # P~'s distinct rows
 

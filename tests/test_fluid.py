@@ -182,7 +182,7 @@ def _boundary_entered_fcfs(mix):
     R, so T_++[D, R] enters W_1's law."""
     model = build_fcfs_fluid(mix)
     t0p = model.t_star_0p.copy()
-    t0p[0, :2] = t0p[0, :2].sum() / 2
+    t0p[:2] = t0p[:2].sum() / 2
     return replace(model, t_star_0p=t0p)
 
 
@@ -367,8 +367,8 @@ def test_reduced_eigenproblem_matches_dense(name):
     mix, build = ORACLE_CASES[name]
     model = build(mix)
     sol = stationary_fluid(model)
-    p_tilde = model.p_mp - model.p_m0 @ np.linalg.solve(model.t_star_00,
-                                                        model.t_star_0p)
+    p_tilde = model.p_mp + np.outer(model.p_m0, model.t_star_0p
+                                    / model.t_star_0p.sum())
     assert sol.pi_eig_n == np.unique(p_tilde, axis=0).shape[0]
     m = getattr(build, "keywords", {}).get("m")
     if m is not None:
@@ -496,13 +496,25 @@ def test_builder_allocates_only_its_arrays():
     ("t_mm", "fluid generator rows must sum to zero"),
     ("t_pp", "fluid generator rows must sum to zero"),
     ("p_mp", "boundary transition rows must sum to one"),
-    ("t_star_0p", "zero-level generator rows must sum to zero"),
-], ids=["t_mm", "t_pp", "p_mp", "t_star_0p"])
+    ("p_m0", "boundary transition rows must sum to one"),
+], ids=["t_mm", "t_pp", "p_mp", "p_m0"])
 def test_model_rejects_a_perturbed_entry(field, message):
     model = build_nudge_m_fluid(HE_MIX, 3)
     arrays = {f.name: getattr(model, f.name) for f in fields(model)}
     FluidModel(**arrays)
     bad = arrays[field].copy()
-    bad[bad.shape[0] // 2, bad.shape[1] // 2] += 1e-9
+    bad[tuple(n // 2 for n in bad.shape)] += 1e-9
     with pytest.raises(ValueError, match=message):
         FluidModel(**{**arrays, field: bad})
+
+
+@pytest.mark.parametrize("rates", [
+    lambda t: np.where(t == 0, -1e-9, t),  # the sum stays positive
+    np.zeros_like,
+], ids=["negative", "zero-sum"])
+def test_model_rejects_bad_level0_rates(rates):
+    # level 0 is one state: its exit rates are nonnegative and their sum,
+    # lambda_0, divides P~ and c0's boundary term
+    model = build_nudge_m_fluid(HE_MIX, 3)
+    with pytest.raises(ValueError, match="level-0 exit rates"):
+        replace(model, t_star_0p=rates(model.t_star_0p))
