@@ -17,9 +17,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .phtype import (FitError, InstabilityError, InvalidDistributionError,
-                     JobMix, fit_hyperexp, load_mix, normalized_mix,
-                     ph_exponential, two_class_exp_mix)
+from .phtype import (InvalidDistributionError, JobMix, fit_hyperexp,
+                     load_mix, normalized_mix, ph_exponential,
+                     two_class_exp_mix)
 from .policy import (POLICY_BUILDERS, PolicyError, PolicyFn, named_policy,
                      policy_from_table_file, policy_key)
 from . import asymptotics, fluid, resp2, sim, swap
@@ -147,6 +147,10 @@ def cmd_atir(args) -> int:
     recipe = RECIPES.get(args.recipe, {}) if args.recipe else {}
     lam_grid = parse_grid(args.lam, "--lambda") if args.lam else recipe.get("lambda")
     if lam_grid and len(lam_grid) > 1:
+        # the sweep is plain Nudge-M at M_opt and M_heavy
+        for flag in ("policy", "m", "k", "l"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"atir over a lambda grid takes no --{flag}")
         header = ["lambda", "m_opt", "m_heavy", "atir_m_opt", "atir_m_heavy"]
         rows = []
         for lam in lam_grid:
@@ -213,7 +217,6 @@ def _fluid_record(sol: fluid.FluidSolution, lam: float) -> dict:
             "n_plus_solved": sol.n_plus_solved,
             "riccati_residual": sol.riccati_residual,
             "sda_steps": sol.sda_steps,
-            "residual_evals": sol.residual_evals,
             "c0": sol.c0, "c0_gap": abs(sol.c0 - (1.0 - lam)),
             "eigen_gap": sol.eigen_gap, "pi_eig_n": sol.pi_eig_n}
 
@@ -489,8 +492,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidDistributionError, FitError, InstabilityError, PolicyError,
-            FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (FileNotFoundError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ComplexityError as exc:

@@ -1,5 +1,5 @@
 """Property-based checks for the fitting, policy and family-prefactor
-layers, and for the fluid's pi_+ eigenproblem."""
+layers, and for the fluid's SDA stop and pi_+ eigenproblem."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (check_table_strings, count_twos, eigen_gap_dense,
                      family_prefactors_enum, random_family_member, random_ph,
-                     stationary_pi_dense, string_mask, verify_optimality_enum)
+                     solve_riccati_one_lu_dense, stationary_pi_dense,
+                     string_mask, verify_optimality_enum)
 
 from nudgem.asymptotics import (FAMILY_M_CAP, decay_rate, family_prefactors,
                                 verify_optimality)
-from nudgem.fluid import build_nudge_m_fluid, stationary_fluid
+from nudgem.fluid import (build_nudge_m_fluid, reachable_plus, solve_riccati,
+                          stationary_fluid)
 from nudgem.phtype import fit_hyperexp, normalized_mix, ph_exponential
 from nudgem.policy import (
     PolicyError,
@@ -149,3 +151,20 @@ def test_pi_plus_from_distinct_rows_equals_dense(p, lam, phases, m, seed):
         assert abs(sol.eigen_gap - want) <= 1e-12
     else:
         assert sol.eigen_gap >= 1.0 - 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.floats(0.0, 1.0), lam=st.floats(0.05, 0.995),
+       phases=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       m=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_sum_stop_equals_dense_residual_stop(p, lam, phases, m, seed):
+    # SDA stops on ||R(H) 1||_inf; the one-LU oracle runs the same steps
+    # but stops on the dense ||R(H)||_inf: the rows R of Psi are the same
+    # to the last bit
+    rng = np.random.default_rng(seed)
+    mix = normalized_mix(p, random_ph(rng, phases[0]), random_ph(rng, phases[1]),
+                         lam=lam)
+    model = build_nudge_m_fluid(mix, m)
+    r = reachable_plus(model)
+    assert np.array_equal(solve_riccati(model)[r],
+                          solve_riccati_one_lu_dense(model.restrict(r)))
