@@ -172,7 +172,7 @@ def cmd_atir(args) -> int:
     key = policy_key(args.policy or "nudge-m")
     use_family = key != "nudge-m"
     if use_family:
-        header.append("atir_" + key)
+        header.append("atir_" + (key if key in POLICY_BUILDERS else "table"))
     family = _family_atir(args, info, mix, m_max) if use_family else {}
     rows = []
     for m in range(m_max + 1):
@@ -374,10 +374,20 @@ def _check_identities() -> List[tuple]:
     ok = all(abs(sol.w1_ccdf(t) - swap.workload_ccdf(mix, t)) < 1e-10
              for t in (0.5, 2.0, 8.0))
     checks.append(("fcfs-fluid-vs-workload", ok))
-    s1 = fluid.stationary_fluid(fluid.build_nudge1_fluid(mix))
-    sg = fluid.stationary_fluid(fluid.build_nudge_m_fluid(mix, 1))
-    ok = all(abs(s1.w1_ccdf(t) - sg.w1_ccdf(t)) < 1e-10 for t in (0.5, 2.0, 8.0))
-    checks.append(("nudge1-vs-nudge-m1-fluid", ok))
+    # Wald's identity: a type-2 job is passed E[X_swap] times on average,
+    # each pass saves the passing type-1 job one type-2 service, and the
+    # passes form a stopping time, so E[W_1] = E[Z] - ((1 - p)/p)
+    # E[X_swap] E[X_2]: the fluid against the swap and workload laws
+    for name, make in (("exp-exp", _mix_exp_exp),
+                       ("exp-hyperexp", _mix_exp_hyperexp)):
+        mx = make()
+        ez = swap.workload_law(mx).mean()
+        ok = True
+        for m in (1, 3, 5):
+            w1 = fluid.stationary_fluid(fluid.build_nudge_m_fluid(mx, m)).w1.mean()
+            saved = (1.0 - mx.p) / mx.p * swap.mean_swaps(mx, m) * mx.e2
+            ok = ok and abs(w1 / (ez - saved) - 1.0) < 1e-10
+        checks.append((f"fluid-w1-mean-vs-swap-{name}", ok))
     t = 40.0 / info.theta_z
     cw1, _ = asymptotics.prefactors_nudge_m(info, 2)
     sol2 = fluid.stationary_fluid(fluid.build_nudge_m_fluid(mix, 2))

@@ -4,9 +4,10 @@ with jumps.
 The fluid level represents the virtual waiting time of a type-1 arrival;
 type-2 jobs at the back of the queue that could still be passed are held
 in the background state instead of the fluid. Models are provided for
-FCFS, Nudge-1 and general Nudge-M; the stationary fluid distribution
-comes from the minimal nonnegative solution of an algebraic Riccati
-equation, solved with the structure-preserving doubling algorithm (SDA).
+FCFS and Nudge-M (Nudge-1 is Nudge-M at m = 1); the stationary fluid
+distribution comes from the minimal nonnegative solution of an algebraic
+Riccati equation, solved with the structure-preserving doubling algorithm
+(SDA).
 """
 
 from __future__ import annotations
@@ -278,15 +279,15 @@ def solve_riccati(model: FluidModel,
 
     Only the S+ states R of ``reachable_plus`` go through SDA (``_sda``).
     The others, D, are entered from neither S- nor R. For Nudge-M they are
-    the subset-3 states with s_1 = 0 (Nudge-1: subset 4), "add a type-2 job
-    and return to s", which only the level-0 boundary enters (through
-    t_star_0p and p_mp). With T_++[R,D] = 0 and T_-+[:, D] = 0 the rows R
-    of the equation involve Psi[R] alone, and W = A_g - B D_g^{-1} C is
-    block-triangular, so in exact arithmetic every SDA iterate's rows R are
-    those of the problem restricted to R. SDA therefore runs on the
-    restricted blocks (2^(m-1) (n1 + 2 n2) states for Nudge-M, n1 + 2 n2
-    for Nudge-1), and Psi[D] follows from one linear Sylvester solve
-    (``_boundary_rows``), which has no rows when D is empty (FCFS).
+    the subset-3 states with s_1 = 0, "add a type-2 job and return to s",
+    which only the level-0 boundary enters (through t_star_0p and p_mp).
+    With T_++[R,D] = 0 and T_-+[:, D] = 0 the rows R of the equation
+    involve Psi[R] alone, and W = A_g - B D_g^{-1} C is block-triangular,
+    so in exact arithmetic every SDA iterate's rows R are those of the
+    problem restricted to R. SDA therefore runs on the restricted blocks
+    (2^(m-1) (n1 + 2 n2) states for Nudge-M), and Psi[D] follows from one
+    linear Sylvester solve (``_boundary_rows``), which has no rows when D
+    is empty (FCFS).
 
     Raises RiccatiError when a row of Psi sums above
     1 + RICCATI_ROW_SUM_TOL (Psi[i, j] is the probability that the fluid,
@@ -499,54 +500,6 @@ def build_fcfs_fluid(mix: JobMix) -> FluidModel:
         p_m0=np.ones(1),
         p_mp=np.zeros((1, mix.n1 + mix.n2)),
     )
-
-
-def build_nudge1_fluid(mix: JobMix) -> FluidModel:
-    """Nudge-1 with the two-state S- and four S+ subsets.
-
-    S- state 0: no passable type-2 job at the back; state 1: one such job
-    whose work is not yet in the fluid. Subsets of S+: (1) add a type-1
-    job, (2) add a type-2 then a type-1 job, (3) add a type-2 job and
-    return to state 1, (4) add a type-2 job and return to state 0 (used
-    when the fluid hits zero in state 1).
-    """
-    lam, p = mix.lam, mix.p
-    n1, n2 = mix.n1, mix.n2
-    a1 = mix.ph1.alpha.reshape(1, -1)
-    a2 = mix.ph2.alpha.reshape(1, -1)
-    s1, s2 = mix.ph1.S, mix.ph2.S
-    e1, e2 = mix.ph1.exit.reshape(-1, 1), mix.ph2.exit.reshape(-1, 1)
-    np_tot = n1 + 3 * n2
-    o1, o2, o3, o4 = 0, n1, n1 + n2, n1 + 2 * n2
-
-    t_mm = np.array([[-lam, lam * (1 - p)], [0.0, -lam]])
-    t_mp = np.zeros((2, np_tot))
-    t_mp[0, o1: o1 + n1] = lam * p * a1
-    t_mp[1, o2: o2 + n2] = lam * p * a2
-    t_mp[1, o3: o3 + n2] = lam * (1 - p) * a2
-
-    t_pp = np.zeros((np_tot, np_tot))
-    t_pp[o1: o1 + n1, o1: o1 + n1] = s1
-    t_pp[o2: o2 + n2, o1: o1 + n1] = e2 @ a1
-    t_pp[o2: o2 + n2, o2: o2 + n2] = s2
-    t_pp[o3: o3 + n2, o3: o3 + n2] = s2
-    t_pp[o4: o4 + n2, o4: o4 + n2] = s2
-
-    t_pm = np.zeros((np_tot, 2))
-    t_pm[o1: o1 + n1, 0] = e1.ravel()
-    t_pm[o3: o3 + n2, 1] = e2.ravel()
-    t_pm[o4: o4 + n2, 0] = e2.ravel()
-
-    t_star_0p = np.zeros(np_tot)
-    t_star_0p[o1: o1 + n1] = lam * p * a1
-    t_star_0p[o4: o4 + n2] = lam * (1 - p) * a2
-
-    p_m0 = np.array([1.0, 0.0])
-    p_mp = np.zeros((2, np_tot))
-    p_mp[1, o4: o4 + n2] = a2
-
-    return FluidModel(t_mm=t_mm, t_mp=t_mp, t_pm=t_pm, t_pp=t_pp,
-                      t_star_0p=t_star_0p, p_m0=p_m0, p_mp=p_mp)
 
 
 def build_nudge_m_fluid(mix: JobMix, m: int) -> FluidModel:

@@ -196,6 +196,10 @@ class MatrixExpDist:
         """P[X > t] for a scalar t (float) or a 1-D grid (array)."""
         return self._eval(t, self.tail)
 
+    def mean(self) -> float:
+        """E[X] = int_0^inf P[X > t] dt = init (-gen)^{-1} tail, one solve."""
+        return float(self.init @ np.linalg.solve(-self.gen, self.tail))
+
     def density(self, t):
         """f_X(t) = init e^{gen t} (-gen tail) for t > 0 (the atom excluded)."""
         return self._eval(t, -self.gen @ self.tail)

@@ -71,8 +71,9 @@ def build_extra_wait(mix: JobMix, m: int, w: np.ndarray) -> np.ndarray:
 class W2Model:
     """Embedded chain for the type-2 waiting time: the workload process
     runs jointly with the counting chain, then hands over to the
-    extra-wait phases. w2 is the law of W_2, and r2 = w2.plus(ph2) the
-    law of R_2."""
+    extra-wait phases. w2 is the law of W_2,
+    P[W_2 > t] = (e_1' x lambda beta, 0) e^{T_M t} v_2, and
+    r2 = w2.plus(ph2) the law of R_2."""
 
     w2: MatrixExpDist
     r2: MatrixExpDist
@@ -80,15 +81,6 @@ class W2Model:
     @property
     def t_m(self) -> np.ndarray:
         return self.w2.gen
-
-    def w2_ccdf(self, t):
-        """P[W_2 > t] = (e_1' x lambda beta, 0) e^{T_M t} v_2, at a scalar t
-        or on a 1-D grid."""
-        return self.w2.ccdf(t)
-
-    def r2_ccdf(self, t):
-        """P[R_2 > t] at a scalar t or on a 1-D grid."""
-        return self.r2.ccdf(t)
 
 
 def build_w2_model(mix: JobMix, m: int) -> W2Model:

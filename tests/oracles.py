@@ -7,7 +7,9 @@ eigenproblem for pi_+, adaptive quadrature, string enumeration, the
 named policies and the (C1)/(C2) checks one string at a time, a dense
 counting chain with one inverse per swap and a Kronecker solve, the
 arrival-count grid over the counting chain's states, a queue scan per
-arrival, the Nudge-M fluid built over tuple-keyed state dicts) and so
+arrival, the Nudge-M fluid built over tuple-keyed state dicts, the
+hand-written Nudge-1 fluid ``build_nudge1_fluid``, the reference for
+Nudge-M at m = 1) and so
 does not go through the evaluation of ``MatrixExpDist`` (``dense_ccdf``
 and ``dense_density`` read only a law's fields), the hitting-time
 formula of the swap laws (the grid shares only the arrival-count laws of
@@ -26,8 +28,9 @@ for ``resp2.build_w2_model``: it builds one counting chain and one
 selector matrix per block, where the package cuts every block from W_M.
 The module also holds helpers only tests use: ``count_twos``, the
 simulator's tail-prefactor regression ``tail_prefactor_estimate``, the
-conditional swap law ``swap_pmf`` and the Nudge-K,M against Nudge-M,L
-comparison ``compare_km_ml``.
+conditional swap law ``swap_pmf``, the Nudge-K,M against Nudge-M,L
+comparison ``compare_km_ml`` and the mean-wait identities
+``wald_mean_gaps``.
 """
 
 import itertools
@@ -44,14 +47,17 @@ from nudgem.asymptotics import (FAMILY_M_CAP, OPTIMALITY_TIE_TOL, VERIFY_M_CAP,
                                 AtirReport, ComplexityError, OptimalityReport,
                                 atir_from_prefactors, family_prefactors, m_opt)
 from nudgem.fluid import (NUDGE_M_CAP, RICCATI_MAX_ITER, RICCATI_RESIDUAL_TOL,
-                          RICCATI_STEP_TOL, FluidModel, build_nudge_m_fluid)
+                          RICCATI_STEP_TOL, FluidModel, build_nudge_m_fluid,
+                          stationary_fluid)
 from nudgem.phtype import (JobMix, MatrixExpDist, PhaseType, kron_sum,
                            poisson_terms, poisson_weights)
 from nudgem.policy import (PolicyError, PolicyFn, all_strings, fcfs_policy,
                            nudge_km_policy, nudge_ml_policy)
-from nudgem.resp2 import W2Model, _state_index, chain_size, counting_matrix
+from nudgem.resp2 import (W2Model, _state_index, build_w2_model, chain_size,
+                          counting_matrix)
 from nudgem.sim import EstimationError, SimStats, sample_phase_type
-from nudgem.swap import _binomial_table, _count_law, _service_law, _swap_pmf_from
+from nudgem.swap import (_binomial_table, _count_law, _service_law, _swap_pmf_from,
+                         mean_swaps, workload_law)
 
 
 def convolution_ccdf(ph, wait_ccdf, t):
@@ -348,6 +354,54 @@ def build_nudge_m_fluid_tuples(mix: JobMix, m: int) -> FluidModel:
                       t_star_0p=t_star_0p, p_m0=p_m0, p_mp=p_mp)
 
 
+def build_nudge1_fluid(mix: JobMix) -> FluidModel:
+    """Nudge-1 with the two-state S- and four S+ subsets.
+
+    S- state 0: no passable type-2 job at the back; state 1: one such job
+    whose work is not yet in the fluid. Subsets of S+: (1) add a type-1
+    job, (2) add a type-2 then a type-1 job, (3) add a type-2 job and
+    return to state 1, (4) add a type-2 job and return to state 0 (used
+    when the fluid hits zero in state 1).
+    """
+    lam, p = mix.lam, mix.p
+    n1, n2 = mix.n1, mix.n2
+    a1 = mix.ph1.alpha.reshape(1, -1)
+    a2 = mix.ph2.alpha.reshape(1, -1)
+    s1, s2 = mix.ph1.S, mix.ph2.S
+    e1, e2 = mix.ph1.exit.reshape(-1, 1), mix.ph2.exit.reshape(-1, 1)
+    np_tot = n1 + 3 * n2
+    o1, o2, o3, o4 = 0, n1, n1 + n2, n1 + 2 * n2
+
+    t_mm = np.array([[-lam, lam * (1 - p)], [0.0, -lam]])
+    t_mp = np.zeros((2, np_tot))
+    t_mp[0, o1: o1 + n1] = lam * p * a1
+    t_mp[1, o2: o2 + n2] = lam * p * a2
+    t_mp[1, o3: o3 + n2] = lam * (1 - p) * a2
+
+    t_pp = np.zeros((np_tot, np_tot))
+    t_pp[o1: o1 + n1, o1: o1 + n1] = s1
+    t_pp[o2: o2 + n2, o1: o1 + n1] = e2 @ a1
+    t_pp[o2: o2 + n2, o2: o2 + n2] = s2
+    t_pp[o3: o3 + n2, o3: o3 + n2] = s2
+    t_pp[o4: o4 + n2, o4: o4 + n2] = s2
+
+    t_pm = np.zeros((np_tot, 2))
+    t_pm[o1: o1 + n1, 0] = e1.ravel()
+    t_pm[o3: o3 + n2, 1] = e2.ravel()
+    t_pm[o4: o4 + n2, 0] = e2.ravel()
+
+    t_star_0p = np.zeros(np_tot)
+    t_star_0p[o1: o1 + n1] = lam * p * a1
+    t_star_0p[o4: o4 + n2] = lam * (1 - p) * a2
+
+    p_m0 = np.array([1.0, 0.0])
+    p_mp = np.zeros((2, np_tot))
+    p_mp[1, o4: o4 + n2] = a2
+
+    return FluidModel(t_mm=t_mm, t_mp=t_mp, t_pm=t_pm, t_pp=t_pp,
+                      t_star_0p=t_star_0p, p_m0=p_m0, p_mp=p_mp)
+
+
 def selector_matrix(k: int) -> np.ndarray:
     """U_k = [0; I]: removes the first k+1 (i = 0) coordinates."""
     n, m = chain_size(k), chain_size(k - 1)
@@ -625,6 +679,35 @@ def sequential_ccdf(law, grid):
         terms[k] = law.init @ vec
     return np.array([w @ terms[start:start + w.shape[0]]
                      for start, w in map(poisson_weights, q * grid)])
+
+
+# The mean-wait identities of ``wald_mean_gaps``. On the reference mixes
+# (exp/exp and exp/hyperexp, lambda = 0.7) at m = 1..8, E[W_1] met the swap
+# layer within 9.3e-15 and 6.5e-13 relative and E[W_2] within 6.7e-16.
+# The W_1 gap is Psi's: SDA stops at a residual up to RICCATI_RESIDUAL_TOL,
+# and E[W_1] moves by about that over (1 - lambda)^2. Over 11,000 random
+# 1-3-phase mixes (p in [0.05, 0.95], lambda in [0.05, 0.95], m <= 5;
+# 8,000 of them with a third at lambda = 0.95 itself, 3,000 drawn as the
+# property draws them) the W_1 gap times (1 - lambda)^2 was at most
+# 1.9e-12 (5.6e-10 at lambda = 0.95) and the W_2 gap at most 9.8e-15. An
+# earlier probe saw 7.3e-12 on an Erlang-3/hyperexp mix at lambda = 0.9.
+WALD_W1_TOL = 1e-11  # relative; the property divides it by (1 - lambda)^2
+WALD_W2_TOL = 1e-13
+
+
+def wald_mean_gaps(mix: JobMix, m: int) -> Tuple[float, float]:
+    """Relative gaps of E[W_1] = E[Z] - ((1 - p)/p) E[X_swap] E[X_2] and
+    E[W_2] = E[Z] + E[X_swap] E[X_1] under Nudge-M, by Wald's identity: a
+    type-2 job is passed E[X_swap] times on average, each pass saves the
+    passing type-1 job one type-2 service and costs the type-2 job one
+    type-1 service, and the passes form a stopping time. The left sides
+    come from the fluid and from ``resp2``, E[X_swap] from ``swap`` and E[Z]
+    from the workload law, each mean as init (-gen)^{-1} tail."""
+    ez, xs = workload_law(mix).mean(), mean_swaps(mix, m)
+    w1 = stationary_fluid(build_nudge_m_fluid(mix, m)).w1.mean()
+    w2 = build_w2_model(mix, m).w2.mean()
+    return (abs(w1 / (ez - (1.0 - mix.p) / mix.p * xs * mix.e2) - 1.0),
+            abs(w2 / (ez + xs * mix.e1) - 1.0))
 
 
 def count_twos(s) -> int:

@@ -24,7 +24,8 @@ from nudgem.asymptotics import (
 from nudgem.phtype import fit_hyperexp, normalized_mix, ph_exponential, two_class_exp_mix
 from nudgem.policy import fcfs_policy, nudge_m_policy
 from nudgem.sim import SimConfig, empirical_ccdf, simulate
-from oracles import compare_km_ml, swap_pmf
+from oracles import (WALD_W1_TOL, WALD_W2_TOL, build_nudge1_fluid, compare_km_ml,
+                     swap_pmf, wald_mean_gaps)
 
 MIX_A = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
 
@@ -64,10 +65,19 @@ def test_fcfs_fluid_reproduces_workload_tail():
 
 
 def test_nudge1_model_equals_window_one():
-    a = fluid.stationary_fluid(fluid.build_nudge1_fluid(MIX_A))
+    a = fluid.stationary_fluid(build_nudge1_fluid(MIX_A))
     b = fluid.stationary_fluid(fluid.build_nudge_m_fluid(MIX_A, 1))
     for t in np.arange(0.0, 25.0, 1.3):
         assert abs(a.w1_ccdf(t) - b.w1_ccdf(t)) < 1e-10
+
+
+@pytest.mark.parametrize("mix", [MIX_A, _mix_b()], ids=["exp-exp", "exp-hyperexp"])
+def test_mean_waits_meet_swap_layer_by_wald(mix):
+    # E[W_1] from the fluid and E[W_2] from resp2 against E[Z] and E[X_swap]
+    for m in range(1, 9):
+        g1, g2 = wald_mean_gaps(mix, m)
+        assert g1 < WALD_W1_TOL, f"W1 m={m}"
+        assert g2 < WALD_W2_TOL, f"W2 m={m}"
 
 
 # -- 3. strong-tail-optimality oracle --------------------------------------
@@ -103,7 +113,7 @@ def test_tail_closure_type2():
     for m in (1, 2, 5):
         _, cw2 = prefactors_nudge_m(info, m)
         w2m = resp2.build_w2_model(MIX_A, m)
-        est = w2m.w2_ccdf(t) * math.exp(info.theta_z * t)
+        est = w2m.w2.ccdf(t) * math.exp(info.theta_z * t)
         assert abs(est / cw2 - 1.0) < 1e-3
 
 
@@ -165,7 +175,7 @@ def test_sim_waiting_time_ccdf(sim_runs):
             est, se = empirical_ccdf(sim_runs[name], 1, t)
             assert abs(est - sol.w1_ccdf(t)) <= 3 * se, f"{name} type1 t={t}"
             est, se = empirical_ccdf(sim_runs[name], 2, t)
-            assert abs(est - w2m.w2_ccdf(t)) <= 3 * se, f"{name} type2 t={t}"
+            assert abs(est - w2m.w2.ccdf(t)) <= 3 * se, f"{name} type2 t={t}"
 
 
 # -- 6. heavy-traffic convergence ------------------------------------------

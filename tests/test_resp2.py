@@ -55,8 +55,8 @@ def test_w2_model_is_bit_identical_to_per_k_assembly(mix):
 
 def test_w2_at_zero_is_busy_probability():
     model = build_w2_model(MIX, 3)
-    assert model.w2_ccdf(0.0) == pytest.approx(MIX.lam, abs=1e-12)
-    assert model.r2_ccdf(0.0) == pytest.approx(1.0, abs=1e-10)
+    assert model.w2.ccdf(0.0) == pytest.approx(MIX.lam, abs=1e-12)
+    assert model.r2.ccdf(0.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_w2_density_integrates_to_tail():
@@ -68,7 +68,7 @@ def test_w2_density_integrates_to_tail():
 def test_response_dominates_waiting():
     model = build_w2_model(MIX, 3)
     for t in (0.0, 1.0, 5.0, 20.0):
-        assert model.r2_ccdf(t) >= model.w2_ccdf(t) - 1e-12
+        assert model.r2.ccdf(t) >= model.w2.ccdf(t) - 1e-12
 
 
 def test_w2_tail_prefactor():
@@ -76,7 +76,7 @@ def test_w2_tail_prefactor():
     t = 40.0 / info.theta_z
     for m in (1, 2):
         _, cw2 = prefactors_nudge_m(info, m)
-        est = build_w2_model(MIX, m).w2_ccdf(t) * math.exp(info.theta_z * t)
+        est = build_w2_model(MIX, m).w2.ccdf(t) * math.exp(info.theta_z * t)
         assert est == pytest.approx(cw2, rel=1e-6)
 
 
@@ -86,7 +86,7 @@ def test_mean_from_distribution_matches_swap_module():
     from nudgem.swap import mean_swaps
     m = 2
     model = build_w2_model(MIX, m)
-    mean_r2, _ = quad(model.r2_ccdf, 0.0, 400.0, limit=400)
+    mean_r2, _ = quad(model.r2.ccdf, 0.0, 400.0, limit=400)
     rep = mean_response(MIX, m)
     # E[R2] = E[W_fcfs] + E[X2] + (passes per type-2) E[X1]
     expect = (rep.fcfs - 1.0) + MIX.e2 + mean_swaps(MIX, m) * MIX.e1
@@ -96,7 +96,7 @@ def test_mean_from_distribution_matches_swap_module():
 def test_w2_decreasing_in_window():
     info = decay_rate(MIX)
     t = 25.0 / info.theta_z
-    tails = [build_w2_model(MIX, m).w2_ccdf(t) for m in (1, 2, 3)]
+    tails = [build_w2_model(MIX, m).w2.ccdf(t) for m in (1, 2, 3)]
     # larger windows delay type-2 jobs more
     assert tails == sorted(tails)
 
@@ -106,11 +106,11 @@ def test_r2_matches_convolution_oracle(mix):
     # P[W + X > t] = P[X > t] + int_0^t f_X(x) P[W > t - x] dx
     model = build_w2_model(mix, 2)
     for t in (0.3, 2.0, 7.0):
-        assert model.r2_ccdf(t) == pytest.approx(
-            convolution_ccdf(mix.ph2, model.w2_ccdf, t), abs=1e-8)
+        assert model.r2.ccdf(t) == pytest.approx(
+            convolution_ccdf(mix.ph2, model.w2.ccdf, t), abs=1e-8)
 
 
 def test_r2_multiphase_smoke():
     model = build_w2_model(ERLANG_MIX, 2)
-    assert model.r2_ccdf(0.0) == pytest.approx(1.0, abs=1e-10)
-    assert 0.0 < model.r2_ccdf(5.0) < 1.0
+    assert model.r2.ccdf(0.0) == pytest.approx(1.0, abs=1e-10)
+    assert 0.0 < model.r2.ccdf(5.0) < 1.0
