@@ -15,7 +15,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .phtype import InstabilityError, JobMix
+from .phtype import InstabilityError, JobMix, reachable
 from .policy import PolicyFn, PolicyTables, all_strings, c2_pairs, \
     valid_tables, windows
 
@@ -30,7 +30,7 @@ VERIFY_M_CAP = 3
 
 
 class UnsupportedSpectrumError(ValueError):
-    """Dominant eigenvalue of T is complex or defective."""
+    """Dominant eigenvalue of T is complex, or theta_Z misses its root."""
 
 
 class ComplexityError(ValueError):
@@ -44,11 +44,11 @@ class DecayInfo:
 
     theta_z: float
     c_z: float
-    w1: float   # p S~1(-theta_Z) / S~(-theta_Z)
+    w1: float   # p S~1(-theta_Z) / S~(-theta_Z), 0 at p = 0
     w: float    # (1-p) / S~(-theta_Z)
     s_tilde: float    # S~(-theta_Z)
-    s1_tilde: float   # S~1(-theta_Z)
-    s2_tilde: float   # S~2(-theta_Z)
+    s1_tilde: float   # S~1(-theta_Z), NaN at p = 0
+    s2_tilde: float   # S~2(-theta_Z), NaN at p = 1
 
 
 @dataclass(frozen=True)
@@ -61,45 +61,43 @@ class AtirReport:
 def decay_rate(mix: JobMix) -> DecayInfo:
     """Decay rate theta_Z and prefactor c_Z of P[Z > t].
 
-    theta_Z is the negated dominant eigenvalue of T = S + lambda 1 alpha;
-    c_Z follows from the left/right eigenpair at -theta_Z. The result is
-    cross-checked against the scalar root of lambda (S~(-theta) - 1) =
-    theta.
+    Both come from R, the phases that alpha's support reaches through S's
+    moves; a type of weight 0 has none there. The other phases carry no
+    mass. On R, T = S + lambda 1 alpha is irreducible and Metzler, so its
+    dominant eigenvalue -theta_Z is real and simple (Perron-Frobenius).
+    One resolvent (-theta_Z I - S)^{-1} on R gives S~(-theta_Z), S~1 and
+    S~2, and the Cramer-Lundberg residue c_Z = (1 - lambda) / (lambda
+    E[X e^{theta_Z X}] - 1) with E[X e^{theta X}] = alpha (-theta I -
+    S)^{-2} s*. theta_Z is cross-checked against the scalar root of
+    lambda (S~(-theta) - 1) = theta. A type of weight 0 gets S~i = NaN,
+    and its w1 or w is 0.
     """
-    t_mat = mix.T
-    vals, vecs = np.linalg.eig(t_mat)
-    idx = int(np.argmax(vals.real))
-    dom = vals[idx]
+    r = reachable(mix.alpha > 0, mix.S)
+    vals = np.linalg.eigvals(mix.T[np.ix_(r, r)])
+    dom = vals[np.argmax(vals.real)]
+    # real by Perron-Frobenius: only rounding can make it complex
     if abs(dom.imag) > 1e-10:
         raise UnsupportedSpectrumError("dominant eigenvalue of T is complex")
-    order = np.argsort(vals.real)
-    if len(vals) > 1 and abs(vals[order[-1]].real - vals[order[-2]].real) < 1e-12:
-        raise UnsupportedSpectrumError("dominant eigenvalue of T is not simple")
     theta = -float(dom.real)
     if theta <= 0:
         raise InstabilityError("workload decay rate is not positive")
 
-    right = vecs[:, idx].real
-    lvals, lvecs = np.linalg.eig(t_mat.T)
-    lidx = int(np.argmin(np.abs(lvals - dom)))
-    left = lvecs[:, lidx].real
+    resolvent = np.linalg.inv(-theta * np.eye(r.sum()) - mix.S[np.ix_(r, r)])
+    x = np.zeros(r.size)  # (-theta I - S)^{-1} s* on R, 0 off it
+    x[r] = resolvent @ mix.exit[r]
+    s_tilde = float(mix.alpha @ x)
+    x1, x2 = np.split(x, [mix.n1])
+    s1_tilde = float(mix.ph1.alpha @ x1) if mix.p > 0 else math.nan
+    s2_tilde = float(mix.ph2.alpha @ x2) if mix.p < 1 else math.nan
+    moment = float(mix.alpha[r] @ resolvent @ x[r])  # E[X e^{theta X}]
+    c_z = (1.0 - mix.lam) / (mix.lam * moment - 1.0)
 
-    # P[Z > t] = lambda beta e^{T t} (-T)^{-1} 1 -> c_Z via the spectral
-    # projector v u^T / (u^T v); u^T (-T)^{-1} = u^T / theta.
-    ones = np.ones(t_mat.shape[0])
-    c_z = float(mix.lam * (mix.beta @ right) * (left @ ones)
-                / (theta * (left @ right)))
-
-    # Independent cross-check: theta solves lambda (S~(-theta) - 1) = theta.
-    res = mix.lam * (mix.laplace(-theta) - 1.0) - theta
+    res = mix.lam * (s_tilde - 1.0) - theta
     if abs(res) > THETA_CROSSCHECK_TOL * max(theta, 1.0):
         raise UnsupportedSpectrumError(
             f"theta_Z root cross-check failed (residual {res:.3e})")
 
-    s_tilde = mix.laplace(-theta)
-    s1_tilde = mix.ph1.laplace(-theta)
-    s2_tilde = mix.ph2.laplace(-theta)
-    w1 = mix.p * s1_tilde / s_tilde
+    w1 = mix.p * s1_tilde / s_tilde if mix.p > 0 else 0.0
     w = (1.0 - mix.p) / s_tilde
     return DecayInfo(theta_z=theta, c_z=c_z, w1=w1, w=w,
                      s_tilde=s_tilde, s1_tilde=s1_tilde, s2_tilde=s2_tilde)
@@ -145,7 +143,10 @@ def m_opt_raw(info: DecayInfo) -> float:
 
 
 def m_opt(info: DecayInfo) -> int:
-    """Optimal window M = max(0, floor(log-ratio / log S~(-theta_Z)))."""
+    """Optimal window M = max(0, floor(log-ratio / log S~(-theta_Z))), or
+    0 when a type has weight 0: then Nudge passes no one at any M."""
+    if info.w1 == 0.0 or info.w == 0.0:
+        return 0
     return max(0, math.floor(m_opt_raw(info)))
 
 

@@ -341,7 +341,7 @@ def cmd_simulate(args) -> int:
                                "sim": {"wall_s": wall,
                                        "jobs_per_s": args.jobs / wall,
                                        "warmup": cfg.warmup,
-                                       "n_batches": cfg.n_batches,
+                                       "n_batches": sim.N_BATCHES,
                                        "busy_fraction": stats.busy_fraction}}))
     return EXIT_OK
 

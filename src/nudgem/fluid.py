@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .phtype import JobMix, MatrixExpDist, kron_sum
+from .phtype import JobMix, MatrixExpDist, kron_sum, reachable
 
 # Riccati stopping criteria.
 RICCATI_STEP_TOL = 1e-14
@@ -207,13 +207,7 @@ def reachable_plus(model: RiccatiBlocks) -> np.ndarray:
     states T_-+ enters, closed under the moves of T_++. Every other S+
     state (the set D) has a zero column in T_-+ and in T_++[R], so it is
     entered only from D or from the level-0 boundary."""
-    moves = model.t_pp != 0
-    reach = np.any(model.t_mp != 0, axis=0)
-    while True:
-        grown = reach | np.any(moves[reach], axis=0)
-        if np.array_equal(grown, reach):
-            return reach
-        reach = grown
+    return reachable(np.any(model.t_mp != 0, axis=0), model.t_pp)
 
 
 def _components(a: np.ndarray) -> list:

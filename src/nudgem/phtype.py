@@ -28,10 +28,6 @@ class InvalidDistributionError(ValueError):
     """Raised when (alpha, S) does not describe a valid PH distribution."""
 
 
-class DecayRateExceededError(ValueError):
-    """Raised when a transform is evaluated at or below -theta_i."""
-
-
 class FitError(ValueError):
     """Raised when no valid hyperexponential matches the requested moments."""
 
@@ -43,6 +39,18 @@ def kron_sum(a, b):
     if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
         raise ValueError("kron_sum requires square matrices")
     return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)
+
+
+def reachable(start: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """Boolean mask of the states reachable from the mask start through
+    the nonzero pattern of the square matrix moves (row i to column j)."""
+    moves = moves != 0
+    reach = start
+    while True:
+        grown = reach | np.any(moves[reach], axis=0)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
 
 
 # How far below zero an entry of gen (off the diagonal, relative to the
@@ -295,26 +303,6 @@ class PhaseType:
     def mean(self) -> float:
         return self.moment(1)
 
-    def laplace(self, s: float) -> float:
-        """Laplace transform alpha (sI - S)^{-1} s* of the PH distribution.
-
-        Valid for s > -theta where theta is the decay rate of the
-        distribution; below that the resolvent blows up or changes sign.
-        """
-        if s == 0.0:
-            return 1.0
-        a = s * np.eye(self.n) - self.S
-        try:
-            x = np.linalg.solve(a, self.exit)
-        except np.linalg.LinAlgError as exc:
-            raise DecayRateExceededError(f"sI - S singular at s={s}") from exc
-        val = float(self.alpha @ x)
-        # Beyond the abscissa of convergence the algebraic expression goes
-        # negative or the solve becomes meaningless; flag it.
-        if s < 0 and val < 0:
-            raise DecayRateExceededError(f"transform not convergent at s={s}")
-        return val
-
     def ccdf(self, t):
         """P[X > t] = alpha e^{S t} 1, at a scalar t or on a 1-D grid."""
         return MatrixExpDist(self.alpha, self.S, np.ones(self.n)).ccdf(t)
@@ -472,10 +460,6 @@ class JobMix:
     def second_moment(self) -> float:
         """E[X^2] of a random job."""
         return self.p * self.ph1.moment(2) + (1.0 - self.p) * self.ph2.moment(2)
-
-    def laplace(self, s: float) -> float:
-        """S~(s) = p S~1(s) + (1-p) S~2(s)."""
-        return self.p * self.ph1.laplace(s) + (1.0 - self.p) * self.ph2.laplace(s)
 
     def with_lambda(self, lam: float) -> "JobMix":
         return JobMix(self.p, self.ph1, self.ph2, lam)

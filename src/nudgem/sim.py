@@ -19,7 +19,8 @@ import numpy as np
 from .phtype import JobMix, PhaseType
 from .policy import PolicyFn
 
-DEFAULT_BATCHES = 30
+# Batches of the batch-means estimators.
+N_BATCHES = 30
 
 
 class EstimationError(RuntimeError):
@@ -34,20 +35,17 @@ class SimConfig:
     n_jobs: int
     seed: int
     warmup: Optional[int] = None
-    n_batches: int = DEFAULT_BATCHES
 
     def __post_init__(self):
         if self.warmup is None:
             object.__setattr__(self, "warmup", self.n_jobs // 10)
         if not (0 <= self.warmup < self.n_jobs):
             raise ValueError("need n_jobs > warmup >= 0")
-        if self.n_batches < 2:
-            raise ValueError("need at least two batches")
-        if self.n_jobs - self.warmup < self.n_batches:
+        if self.n_jobs - self.warmup < N_BATCHES:
             raise ValueError(
                 f"{self.n_jobs} jobs leave {self.n_jobs - self.warmup} after "
                 f"a warm-up of {self.warmup}, fewer than the "
-                f"{self.n_batches} batches")
+                f"{N_BATCHES} batches")
 
 
 def sample_phase_type(ph: PhaseType, gen: np.random.Generator,
@@ -94,8 +92,7 @@ class SimStats:
         return self.job_type == int(job_type)
 
     def _batch_means(self, values: np.ndarray, mask: np.ndarray) -> Tuple[float, float]:
-        b = self.config.n_batches
-        edges = np.linspace(0, values.shape[0], b + 1).astype(int)
+        edges = np.linspace(0, values.shape[0], N_BATCHES + 1).astype(int)
         means = []
         for lo, hi in zip(edges[:-1], edges[1:]):
             sel = mask[lo:hi]
@@ -103,7 +100,7 @@ class SimStats:
                 means.append(values[lo:hi][sel].mean())
         if len(means) < 2:
             raise EstimationError(
-                f"{len(means)} of {b} batches hold a job of the selected "
+                f"{len(means)} of {N_BATCHES} batches hold a job of the selected "
                 "type; need two")
         means = np.asarray(means)
         return float(means.mean()), float(means.std(ddof=1) / np.sqrt(means.size))

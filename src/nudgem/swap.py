@@ -177,9 +177,8 @@ class MeanResponseReport:
 
 def mean_response(mix: JobMix, m: int) -> MeanResponseReport:
     """Mean response time of Nudge-M and FCFS, with
-    E[R_Nudge-M] = E[R] + (1-p) E[X_swap] (E[X1] - E[X2])."""
-    if mix.p >= 1.0:
-        raise ValueError("mean_response requires p < 1 (a tagged type-2 job)")
+    E[R_Nudge-M] = E[R] + (1-p) E[X_swap] (E[X1] - E[X2]); at p = 1 the
+    factor 1 - p zeroes the swap term."""
     er = fcfs_mean_response(mix)
     xs = mean_swaps(mix, m)
     ern = er + (1.0 - mix.p) * xs * (mix.e1 - mix.e2)

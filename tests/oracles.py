@@ -26,6 +26,9 @@ on all n+ states, is a ``MatrixExpDist``: it checks how
 which ``dense_ccdf`` checks. ``build_w2_model_per_k`` is the reference
 for ``resp2.build_w2_model``: it builds one counting chain and one
 selector matrix per block, where the package cuts every block from W_M.
+``laplace`` is the transform reference: one solve per point and type,
+where ``asymptotics.decay_rate`` reads every transform off one
+resolvent on the reachable phases.
 The module also holds helpers only tests use: ``count_twos``, the
 simulator's tail-prefactor regression ``tail_prefactor_estimate``, the
 conditional swap law ``swap_pmf``, the Nudge-K,M against Nudge-M,L
@@ -58,6 +61,33 @@ from nudgem.resp2 import (W2Model, _state_index, build_w2_model, chain_size,
 from nudgem.sim import EstimationError, SimStats, sample_phase_type
 from nudgem.swap import (_binomial_table, _count_law, _service_law, _swap_pmf_from,
                          mean_swaps, workload_law)
+
+
+class DecayRateExceededError(ValueError):
+    """Raised when a transform is evaluated at or below -theta_i."""
+
+
+def laplace(law, s: float) -> float:
+    """Laplace transform alpha (sI - S)^{-1} s* of a ``PhaseType``, or
+    S~(s) = p S~1(s) + (1-p) S~2(s) of a ``JobMix``.
+
+    Valid for s > -theta where theta is the decay rate of the
+    distribution; below that the resolvent blows up or changes sign.
+    """
+    if isinstance(law, JobMix):
+        return law.p * laplace(law.ph1, s) + (1.0 - law.p) * laplace(law.ph2, s)
+    if s == 0.0:
+        return 1.0
+    try:
+        x = np.linalg.solve(s * np.eye(law.n) - law.S, law.exit)
+    except np.linalg.LinAlgError as exc:
+        raise DecayRateExceededError(f"sI - S singular at s={s}") from exc
+    val = float(law.alpha @ x)
+    # Beyond the abscissa of convergence the algebraic expression goes
+    # negative or the solve becomes meaningless; flag it.
+    if s < 0 and val < 0:
+        raise DecayRateExceededError(f"transform not convergent at s={s}")
+    return val
 
 
 def convolution_ccdf(ph, wait_ccdf, t):

@@ -7,8 +7,8 @@ import pytest
 from scipy.optimize import brentq
 
 from oracles import (compare_km_ml, enumerate_policies, family_prefactors_enum,
-                     increment_ratio, nudge_prefix_strings, random_family_member,
-                     verify_optimality_enum)
+                     increment_ratio, laplace, nudge_prefix_strings,
+                     random_family_member, verify_optimality_enum)
 
 from nudgem.asymptotics import (
     FAMILY_M_CAP,
@@ -51,7 +51,7 @@ def _root_oracle(mix):
     lam (X~(-theta) - 1) = theta (theta = 0 is always a root, so bracket
     away from it and below the transform's pole)."""
     def f(theta):
-        return mix.lam * (mix.laplace(-theta) - 1.0) - theta
+        return mix.lam * (laplace(mix, -theta) - 1.0) - theta
 
     pole = -np.max(np.linalg.eigvals(mix.S).real)
     hi = 0.999 * pole
@@ -73,6 +73,10 @@ def test_decay_rate_multiphase():
                          lam=0.6)
     info = decay_rate(mix)
     assert info.theta_z == pytest.approx(_root_oracle(mix), abs=1e-10)
+    # the transforms read off decay_rate's one resolvent
+    for got, law in ((info.s1_tilde, mix.ph1), (info.s2_tilde, mix.ph2),
+                     (info.s_tilde, mix)):
+        assert got == pytest.approx(laplace(law, -info.theta_z), rel=1e-12)
     # prefactor via numeric limit of the workload tail
     from nudgem.swap import workload_ccdf
     t = 45.0 / info.theta_z

@@ -10,9 +10,9 @@ import pytest
 
 import nudgem
 from nudgem import cli, fluid, resp2, swap
-from nudgem.asymptotics import FAMILY_M_CAP, decay_rate, family_prefactors
+from nudgem.asymptotics import FAMILY_M_CAP, decay_rate, family_prefactors, m_opt
 from nudgem.cli import RECIPES, main, parse_grid
-from nudgem.phtype import MatrixExpDist
+from nudgem.phtype import MatrixExpDist, load_mix
 from nudgem.policy import named_policy
 from oracles import mixed_entry_fluid
 
@@ -530,6 +530,62 @@ def test_dist_fcfs_waiting_times_are_the_workload_law(tmp_path, recipe):
     cols = np.array(rows, dtype=float).T
     want = swap.workload_law(RECIPES[recipe]["mix"]()).ccdf(cols[0])
     assert np.array_equal(cols[1], want) and np.array_equal(cols[3], want)
+
+
+# Mixes on which the dominant eigenvalue of T over every phase is not
+# theta_Z: one type absent, each time the slower, as (p, lambda, E[X1],
+# E[X2]), and a slow type-1 phase that alpha never enters.
+ONE_TYPE_MIXES = {"p1": (1, 0.7, 0.5, 2.0), "p0": (0, 0.7, 4.0, 0.5)}
+UNREACHED_SLOW_PHASE = {"alpha": [1, 0], "S": [[-2, 0], [0, -0.05]]}
+
+
+def _mix_file(path, p, lam, type1, e2):
+    """A normalized mix file with exponential type-2 jobs of mean e2;
+    type1 is an exponential's mean or a raw {alpha, S}."""
+    if not isinstance(type1, dict):
+        type1 = {"kind": "exp", "mean": type1}
+    path.write_text(json.dumps({
+        "p": p, "lambda": lam, "normalize": True, "type1": type1,
+        "type2": {"kind": "exp", "mean": e2}}))
+    return str(path)
+
+
+def _columns(argv, out):
+    assert main(argv + ["--out", str(out)]) == 0
+    _, rows = _read(out)
+    return np.array(rows, dtype=float).T
+
+
+@pytest.mark.parametrize("name", ["p1", "p0"])
+def test_one_type_mix_nudges_no_one(tmp_path, name):
+    # with one type absent Nudge passes no one: ATIR and MTIR are 0 and
+    # the arriving type's distributions are FCFS's
+    mix = _mix_file(tmp_path / "mix.json", *ONE_TYPE_MIXES[name])
+    assert m_opt(decay_rate(load_mix(mix))) == 0
+    atir = _columns(["atir", "--mix", mix, "--m", "10"], tmp_path / "a.csv")
+    assert np.max(np.abs(atir[1])) <= 1e-14
+    nudge = _columns(["dist", "--mix", mix, "--m", "3"], tmp_path / "n.csv")
+    fcfs = _columns(["dist", "--mix", mix, "--policy", "fcfs"], tmp_path / "f.csv")
+    arriving = [1, 2] if name == "p1" else [3, 4]
+    assert nudge[arriving] == pytest.approx(fcfs[arriving], rel=1e-12, abs=0)
+    assert np.max(np.abs(nudge[5])) <= 1e-12
+    mean = _columns(["mean", "--mix", mix], tmp_path / "m.csv")
+    assert mean[5].tolist() == [0.0]
+    # the family prefactors still need both types
+    assert main(["atir", "--mix", mix, "--policy", "nudge-k", "--k", "1",
+                 "--m", "2", "--out", str(tmp_path / "k.csv")]) == 2
+
+
+def test_unreached_slow_phase_changes_no_output(tmp_path):
+    # a type-1 phase that alpha never enters, slower than theta_Z, carries
+    # no mass: every command gives its trimmed twin's numbers
+    slow = _mix_file(tmp_path / "slow.json", 0.5, 0.5, UNREACHED_SLOW_PHASE, 1.0)
+    trimmed = _mix_file(tmp_path / "trimmed.json", 0.5, 0.5, 0.5, 1.0)
+    for argv, rel in ((["atir", "--m", "3"], 0.0), (["dist", "--m", "3"], 1e-12),
+                      (["mean"], 0.0)):
+        got = _columns(argv + ["--mix", slow], tmp_path / "s.csv")
+        want = _columns(argv + ["--mix", trimmed], tmp_path / "t.csv")
+        assert got == pytest.approx(want, rel=rel, abs=0)
 
 
 def test_missing_mix_is_input_error(tmp_path):

@@ -46,9 +46,6 @@ def test_config_validation():
     with pytest.raises(ValueError, match="20 jobs leave 18"):
         SimConfig(mix=MIX, policy=fcfs_policy(1), n_jobs=20, seed=1)
     SimConfig(mix=MIX, policy=fcfs_policy(1), n_jobs=33, seed=1)
-    with pytest.raises(ValueError):
-        SimConfig(mix=MIX, policy=fcfs_policy(1), n_jobs=100, seed=1,
-                  n_batches=1)
     # an unstable arrival rate is rejected before any simulation is possible
     with pytest.raises(InstabilityError):
         MIX.with_lambda(1.2)
