@@ -347,7 +347,10 @@ def fit_hyperexp(mean: float, scv: float, f: float) -> PhaseType:
     """Fit a 2-phase hyperexponential to (mean, SCV, f).
 
     f is the fraction of the mean carried by the first phase,
-    f = (q/mu1)/mean. Requires scv >= 1 and 0 < f < 1.
+    f = (q/mu1)/mean. Requires scv >= 1 and 0 < f < 1. For f != 1/2 both
+    roots q of the fit's quadratic lie in (0, 1) and give two laws with
+    the same mean, SCV and f; the one with the larger q is returned. At
+    f = 1/2 the two are one law with its phases swapped.
     """
     if scv < 1.0:
         raise FitError("hyperexponential fit requires scv >= 1")
@@ -359,28 +362,18 @@ def fit_hyperexp(mean: float, scv: float, f: float) -> PhaseType:
     b = (1.0 - f) * mean  # (1-q) / mu2
     c = (scv + 1.0) * mean * mean / 2.0  # E[X^2] / 2 = a^2/q + b^2/(1-q)
     # Quadratic c q^2 + (b^2 - a^2 - c) q + a^2 = 0 for q.
-    coef = [c, b * b - a * a - c, a * a]
-    roots = np.roots(coef)
-    best = None
-    for r in roots:
-        if abs(r.imag) > 1e-10:
-            continue
-        q = float(r.real)
+    roots = np.roots([c, b * b - a * a - c, a * a])
+    for q in sorted(roots.real[np.abs(roots.imag) <= 1e-10], reverse=True):
         if not (0.0 < q < 1.0):
             continue
-        cand = ph_hyperexp(q, q / a, (1.0 - q) / b)
+        cand = ph_hyperexp(float(q), q / a, (1.0 - q) / b)
         m1 = cand.moment(1)
-        m2 = cand.moment(2)
-        got_scv = m2 / m1**2 - 1.0
-        got_f = (q / (q / a)) / m1
+        got_scv = cand.moment(2) / m1**2 - 1.0
         if (abs(m1 - mean) < DEFAULT_TOL * mean
                 and abs(got_scv - scv) < DEFAULT_TOL * max(scv, 1.0)
-                and abs(got_f - f) < DEFAULT_TOL):
-            best = cand
-            break
-    if best is None:
-        raise FitError(f"no feasible hyperexponential for mean={mean}, scv={scv}, f={f}")
-    return best
+                and abs(q / (q / a) / m1 - f) < DEFAULT_TOL):
+            return cand
+    raise FitError(f"no feasible hyperexponential for mean={mean}, scv={scv}, f={f}")
 
 
 class InstabilityError(ValueError):

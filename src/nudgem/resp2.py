@@ -2,8 +2,8 @@
 Nudge-M.
 
 The extra waiting time of a tagged type-2 job that sees workload s on
-arrival is phase-type with a block bidiagonal subgenerator whose blocks
-are all cut from one counting chain, W_M; embedding the workload process
+arrival is phase-type on one counting chain, W_{M-1}, run alongside the
+type-1 service in progress; embedding the workload process, on W_M,
 alongside it gives closed matrix-exponential forms for the full
 distributions.
 """
@@ -44,34 +44,33 @@ def counting_matrix(k: int, lam: float, p: float) -> np.ndarray:
 
 
 def build_extra_wait(mix: JobMix, m: int, w: np.ndarray) -> np.ndarray:
-    """Block bidiagonal subgenerator Q of the extra waiting time: diagonal
-    blocks W_{M-k} (+) S1, superdiagonal blocks U_{M-k} x s1* alpha1. Block k
-    (k = 1..M) has width chain_size(M - k) n1.
+    """Subgenerator Q = W_{M-1} (+) S1 + J x s1* alpha1 of the extra wait.
 
-    w is W_M = ``counting_matrix(m, ...)``: W_k is its trailing
-    chain_size(k) block, and U_k = [0; I] drops the first k + 1 (i = 0)
-    states, so U_k x B is I x B placed below the first k + 1 block rows.
-    """
+    State (i, j): a type-1 job is in service, i more will pass the tag and
+    1 + i + j arrivals have been counted. A service end moves (i, j) to
+    (i - 1, j + 1) by J, or ends the wait at i = 0. The number served drops
+    out, as the future depends on i and the count only: this is the chain
+    of blocks W_{M-k} (+) S1, one per served count k, lumped (Kemeny &
+    Snell, Finite Markov Chains, 1960, 6.3). W_{M-1} is the trailing
+    chain_size(M - 1) block of w = W_M."""
     if m < 1:
         raise ValueError("window m must be >= 1")
-    n1 = mix.n1
-    offsets = np.cumsum([0] + [chain_size(m - k) * n1 for k in range(1, m + 1)])
-    q = np.zeros((offsets[-1], offsets[-1]))
-    jump = np.outer(mix.ph1.exit, mix.ph1.alpha)  # s1* alpha1
-    for k in range(1, m + 1):
-        o, o2, c = offsets[k - 1], offsets[k], chain_size(m - k)
-        q[o: o2, o: o2] = kron_sum(w[-c:, -c:], mix.ph1.S)
-        if k < m:
-            q[o + (m - k + 1) * n1: o2, o2: offsets[k + 1]] = np.kron(
-                np.eye(chain_size(m - k - 1)), jump)
-    return q
+    idx = {s: r for r, s in enumerate(_state_index(m - 1))}
+    c = len(idx)
+    served = np.zeros((c, c))  # J
+    for (i, j), r in idx.items():
+        if i:
+            served[r, idx[(i - 1, j + 1)]] = 1.0
+    return kron_sum(w[-c:, -c:], mix.ph1.S) + np.kron(
+        served, np.outer(mix.ph1.exit, mix.ph1.alpha))  # s1* alpha1
 
 
 @dataclass(frozen=True)
 class W2Model:
     """Embedded chain for the type-2 waiting time: the workload process
-    runs jointly with the counting chain, then hands over to the
-    extra-wait phases. w2 is the law of W_2,
+    runs jointly with the counting chain W_M, then hands over to the
+    extra-wait phases on W_{M-1}, so T_M has chain_size(M) n_T +
+    chain_size(M - 1) n1 states. w2 is the law of W_2,
     P[W_2 > t] = (e_1' x lambda beta, 0) e^{T_M t} v_2, and
     r2 = w2.plus(ph2) the law of R_2."""
 
@@ -96,7 +95,7 @@ def build_w2_model(mix: JobMix, m: int) -> W2Model:
     t_m = np.zeros((size, size))
     t_m[:n_top, :n_top] = kron_sum(w, t_mat)
     # U_M x 1 alpha1
-    t_m[(m + 1) * nt: n_top, n_top: n_top + chain_size(m - 1) * mix.n1] = np.kron(
+    t_m[(m + 1) * nt: n_top, n_top:] = np.kron(
         np.eye(chain_size(m - 1)), np.outer(np.ones(nt), mix.ph1.alpha))
     t_m[n_top:, n_top:] = q
 

@@ -59,11 +59,6 @@ def _count_law(init, gen, v, lam: float, k: int) -> np.ndarray:
     return law
 
 
-def _service_law(mix: JobMix, k: int) -> np.ndarray:
-    """Arrivals during one type-1 service, counted up to k."""
-    return _count_law(mix.ph1.alpha, mix.ph1.S, mix.ph1.exit, mix.lam, k)
-
-
 def _binomial_table(k: int, p: float) -> np.ndarray:
     """b[n, i] = Bin(n, p)(i) for n, i = 0..k, by Pascal's rule."""
     b = np.zeros((k + 1, k + 1))
@@ -94,7 +89,7 @@ def _swap_pmf_from(mix: JobMix, law: np.ndarray) -> np.ndarray:
     have mass 1: the formula sums to 1 whatever they hold.
     """
     m = law.shape[0] - 1
-    c = _service_law(mix, m)
+    c = _count_law(mix.ph1.alpha, mix.ph1.S, mix.ph1.exit, mix.lam, m)
     for what, x in (("the found work", law), ("a type-1 service", c)):
         if abs(x.sum() - 1.0) > PMF_TOL:
             raise FloatingPointError(
@@ -160,11 +155,8 @@ def workload_ccdf(mix: JobMix, t: float) -> float:
 
 
 def fcfs_mean_response(mix: JobMix) -> float:
-    """E[R] = 1 + lambda beta T^{-2} 1."""
-    t_mat = mix.T
-    ones = np.ones(t_mat.shape[0])
-    v = np.linalg.solve(t_mat, np.linalg.solve(t_mat, ones))
-    return float(1.0 + mix.lam * mix.beta @ v)
+    """E[R] = 1 + E[Z] = 1 + lambda beta T^{-2} 1."""
+    return 1.0 + workload_law(mix).mean()
 
 
 @dataclass(frozen=True)

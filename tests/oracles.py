@@ -24,8 +24,9 @@ array and the code lookups of ``asymptotics.verify_optimality`` by one
 on all n+ states, is a ``MatrixExpDist``: it checks how
 ``fluid.stationary_fluid`` lumps the set D, not how a law is evaluated,
 which ``dense_ccdf`` checks. ``build_w2_model_per_k`` is the reference
-for ``resp2.build_w2_model``: it builds one counting chain and one
-selector matrix per block, where the package cuts every block from W_M.
+for ``resp2.build_w2_model``: its extra wait has one block per served
+type-1 job, each with its own counting chain and selector matrix, where
+the package lumps the blocks onto one chain on W_{M-1}.
 ``laplace`` is the transform reference: one solve per point and type,
 where ``asymptotics.decay_rate`` reads every transform off one
 resolvent on the reachable phases.
@@ -59,8 +60,8 @@ from nudgem.policy import (PolicyError, PolicyFn, all_strings, fcfs_policy,
 from nudgem.resp2 import (W2Model, _state_index, build_w2_model, chain_size,
                           counting_matrix)
 from nudgem.sim import EstimationError, SimStats, sample_phase_type
-from nudgem.swap import (_binomial_table, _count_law, _service_law, _swap_pmf_from,
-                         mean_swaps, workload_law)
+from nudgem.swap import (_binomial_table, _count_law, _swap_pmf_from, mean_swaps,
+                         workload_law)
 
 
 class DecayRateExceededError(ValueError):
@@ -668,7 +669,7 @@ def swap_pmf_grid(mix, m, s=None):
     else:
         law = _arrival_law(mix, m, s)
     grid = _start_grid(law, mix.p)
-    service = _service_law(mix, m - 1)
+    service = _count_law(mix.ph1.alpha, mix.ph1.S, mix.ph1.exit, mix.lam, m - 1)
     pmf = np.empty(m + 1)
     for k in range(m):
         pmf[k] = grid[:, 0].sum()

@@ -491,7 +491,7 @@ def test_dist_manifest_law_records(tmp_path):
     laws = json.loads((tmp_path / "d.csv.manifest.json").read_text())["laws"]
     t_max = 60.0 / decay_rate(RECIPES["fig9a"]["mix"]()).theta_z
     expect = {"w1": (13, 1.990997453888077, 29), "r1": (14, 2.0, 29),
-              "w2": (30, 2.7, 37), "r2": (31, 2.7, 37)}
+              "w2": (26, 2.7, 37), "r2": (27, 2.7, 37)}
     assert sorted(laws) == sorted(expect)
     for name, (n, q, columns) in expect.items():
         rec = laws[name]

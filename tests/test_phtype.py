@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +75,26 @@ def test_fit_hyperexp_round_trip():
     assert ph.mean == pytest.approx(2.0, abs=1e-10)
     scv = ph.moment(2) / ph.mean ** 2 - 1.0
     assert scv == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("f", [0.1, 0.3, 0.7, 0.9])
+@pytest.mark.parametrize("scv", [1.5, 2.0, 5.0, 20.0])
+def test_fit_hyperexp_returns_the_larger_of_two_fits(f, scv):
+    # c q^2 + (b^2 - a^2 - c) q + a^2 = 0 with a = f mean, b = (1 - f) mean
+    # and c = E[X^2] / 2 has two roots in (0, 1); each fits (mean, scv, f)
+    mean = 2.0
+    a, b, c = f * mean, (1.0 - f) * mean, (scv + 1.0) * mean ** 2 / 2.0
+    lin = c + a * a - b * b
+    disc = math.sqrt(lin * lin - 4.0 * c * a * a)
+    roots = ((lin - disc) / (2.0 * c), (lin + disc) / (2.0 * c))
+    for q in roots:
+        assert 0.0 < q < 1.0
+        ph = ph_hyperexp(q, q / a, (1.0 - q) / b)
+        assert ph.mean == pytest.approx(mean, rel=1e-12)
+        assert ph.moment(2) / ph.mean ** 2 - 1.0 == pytest.approx(scv, rel=1e-12)
+        assert q / -ph.S[0, 0] / ph.mean == pytest.approx(f, rel=1e-12)  # q / mu1
+    assert roots[1] - roots[0] > 1e-3  # two laws, not one
+    assert fit_hyperexp(mean, scv, f).alpha[0] == pytest.approx(roots[1], rel=1e-12)
 
 
 def test_fit_hyperexp_degenerates_to_exponential():

@@ -21,7 +21,7 @@ from nudgem.resp2 import (
     counting_matrix,
 )
 from nudgem.swap import (
-    _service_law,
+    _count_law,
     fcfs_mean_response,
     mean_response,
     mean_swaps,
@@ -85,7 +85,7 @@ def test_push_step_matches_dense_transfer(name):
         mix = normalized_mix(2 / 3, ph1, ph_exponential(mean=2.0), 0.7)
     m = 5
     chain = dense_chain(mix, m)
-    law = _service_law(mix, m - 1)
+    law = _count_law(mix.ph1.alpha, mix.ph1.S, mix.ph1.exit, mix.lam, m - 1)
     for ell in range(m):
         k = m - ell  # window before the step
         i, j = np.array(_state_index(k - 1)).T
@@ -187,8 +187,13 @@ def test_unconditional_pmf_mass_and_mean():
 
 def test_swap_pmf_refuses_a_chain_that_makes_mass(monkeypatch):
     # every swap's service carries 1% more mass than it has
-    law = swap._service_law
-    monkeypatch.setattr(swap, "_service_law", lambda mix, k: 1.01 * law(mix, k))
+    law = swap._count_law
+
+    def service_makes_mass(init, gen, v, lam, k):
+        scale = 1.01 if np.array_equal(gen, MIX.ph1.S) else 1.0
+        return scale * law(init, gen, v, lam, k)
+
+    monkeypatch.setattr(swap, "_count_law", service_makes_mass)
     with pytest.raises(FloatingPointError, match="swap pmf"):
         swap_pmf(MIX, 5, 2.0)
     with pytest.raises(FloatingPointError, match="swap pmf"):
