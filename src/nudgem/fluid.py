@@ -27,6 +27,12 @@ RICCATI_MAX_ITER = 200
 RICCATI_ROW_SUM_TOL = 1e-10
 # State count grows as 2^m (n1 + 2 n2).
 NUDGE_M_CAP = 10
+# _inv_m_matrix inverts blocks up to this size by np.linalg.inv. On one
+# or two OpenBLAS threads leaves of 48 to 127 ran the SDA's sizes
+# (n- = 2^m, |R| = 2^(m-1) (n1 + 2 n2)) at one speed; a leaf of 128
+# inverts 128-sized blocks whole, 1.9 times slower at n = 128 and 1.5
+# times at n = 256 (one thread).
+INV_LEAF = 96
 
 
 class RiccatiError(RuntimeError):
@@ -129,6 +135,42 @@ def riccati_residual(model: RiccatiBlocks, psi: np.ndarray) -> float:
     return float(np.linalg.norm(res, np.inf))
 
 
+def _inv_m_matrix(a: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular M-matrix by recursive 2 x 2 block
+    elimination, split at half its size; np.linalg.inv up to INV_LEAF.
+
+    With i11 = A11^{-1}, t = i11 A12, u = A21 i11 and
+    i22 = (A22 - A21 t)^{-1}, the inverse is [[i11 + (t i22) u, -t i22],
+    [-i22 u, i22]]. A Schur complement of a nonsingular M-matrix is one
+    too (Fiedler & Ptak, Czech. Math. J. 12, 1962), so no block needs
+    pivoting, and the work is matrix products. As i11, i22 >= 0 and
+    A12, A21 <= 0, only the Schur complement subtracts; every other block
+    is a sum of nonnegative terms.
+    """
+    n = a.shape[0]
+    if n <= INV_LEAF:
+        return np.linalg.inv(a)
+    k = n // 2
+    a12, a21 = a[:k, k:], a[k:, :k]
+    # the blocks are formed in place: at fig5b m = 10 (n = 2,560) fresh
+    # arrays for them raised the solve's peak RSS from 641 to 663 MB
+    out = np.empty_like(a)
+    i11, i12, i21, i22 = out[:k, :k], out[:k, k:], out[k:, :k], out[k:, k:]
+    i11[...] = _inv_m_matrix(a[:k, :k])
+    t, u = i11 @ a12, a21 @ i11
+    schur = a21 @ t
+    np.subtract(a[k:, k:], schur, out=schur)
+    i22[...] = _inv_m_matrix(schur)
+    del schur
+    np.matmul(t, i22, out=i12)
+    del t
+    i11 += i12 @ u
+    np.matmul(i22, u, out=i21)
+    np.negative(i12, out=i12)
+    np.negative(i21, out=i21)
+    return out
+
+
 def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, int]:
     """SDA iterate H_k and k, the step that stopped.
 
@@ -147,7 +189,11 @@ def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, int]:
     and E <- (E X) E. A step costs one r x r x r product (F F) and
     O(r^2 n + r n^2 + n^3) more. Every added term is a sum of nonnegative
     matrices (E, F, G, H, D_g^{-1}, W^{-1} and X are >= 0), so no
-    cancellation is added. A step holds at most two r x r arrays.
+    cancellation is added. D_g, W and I - GH are nonsingular M-matrices
+    (Guo, Iannazzo & Meini, 2007), so their inverses come from
+    ``_inv_m_matrix``, which subtracts only to form its Schur complements
+    and sums nonnegative terms for every other block: they add no
+    cancellation either. A step holds at most two r x r arrays.
 
     The loop stops when H moves by at most RICCATI_STEP_TOL or when
     ||R(H) 1||_inf <= RICCATI_RESIDUAL_TOL, with R(H) the residual
@@ -169,10 +215,10 @@ def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, int]:
     b, c = model.t_pm, model.t_mp
     r, n = model.n_plus, model.n_minus
     gamma = max(np.max(-np.diag(model.t_pp)), np.max(-np.diag(model.t_mm)))
-    idg = np.linalg.inv(gamma * np.eye(n) - model.t_mm)
+    idg = _inv_m_matrix(gamma * np.eye(n) - model.t_mm)
     dgc = idg @ c
     # A_g = gamma I - T_++ = -T_++ + gamma I, entry for entry
-    iw = np.linalg.inv(gamma * np.eye(r) - model.t_pp - b @ dgc)
+    iw = _inv_m_matrix(gamma * np.eye(r) - model.t_pp - b @ dgc)
     h = 2.0 * gamma * (iw @ b) @ idg
     e = np.eye(n) - 2.0 * gamma * idg - dgc @ h
     g = 2.0 * gamma * dgc @ iw
@@ -182,7 +228,7 @@ def _sda(model: RiccatiBlocks) -> Tuple[np.ndarray, int]:
     pp, mp = _row_lists(model.t_pp), _row_lists(c)
     pm1, mm1 = b.sum(axis=1), model.t_mm.sum(axis=1)
     for steps in range(1, RICCATI_MAX_ITER + 1):
-        igh = np.linalg.inv(np.eye(n) - g @ h)
+        igh = _inv_m_matrix(np.eye(n) - g @ h)
         fhi = (f @ h) @ igh
         h_new = h + fhi @ e
         if np.linalg.norm(h_new - h, np.inf) <= RICCATI_STEP_TOL:
@@ -411,6 +457,16 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     from 1: the checks "an eigenvalue within 1e-8 of 1" and "only one"
     keep their meaning on B, ``eigen_gap`` is the smaller of B's second
     distance and 1 (when k < n-), and the sign check runs on pi_+ = y U.
+    The checks read B's eigenvalues alone (``np.linalg.eigvals``), and y
+    is one null vector of B^T - lam I at the eigenvalue lam nearest 1.
+    Psi 1 = 1 for a stable queue, so B 1 = U Psi 1 = 1: B's right
+    eigenvector at 1 is 1, with no zero entry, so y 1 = 1 and any k - 1
+    equations of y (B - lam I) = 0 fix y; the last one gives way. That
+    solve puts lam's rounding error into the dropped equation (pi_+ off
+    by up to 2.4e-14 max pi_+ from ``np.linalg.eig``'s vector at fig5a
+    m = 9), so one step of inverse iteration, y <- y (B - lam I)^{-1},
+    follows (within 1.0e-15 of it at fig5a and fig5b m = 8, 9). y 1 = 1
+    again after it, so pi_+ 1 = y U 1 = 1 > 0 fixes the sign.
 
     K is not formed at size n+. With R the states of ``reachable_plus``
     (from ``solve_riccati``'s report) and D the rest, K[R, D] = 0 and
@@ -428,8 +484,9 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     p_rows, n, n_eig = p_tilde[first], model.n_minus, first.size
     s_map = np.zeros((n, n_eig))
     s_map[np.arange(n), label] = 1.0
-    # B = (U Psi) S from the few nonzeros of each row of U
-    vals, vecs = np.linalg.eig((_gather_matmul(_row_lists(p_rows), psi) @ s_map).T)
+    # B^T = ((U Psi) S)^T from the few nonzeros of each row of U
+    b_t = (_gather_matmul(_row_lists(p_rows), psi) @ s_map).T
+    vals = np.linalg.eigvals(b_t)
     dist = np.abs(vals - 1.0)
     order = np.argsort(dist)
     idx = int(order[0])
@@ -441,9 +498,17 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     # P~ Psi's n - n_eig further eigenvalues are 0
     others = dist[order[1:2]].tolist() + [1.0] * (n_eig < n)
     eigen_gap = float(min(others, default=np.inf))
-    pi = vecs[:, idx].real @ p_rows
-    if pi.sum() < 0:
-        pi = -pi
+    # y (B - lam I) = 0 without its last equation, and y 1 = 1; then one
+    # inverse iteration step, unless lam is an eigenvalue of B exactly
+    b_t[np.diag_indices(n_eig)] -= vals[idx].real
+    bordered = b_t.copy()
+    bordered[-1] = 1.0
+    y = np.linalg.solve(bordered, np.eye(n_eig)[-1])
+    try:
+        y = np.linalg.solve(b_t, y)
+    except np.linalg.LinAlgError:
+        pass
+    pi = (y / y.sum()) @ p_rows
     if np.any(pi < -1e-8 * np.max(np.abs(pi))):
         raise StationarySolveError("pi_+ eigenvector is not sign-definite")
     pi = np.clip(pi, 0.0, None)

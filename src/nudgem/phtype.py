@@ -350,7 +350,10 @@ def fit_hyperexp(mean: float, scv: float, f: float) -> PhaseType:
     f = (q/mu1)/mean. Requires scv >= 1 and 0 < f < 1. For f != 1/2 both
     roots q of the fit's quadratic lie in (0, 1) and give two laws with
     the same mean, SCV and f; the one with the larger q is returned. At
-    f = 1/2 the two are one law with its phases swapped.
+    f = 1/2 the two are one law with its phases swapped. At scv = 1 the
+    quadratic is (q - f)^2 = 0 and the fit is the exponential split
+    q = f, mu1 = mu2 = 1/mean, returned without root finding, which
+    would split the double root by about sqrt(eps).
     """
     if scv < 1.0:
         raise FitError("hyperexponential fit requires scv >= 1")
@@ -358,6 +361,8 @@ def fit_hyperexp(mean: float, scv: float, f: float) -> PhaseType:
         raise FitError("fit requires 0 < f < 1")
     if mean <= 0:
         raise FitError("fit requires mean > 0")
+    if scv == 1.0:
+        return ph_hyperexp(f, 1.0 / mean, 1.0 / mean)
     a = f * mean          # q / mu1
     b = (1.0 - f) * mean  # (1-q) / mu2
     c = (scv + 1.0) * mean * mean / 2.0  # E[X^2] / 2 = a^2/q + b^2/(1-q)

@@ -16,14 +16,18 @@ formula of the swap laws (the grid shares only the arrival-count laws of
 ``swap``), the window sweep of ``asymptotics.family_prefactors``, the
 bitmask rows and array check of ``policy``, the bitmask index arithmetic
 of ``fluid.build_nudge_m_fluid`` or the event loop of ``sim.simulate``.
-There are two exceptions. ``verify_optimality_enum`` checks the table
+There are three exceptions. ``verify_optimality_enum`` checks the table
 array and the code lookups of ``asymptotics.verify_optimality`` by one
 ``PolicyFn`` per table and per lattice edge, and shares its
 ``family_prefactors`` (one table per call), which
 ``family_prefactors_enum`` checks. ``unlumped_w1_law``, the law of W_1
 on all n+ states, is a ``MatrixExpDist``: it checks how
 ``fluid.stationary_fluid`` lumps the set D, not how a law is evaluated,
-which ``dense_ccdf`` checks. ``build_w2_model_per_k`` is the reference
+which ``dense_ccdf`` checks. ``solve_riccati_one_lu_dense`` inverts
+with ``fluid._inv_m_matrix``, so that it pins the order of the SDA's
+products to the last bit; the test of that helper compares it with
+``np.linalg.inv``, and ``solve_riccati_dense`` inverts with
+``np.linalg.inv`` throughout. ``build_w2_model_per_k`` is the reference
 for ``resp2.build_w2_model``: its extra wait has one block per served
 type-1 job, each with its own counting chain and selector matrix, where
 the package lumps the blocks onto one chain on W_{M-1}.
@@ -51,8 +55,8 @@ from nudgem.asymptotics import (FAMILY_M_CAP, OPTIMALITY_TIE_TOL, VERIFY_M_CAP,
                                 AtirReport, ComplexityError, OptimalityReport,
                                 atir_from_prefactors, family_prefactors, m_opt)
 from nudgem.fluid import (NUDGE_M_CAP, RICCATI_MAX_ITER, RICCATI_RESIDUAL_TOL,
-                          RICCATI_STEP_TOL, FluidModel, build_nudge_m_fluid,
-                          stationary_fluid)
+                          RICCATI_STEP_TOL, FluidModel, _inv_m_matrix,
+                          build_nudge_m_fluid, stationary_fluid)
 from nudgem.phtype import (JobMix, MatrixExpDist, PhaseType, kron_sum,
                            poisson_terms, poisson_weights)
 from nudgem.policy import (PolicyError, PolicyFn, all_strings, fcfs_policy,
@@ -188,17 +192,18 @@ def solve_riccati_one_lu_dense(model):
     Woodbury, E = I - 2 gamma D_g^{-1} - (D_g^{-1} C) H. Each step inverts
     only X = (I - GH)^{-1} and forms, as written,
     E X E, F F + (F H X)(G F), G + (E X)(G F) and H + (F H X) E, from
-    (I - HG)^{-1} = I + H X G and F (I - HG)^{-1} H = F H X. On the blocks
-    restricted to the states R of ``fluid.reachable_plus``, it must return
-    the rows R of ``fluid.solve_riccati``'s Psi to the last bit."""
+    (I - HG)^{-1} = I + H X G and F (I - HG)^{-1} H = F H X. The three
+    inverses come from ``fluid._inv_m_matrix``, as in the package. On the
+    blocks restricted to the states R of ``fluid.reachable_plus``, it must
+    return the rows R of ``fluid.solve_riccati``'s Psi to the last bit."""
     a = -model.t_pp
     d = -model.t_mm
     b = model.t_pm
     c = model.t_mp
     m, n = a.shape[0], d.shape[0]
     gamma = max(np.max(np.diag(a)), np.max(np.diag(d)))
-    idg = np.linalg.inv(d + gamma * np.eye(n))
-    iw = np.linalg.inv(a + gamma * np.eye(m) - b @ (idg @ c))
+    idg = _inv_m_matrix(d + gamma * np.eye(n))
+    iw = _inv_m_matrix(a + gamma * np.eye(m) - b @ (idg @ c))
     h = 2.0 * gamma * (iw @ b) @ idg
     e = np.eye(n) - 2.0 * gamma * idg - (idg @ c) @ h
     f = np.eye(m) - 2.0 * gamma * iw
@@ -206,7 +211,7 @@ def solve_riccati_one_lu_dense(model):
 
     prev = h.copy()
     for _ in range(RICCATI_MAX_ITER):
-        x = np.linalg.inv(np.eye(n) - g @ h)
+        x = _inv_m_matrix(np.eye(n) - g @ h)
         e_new = e @ x @ e
         f_new = f @ f + f @ h @ x @ (g @ f)
         g_new = g + e @ x @ (g @ f)

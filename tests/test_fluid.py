@@ -173,6 +173,61 @@ def test_window_cap_enforced():
         build_nudge_m_fluid(MIX, 11)
 
 
+# Entrywise relative gap of fluid._inv_m_matrix to np.linalg.inv: measured
+# at most 4.6e-15 on the random M-matrices below and 1.1e-14 on the SDA's
+# own W at fig5b m = 8 (its smallest inverse entry is 6.9e-17).
+INVERSE_REL_TOL = 5e-14
+
+
+def _random_m_matrix(n, seed):
+    """D - N with N >= 0 of density 0.3, zero diagonal, and
+    D >= 1.01 rho(N) I: a nonsingular M-matrix, not symmetric."""
+    rng = np.random.default_rng(seed)
+    off = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    np.fill_diagonal(off, 0.0)
+    rho = np.max(np.abs(np.linalg.eigvals(off)))
+    return np.diag(1.01 * rho + rng.random(n)) - off
+
+
+def _assert_inverse_matches_dense(a):
+    # where the inverse has a zero entry (D_g is reducible), so does got
+    got, want = fluid._inv_m_matrix(a), np.linalg.inv(a)
+    assert np.all(got >= 0.0)
+    assert np.all(np.abs(got - want) <= INVERSE_REL_TOL * want)
+
+
+@pytest.mark.parametrize("n", [1, fluid.INV_LEAF - 1, fluid.INV_LEAF,
+                               fluid.INV_LEAF + 1, 2 * fluid.INV_LEAF + 3, 701])
+def test_m_matrix_inverse_matches_dense(n):
+    # block elimination against LU on random M-matrices, at and around the
+    # leaf size, odd above two leaves, and a size with three levels
+    _assert_inverse_matches_dense(_random_m_matrix(n, n))
+
+
+def test_sda_inverses_match_dense(monkeypatch):
+    # the SDA's own D_g, W and every step's I - GH at fig5b m = 8, the
+    # arguments of the top-level calls of the helper
+    seen, depth, inverse = [], [0], fluid._inv_m_matrix
+
+    def record(a):
+        if not depth[0]:
+            seen.append(a.copy())
+        depth[0] += 1
+        try:
+            return inverse(a)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(fluid, "_inv_m_matrix", record)
+    model = build_nudge_m_fluid(RECIPES["fig5b"]["mix"](), 8)
+    solve_riccati(model)
+    monkeypatch.undo()
+    r = int(reachable_plus(model).sum())
+    assert [a.shape[0] for a in seen] == [256, r] + [256] * 8
+    for a in seen:
+        _assert_inverse_matches_dense(a)
+
+
 def _random_mix(seed):
     rng = np.random.default_rng(seed)
     n1, n2 = rng.integers(1, 4, size=2)
@@ -226,7 +281,8 @@ def test_sda_is_bit_identical_to_dense_oracle(name):
     # SDA runs on the reachable S+ states R only, and forms each product
     # once: Psi[R] is the one-inverse textbook loop's on the R-restricted
     # blocks to the last bit (the whole Psi when R is all of S+, as for
-    # FCFS), and pi_+ from the n- x n- eigenproblem matches the n+ x n+ one
+    # FCFS), and pi_+ from the k x k null vector matches the n+ x n+
+    # eigenproblem's
     model = ORACLE_MODELS[name]()
     sol = stationary_fluid(model)  # sol.psi is solve_riccati(model)
     r = reachable_plus(model)
@@ -235,6 +291,28 @@ def test_sda_is_bit_identical_to_dense_oracle(name):
     pi, c0 = stationary_pi_dense(model, sol.psi)
     assert np.max(np.abs(sol.pi_plus - pi)) <= 1e-13 * np.max(pi)
     assert sol.c0 == pytest.approx(c0, rel=1e-13)
+
+
+PI_EIG_TOL = 4e-15
+
+
+@pytest.mark.parametrize("recipe", ["fig5a", "fig5b"])
+def test_pi_plus_matches_eigenvector_of_b(recipe):
+    # the null vector y of B^T - lam I after its inverse iteration step
+    # against np.linalg.eig's vector of B (B formed by dense products), at
+    # m = 8: 1.3e-16 (fig5a) and 6.4e-16 (fig5b) max pi_+ apart, where the
+    # bordered solve alone is 1.3e-14 and 1.7e-14 off
+    model = build_nudge_m_fluid(RECIPES[recipe]["mix"](), 8)
+    sol = stationary_fluid(model)
+    lam0 = model.t_star_0p.sum()
+    p_tilde = model.p_mp + np.outer(model.p_m0, model.t_star_0p / lam0)
+    first, label = fluid._distinct_rows(p_tilde)
+    b = p_tilde[first] @ sol.psi @ np.eye(first.size)[label]
+    vals, vecs = np.linalg.eig(b.T)
+    y = vecs[:, np.argmin(np.abs(vals - 1.0))].real
+    want = (y / y.sum()) @ p_tilde[first]
+    got = sol.pi_plus / sol.pi_plus.sum()
+    assert np.max(np.abs(got - want)) <= PI_EIG_TOL * np.max(want)
 
 
 @pytest.mark.parametrize("name", list(ORACLE_MODELS))

@@ -97,6 +97,14 @@ def test_fit_hyperexp_returns_the_larger_of_two_fits(f, scv):
     assert fit_hyperexp(mean, scv, f).alpha[0] == pytest.approx(roots[1], rel=1e-12)
 
 
+@pytest.mark.parametrize("f", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+def test_fit_hyperexp_at_scv_one_is_the_exponential_split(f):
+    # (q - f)^2 = 0: the double root q = f with mu1 = mu2 = 1 / mean
+    ph = fit_hyperexp(mean=2.0, scv=1.0, f=f)
+    assert np.array_equal(ph.alpha, [f, 1.0 - f])
+    assert np.array_equal(ph.S, np.diag([-0.5, -0.5]))
+
+
 def test_fit_hyperexp_degenerates_to_exponential():
     ph = fit_hyperexp(mean=1.5, scv=1.0, f=0.5)
     exp = ph_exponential(mean=1.5)
