@@ -72,7 +72,7 @@ def decay_rate(mix: JobMix) -> DecayInfo:
     lambda (S~(-theta) - 1) = theta. A type of weight 0 gets S~i = NaN,
     and its w1 or w is 0.
     """
-    r = reachable(mix.alpha > 0, mix.S)
+    r = reachable(mix.alpha > 0, *np.nonzero(mix.S))
     vals = np.linalg.eigvals(mix.T[np.ix_(r, r)])
     dom = vals[np.argmax(vals.real)]
     # real by Perron-Frobenius: only rounding can make it complex

@@ -41,13 +41,14 @@ def kron_sum(a, b):
     return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)
 
 
-def reachable(start: np.ndarray, moves: np.ndarray) -> np.ndarray:
+def reachable(start: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Boolean mask of the states reachable from the mask start through
-    the nonzero pattern of the square matrix moves (row i to column j)."""
-    moves = moves != 0
+    the moves rows[k] -> cols[k], the nonzero pattern of a square matrix
+    as ``np.nonzero`` gives it."""
     reach = start
     while True:
-        grown = reach | np.any(moves[reach], axis=0)
+        grown = reach.copy()
+        grown[cols[reach[rows]]] = True
         if np.array_equal(grown, reach):
             return reach
         reach = grown
@@ -144,7 +145,8 @@ class MatrixExpDist:
             raise ValueError("init, gen and tail dimensions disagree")
         if not all(np.all(np.isfinite(a)) for a in (self.init, self.gen, self.tail)):
             raise FloatingPointError("non-finite entries in a matrix-exponential law")
-        off = self.gen - np.diag(np.diag(self.gen))
+        off = self.gen.copy()
+        np.fill_diagonal(off, 0.0)
         for name, vals, scale in (("gen off the diagonal", off, self.rate),
                                   ("init", self.init, np.max(np.abs(self.init), initial=0.0)),
                                   ("tail", self.tail, np.max(np.abs(self.tail), initial=0.0))):

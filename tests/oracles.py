@@ -112,10 +112,12 @@ def solve_riccati_fixed_point(model, max_iter=200000, tol=1e-13):
     """Minimal nonnegative Psi of T_+- + Psi T_-- + T_++ Psi + Psi T_-+ Psi = 0
     by Sylvester iteration from Psi = 0, which converges monotonically to
     it. Small models only."""
-    psi = np.zeros_like(model.t_pm)
+    t_pm, t_mp, t_pp = (np.asarray(model.t_pm), np.asarray(model.t_mp),
+                        np.asarray(model.t_pp))
+    psi = np.zeros_like(t_pm)
     for _ in range(max_iter):
-        rhs = -model.t_pm - psi @ model.t_mp @ psi
-        nxt = solve_sylvester(model.t_pp, model.t_mm, rhs)
+        rhs = -t_pm - psi @ t_mp @ psi
+        nxt = solve_sylvester(t_pp, model.t_mm, rhs)
         if np.linalg.norm(nxt - psi, np.inf) < tol:
             return nxt
         psi = nxt
@@ -124,8 +126,8 @@ def solve_riccati_fixed_point(model, max_iter=200000, tol=1e-13):
 
 def riccati_residual_dense(model, psi):
     """||T_+- + Psi T_-- + T_++ Psi + Psi T_-+ Psi||_inf by dense products."""
-    res = (model.t_pm + psi @ model.t_mm + model.t_pp @ psi
-           + psi @ model.t_mp @ psi)
+    res = (np.asarray(model.t_pm) + psi @ model.t_mm
+           + np.asarray(model.t_pp) @ psi + psi @ np.asarray(model.t_mp) @ psi)
     return float(np.linalg.norm(res, np.inf))
 
 
@@ -155,10 +157,10 @@ def solve_riccati_dense(model):
     restricted to the states R of ``fluid.reachable_plus`` it agrees with
     that Psi's rows R to rounding only, about 1e-14 of the largest
     entry."""
-    a = -model.t_pp
+    a = -np.asarray(model.t_pp)
     d = -model.t_mm
-    b = model.t_pm
-    c = model.t_mp
+    b = np.asarray(model.t_pm)
+    c = np.asarray(model.t_mp)
     m, n = a.shape[0], d.shape[0]
     gamma = max(np.max(np.diag(a)), np.max(np.diag(d)))
     a_g = a + gamma * np.eye(m)
@@ -196,10 +198,10 @@ def solve_riccati_one_lu_dense(model):
     inverses come from ``fluid._inv_m_matrix``, as in the package. On the
     blocks restricted to the states R of ``fluid.reachable_plus``, it must
     return the rows R of ``fluid.solve_riccati``'s Psi to the last bit."""
-    a = -model.t_pp
+    a = -np.asarray(model.t_pp)
     d = -model.t_mm
-    b = model.t_pm
-    c = model.t_mp
+    b = np.asarray(model.t_pm)
+    c = np.asarray(model.t_mp)
     m, n = a.shape[0], d.shape[0]
     gamma = max(np.max(np.diag(a)), np.max(np.diag(d)))
     idg = _inv_m_matrix(d + gamma * np.eye(n))
@@ -226,7 +228,7 @@ def solve_riccati_one_lu_dense(model):
 def unlumped_w1_law(model, psi, pi):
     """The law of W_1 on all n+ states of S+, with the set D not lumped:
     init pi_+, generator K = T_++ + Psi T_-+ and tail (-K)^{-1} Psi 1."""
-    k = model.t_pp + psi @ model.t_mp
+    k = np.asarray(model.t_pp) + psi @ np.asarray(model.t_mp)
     return MatrixExpDist(pi, k, np.linalg.solve(-k, psi @ np.ones(model.n_minus)))
 
 
@@ -236,7 +238,7 @@ def mixed_entry_fluid(mix: JobMix, m: int) -> FluidModel:
     components of D with the one block S2 entered with different phase
     laws (when alpha_2 is not its own reverse)."""
     model = build_nudge_m_fluid(mix, m)
-    p_mp = model.p_mp.copy()
+    p_mp = np.array(model.p_mp)
     cols = np.flatnonzero(p_mp[3])
     p_mp[3, cols] = p_mp[3, cols[::-1]]
     return replace(model, p_mp=p_mp)
@@ -246,7 +248,7 @@ def eigen_gap_dense(model, psi):
     """Distance from 1 of the second-nearest eigenvalue of the n- x n-
     matrix P~ Psi, from its full dense eigenproblem (inf when n- = 1)."""
     lam0 = model.t_star_0p.sum()
-    p_tilde = model.p_mp + np.outer(model.p_m0, model.t_star_0p / lam0)
+    p_tilde = np.asarray(model.p_mp) + np.outer(model.p_m0, model.t_star_0p / lam0)
     vals, _ = np.linalg.eig(p_tilde @ psi)
     dist = np.sort(np.abs(vals - 1.0))
     return float(dist[1]) if dist.size > 1 else np.inf
@@ -256,8 +258,8 @@ def stationary_pi_dense(model, psi):
     """pi_+ and c0 from the n+ x n+ eigenproblem of Psi P~: pi_+ is its
     left eigenvector at eigenvalue 1, normalized so eta = 1."""
     lam0 = model.t_star_0p.sum()
-    p_tilde = model.p_mp + np.outer(model.p_m0, model.t_star_0p / lam0)
-    k = model.t_pp + psi @ model.t_mp
+    p_tilde = np.asarray(model.p_mp) + np.outer(model.p_m0, model.t_star_0p / lam0)
+    k = np.asarray(model.t_pp) + psi @ np.asarray(model.t_mp)
     vals, vecs = np.linalg.eig((psi @ p_tilde).T)
     idx = int(np.argmin(np.abs(vals - 1.0)))
     assert abs(vals[idx] - 1.0) <= 1e-8

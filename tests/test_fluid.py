@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import fields, replace
@@ -91,13 +92,14 @@ def test_nudge1_equals_window_one_model():
         n1, n2 = mix.n1, mix.n2
         perm = np.r_[0:n1 + n2, n1 + 2 * n2:n1 + 3 * n2, n1 + n2:n1 + 2 * n2]
         a, b = build_nudge1_fluid(mix), build_nudge_m_fluid(mix, 1)
-        want = {"t_mm": a.t_mm, "t_mp": a.t_mp[:, perm], "t_pm": a.t_pm[perm],
-                "t_pp": a.t_pp[np.ix_(perm, perm)],
+        want = {"t_mm": a.t_mm, "t_mp": np.asarray(a.t_mp)[:, perm],
+                "t_pm": np.asarray(a.t_pm)[perm],
+                "t_pp": np.asarray(a.t_pp)[np.ix_(perm, perm)],
                 "t_star_0p": a.t_star_0p[perm], "p_m0": a.p_m0,
-                "p_mp": a.p_mp[:, perm]}
+                "p_mp": np.asarray(a.p_mp)[:, perm]}
         assert want.keys() == {f.name for f in fields(b)}
         for name, arr in want.items():
-            assert np.array_equal(arr, getattr(b, name)), name
+            assert np.array_equal(arr, np.asarray(getattr(b, name))), name
         assert np.array_equal(solve_riccati(a)[perm], solve_riccati(b))
     for mix in (MIX, HE_MIX):
         a = stationary_fluid(build_nudge1_fluid(mix))
@@ -191,7 +193,7 @@ def _random_m_matrix(n, seed):
 
 def _assert_inverse_matches_dense(a):
     # where the inverse has a zero entry (D_g is reducible), so does got
-    got, want = fluid._inv_m_matrix(a), np.linalg.inv(a)
+    got, want = fluid._inv_m_matrix(a.copy()), np.linalg.inv(a)
     assert np.all(got >= 0.0)
     assert np.all(np.abs(got - want) <= INVERSE_REL_TOL * want)
 
@@ -276,6 +278,40 @@ ORACLE_MODELS = {name: partial(build, mix)
                  for name, (mix, build) in ORACLE_CASES.items()}
 
 
+# Each oracle case is built and solved once per session, by the package and
+# by each oracle that more than one test reads; the cached arrays are
+# read-only, so a test or solve that wrote into one would fail.
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+@functools.cache
+def _oracle_model(name):
+    model = ORACLE_MODELS[name]()
+    _read_only(model.t_mm, model.t_star_0p, model.p_m0,
+               *(getattr(model, b).idx for b in fluid.SPARSE_BLOCKS),
+               *(getattr(model, b).val for b in fluid.SPARSE_BLOCKS))
+    return model
+
+
+@functools.cache
+def _shipped(name):
+    """stationary_fluid of the case; its psi is solve_riccati's."""
+    sol = stationary_fluid(_oracle_model(name))
+    _read_only(sol.psi, sol.pi_plus, sol.w1.init, sol.w1.gen, sol.w1.tail)
+    return sol
+
+
+@functools.cache
+def _two_inverse_psi_r(name):
+    """Psi[R] of the two-inverse loop on the blocks restricted to R."""
+    model = _oracle_model(name)
+    psi_r = solve_riccati_dense(model.restrict(reachable_plus(model)))
+    _read_only(psi_r)
+    return psi_r
+
+
 @pytest.mark.parametrize("name", list(ORACLE_MODELS))
 def test_sda_is_bit_identical_to_dense_oracle(name):
     # SDA runs on the reachable S+ states R only, and forms each product
@@ -283,8 +319,8 @@ def test_sda_is_bit_identical_to_dense_oracle(name):
     # blocks to the last bit (the whole Psi when R is all of S+, as for
     # FCFS), and pi_+ from the k x k null vector matches the n+ x n+
     # eigenproblem's
-    model = ORACLE_MODELS[name]()
-    sol = stationary_fluid(model)  # sol.psi is solve_riccati(model)
+    model = _oracle_model(name)
+    sol = _shipped(name)  # sol.psi is solve_riccati(model)
     r = reachable_plus(model)
     assert np.array_equal(sol.psi[r],
                           solve_riccati_one_lu_dense(model.restrict(r)))
@@ -302,11 +338,10 @@ def test_pi_plus_matches_eigenvector_of_b(recipe):
     # against np.linalg.eig's vector of B (B formed by dense products), at
     # m = 8: 1.3e-16 (fig5a) and 6.4e-16 (fig5b) max pi_+ apart, where the
     # bordered solve alone is 1.3e-14 and 1.7e-14 off
-    model = build_nudge_m_fluid(RECIPES[recipe]["mix"](), 8)
-    sol = stationary_fluid(model)
+    model, sol = _oracle_model(f"{recipe}-m8"), _shipped(f"{recipe}-m8")
     lam0 = model.t_star_0p.sum()
-    p_tilde = model.p_mp + np.outer(model.p_m0, model.t_star_0p / lam0)
-    first, label = fluid._distinct_rows(p_tilde)
+    p_tilde = np.asarray(model.p_mp) + np.outer(model.p_m0, model.t_star_0p / lam0)
+    first, label = fluid._distinct_rows(fluid.SparseRows.from_dense(p_tilde))
     b = p_tilde[first] @ sol.psi @ np.eye(first.size)[label]
     vals, vecs = np.linalg.eig(b.T)
     y = vecs[:, np.argmin(np.abs(vals - 1.0))].real
@@ -320,9 +355,8 @@ def test_lumped_w1_matches_unlumped_law(name):
     # W_1's law on R plus one block per group of D against its law on all
     # n+ states, on the 25-point dist grid and at 40/theta_Z; either law's
     # terms round by about K eps relative
-    mix, build = ORACLE_CASES[name]
-    model = build(mix)
-    sol = stationary_fluid(model)
+    mix = ORACLE_CASES[name][0]
+    model, sol = _oracle_model(name), _shipped(name)
     want = unlumped_w1_law(model, sol.psi, sol.pi_plus)
     theta = decay_rate(mix).theta_z
     grid = np.append(np.linspace(0.0, 60.0 / theta, 25), 40.0 / theta)
@@ -340,7 +374,7 @@ def test_lumped_w1_size(mix):
         sol = stationary_fluid(build_nudge_m_fluid(mix, m))
         assert sol.n_plus_solved == 2 ** (m - 1) * (mix.n1 + 2 * mix.n2)
         assert sol.w1.init.shape == (sol.n_plus_solved + mix.n2,)
-    sizes = {name: stationary_fluid(ORACLE_MODELS[name]()).w1.init.shape[0]
+    sizes = {name: _shipped(name).w1.init.shape[0]
              for name in ("unreached-fcfs", "unreached-m3", "boundary-fcfs")}
     assert sizes == {"unreached-fcfs": 2, "unreached-m3": 4 * (1 + 2) + 1,
                      "boundary-fcfs": 3}
@@ -360,21 +394,24 @@ def test_boundary_entry_with_two_phase_laws_is_refused(seed):
 def test_sda_matches_two_inverse_oracle(name):
     # the two-inverse loop shares none of the step's arithmetic: on R the
     # two differ by rounding only
-    model = ORACLE_MODELS[name]()
-    psi = solve_riccati(model)
+    model = _oracle_model(name)
+    psi = _shipped(name).psi
     r = reachable_plus(model)
-    ref = solve_riccati_dense(model.restrict(r))
+    ref = _two_inverse_psi_r(name)
     assert np.max(np.abs(psi[r] - ref)) <= 1e-14 * np.max(psi)
 
 
-def _two_inverse_riccati(model, report):
-    """solve_riccati with Psi[R] from the two-inverse textbook loop."""
+def _two_inverse_riccati(model, report, psi_r):
+    """solve_riccati with Psi[R] = psi_r, from the two-inverse textbook
+    loop."""
     r = reachable_plus(model)
+    groups = fluid._d_groups(model, np.flatnonzero(~r))
     psi = np.empty((model.n_plus, model.n_minus))
-    psi[r] = solve_riccati_dense(model.restrict(r))
-    psi[~r] = _boundary_rows(model, r, psi[r])
+    psi[r] = psi_r
+    psi[~r] = _boundary_rows(model, r, psi[r], groups)
     np.clip(psi, 0.0, None, out=psi)
-    report.update(reachable=r, residual=riccati_residual(model, psi), steps=0)
+    report.update(reachable=r, groups=groups,
+                  residual=riccati_residual(model, psi), steps=0)
     return psi
 
 
@@ -384,11 +421,12 @@ def test_tail_matches_two_inverse_law(recipe, m, monkeypatch):
     # P[W_1 > 40 / theta_Z] moves about 65 times as much as Psi, relative
     # to its size: the law built from this Psi stays within 1e-12 relative
     # of the law built from the two-inverse loop's Psi
-    mix = RECIPES[recipe]["mix"]()
+    name = f"{recipe}-m{m}"
+    mix, model = ORACLE_CASES[name][0], _oracle_model(name)
     t = 40.0 / decay_rate(mix).theta_z
-    model = build_nudge_m_fluid(mix, m)
-    tail = stationary_fluid(model).w1_ccdf(t)
-    monkeypatch.setattr(fluid, "solve_riccati", _two_inverse_riccati)
+    tail = _shipped(name).w1_ccdf(t)
+    monkeypatch.setattr(fluid, "solve_riccati", partial(
+        _two_inverse_riccati, psi_r=_two_inverse_psi_r(name)))
     want = stationary_fluid(model).w1_ccdf(t)
     assert abs(tail - want) <= 1e-12 * want
 
@@ -398,8 +436,8 @@ def test_full_psi_matches_oracles(name):
     # the rows D come from a Sylvester solve, not from SDA: the whole Psi
     # must match SDA on the whole model and (small models) the fixed-point
     # iteration, and solve the whole equation
-    model = ORACLE_MODELS[name]()
-    psi = solve_riccati(model)
+    model = _oracle_model(name)
+    psi = _shipped(name).psi
     oracles = [solve_riccati_dense(model)]
     if model.n_plus <= 128:
         oracles.append(solve_riccati_fixed_point(model))
@@ -423,8 +461,8 @@ def test_reachable_states(mix):
         half = 2 ** (m - 1)
         d = slice(half * (n1 + n2), half * (n1 + 2 * n2))
         assert r[:d.start].all() and not r[d].any() and r[d.stop:].all()
-        assert not model.t_mp[:, ~r].any()
-        assert not model.t_pp[np.ix_(r, ~r)].any()
+        assert not np.asarray(model.t_mp)[:, ~r].any()
+        assert not np.asarray(model.t_pp)[np.ix_(r, ~r)].any()
     r1 = reachable_plus(build_nudge1_fluid(mix))
     assert r1.sum() == n1 + 2 * n2 and not r1[n1 + 2 * n2:].any()
     assert reachable_plus(build_fcfs_fluid(mix)).all()
@@ -441,7 +479,7 @@ def test_solution_carries_the_checked_residual():
         assert sol.riccati_residual == riccati_residual(model, sol.psi)
         report = {}
         assert np.array_equal(solve_riccati(model, report=report), sol.psi)
-        assert report.keys() == {"reachable", "residual", "steps"}
+        assert report.keys() == {"reachable", "groups", "residual", "steps"}
         assert report["residual"] == sol.riccati_residual
         assert report["steps"] == sol.sda_steps
         assert np.array_equal(report["reachable"], reachable_plus(model))
@@ -453,11 +491,10 @@ def test_reduced_eigenproblem_matches_dense(name):
     # pi_+ comes from the k x k matrix on P~'s distinct rows: k is their
     # number (2^(m-1) + 1 for Nudge-M), and the gap equals that of the full
     # n- x n- eigenproblem, whose n- - k further eigenvalues are 0
-    mix, build = ORACLE_CASES[name]
-    model = build(mix)
-    sol = stationary_fluid(model)
-    p_tilde = model.p_mp + np.outer(model.p_m0, model.t_star_0p
-                                    / model.t_star_0p.sum())
+    build = ORACLE_CASES[name][1]
+    model, sol = _oracle_model(name), _shipped(name)
+    p_tilde = np.asarray(model.p_mp) + np.outer(model.p_m0, model.t_star_0p
+                                                / model.t_star_0p.sum())
     assert sol.pi_eig_n == np.unique(p_tilde, axis=0).shape[0]
     m = getattr(build, "keywords", {}).get("m")
     if m is not None:
@@ -475,20 +512,22 @@ def test_sda_iterates_have_nonnegative_residual(name, monkeypatch):
     # -gamma_k a_i, with a the same expression in |T| and |H| and
     # k = 2 n- + n+ + 4 the longest chain of products and sums, so rounding
     # is the only slack. With RICCATI_MAX_ITER = j, _sda returns H_j.
-    model = ORACLE_MODELS[name]()
+    model = _oracle_model(name)
     blocks = model.restrict(reachable_plus(model))
     k = 2 * blocks.n_minus + blocks.n_plus + 4
     unit = np.finfo(float).eps / 2
     gamma_k = k * unit / (1.0 - k * unit)
-    abs_pm1 = np.abs(blocks.t_pm).sum(axis=1)
+    t_pm, t_pp, t_mp = (np.asarray(blocks.t_pm), np.asarray(blocks.t_pp),
+                        np.asarray(blocks.t_mp))
+    abs_pm1 = np.abs(t_pm).sum(axis=1)
     abs_mm1 = np.abs(blocks.t_mm).sum(axis=1)
-    abs_pp, abs_mp = np.abs(blocks.t_pp), np.abs(blocks.t_mp)
+    abs_pp, abs_mp = np.abs(t_pp), np.abs(t_mp)
     for j in range(1, fluid._sda(blocks)[1] + 1):
         monkeypatch.setattr(fluid, "RICCATI_MAX_ITER", j)
         h, steps = fluid._sda(blocks)
         assert steps == j
-        res = (blocks.t_pm + h @ blocks.t_mm + blocks.t_pp @ h
-               + h @ blocks.t_mp @ h)
+        res = (t_pm + h @ blocks.t_mm + t_pp @ h
+               + h @ t_mp @ h)
         h1 = h.sum(axis=1)
         a = abs_pm1 + h @ abs_mm1 + abs_pp @ h1 + h @ (abs_mp @ h1)
         assert np.all(res.min(axis=1) >= -gamma_k * a)
@@ -499,6 +538,22 @@ def test_structured_residual_matches_dense():
     psi = solve_riccati(model) * 0.999  # off the solution: residual ~1e-3
     assert riccati_residual(model, psi) == pytest.approx(
         riccati_residual_dense(model, psi), rel=1e-12)
+
+
+def test_stationary_fluid_runs_in_small_memory():
+    # fig5b, m = 8 (|R| = 640, n+ = 896, n- = 256): build and solve trace
+    # 12.4 MiB at their peak, a 0.6 MiB model and the SDA's F F step: F
+    # and F F (|R| x |R|, 3.1 MiB each) and four |R| x n- arrays. With the
+    # blocks dense it was 35.1 MiB (a 11.9 MiB model, its solve 23.2 MiB
+    # above it); a dense T_++[R, R] in the SDA would add 3.1 MiB
+    mix = RECIPES["fig5b"]["mix"]()
+    tracemalloc.start()
+    try:
+        stationary_fluid(build_nudge_m_fluid(mix, 8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.5 * 2 ** 20
 
 
 def test_solve_riccati_runs_in_small_memory():
@@ -536,7 +591,7 @@ def _entries(model):
     alive, which halves the test's memory at m = 10."""
     out = {}
     for f in fields(model):
-        a = getattr(model, f.name)
+        a = np.asarray(getattr(model, f.name))
         idx = np.flatnonzero(a)
         out[f.name] = (a.shape, idx, a.ravel()[idx])
     return out
@@ -583,7 +638,7 @@ def test_model_rejects_a_perturbed_entry(field, message):
     model = build_nudge_m_fluid(HE_MIX, 3)
     arrays = {f.name: getattr(model, f.name) for f in fields(model)}
     FluidModel(**arrays)
-    bad = arrays[field].copy()
+    bad = np.array(arrays[field])
     bad[tuple(n // 2 for n in bad.shape)] += 1e-9
     with pytest.raises(ValueError, match=message):
         FluidModel(**{**arrays, field: bad})

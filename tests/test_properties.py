@@ -1,5 +1,5 @@
 """Property-based checks for the fitting, policy and family-prefactor
-layers, for the fluid's SDA stop and pi_+ eigenproblem, for the mean
+layers, for the fluid's sparse blocks, SDA stop and pi_+ eigenproblem, for the mean
 waits against the swap layer, and for phases that no job enters."""
 
 import numpy as np
@@ -14,8 +14,8 @@ from oracles import (WALD_W1_TOL, WALD_W2_TOL, check_table_strings, count_twos,
 
 from nudgem.asymptotics import (FAMILY_M_CAP, atir_nudge_m, decay_rate,
                                 family_prefactors, m_opt, verify_optimality)
-from nudgem.fluid import (build_nudge_m_fluid, reachable_plus, solve_riccati,
-                          stationary_fluid)
+from nudgem.fluid import (SparseRows, build_nudge_m_fluid, reachable_plus,
+                          solve_riccati, stationary_fluid)
 from nudgem.phtype import (JobMix, PhaseType, fit_hyperexp, normalized_mix,
                            ph_exponential)
 from nudgem.policy import (
@@ -154,6 +154,60 @@ def test_pi_plus_from_distinct_rows_equals_dense(p, lam, phases, m, seed):
         assert abs(sol.eigen_gap - want) <= 1e-12
     else:
         assert sol.eigen_gap >= 1.0 - 1e-6
+
+
+def _gather_bound(a, x):
+    """Rounding bound of the sums of products a @ x in any order: each
+    entry is off the exact one by at most k eps (|a| |x|), k the inner
+    dimension."""
+    return max(a.shape[-1], 1) * np.finfo(float).eps * (np.abs(a) @ np.abs(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sparse_rows_equal_dense(data):
+    # SparseRows against the dense matrix it stands for, on a random
+    # pattern built from entries that may repeat (summed) or be zero
+    # (dropped): densify, transpose, sub-blocks, row sums, the diagonal,
+    # both products and the nonzero fraction that bench/spans.py reads
+    n_rows, n_cols = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    n_entries = data.draw(st.integers(0, 40))
+    rows = np.array(data.draw(st.lists(st.integers(0, n_rows - 1),
+                                       min_size=n_entries, max_size=n_entries)),
+                    dtype=np.intp)
+    cols = np.array(data.draw(st.lists(st.integers(0, n_cols - 1),
+                                       min_size=n_entries, max_size=n_entries)),
+                    dtype=np.intp)
+    vals = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3, allow_subnormal=False),
+        min_size=n_entries, max_size=n_entries)), dtype=float)
+    dense = np.zeros((n_rows, n_cols))
+    np.add.at(dense, (rows, cols), vals)
+    a = SparseRows.from_coo(rows, cols, vals, (n_rows, n_cols))
+    assert np.array_equal(np.asarray(a), dense)
+    assert a.shape == dense.shape and a.size == dense.size
+    assert np.count_nonzero(a) / a.size == np.count_nonzero(dense) / dense.size
+    assert np.array_equal(np.asarray(SparseRows.from_dense(dense)), dense)
+    assert np.array_equal(np.asarray(a.T), dense.T)
+    assert np.array_equal(a.diagonal(), np.diag(dense))
+    assert np.all(np.abs(a.row_sums() - dense.sum(axis=1))
+                  <= _gather_bound(dense, np.ones(n_cols)))
+    r, c, v = a.coo()
+    assert np.array_equal(np.asarray(SparseRows.from_coo(r, c, v, a.shape)), dense)
+    sub_rows = np.array(data.draw(st.permutations(range(n_rows)))[
+        :data.draw(st.integers(0, n_rows))], dtype=np.intp)
+    sub_cols = np.array(data.draw(st.permutations(range(n_cols)))[
+        :data.draw(st.integers(0, n_cols))], dtype=np.intp)
+    want = dense[np.ix_(sub_rows, sub_cols)]
+    assert np.array_equal(a.dense(sub_rows, sub_cols), want)
+    assert np.array_equal(np.asarray(a.take(sub_rows, sub_cols)), want)
+    assert np.array_equal(a.dense(sub_rows), dense[sub_rows])
+    assert np.array_equal(np.asarray(a.take(cols=sub_cols)), dense[:, sub_cols])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for x in (rng.normal(size=n_cols), rng.normal(size=(n_cols, 3))):
+        assert np.all(np.abs(a @ x - dense @ x) <= _gather_bound(dense, x))
+    for x in (rng.normal(size=n_rows), rng.normal(size=(2, n_rows))):
+        assert np.all(np.abs(x @ a - x @ dense) <= _gather_bound(x, dense))
 
 
 @settings(max_examples=25, deadline=None)
