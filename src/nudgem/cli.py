@@ -342,7 +342,8 @@ def cmd_simulate(args) -> int:
                                        "jobs_per_s": args.jobs / wall,
                                        "warmup": cfg.warmup,
                                        "n_batches": sim.N_BATCHES,
-                                       "busy_fraction": stats.busy_fraction}}))
+                                       "busy_fraction": stats.busy_fraction,
+                                       **stats.path._asdict()}}))
     return EXIT_OK
 
 

@@ -55,8 +55,8 @@ from nudgem.asymptotics import (FAMILY_M_CAP, OPTIMALITY_TIE_TOL, VERIFY_M_CAP,
                                 AtirReport, ComplexityError, OptimalityReport,
                                 atir_from_prefactors, family_prefactors, m_opt)
 from nudgem.fluid import (NUDGE_M_CAP, RICCATI_MAX_ITER, RICCATI_RESIDUAL_TOL,
-                          RICCATI_STEP_TOL, FluidModel, _inv_m_matrix,
-                          build_nudge_m_fluid, stationary_fluid)
+                          RICCATI_STEP_TOL, FluidModel, SparseRows,
+                          _inv_m_matrix, build_nudge_m_fluid, stationary_fluid)
 from nudgem.phtype import (JobMix, MatrixExpDist, PhaseType, kron_sum,
                            poisson_terms, poisson_weights)
 from nudgem.policy import (PolicyError, PolicyFn, all_strings, fcfs_policy,
@@ -345,32 +345,34 @@ def build_nudge_m_fluid_tuples(mix: JobMix, m: int) -> FluidModel:
     mi = layout.minus_index
     pi = layout.plus_index
 
+    # the S+ blocks as (rows, cols, values) parts of SparseRows.scatter,
+    # each the entries that a slice assignment to a dense block would set
+    def span(o, n):
+        return np.arange(o, o + n)
+
     t_mm = -lam * np.eye(nm)
-    t_mp = np.zeros((nm, npl))
+    t_mp = []
     for s, r in mi.items():
         if s[-1] == 0:
             t_mm[r, mi[_shift(s, 1)]] += lam * (1 - p)
-            o = pi[(_shift(s, 0), 1)]
-            t_mp[r, o: o + n1] += lam * p * a1
+            t_mp.append((r, span(pi[(_shift(s, 0), 1)], n1), lam * p * a1))
         else:
-            o = pi[(_shift(s, 0), 2)]
-            t_mp[r, o: o + n2] += lam * p * a2
-            o = pi[(_shift(s, 1), 3)]
-            t_mp[r, o: o + n2] += lam * (1 - p) * a2
+            t_mp.append((r, span(pi[(_shift(s, 0), 2)], n2), lam * p * a2))
+            t_mp.append((r, span(pi[(_shift(s, 1), 3)], n2),
+                         lam * (1 - p) * a2))
 
-    t_pp = np.zeros((npl, npl))
-    t_pm = np.zeros((npl, nm))
+    t_pp, t_pm = [], []
     for (s, sub), o in pi.items():
         if sub == 1:
-            t_pp[o: o + n1, o: o + n1] = s1
-            t_pm[o: o + n1, mi[s]] = e1
+            t_pp.append((span(o, n1)[:, None], span(o, n1), s1))
+            t_pm.append((span(o, n1), mi[s], e1))
         elif sub == 2:
-            t_pp[o: o + n2, o: o + n2] = s2
-            o1 = pi[(s, 1)]
-            t_pp[o: o + n2, o1: o1 + n1] = np.outer(e2, a1)
+            t_pp.append((span(o, n2)[:, None], span(o, n2), s2))
+            t_pp.append((span(o, n2)[:, None], span(pi[(s, 1)], n1),
+                         np.outer(e2, a1)))
         else:
-            t_pp[o: o + n2, o: o + n2] = s2
-            t_pm[o: o + n2, mi[s]] = e2
+            t_pp.append((span(o, n2)[:, None], span(o, n2), s2))
+            t_pm.append((span(o, n2), mi[s], e2))
 
     zero = (0,) * m
     t_star_0p = np.zeros(npl)
@@ -380,14 +382,17 @@ def build_nudge_m_fluid_tuples(mix: JobMix, m: int) -> FluidModel:
     t_star_0p[o: o + n2] = lam * (1 - p) * a2
 
     p_m0 = np.zeros(nm)
-    p_mp = np.zeros((nm, npl))
+    p_mp = []
     for s, r in mi.items():
         if s == zero:
             p_m0[r] = 1.0
         else:
-            o = pi[(_dec(s), 3)]
-            p_mp[r, o: o + n2] = a2
+            p_mp.append((r, span(pi[(_dec(s), 3)], n2), a2))
 
+    t_mp = SparseRows.scatter((nm, npl), *t_mp)
+    t_pp = SparseRows.scatter((npl, npl), *t_pp)
+    t_pm = SparseRows.scatter((npl, nm), *t_pm)
+    p_mp = SparseRows.scatter((nm, npl), *p_mp)
     return FluidModel(t_mm=t_mm, t_mp=t_mp, t_pm=t_pm, t_pp=t_pp,
                       t_star_0p=t_star_0p, p_m0=p_m0, p_mp=p_mp)
 

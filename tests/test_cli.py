@@ -298,7 +298,10 @@ def test_simulate_at_one_lambda(tmp_path):
     assert manifest["n_jobs"] == 2000
     record = manifest["sim"]
     assert set(record) == {"wall_s", "jobs_per_s", "warmup", "n_batches",
-                           "busy_fraction"}
+                           "busy_fraction", "blocks", "event_loop_blocks",
+                           "loop_arrivals"}
+    assert 0 <= record["event_loop_blocks"] <= record["blocks"]
+    assert 0 <= record["loop_arrivals"] <= 2000
     assert record["wall_s"] > 0
     assert record["jobs_per_s"] == pytest.approx(2000 / record["wall_s"])
     assert (record["warmup"], record["n_batches"]) == (200, 30)

@@ -588,12 +588,18 @@ def _entries(model):
     """Shape, nonzero positions and nonzero values of each array: two
     models' entries are equal exactly when every pair of arrays is
     ``np.array_equal``. Comparing entries lets one model at a time be
-    alive, which halves the test's memory at m = 10."""
+    alive, which halves the test's memory at m = 10; a ``SparseRows``
+    block gives its ``coo()`` triples, in row-major order, undensified."""
     out = {}
     for f in fields(model):
-        a = np.asarray(getattr(model, f.name))
-        idx = np.flatnonzero(a)
-        out[f.name] = (a.shape, idx, a.ravel()[idx])
+        a = getattr(model, f.name)
+        if isinstance(a, fluid.SparseRows):
+            rows, cols, values = a.coo()
+            idx = np.ravel_multi_index((rows, cols), a.shape)
+        else:
+            idx = np.flatnonzero(a)
+            values = a.ravel()[idx]
+        out[f.name] = (a.shape, idx, values)
     return out
 
 

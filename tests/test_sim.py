@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import (random_family_member, simulate_queue_scan,
                      tail_prefactor_estimate)
 
+from nudgem import sim
+from nudgem.cli import RECIPES
 from nudgem.phtype import (
     InstabilityError,
     JobMix,
@@ -236,3 +238,120 @@ def test_event_loop_always_matches_queue_scan(seed, m, lam, p, walk):
     policy = random_family_member(m, 3 * m, random.Random(walk))
     assert_same_run(SimConfig(mix=_mix("exp-hyperexp", lam, p), policy=policy,
                               n_jobs=1_500, seed=seed, warmup=0))
+
+
+# -- the block passes against the event loop --------------------------------
+
+def test_restarted_cumsum_is_the_running_sum():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(3_000) * 10.0 ** rng.integers(-8, 8, 3_000)
+    heads = np.flatnonzero(np.r_[True, rng.random(2_999) < 0.05])
+    starts, out, s = set(heads.tolist()), [], 0.0
+    for k, v in enumerate(z.tolist()):
+        s = (0.0 if k in starts else s) + v
+        out.append(s)
+    assert np.array_equal(sim._restarted_cumsum(z, heads), out)
+    assert np.array_equal(sim._restarted_cumsum(z, heads[:1]), np.cumsum(z))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6),
+       lam=st.floats(0.05, 0.99), p=st.one_of(st.just(0.0), st.just(1.0),
+                                               st.floats(0.0, 1.0)),
+       walk=st.integers(0, 1000), n=st.integers(1_500, 6_000),
+       block=st.integers(64, 512))
+def test_blocks_always_match_queue_scan(seed, m, lam, p, walk, n, block):
+    policy = random_family_member(m, 3 * m, random.Random(walk))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "SIM_BLOCK", block)
+        assert_same_run(SimConfig(mix=_mix("exp-hyperexp", lam, p),
+                                  policy=policy, n_jobs=n, seed=seed))
+
+
+def test_failed_checks_send_every_block_to_the_event_loop(monkeypatch):
+    # one pass fewer at every passer: the jobs stay in a feasible order, so
+    # only the decision check fails, in every block, and the event loop
+    # recomputes each
+    decide = sim._decide
+
+    def wrong(*args):
+        dec = decide(*args)
+        return dec._replace(passes=np.maximum(dec.passes - 1, 0))
+
+    monkeypatch.setattr(sim, "SIM_BLOCK", 512)
+    monkeypatch.setattr(sim, "_decide", wrong)
+    config = SimConfig(mix=_mix("exp-exp", 0.95), policy=nudge_m_policy(5),
+                       n_jobs=20_000, seed=22)
+    assert_same_run(config)
+    path = simulate(config).path
+    assert path.blocks > 10
+    assert path.event_loop_blocks == path.blocks
+
+
+def _fields_equal(a, b):
+    for name in SIM_FIELDS + ("busy_fraction",):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.95, 0.99])
+@pytest.mark.parametrize("recipe", ["fig5a", "fig5b"])
+def test_fast_path_takes_every_block(recipe, lam, monkeypatch):
+    # fig5b's policy caps the passes below the window's type-2 count
+    policy = nudge_m_policy(5) if recipe == "fig5a" else nudge_km_policy(2, 5)
+    config = SimConfig(mix=RECIPES[recipe]["mix"](lam), policy=policy,
+                       n_jobs=200_000, seed=31)
+    fast = simulate(config)
+    assert fast.path.blocks >= 10 and fast.path.event_loop_blocks == 0
+    monkeypatch.setattr(sim, "_fast_block", lambda *args: None)
+    loop = simulate(config)
+    assert loop.path.event_loop_blocks == loop.path.blocks == fast.path.blocks
+    _fields_equal(fast, loop)
+
+
+@pytest.mark.parametrize("gaps", [(1, 2, 3, 4, 5, 6), (0, 2, 3, 5, 8)])
+def test_exact_ties_follow_the_event_loop(gaps, monkeypatch):
+    # integer times tie departures with arrivals and starts with arrival
+    # times; the event loop serves a departure at t before the arrival at t
+    rng = np.random.default_rng(len(gaps))
+    n = 20_000
+    arrivals = np.cumsum(rng.choice(gaps, n)).astype(float)
+    types = np.where(rng.random(n) < 0.6, 1, 2)
+    service = rng.integers(1, 7, n).astype(float)
+    config = SimConfig(mix=MIX, policy=nudge_m_policy(5), n_jobs=n, seed=0)
+    monkeypatch.setattr(sim, "SIM_BLOCK", 256)
+    fast = sim._replay(config, arrivals, types, service)
+    assert fast.path.blocks > 10 and fast.path.event_loop_blocks == 0
+    monkeypatch.setattr(sim, "_fast_block", lambda *args: None)
+    _fields_equal(fast, sim._replay(config, arrivals, types, service))
+
+
+@pytest.mark.parametrize("guess", ["busy-cut", "idle-flag"])
+def test_wrong_cut_guesses_are_caught(guess, monkeypatch):
+    # a cut at an arrival that finds the system busy makes the block run
+    # on to the next cut; a wrong idle flag fails the workload chain's
+    # check and sends its block to the event loop
+    next_cut = sim._next_cut
+    wrong = []
+
+    def guessed(arrivals, service, lo, size):
+        hi, idle = next_cut(arrivals, service, lo, size)
+        if guess == "busy-cut" and size == sim.SIM_BLOCK and hi > lo + size:
+            wrong.append(lo + size)
+            return lo + size, idle[:size]
+        if guess == "idle-flag" and hi - lo > 100:
+            idle = idle.copy()
+            idle[100] = not idle[100]
+            wrong.append(lo + 100)
+        return hi, idle
+
+    monkeypatch.setattr(sim, "SIM_BLOCK", 256)
+    config = SimConfig(mix=_mix("exp-hyperexp", 0.95), policy=nudge_m_policy(3),
+                       n_jobs=20_000, seed=41)
+    path = simulate(config).path
+    monkeypatch.setattr(sim, "_next_cut", guessed)
+    assert_same_run(config)
+    assert len(wrong) > 10
+    if guess == "busy-cut":
+        assert simulate(config).path == path
+    else:
+        assert simulate(config).path.event_loop_blocks == path.blocks
