@@ -161,7 +161,7 @@ class MatrixExpDist:
         return float(np.max(-np.diag(self.gen), initial=0.0)) or 1.0
 
     def products(self, t_max: float) -> Products:
-        """The products that ``ccdf`` or ``density`` makes on a grid up to
+        """The products that ``ccdf`` or ``ccdf_pair`` makes on a grid up to
         t_max: the K + 1 = poisson_terms(q t_max) + 1 terms fill
         K // A + 1 blocks of A = 2^BLOCK_LOG2 terms. ``_eval`` sizes its
         loops from these counts."""
@@ -209,10 +209,6 @@ class MatrixExpDist:
     def mean(self) -> float:
         """E[X] = int_0^inf P[X > t] dt = init (-gen)^{-1} tail, one solve."""
         return float(self.init @ np.linalg.solve(-self.gen, self.tail))
-
-    def density(self, t):
-        """f_X(t) = init e^{gen t} (-gen tail) for t > 0 (the atom excluded)."""
-        return self._eval(t, -self.gen @ self.tail)
 
     def ccdf_pair(self, head: "MatrixExpDist", t):
         """(P[X > t], P[X + Y > t]) for this law the law of X + Y =

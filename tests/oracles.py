@@ -34,11 +34,21 @@ the package lumps the blocks onto one chain on W_{M-1}.
 ``laplace`` is the transform reference: one solve per point and type,
 where ``asymptotics.decay_rate`` reads every transform off one
 resolvent on the reachable phases.
+``decide_sequential`` is the reference for ``sim._decide``: it shares
+the bounds, and settles the rows they leave open by a Python loop in
+arrival order where the package climbs a numpy fixed point.
+``sample_phase_type_gathered`` is the reference for
+``sim.sample_phase_type``: every round gathers each live sample's whole
+step row, and ``simulate_queue_scan`` draws its services with it.
+``batch_means_masked`` is the reference for the batch means of
+``sim.SimStats`` and ``sim.empirical_ccdf``: it masks each batch of all
+jobs.
 The module also holds helpers only tests use: ``count_twos``, the
 simulator's tail-prefactor regression ``tail_prefactor_estimate``, the
 conditional swap law ``swap_pmf``, the Nudge-K,M against Nudge-M,L
-comparison ``compare_km_ml`` and the mean-wait identities
-``wald_mean_gaps``.
+comparison ``compare_km_ml``, the mean-wait identities
+``wald_mean_gaps`` and the density ``law_density`` of a
+``MatrixExpDist``, by its own evaluation.
 """
 
 import itertools
@@ -63,7 +73,8 @@ from nudgem.policy import (PolicyError, PolicyFn, all_strings, fcfs_policy,
                            nudge_km_policy, nudge_ml_policy)
 from nudgem.resp2 import (W2Model, _state_index, build_w2_model, chain_size,
                           counting_matrix)
-from nudgem.sim import EstimationError, SimStats, sample_phase_type
+from nudgem.sim import (N_BATCHES, Decisions, EstimationError, SimStats,
+                        _capped)
 from nudgem.swap import (_binomial_table, _count_law, _swap_pmf_from, mean_swaps,
                          workload_law)
 
@@ -702,6 +713,13 @@ def dense_density(law, t):
     return _dense_eval(law, t, -law.gen @ law.tail)
 
 
+def law_density(law, t):
+    """f_X(t) = init e^{gen t} (-gen tail) for t > 0 (the atom excluded),
+    by the law's own uniformization (``MatrixExpDist._eval``), at a scalar
+    t or on a 1-D grid; the package evaluates no density."""
+    return law._eval(t, -law.gen @ law.tail)
+
+
 def _dense_eval(law, t, vec):
     ts = np.asarray(t, dtype=float)
     vals = np.array([law.init @ expm(law.gen * x) @ vec for x in ts.ravel()])
@@ -1085,7 +1103,7 @@ def tail_prefactor_estimate(stats: SimStats, theta_z: float,
     """Prefactor of an assumed c e^{-theta_Z t} waiting-time tail:
     regression of the log ccdf on t with the slope pinned at -theta_Z
     (desk-scale runs cannot resolve slope and intercept jointly)."""
-    sel = stats.wait[stats._select(job_type)]
+    sel = stats._by_type(job_type)[1]
     logs = []
     for t in t_grid:
         exceed = int((sel > t).sum())
@@ -1097,6 +1115,114 @@ def tail_prefactor_estimate(stats: SimStats, theta_z: float,
     est = float(np.exp(logs.mean()))
     spread = float(logs.std(ddof=1) / np.sqrt(logs.size)) if logs.size > 1 else 0.0
     return est, est * spread
+
+
+def batch_means_masked(values: np.ndarray,
+                       mask: np.ndarray) -> Tuple[float, float]:
+    """The batch means of ``SimStats`` by masking each batch of all jobs
+    (``values[lo:hi][sel]``), where the package slices one compaction per
+    job type; must give the same floats."""
+    edges = np.linspace(0, values.shape[0], N_BATCHES + 1).astype(int)
+    means = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sel = mask[lo:hi]
+        if sel.any():
+            means.append(values[lo:hi][sel].mean())
+    means = np.asarray(means)
+    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(means.size))
+
+
+def sample_phase_type_gathered(ph: PhaseType, gen: np.random.Generator,
+                               size: int) -> np.ndarray:
+    """``sim.sample_phase_type`` by gathering: every round gathers the live
+    samples' phases and compares each uniform with its phase's whole
+    cumulative step row. Must make the same samples from the same draws."""
+    n = ph.alpha.shape[0]
+    rates = -np.diag(ph.S)
+    jump = ph.S / rates[:, None]
+    np.fill_diagonal(jump, 0.0)
+    # column 0 = absorption, columns 1.. = next phase
+    step = np.column_stack([ph.exit / rates, jump])
+    cum = np.cumsum(step, axis=1)
+
+    total = np.zeros(size)
+    state = gen.choice(n, size=size, p=ph.alpha / ph.alpha.sum())
+    alive = np.arange(size)
+    while alive.size:
+        st = state[alive]
+        total[alive] += gen.exponential(1.0, alive.size) / rates[st]
+        nxt = (gen.random(alive.size)[:, None] > cum[st]).sum(axis=1)
+        moved = nxt > 0
+        state[alive[moved]] = nxt[moved] - 1
+        alive = alive[moved]
+    return total
+
+
+def decide_sequential(a: np.ndarray, x: np.ndarray, two: np.ndarray,
+                      seen: np.ndarray, mask: np.ndarray, want: np.ndarray,
+                      m: int) -> Decisions:
+    """``sim._decide`` with the rows its bounds leave open settled one by
+    one, in arrival order, by a Python loop; must give the same
+    ``Decisions`` (``mask`` holds each arrival's window bitmask). Pass
+    decisions of a block from its exact workload chain ``seen``.
+
+    Type-2 jobs start in arrival order, so the ones still waiting at a
+    type-1 arrival i are the newest of its window, and i passes
+    min(waiting, want) of them. A candidate j waits at t_i when
+    a_j + V_j > t_i, and has started when a_j + V_j plus the type-1 work of
+    the arrivals between j and i is <= t_i; both counts come from one
+    ``searchsorted`` each. A row whose two counts differ below its cap is
+    decided in arrival order by the Python loop, on a_j + V_j plus the work
+    of the arrivals between j and i that passed j. Every decision is a
+    guess that ``_fast_block`` checks."""
+    before = np.cumsum(two) - two       # type-2 jobs before each arrival
+    rows = np.flatnonzero(want)
+    first, newest = before[np.maximum(rows - m, 0)], before[rows]
+    keep = newest > first
+    rows, first, newest = rows[keep], first[keep], newest[keep]
+    t, cap = a[rows], want[rows]
+    j2 = np.flatnonzero(two)
+    lower = (a + seen)[j2]             # a_j + V_j, type-2 jobs in arrival order
+    type1_work = np.cumsum(np.where(two, 0.0, x))
+    sure = np.searchsorted(lower, t, side="right")
+    maybe = np.searchsorted(lower - type1_work[j2], t - type1_work[rows - 1],
+                            side="right")
+    passes = _capped(first, newest, sure, cap)
+    most = _capped(first, newest, maybe, cap)
+    loop = np.flatnonzero(passes != most)
+    if loop.size:
+        # the work of the bulk-decided passers of j among the arrivals
+        # between j and i: passed[i', s] = x[i'] when i' passed slot s,
+        # summed along diagonals from (i - k, 0) to (i - 1, k - 1), the
+        # entries of slot k's job
+        bulk = np.flatnonzero((passes > 0) & (passes == most))
+        oldest = rows[bulk] - 1 - j2[newest[bulk] - passes[bulk]]
+        passed = np.zeros((a.shape[0], m))
+        passed[rows[bulk]] = np.where(np.arange(m) <= oldest[:, None],
+                                      x[rows[bulk], None], 0.0)
+        for s in range(1, m):
+            passed[1:, s] += passed[:-1, s - 1]
+        at = rows[loop]
+        base = (a + seen)[np.maximum(at[:, None] - 1 - np.arange(m), 0)]
+        base[:, 1:] += passed[at - 1, :-1]
+        extra = {}  # work of the loop-decided passers of j so far
+        counts = []
+        for i, ti, most_i, xi, bits, est in zip(
+                at.tolist(), t[loop].tolist(), cap[loop].tolist(),
+                x[at].tolist(), mask[at].tolist(), base.tolist()):
+            got = []
+            while bits and len(got) < most_i:  # newest type-2 jobs first
+                low = bits & -bits
+                bits ^= low
+                j = i - low.bit_length()
+                if j < 0 or est[i - 1 - j] + extra.get(j, 0.0) <= ti:
+                    break  # started, and so have all older type-2 jobs
+                got.append(j)
+            for j in got:
+                extra[j] = extra.get(j, 0.0) + xi
+            counts.append(len(got))
+        passes[loop] = counts
+    return Decisions(rows, first, newest, passes, int(loop.size), 0)
 
 
 def simulate_queue_scan(config):
@@ -1115,8 +1241,8 @@ def simulate_queue_scan(config):
     types = np.where(g_type.random(n) < mix.p, 1, 2)
     service = np.empty(n)
     is1 = types == 1
-    service[is1] = sample_phase_type(mix.ph1, g_service, int(is1.sum()))
-    service[~is1] = sample_phase_type(mix.ph2, g_service, int((~is1).sum()))
+    service[is1] = sample_phase_type_gathered(mix.ph1, g_service, int(is1.sum()))
+    service[~is1] = sample_phase_type_gathered(mix.ph2, g_service, int((~is1).sum()))
 
     start = np.empty(n)
     workload_seen = np.empty(n)

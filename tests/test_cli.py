@@ -299,9 +299,12 @@ def test_simulate_at_one_lambda(tmp_path):
     record = manifest["sim"]
     assert set(record) == {"wall_s", "jobs_per_s", "warmup", "n_batches",
                            "busy_fraction", "blocks", "event_loop_blocks",
-                           "loop_arrivals"}
+                           "loop_arrivals", "decide_rounds"}
     assert 0 <= record["event_loop_blocks"] <= record["blocks"]
     assert 0 <= record["loop_arrivals"] <= 2000
+    # the fixed point runs, for a round or more, exactly when the bounds
+    # leave rows open
+    assert (record["decide_rounds"] == 0) == (record["loop_arrivals"] == 0)
     assert record["wall_s"] > 0
     assert record["jobs_per_s"] == pytest.approx(2000 / record["wall_s"])
     assert (record["warmup"], record["n_batches"]) == (200, 30)

@@ -1,16 +1,18 @@
 """Grid evaluation of ``MatrixExpDist`` by uniformization, checked against
 one dense ``scipy.linalg.expm`` per point (``oracles.dense_ccdf`` and
-``oracles.dense_density``)."""
+``oracles.dense_density``); densities by the same evaluation
+(``oracles.law_density``)."""
 
 import math
 from decimal import Decimal, localcontext
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from oracles import dense_ccdf, dense_density, sequential_ccdf
+from oracles import dense_ccdf, dense_density, law_density, sequential_ccdf
 
 from nudgem import fluid, phtype, resp2, swap
 from nudgem.asymptotics import decay_rate
@@ -46,7 +48,7 @@ def test_laws_match_dense_expm(name):
     for law_name, law in _laws(mix, 3).items():
         np.testing.assert_allclose(law.ccdf(grid), dense_ccdf(law, grid),
                                    rtol=LAW_RTOL, atol=0, err_msg=law_name)
-        np.testing.assert_allclose(law.density(grid), dense_density(law, grid),
+        np.testing.assert_allclose(law_density(law, grid), dense_density(law, grid),
                                    rtol=LAW_RTOL, atol=0, err_msg=law_name)
 
 
@@ -114,7 +116,7 @@ def test_block_edges_match_pointwise_and_dense_expm(monkeypatch, log2):
     for k, t in zip(ks, grid):
         plan = law.products(t)
         assert plan == (a - 1, log2 if k >= a else 0, k // a)
-    for evaluate, dense in ((law.ccdf, dense_ccdf), (law.density, dense_density)):
+    for evaluate, dense in ((law.ccdf, dense_ccdf), (partial(law_density, law), dense_density)):
         vals = evaluate(grid)
         assert np.array_equal(vals, [evaluate(t) for t in grid])
         np.testing.assert_allclose(vals, dense(law, grid), rtol=LAW_RTOL, atol=0)
@@ -133,7 +135,7 @@ def test_stiff_response_law_matches_dense_expm():
     rtol = max(LAW_RTOL, law.rate * grid[-1] * np.finfo(float).eps)
     np.testing.assert_allclose(law.ccdf(grid), dense_ccdf(law, grid),
                                rtol=rtol, atol=0)
-    np.testing.assert_allclose(law.density(grid), dense_density(law, grid),
+    np.testing.assert_allclose(law_density(law, grid), dense_density(law, grid),
                                rtol=rtol, atol=0)
 
 

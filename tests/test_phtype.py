@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import laplace
+from oracles import laplace, law_density
 
 from nudgem.phtype import (
     InvalidDistributionError,
@@ -56,7 +56,7 @@ def test_matrix_exp_dist_plus_closed_form():
     assert total.ccdf(grid) == pytest.approx(expect, abs=1e-14)
     assert isinstance(total.ccdf(1.5), float)
     assert total.ccdf(1.5) == pytest.approx(expect[2], abs=1e-14)
-    assert wait.density(grid) == pytest.approx(q * a * np.exp(-a * grid), abs=1e-14)
+    assert law_density(wait, grid) == pytest.approx(q * a * np.exp(-a * grid), abs=1e-14)
     with pytest.raises(ValueError):
         total.ccdf(-1.0)
     with pytest.raises(ValueError):

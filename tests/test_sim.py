@@ -2,9 +2,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import (random_family_member, simulate_queue_scan,
+from oracles import (batch_means_masked, decide_sequential,
+                     random_family_member, random_ph,
+                     sample_phase_type_gathered, simulate_queue_scan,
                      tail_prefactor_estimate)
 
 from nudgem import sim
@@ -12,10 +14,12 @@ from nudgem.cli import RECIPES
 from nudgem.phtype import (
     InstabilityError,
     JobMix,
+    PhaseType,
     fit_hyperexp,
     normalized_mix,
     ph_erlang,
     ph_exponential,
+    ph_hyperexp,
     two_class_exp_mix,
 )
 from nudgem.policy import (
@@ -59,6 +63,28 @@ def test_sample_phase_type_moments():
     x = sample_phase_type(ph, gen, 200_000)
     assert x.mean() == pytest.approx(1.5, abs=0.01)
     assert (x ** 2).mean() == pytest.approx(ph.moment(2), rel=0.02)
+
+
+def _law(name):
+    rng = np.random.default_rng(len(name))
+    if name == "random-zero-alpha":
+        return PhaseType([0.0, 0.7, 0.0, 0.3], random_ph(rng, 4).S)
+    return {"exp": ph_exponential(mean=2.0), "erlang3": ph_erlang(3, 1.5),
+            "hyperexp": ph_hyperexp(0.2, 0.25, 3.0),
+            "random": random_ph(rng, 5)}[name]
+
+
+@pytest.mark.parametrize("name", ["exp", "erlang3", "hyperexp", "random",
+                                  "random-zero-alpha"])
+def test_sampler_makes_the_gathered_samplers_draws(name):
+    # the same samples from the same draws, and the generator left where
+    # the per-sample gathering sampler leaves it
+    ph = _law(name)
+    for size in (0, 1, 5_000):
+        gen, ref = (np.random.Generator(np.random.Philox(size)) for _ in "ab")
+        assert np.array_equal(sample_phase_type(ph, gen, size),
+                              sample_phase_type_gathered(ph, ref, size))
+        assert gen.random() == ref.random()
 
 
 def test_determinism():
@@ -164,6 +190,23 @@ def test_tail_prefactor_fcfs():
     assert est == pytest.approx(info.c_z, abs=max(5 * err, 0.05))
 
 
+@pytest.mark.parametrize("p", [0.001, 2 / 3])
+def test_batch_means_equal_the_masked_batch_means(p):
+    # slices of one compaction per type, and counts for the ccdf's 0/1
+    # values, give the floats of masking each batch; at p = 0.001, 12
+    # of the 30 batches hold no type-1 job
+    stats = _run(nudge_m_policy(3), n=20_000, seed=5, mix=normalized_mix(
+        p, ph_exponential(mean=1.0), ph_exponential(mean=4.0), 0.9))
+    for jt in ("any", 1, 2):
+        sel = stats.job_type > 0 if jt == "any" else stats.job_type == jt
+        assert stats.mean_wait(jt) == batch_means_masked(stats.wait, sel)
+        assert stats.mean_response(jt) == batch_means_masked(stats.response,
+                                                             sel)
+        for t in (0.0, 2.0, 10.0):
+            assert empirical_ccdf(stats, jt, t) == batch_means_masked(
+                (stats.wait > t).astype(float), sel)
+
+
 def test_batch_means_need_two_batches_with_the_type():
     # seed 1 leaves one type-1 job after warm-up: a mean, but no standard error
     stats = _run(fcfs_policy(1), n=60, mix=normalized_mix(
@@ -266,6 +309,45 @@ def test_blocks_always_match_queue_scan(seed, m, lam, p, walk, n, block):
         mp.setattr(sim, "SIM_BLOCK", block)
         assert_same_run(SimConfig(mix=_mix("exp-hyperexp", lam, p),
                                   policy=policy, n_jobs=n, seed=seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 8),
+       lam=st.floats(0.05, 0.99), p=st.one_of(st.just(0.0), st.just(1.0),
+                                               st.floats(0.0, 1.0)),
+       kind=st.sampled_from(["exp-hyperexp", "erlang3-exp"]),
+       walk=st.one_of(st.none(), st.integers(0, 1000)),
+       block=st.integers(256, 2048))
+@example(seed=1, m=5, lam=0.75, p=2 / 3, kind="exp-hyperexp", walk=None,
+         block=1024)
+@example(seed=2, m=8, lam=0.6, p=2 / 3, kind="erlang3-exp", walk=None,
+         block=2048)
+def test_fixed_point_makes_the_sequential_decisions(seed, m, lam, p, kind,
+                                                    walk, block):
+    # every block's decisions, open rows included, are those of the loop
+    # that settled the open rows one by one in arrival order; walk None is
+    # Nudge-M, which passes every waiting type-2 job of the window. The
+    # loop's masks count the arrivals before the block as type 1: it stops
+    # at the oldest in-block type-2 job of a window either way. In each
+    # explicit example an open row's count rests on an earlier open row's
+    # passes, which one round of the fixed point misses
+    policy = (nudge_m_policy(m) if walk is None
+              else random_family_member(m, m + 2, random.Random(walk)))
+    decide = sim._decide
+
+    def both(a, x, two, seen, want, m):
+        dec = decide(a, x, two, seen, want, m)
+        ref = decide_sequential(a, x, two, seen,
+                                sim._masks(two, 0, two.shape[0], m), want, m)
+        for name in ("rows", "first", "newest", "passes", "n_loop"):
+            assert np.array_equal(getattr(dec, name), getattr(ref, name)), name
+        return dec
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "SIM_BLOCK", block)
+        mp.setattr(sim, "_decide", both)
+        simulate(SimConfig(mix=_mix(kind, lam, p), policy=policy,
+                           n_jobs=6_000, seed=seed))
 
 
 def test_failed_checks_send_every_block_to_the_event_loop(monkeypatch):
