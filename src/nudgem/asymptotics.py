@@ -17,7 +17,7 @@ import numpy as np
 
 from .phtype import InstabilityError, JobMix, reachable
 from .policy import PolicyFn, PolicyTables, all_strings, c2_pairs, \
-    valid_tables, windows
+    nudge_mkl, valid_tables, windows
 
 # Root cross-check tolerance for theta_Z.
 THETA_CROSSCHECK_TOL = 1e-10
@@ -310,14 +310,13 @@ def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
 def best_nudge_kl(info: DecayInfo, mix: JobMix) -> Tuple[int, int, float]:
     """Brute-force optimal (K, L) for Nudge-K,L over the admissible
     rectangle K, L <= M_opt (window K+L-1 capped by enumeration limits)."""
-    from .policy import nudge_kl_policy
     cap = max(1, m_opt(info))
     best = (1, 1, -math.inf)
     for k in range(1, cap + 1):
         for l in range(1, cap + 1):
             if k + l - 1 > FAMILY_M_CAP:
                 continue
-            a = family_prefactors(nudge_kl_policy(k, l), info, mix).atir
+            a = family_prefactors(nudge_mkl(k + l - 1, k, l), info, mix).atir
             if a > best[2]:
                 best = (k, l, a)
     return best

@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from typing import Dict, List, Optional
@@ -20,8 +21,9 @@ from . import __version__
 from .phtype import (InvalidDistributionError, JobMix, fit_hyperexp,
                      load_mix, normalized_mix, ph_exponential,
                      two_class_exp_mix)
-from .policy import (POLICY_BUILDERS, PolicyError, PolicyFn, named_policy,
-                     policy_from_table_file, policy_key)
+from .policy import (NAMED_POLICIES, PolicyError, PolicyFn, member_windows,
+                     named_policy, named_triple, policy_from_table_file,
+                     policy_key)
 from . import asymptotics, fluid, resp2, sim, swap
 from .asymptotics import ComplexityError, UnsupportedSpectrumError, decay_rate
 from .fluid import NUDGE_M_CAP, RiccatiError, StationarySolveError
@@ -100,14 +102,16 @@ def resolve_mix(args, sweep: bool = False) -> JobMix:
 
 
 def resolve_policy(args, default_m: Optional[int] = None) -> PolicyFn:
-    """A registered policy name (see ``policy.POLICY_BUILDERS``), else a
+    """A registered policy name (see ``policy.NAMED_POLICIES``), else a
     policy table file."""
     spec = args.policy or "nudge-m"
-    if policy_key(spec) not in POLICY_BUILDERS:
+    if policy_key(spec) not in NAMED_POLICIES:
+        if not os.path.isfile(spec):
+            raise PolicyError(f"--policy {spec!r} is neither a registered name "
+                              f"({', '.join(NAMED_POLICIES)}) nor a table file")
         return policy_from_table_file(spec)
-    params = {"m": args.m if args.m is not None else default_m,
-              "k": args.k, "l": args.l}
-    return named_policy(spec, **{k: v for k, v in params.items() if v is not None})
+    return named_policy(spec, m=args.m if args.m is not None else default_m,
+                        k=args.k, l=args.l)
 
 
 def write_csv(path: str, header: List[str], rows: List[list],
@@ -172,7 +176,7 @@ def cmd_atir(args) -> int:
     key = policy_key(args.policy or "nudge-m")
     use_family = key != "nudge-m"
     if use_family:
-        header.append("atir_" + (key if key in POLICY_BUILDERS else "table"))
+        header.append("atir_" + (key if key in NAMED_POLICIES else "table"))
     family = _family_atir(args, info, mix, m_max) if use_family else {}
     rows = []
     for m in range(m_max + 1):
@@ -188,27 +192,19 @@ def cmd_atir(args) -> int:
 def _family_atir(args, info, mix, m_max: int) -> Dict[int, float]:
     """ATIR of the named policy's member of each window 1..m_max that has
     one, keyed by window. Windows above ``asymptotics.FAMILY_M_CAP`` have
-    none, and no table is built for them. A parameter that is missing, or
-    a K or L above m_max, is an input error."""
+    none, and no table is built for them. A parameter that the member of
+    window m_max refuses, or that is missing, is an input error."""
     top = min(m_max, asymptotics.FAMILY_M_CAP)
-    # the least window of Nudge-K,M is K and that of Nudge-M,L is L
-    least = {"nudge-km": args.k, "nudge-ml": args.l}.get(policy_key(args.policy))
-    if least is not None and top < least <= m_max:
-        return {}  # every member is above the cap
-    members = {}
-    for m in range(top, 0, -1):
-        ns = argparse.Namespace(policy=args.policy, m=m, k=args.k, l=args.l)
-        try:
-            pol = resolve_policy(ns)
-        except PolicyError:
-            if m == top:
-                raise
-            break  # K > M or L > M, and so for every smaller M
-        members.setdefault(pol.m, pol)
-        if pol.m != m:  # the window is fixed by --k/--l or the table file
-            break
-    return {w: asymptotics.family_prefactors(pol, info, mix).atir
-            for w, pol in members.items() if w <= top}
+    specs = [args]  # a table file fixes its own window
+    if policy_key(args.policy) in NAMED_POLICIES:
+        params = {"k": args.k, "l": args.l}
+        if top >= 1:  # with no window asked for, no parameter is read
+            named_triple(args.policy, m=m_max, **params)
+        specs = [argparse.Namespace(policy=args.policy, m=w, **params)
+                 for w in member_windows(args.policy, top, **params)]
+    members = [resolve_policy(ns) for ns in specs]
+    return {pol.m: asymptotics.family_prefactors(pol, info, mix).atir
+            for pol in members if pol.m <= top}
 
 
 def _fluid_record(sol: fluid.FluidSolution, lam: float) -> dict:
@@ -355,14 +351,13 @@ def _check_identities() -> List[tuple]:
     checks = []
     mix = _mix_exp_exp()
     info = decay_rate(mix)
-    from .policy import fcfs_policy, nudge_m_policy
     for m in (1, 2, 3, asymptotics.FAMILY_M_CAP):
-        rep = asymptotics.family_prefactors(nudge_m_policy(m), info, mix)
+        rep = asymptotics.family_prefactors(named_policy("nudge-m", m=m), info, mix)
         cw1, cw2 = asymptotics.prefactors_nudge_m(info, m)
         ok = abs(rep.c_w1 - cw1) < 1e-10 and abs(rep.c_w2 - cw2) < 1e-10
         checks.append((f"family-prefactors-m{m}", ok))
     m = asymptotics.FAMILY_M_CAP
-    rep = asymptotics.family_prefactors(fcfs_policy(m), info, mix)
+    rep = asymptotics.family_prefactors(named_policy("fcfs", m=m), info, mix)
     ok = abs(rep.c_w1 - info.c_z) < 1e-10 and abs(rep.c_w2 - info.c_z) < 1e-10
     checks.append((f"family-prefactors-fcfs-m{m}", ok))
     # the optimality theorem: Nudge-min(M, M_opt) is among the best tables
@@ -420,9 +415,8 @@ def _check_identities() -> List[tuple]:
 
 
 def _check_simulation() -> List[tuple]:
-    from .policy import nudge_m_policy
     mix = _mix_exp_exp()
-    cfg = sim.SimConfig(mix=mix, policy=nudge_m_policy(5), n_jobs=400_000,
+    cfg = sim.SimConfig(mix=mix, policy=named_policy("nudge-m", m=5), n_jobs=400_000,
                         seed=20240717)
     stats = sim.simulate(cfg)
     rep = swap.mean_response(mix, 5)
@@ -456,8 +450,10 @@ def cmd_verify(args) -> int:
 FLAGS: Dict[str, dict] = {
     "mix": {"help": "job-mix JSON file"},
     "recipe": {"choices": sorted(RECIPES), "help": "named parameter set"},
-    "policy": {"help": f"{', '.join(POLICY_BUILDERS)} (comma forms such as "
-                       "nudge-k,m also work), or a table file"},
+    "policy": {"help": "a Nudge-(M, K, L) by name: fcfs (m or 1, 0, m), "
+                       "nudge-m (m, m, m), nudge-k (k, k, 1), nudge-l (l, 1, l), "
+                       "nudge-km (m, k, m), nudge-ml (m, m, l), nudge-kl (k+l-1, "
+                       "k, l), also in comma forms such as nudge-k,m; or a table file"},
     "m": {"type": int},
     "k": {"type": int},
     "l": {"type": int},

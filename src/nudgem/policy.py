@@ -6,8 +6,8 @@ A policy is a table n: {1,2}^M -> {0..M} satisfying
 with strings read newest arrival first. A string is also a bitmask: bit i
 is set when position i (0-based) holds a type-2 job. A table is stored and
 checked as an integer array indexed by bitmask (``PolicyFn.by_mask``), and
-the named members are computed on the window bit matrix
-(``windows``), not string by string.
+every named member is one Nudge-(M, K, L) (``nudge_mkl``), computed on the
+window bit matrix (``windows``), not string by string.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Mapping, NamedTuple, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
 String = Tuple[int, ...]
+Triple = Tuple[int, int, int]  # (M, K, L) of a Nudge-(M, K, L)
 
 
 def all_strings(m: int) -> Iterator[String]:
@@ -137,70 +138,39 @@ class PolicyFn:
                 and np.array_equal(self.by_mask, other.by_mask))
 
 
-def _twos_before_lth_one(m: int, l: int) -> np.ndarray:
-    """The number of twos in s that have fewer than l ones before them, by
-    bitmask."""
+def nudge_mkl(m: int, k: int, l: int) -> PolicyFn:
+    """Nudge-(M, K, L), the one builder of the named tables: within the last
+    m arrivals a type-1 job passes at most k type-2 jobs, and a type-2 job
+    is passed at most l times, so n(s) = min(k, the twos in s that have
+    fewer than l ones before them). Every 0 <= k <= m, 1 <= l <= m gives a
+    table of F_m; a k or l above m acts as m."""
+    return PolicyFn(m, np.minimum(_twos_before(m, l), k))
+
+
+@functools.lru_cache(maxsize=None)
+def _twos_before(m: int, l: int) -> np.ndarray:
+    """By bitmask: the twos that have fewer than l ones before them."""
     w = windows(m)
-    return np.sum(w.bits & (w.ones_before < l), axis=1)
+    out = (w.bits & (w.ones_before < l)).sum(axis=1)
+    out.flags.writeable = False  # shared between calls
+    return out
 
 
-def fcfs_policy(m: int = 1) -> PolicyFn:
-    """n = 0: never pass anyone."""
-    return PolicyFn(m, np.zeros_like(windows(m).twos))
+def _admissible(m: int, k: int, l: int) -> bool:
+    return 0 <= k <= m and 1 <= l <= m
 
 
-def nudge_m_policy(m: int) -> PolicyFn:
-    """Pass every type-2 job among the last m arrivals: n(s) = t(s)."""
-    return PolicyFn(m, windows(m).twos)
-
-
-def nudge_k_policy(k: int) -> PolicyFn:
-    """Pass the leading run of twos: a type-2 job is passed at most once.
-    The run is the twos with no one before them."""
-    return PolicyFn(k, _twos_before_lth_one(k, 1))
-
-
-def nudge_l_policy(l: int) -> PolicyFn:
-    """Pass at most one type-2 job: n(s) = min(t(s), 1)."""
-    return PolicyFn(l, np.minimum(windows(l).twos, 1))
-
-
-def nudge_km_policy(k: int, m: int) -> PolicyFn:
-    """Nudge-M capped at k passes per type-1 job: n(s) = min(t(s), k)."""
-    if not (1 <= k <= m):
-        raise PolicyError("Nudge-K,M requires 1 <= K <= M")
-    return PolicyFn(m, np.minimum(windows(m).twos, k))
-
-
-def nudge_ml_policy(m: int, l: int) -> PolicyFn:
-    """Nudge-M where a type-2 job is passed at most l times: n(s) counts the
-    twos before the l-th one in s."""
-    if not (1 <= l <= m):
-        raise PolicyError("Nudge-M,L requires 1 <= L <= M")
-    return PolicyFn(m, _twos_before_lth_one(m, l))
-
-
-def nudge_kl_policy(k: int, l: int) -> PolicyFn:
-    """At most k passes per type-1 job and at most l times passed per type-2
-    job; window K+L-1. Count left to right, stopping at the k-th two or the
-    l-th one; n(s) is the number of twos counted: the twos before the l-th
-    one, at most k of them."""
-    if k < 1 or l < 1:
-        raise PolicyError("Nudge-K,L requires K, L >= 1")
-    m = k + l - 1
-    return PolicyFn(m, np.minimum(_twos_before_lth_one(m, l), k))
-
-
-# Named family members: registry key -> builder over the parameters
-# (m, k, l). The one list of policy names, shared with the CLI.
-POLICY_BUILDERS: Dict[str, Callable[[dict], PolicyFn]] = {
-    "fcfs": lambda p: fcfs_policy(p.get("m", 1)),
-    "nudge-m": lambda p: nudge_m_policy(p["m"]),
-    "nudge-k": lambda p: nudge_k_policy(p["k"]),
-    "nudge-l": lambda p: nudge_l_policy(p["l"]),
-    "nudge-km": lambda p: nudge_km_policy(p["k"], p["m"]),
-    "nudge-ml": lambda p: nudge_ml_policy(p["m"], p["l"]),
-    "nudge-kl": lambda p: nudge_kl_policy(p["k"], p["l"]),
+# Named family members: registry key -> its (M, K, L) from the parameters
+# m, k, l that the lambda names; a name reads no others. The one list of
+# policy names, shared with the CLI.
+NAMED_POLICIES: Dict[str, Callable[..., Triple]] = {
+    "fcfs": lambda m=1: (m, 0, m),
+    "nudge-m": lambda m: (m, m, m),
+    "nudge-k": lambda k: (k, k, 1),
+    "nudge-l": lambda l: (l, 1, l),
+    "nudge-km": lambda m, k: (m, k, m),
+    "nudge-ml": lambda m, l: (m, m, l),
+    "nudge-kl": lambda k, l: (k + l - 1, k, l),
 }
 
 
@@ -210,16 +180,43 @@ def policy_key(kind: str) -> str:
     return kind.lower().replace("_", "-").replace(",", "")
 
 
-def named_policy(kind: str, **params) -> PolicyFn:
-    """Build one of the named family members (see ``POLICY_BUILDERS``)
-    with the matching integer parameters (m, k, l)."""
-    builder = POLICY_BUILDERS.get(policy_key(kind))
-    if builder is None:
-        raise PolicyError(f"unknown policy kind {kind!r}")
+def _apply(kind: str, params: dict) -> Tuple[Triple, dict]:
+    """A name's (M, K, L), unchecked, and the parameters its rule reads."""
+    rule = NAMED_POLICIES.get(policy_key(kind))
+    if rule is None:
+        raise PolicyError(f"unknown policy {kind!r}; the registered names are "
+                          f"{', '.join(NAMED_POLICIES)}")
+    reads = rule.__code__.co_varnames  # the lambda's parameter names
+    given = {p: params[p] for p in reads if params.get(p) is not None}
     try:
-        return builder(params)
-    except KeyError as exc:
-        raise PolicyError(f"policy {kind!r} needs parameter {exc}") from exc
+        return rule(**given), given
+    except TypeError as exc:  # a parameter that the rule reads is not given
+        raise PolicyError(f"policy {kind!r}: {exc}") from None
+
+
+def named_triple(kind: str, **params) -> Triple:
+    """(M, K, L) of a named member for the integer parameters (m, k, l):
+    None and those that its rule does not read are ignored. Each one read
+    must be at least 1, and 0 <= K <= M, 1 <= L <= M."""
+    (m, k, l), given = _apply(kind, params)
+    if min(given.values(), default=1) < 1 or not _admissible(m, k, l):
+        raise PolicyError(f"policy {kind!r} refuses {given}: its window m must be "
+                          ">= 1, the parameters it reads too, and 0 <= K <= M, "
+                          f"1 <= L <= M; (M, K, L) = {(m, k, l)}")
+    return m, k, l
+
+
+def named_policy(kind: str, **params) -> PolicyFn:
+    """The table of ``named_triple(kind, **params)``."""
+    return nudge_mkl(*named_triple(kind, **params))
+
+
+def member_windows(kind: str, top: int, **params) -> List[int]:
+    """The windows top..1 at which a name has a member for the parameters
+    k and l: those w whose triple for m = w has window w and is
+    admissible. No table is built."""
+    triples = ((w, _apply(kind, dict(params, m=w))[0]) for w in range(top, 0, -1))
+    return [w for w, t in triples if t[0] == w and _admissible(*t)]
 
 
 class PolicyTables(NamedTuple):
@@ -250,7 +247,7 @@ def valid_tables(m: int) -> PolicyTables:
 
 def policy_from_table_file(path) -> PolicyFn:
     """Read a policy table: one line per string (a word of 1s and 2s) and
-    its n value, whitespace separated."""
+    its n value, whitespace separated; a word may appear once."""
     table = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -258,7 +255,10 @@ def policy_from_table_file(path) -> PolicyFn:
             if not line or line.startswith("#"):
                 continue
             word, value = line.split()
-            table[tuple(int(c) for c in word)] = int(value)
+            s = tuple(int(c) for c in word)
+            if s in table:
+                raise PolicyError(f"word {word} appears twice in the policy table file")
+            table[s] = int(value)
     if not table:
         raise PolicyError("empty policy table file")
     m = len(next(iter(table)))

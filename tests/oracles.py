@@ -69,8 +69,7 @@ from nudgem.fluid import (NUDGE_M_CAP, RICCATI_MAX_ITER, RICCATI_RESIDUAL_TOL,
                           _inv_m_matrix, build_nudge_m_fluid, stationary_fluid)
 from nudgem.phtype import (JobMix, MatrixExpDist, PhaseType, kron_sum,
                            poisson_terms, poisson_weights)
-from nudgem.policy import (PolicyError, PolicyFn, all_strings, fcfs_policy,
-                           nudge_km_policy, nudge_ml_policy)
+from nudgem.policy import PolicyError, PolicyFn, all_strings, named_policy
 from nudgem.resp2 import (W2Model, _state_index, build_w2_model, chain_size,
                           counting_matrix)
 from nudgem.sim import (N_BATCHES, Decisions, EstimationError, SimStats,
@@ -934,7 +933,7 @@ def nudge_prefix_strings(m: int, cap: int) -> np.ndarray:
     return _make(m, lambda s: count_twos(s[:cap]))
 
 
-# registry key of ``policy.POLICY_BUILDERS`` -> its string definition
+# registry key of ``policy.NAMED_POLICIES`` -> its string definition
 STRING_BUILDERS = {
     "fcfs": lambda p: fcfs_strings(p.get("m", 1)),
     "nudge-m": lambda p: nudge_m_strings(p["m"]),
@@ -1062,8 +1061,8 @@ def compare_km_ml(i: int, m: int, info, mix) -> KmMlComparison:
         raise ValueError("requires 1 <= i < M")
     if m > m_opt(info):
         raise ValueError("requires M <= M_opt")
-    a_km = family_prefactors(nudge_km_policy(i, m), info, mix).atir
-    a_ml = family_prefactors(nudge_ml_policy(m, i), info, mix).atir
+    a_km = family_prefactors(named_policy("nudge-km", k=i, m=m), info, mix).atir
+    a_ml = family_prefactors(named_policy("nudge-ml", m=m, l=i), info, mix).atir
     diff = a_km - a_ml
     sign = 0 if abs(diff) < 1e-14 else (1 if diff > 0 else -1)
     predicate = info.s1_tilde > (1.0 - mix.p) / mix.p
@@ -1085,7 +1084,7 @@ def random_family_member(m, steps, rng):
     """A random valid table of F_m: a walk of at most ``steps`` single
     increments (``increment_edges``) from FCFS, each edge picked by
     ``rng.randrange``."""
-    pol = fcfs_policy(m)
+    pol = named_policy("fcfs", m=m)
     for _ in range(steps):
         edges = list(increment_edges(pol))
         if not edges:

@@ -22,7 +22,7 @@ from nudgem.asymptotics import (
     verify_optimality,
 )
 from nudgem.phtype import fit_hyperexp, normalized_mix, ph_exponential, two_class_exp_mix
-from nudgem.policy import fcfs_policy, nudge_m_policy
+from nudgem.policy import named_policy
 from nudgem.sim import SimConfig, empirical_ccdf, simulate
 from oracles import (WALD_W1_TOL, WALD_W2_TOL, build_nudge1_fluid, compare_km_ml,
                      swap_pmf, wald_mean_gaps)
@@ -52,7 +52,7 @@ def test_optimal_window_exp_hyperexp():
 def test_family_prefactors_equal_closed_forms():
     info = decay_rate(MIX_A)
     for m in (1, 2, 3, 4):
-        rep = family_prefactors(nudge_m_policy(m), info, MIX_A)
+        rep = family_prefactors(named_policy("nudge-m", m=m), info, MIX_A)
         cw1, cw2 = prefactors_nudge_m(info, m)
         assert abs(rep.c_w1 - cw1) < 1e-10
         assert abs(rep.c_w2 - cw2) < 1e-10
@@ -126,9 +126,9 @@ T_POINTS = (1.0, 3.0, 8.0, 15.0)
 @pytest.fixture(scope="module")
 def sim_runs():
     runs = {}
-    for name, policy, seed in (("fcfs", fcfs_policy(1), 1001),
-                               ("nudge1", nudge_m_policy(1), 1002),
-                               ("nudge5", nudge_m_policy(5), 1003)):
+    for name, policy, seed in (("fcfs", named_policy("fcfs", m=1), 1001),
+                               ("nudge1", named_policy("nudge-m", m=1), 1002),
+                               ("nudge5", named_policy("nudge-m", m=5), 1003)):
         runs[name] = simulate(SimConfig(mix=MIX_A, policy=policy,
                                         n_jobs=N_JOBS, seed=seed))
     return runs

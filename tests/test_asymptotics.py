@@ -36,10 +36,7 @@ from nudgem.phtype import (
 )
 from nudgem.policy import (
     PolicyTables,
-    fcfs_policy,
     named_policy,
-    nudge_k_policy,
-    nudge_m_policy,
     valid_tables,
 )
 
@@ -128,7 +125,7 @@ def test_prefactor_recursion():
 
 def test_family_prefactors_fcfs_is_identity():
     info = decay_rate(MIX)
-    rep = family_prefactors(fcfs_policy(2), info, MIX)
+    rep = family_prefactors(named_policy("fcfs", m=2), info, MIX)
     assert rep.c_w1 == pytest.approx(info.c_z, rel=1e-12)
     assert rep.c_w2 == pytest.approx(info.c_z, rel=1e-12)
     assert rep.atir == pytest.approx(0.0, abs=1e-12)
@@ -137,7 +134,7 @@ def test_family_prefactors_fcfs_is_identity():
 def test_family_prefactors_match_closed_forms():
     info = decay_rate(MIX)
     for m in range(1, 5):
-        rep = family_prefactors(nudge_m_policy(m), info, MIX)
+        rep = family_prefactors(named_policy("nudge-m", m=m), info, MIX)
         cw1, cw2 = prefactors_nudge_m(info, m)
         assert rep.c_w1 == pytest.approx(cw1, abs=1e-10)
         assert rep.c_w2 == pytest.approx(cw2, abs=1e-10)
@@ -204,14 +201,14 @@ def test_family_prefactors_batch_equals_single(name):
 def test_family_prefactors_cap():
     info = decay_rate(MIX)
     with pytest.raises(ComplexityError):
-        family_prefactors(nudge_m_policy(7), info, MIX)
+        family_prefactors(named_policy("nudge-m", m=7), info, MIX)
 
 
 def test_nudge_k_atir_below_nudge_m():
     info = decay_rate(MIX)
     for m in (2, 3):
-        a_k = family_prefactors(nudge_k_policy(m), info, MIX).atir
-        a_m = family_prefactors(nudge_m_policy(m), info, MIX).atir
+        a_k = family_prefactors(named_policy("nudge-k", k=m), info, MIX).atir
+        a_m = family_prefactors(named_policy("nudge-m", m=m), info, MIX).atir
         assert a_k <= a_m + 1e-12
 
 
@@ -337,9 +334,8 @@ def test_best_nudge_kl_beats_plain_caps():
     k, l, atir = best_nudge_kl(info, MIX)
     assert 1 <= k <= m_opt(info) and 1 <= l <= m_opt(info)
     assert k + l - 1 <= FAMILY_M_CAP
-    from nudgem.policy import nudge_kl_policy
     assert atir == pytest.approx(
-        family_prefactors(nudge_kl_policy(k, l), info, MIX).atir)
+        family_prefactors(named_policy("nudge-kl", k=k, l=l), info, MIX).atir)
 
 
 def test_atir_prefactor_consistency():

@@ -186,6 +186,26 @@ def test_atir_family_parameter_errors(flags):
     assert main(["atir", "--recipe", "fig5b", "--m", "4", *flags]) == 2
 
 
+@pytest.mark.parametrize("command, m", [("atir", "2"), ("atir", "0"),
+                                        ("simulate", "2")])
+def test_unknown_policy_name_is_input_error(command, m, capsys):
+    # neither a registered name nor a file: the error lists the names, also
+    # where atir asks for no window of the family column
+    assert main([command, "--recipe", "fig5a", "--policy", "nudge-q",
+                 "--m", m]) == 2
+    err = capsys.readouterr().err
+    assert "'nudge-q' is neither a registered name (fcfs, nudge-m, " in err
+    assert "No such file" not in err
+
+
+def test_table_file_with_repeated_word_is_input_error(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    table.write_text("11 0\n12 0\n21 1\n22 2\n22 1\n")
+    assert main(["atir", "--recipe", "fig5b", "--policy", str(table),
+                 "--m", "2"]) == 2
+    assert "word 22 appears twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spelling", ["NUDGE-M", "nudge_m"])
 def test_atir_nudge_m_spellings_take_closed_form(tmp_path, spelling):
     # any registry spelling of nudge-m is the closed form, which has no

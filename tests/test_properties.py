@@ -22,10 +22,7 @@ from nudgem.policy import (
     PolicyError,
     PolicyFn,
     all_strings,
-    fcfs_policy,
-    nudge_kl_policy,
-    nudge_km_policy,
-    nudge_ml_policy,
+    named_policy,
 )
 
 
@@ -42,16 +39,16 @@ def test_fit_hyperexp_always_round_trips(mean, scv, f):
 @given(st.integers(1, 4), st.integers(1, 4))
 def test_capped_policies_always_in_family(a, b):
     # construction itself validates (C1)/(C2); re-wrap to re-check
-    for pol in (nudge_km_policy(min(a, b), max(a, b)),
-                nudge_ml_policy(max(a, b), min(a, b)),
-                nudge_kl_policy(a, b)):
+    for pol in (named_policy("nudge-km", k=min(a, b), m=max(a, b)),
+                named_policy("nudge-ml", m=max(a, b), l=min(a, b)),
+                named_policy("nudge-kl", k=a, l=b)):
         PolicyFn(pol.m, pol.table)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4))
 def test_pass_counts_never_exceed_twos(a, b):
-    pol = nudge_kl_policy(a, b)
+    pol = named_policy("nudge-kl", k=a, l=b)
     for s in all_strings(pol.m):
         assert 0 <= pol(s) <= min(a, count_twos(s))
 
@@ -108,7 +105,7 @@ def test_fcfs_family_prefactors_are_the_workload(p, lam):
     mix = _exp_hyperexp_mix(p, lam)
     info = decay_rate(mix)
     for m in range(1, FAMILY_M_CAP + 1):
-        rep = family_prefactors(fcfs_policy(m), info, mix)
+        rep = family_prefactors(named_policy("fcfs", m=m), info, mix)
         assert rep.c_w1 == pytest.approx(info.c_z, rel=1e-12, abs=0)
         assert rep.c_w2 == pytest.approx(info.c_z, rel=1e-12, abs=0)
         assert rep.atir == pytest.approx(0.0, abs=1e-12)
@@ -163,27 +160,19 @@ def _gather_bound(a, x):
     return max(a.shape[-1], 1) * np.finfo(float).eps * (np.abs(a) @ np.abs(x))
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_sparse_rows_equal_dense(data):
-    # SparseRows against the dense matrix it stands for, on a random
-    # pattern built from entries that may repeat (summed) or be zero
-    # (dropped): densify, transpose, sub-blocks, row sums, the diagonal,
-    # both products and the nonzero fraction that bench/spans.py reads
-    n_rows, n_cols = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
-    n_entries = data.draw(st.integers(0, 40))
-    rows = np.array(data.draw(st.lists(st.integers(0, n_rows - 1),
-                                       min_size=n_entries, max_size=n_entries)),
-                    dtype=np.intp)
-    cols = np.array(data.draw(st.lists(st.integers(0, n_cols - 1),
-                                       min_size=n_entries, max_size=n_entries)),
-                    dtype=np.intp)
-    vals = np.array(data.draw(st.lists(
-        st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3, allow_subnormal=False),
-        min_size=n_entries, max_size=n_entries)), dtype=float)
-    dense = np.zeros((n_rows, n_cols))
+def _check_sparse_rows(rows, cols, vals, shape, sub_rows, sub_cols, seed):
+    """SparseRows against the dense matrix it stands for, built from COO
+    entries that may repeat (summed) or be zero (dropped): densify,
+    transpose, sub-blocks, row sums, the diagonal, both products and the
+    nonzero fraction that bench/spans.py reads."""
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    vals = np.array(vals, dtype=float)
+    sub_rows = np.array(sub_rows, dtype=np.intp)
+    sub_cols = np.array(sub_cols, dtype=np.intp)
+    n_rows, n_cols = shape
+    dense = np.zeros(shape)
     np.add.at(dense, (rows, cols), vals)
-    a = SparseRows.from_coo(rows, cols, vals, (n_rows, n_cols))
+    a = SparseRows.from_coo(rows, cols, vals, shape)
     assert np.array_equal(np.asarray(a), dense)
     assert a.shape == dense.shape and a.size == dense.size
     assert np.count_nonzero(a) / a.size == np.count_nonzero(dense) / dense.size
@@ -194,20 +183,48 @@ def test_sparse_rows_equal_dense(data):
                   <= _gather_bound(dense, np.ones(n_cols)))
     r, c, v = a.coo()
     assert np.array_equal(np.asarray(SparseRows.from_coo(r, c, v, a.shape)), dense)
-    sub_rows = np.array(data.draw(st.permutations(range(n_rows)))[
-        :data.draw(st.integers(0, n_rows))], dtype=np.intp)
-    sub_cols = np.array(data.draw(st.permutations(range(n_cols)))[
-        :data.draw(st.integers(0, n_cols))], dtype=np.intp)
     want = dense[np.ix_(sub_rows, sub_cols)]
     assert np.array_equal(a.dense(sub_rows, sub_cols), want)
     assert np.array_equal(np.asarray(a.take(sub_rows, sub_cols)), want)
     assert np.array_equal(a.dense(sub_rows), dense[sub_rows])
     assert np.array_equal(np.asarray(a.take(cols=sub_cols)), dense[:, sub_cols])
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rng = np.random.default_rng(seed)
     for x in (rng.normal(size=n_cols), rng.normal(size=(n_cols, 3))):
         assert np.all(np.abs(a @ x - dense @ x) <= _gather_bound(dense, x))
     for x in (rng.normal(size=n_rows), rng.normal(size=(2, n_rows))):
         assert np.all(np.abs(x @ a - x @ dense) <= _gather_bound(x, dense))
+
+
+@pytest.mark.parametrize("rows, cols, vals, shape, sub_rows, sub_cols", [
+    ([0, 0, 1], [0, 1, 0], [1.0, -2.5, 3.0], (2, 3), [1, 0], [2, 0]),
+    ([0, 1, 1, 2, 2, 2], [2, 0, 0, 1, 1, 0], [2.0, 1.0, 1.0, 0.0, -2.5, 4.0],
+     (3, 3), [2], [0, 2, 1]),
+], ids=["wide-two-in-a-row", "square-repeats-and-zero"])
+def test_sparse_rows_equal_dense_cases(rows, cols, vals, shape, sub_rows, sub_cols):
+    # fixed cases of the property below: a row with two stored nonzeros,
+    # entries off the diagonal, a non-square shape and a repeated entry
+    _check_sparse_rows(rows, cols, vals, shape, sub_rows, sub_cols, seed=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sparse_rows_equal_dense(data):
+    # _check_sparse_rows on a random pattern of up to 40 entries
+    n_rows, n_cols = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    n_entries = data.draw(st.integers(0, 40))
+    rows = data.draw(st.lists(st.integers(0, n_rows - 1),
+                              min_size=n_entries, max_size=n_entries))
+    cols = data.draw(st.lists(st.integers(0, n_cols - 1),
+                              min_size=n_entries, max_size=n_entries))
+    vals = data.draw(st.lists(
+        st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3, allow_subnormal=False),
+        min_size=n_entries, max_size=n_entries))
+    sub_rows = data.draw(st.permutations(range(n_rows)))[
+        :data.draw(st.integers(0, n_rows))]
+    sub_cols = data.draw(st.permutations(range(n_cols)))[
+        :data.draw(st.integers(0, n_cols))]
+    _check_sparse_rows(rows, cols, vals, (n_rows, n_cols), sub_rows, sub_cols,
+                       seed=data.draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -22,14 +22,7 @@ from nudgem.phtype import (
     ph_hyperexp,
     two_class_exp_mix,
 )
-from nudgem.policy import (
-    fcfs_policy,
-    named_policy,
-    nudge_k_policy,
-    nudge_km_policy,
-    nudge_m_policy,
-    policy_from_table_file,
-)
+from nudgem.policy import named_policy, policy_from_table_file
 from nudgem.sim import (
     EstimationError,
     SimConfig,
@@ -47,11 +40,11 @@ def _run(policy, n=60_000, seed=1, mix=MIX):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SimConfig(mix=MIX, policy=fcfs_policy(1), n_jobs=10, warmup=10, seed=1)
+        SimConfig(mix=MIX, policy=named_policy("fcfs", m=1), n_jobs=10, warmup=10, seed=1)
     # every batch needs a job after warm-up
     with pytest.raises(ValueError, match="20 jobs leave 18"):
-        SimConfig(mix=MIX, policy=fcfs_policy(1), n_jobs=20, seed=1)
-    SimConfig(mix=MIX, policy=fcfs_policy(1), n_jobs=33, seed=1)
+        SimConfig(mix=MIX, policy=named_policy("fcfs", m=1), n_jobs=20, seed=1)
+    SimConfig(mix=MIX, policy=named_policy("fcfs", m=1), n_jobs=33, seed=1)
     # an unstable arrival rate is rejected before any simulation is possible
     with pytest.raises(InstabilityError):
         MIX.with_lambda(1.2)
@@ -88,16 +81,16 @@ def test_sampler_makes_the_gathered_samplers_draws(name):
 
 
 def test_determinism():
-    a = _run(nudge_m_policy(3), n=20_000, seed=99)
-    b = _run(nudge_m_policy(3), n=20_000, seed=99)
+    a = _run(named_policy("nudge-m", m=3), n=20_000, seed=99)
+    b = _run(named_policy("nudge-m", m=3), n=20_000, seed=99)
     assert np.array_equal(a.wait, b.wait)
     assert np.array_equal(a.passes_hist, b.passes_hist)
-    c = _run(nudge_m_policy(3), n=20_000, seed=100)
+    c = _run(named_policy("nudge-m", m=3), n=20_000, seed=100)
     assert not np.array_equal(a.wait, c.wait)
 
 
 def test_fcfs_matches_pollaczek_khinchine():
-    stats = _run(fcfs_policy(1), n=200_000)
+    stats = _run(named_policy("fcfs", m=1), n=200_000)
     pk = MIX.lam * MIX.second_moment() / (2.0 * (1.0 - MIX.lam))
     for jt in ("any", 1, 2):
         mean, se = stats.mean_wait(jt)
@@ -106,23 +99,23 @@ def test_fcfs_matches_pollaczek_khinchine():
 
 def test_no_type1_jobs_reduces_to_fcfs():
     mix = JobMix(0.0, ph_exponential(mean=1.0), ph_exponential(mean=1.0), 0.6)
-    a = simulate(SimConfig(mix=mix, policy=nudge_m_policy(4), n_jobs=15_000,
+    a = simulate(SimConfig(mix=mix, policy=named_policy("nudge-m", m=4), n_jobs=15_000,
                            seed=5))
-    b = simulate(SimConfig(mix=mix, policy=fcfs_policy(4), n_jobs=15_000,
+    b = simulate(SimConfig(mix=mix, policy=named_policy("fcfs", m=4), n_jobs=15_000,
                            seed=5))
     assert np.array_equal(a.wait, b.wait)
     assert a.passed_hist[1:].sum() == 0
 
 
 def test_busy_fraction_near_load():
-    stats = _run(nudge_m_policy(2), n=150_000)
+    stats = _run(named_policy("nudge-m", m=2), n=150_000)
     assert stats.busy_fraction == pytest.approx(MIX.lam, abs=0.02)
 
 
 def test_busy_fraction_at_most_one_in_heavy_traffic():
     # the horizon is the last departure, not the last arrival plus its
     # service (which overshot to 1.06 for this case)
-    stats = _run(nudge_m_policy(5), n=500, seed=1, mix=MIX.with_lambda(0.95))
+    stats = _run(named_policy("nudge-m", m=5), n=500, seed=1, mix=MIX.with_lambda(0.95))
     assert stats.busy_fraction <= 1.0
 
 
@@ -130,9 +123,9 @@ def test_busy_fraction_counts_only_after_warmup():
     # the busy time the warmup=0 run's service intervals cover inside
     # [arrival of job w, last departure] gives the warmup=w run's fraction
     mix, n, w, seed = MIX.with_lambda(0.95), 20_000, 2_000, 1
-    full = simulate(SimConfig(mix=mix, policy=nudge_m_policy(5), n_jobs=n,
+    full = simulate(SimConfig(mix=mix, policy=named_policy("nudge-m", m=5), n_jobs=n,
                               seed=seed, warmup=0))
-    cut = simulate(SimConfig(mix=mix, policy=nudge_m_policy(5), n_jobs=n,
+    cut = simulate(SimConfig(mix=mix, policy=named_policy("nudge-m", m=5), n_jobs=n,
                              seed=seed, warmup=w))
     assert np.array_equal(full.wait[w:], cut.wait)
     arrivals = np.cumsum(np.random.Generator(np.random.Philox(seed))
@@ -145,11 +138,11 @@ def test_busy_fraction_counts_only_after_warmup():
 
 
 def test_swap_caps_respected():
-    stats = _run(nudge_m_policy(4), n=50_000)
+    stats = _run(named_policy("nudge-m", m=4), n=50_000)
     assert stats.passes_hist.shape == (5,)
     assert stats.passed_hist.shape == (5,)
     # Nudge-K: a type-2 job is passed at most once
-    stats_k = _run(nudge_k_policy(3), n=50_000)
+    stats_k = _run(named_policy("nudge-k", k=3), n=50_000)
     assert stats_k.passed_hist[2:].sum() == 0
 
 
@@ -164,26 +157,26 @@ def test_table_file_matches_named_policy(tmp_path):
 
 
 def test_empirical_ccdf_at_zero_is_busy_probability():
-    stats = _run(fcfs_policy(1), n=150_000)
+    stats = _run(named_policy("fcfs", m=1), n=150_000)
     est, se = empirical_ccdf(stats, "any", 0.0)
     assert abs(est - MIX.lam) <= 3.0 * se
 
 
 def test_empirical_ccdf_monotone():
-    stats = _run(nudge_m_policy(2), n=60_000)
+    stats = _run(named_policy("nudge-m", m=2), n=60_000)
     values = [empirical_ccdf(stats, 2, t)[0] for t in (0.0, 1.0, 4.0, 10.0)]
     assert values == sorted(values, reverse=True)
 
 
 def test_tail_prefactor_requires_exceedances():
-    stats = _run(fcfs_policy(1), n=30_000)
+    stats = _run(named_policy("fcfs", m=1), n=30_000)
     with pytest.raises(EstimationError):
         tail_prefactor_estimate(stats, 0.186, [200.0])
 
 
 def test_tail_prefactor_fcfs():
     from nudgem.asymptotics import decay_rate
-    stats = _run(fcfs_policy(1), n=400_000, seed=17)
+    stats = _run(named_policy("fcfs", m=1), n=400_000, seed=17)
     info = decay_rate(MIX)
     est, err = tail_prefactor_estimate(stats, info.theta_z,
                                        np.linspace(4, 20, 9))
@@ -195,7 +188,7 @@ def test_batch_means_equal_the_masked_batch_means(p):
     # slices of one compaction per type, and counts for the ccdf's 0/1
     # values, give the floats of masking each batch; at p = 0.001, 12
     # of the 30 batches hold no type-1 job
-    stats = _run(nudge_m_policy(3), n=20_000, seed=5, mix=normalized_mix(
+    stats = _run(named_policy("nudge-m", m=3), n=20_000, seed=5, mix=normalized_mix(
         p, ph_exponential(mean=1.0), ph_exponential(mean=4.0), 0.9))
     for jt in ("any", 1, 2):
         sel = stats.job_type > 0 if jt == "any" else stats.job_type == jt
@@ -209,7 +202,7 @@ def test_batch_means_equal_the_masked_batch_means(p):
 
 def test_batch_means_need_two_batches_with_the_type():
     # seed 1 leaves one type-1 job after warm-up: a mean, but no standard error
-    stats = _run(fcfs_policy(1), n=60, mix=normalized_mix(
+    stats = _run(named_policy("fcfs", m=1), n=60, mix=normalized_mix(
         0.02, ph_exponential(mean=1.0), ph_exponential(mean=1.0), 0.5))
     assert (stats.job_type == 1).sum() == 1
     with pytest.raises(EstimationError, match="1 of 30 batches"):
@@ -250,9 +243,9 @@ def _policy(name, tmp_path):
     if name.startswith("random-m"):
         m = int(name[len("random-m"):])
         return random_family_member(m, 4 * m, random.Random(m))
-    return {"fcfs": fcfs_policy(1), "nudge-m1": nudge_m_policy(1),
-            "nudge-m5": nudge_m_policy(5),
-            "nudge-km": nudge_km_policy(2, 4)}[name]
+    return {"fcfs": named_policy("fcfs", m=1), "nudge-m1": named_policy("nudge-m", m=1),
+            "nudge-m5": named_policy("nudge-m", m=5),
+            "nudge-km": named_policy("nudge-km", k=2, m=4)}[name]
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.95, 0.99])
@@ -268,7 +261,7 @@ def test_event_loop_matches_queue_scan(name, kind, lam, tmp_path):
 @pytest.mark.parametrize("warmup", [0, None])
 def test_event_loop_matches_queue_scan_one_type(p, warmup):
     assert_same_run(SimConfig(mix=_mix("exp-hyperexp", 0.95, p),
-                              policy=nudge_m_policy(3), n_jobs=4_000, seed=12,
+                              policy=named_policy("nudge-m", m=3), n_jobs=4_000, seed=12,
                               warmup=warmup))
 
 
@@ -331,7 +324,7 @@ def test_fixed_point_makes_the_sequential_decisions(seed, m, lam, p, kind,
     # at the oldest in-block type-2 job of a window either way. In each
     # explicit example an open row's count rests on an earlier open row's
     # passes, which one round of the fixed point misses
-    policy = (nudge_m_policy(m) if walk is None
+    policy = (named_policy("nudge-m", m=m) if walk is None
               else random_family_member(m, m + 2, random.Random(walk)))
     decide = sim._decide
 
@@ -362,7 +355,7 @@ def test_failed_checks_send_every_block_to_the_event_loop(monkeypatch):
 
     monkeypatch.setattr(sim, "SIM_BLOCK", 512)
     monkeypatch.setattr(sim, "_decide", wrong)
-    config = SimConfig(mix=_mix("exp-exp", 0.95), policy=nudge_m_policy(5),
+    config = SimConfig(mix=_mix("exp-exp", 0.95), policy=named_policy("nudge-m", m=5),
                        n_jobs=20_000, seed=22)
     assert_same_run(config)
     path = simulate(config).path
@@ -379,7 +372,7 @@ def _fields_equal(a, b):
 @pytest.mark.parametrize("recipe", ["fig5a", "fig5b"])
 def test_fast_path_takes_every_block(recipe, lam, monkeypatch):
     # fig5b's policy caps the passes below the window's type-2 count
-    policy = nudge_m_policy(5) if recipe == "fig5a" else nudge_km_policy(2, 5)
+    policy = named_policy("nudge-m", m=5) if recipe == "fig5a" else named_policy("nudge-km", k=2, m=5)
     config = SimConfig(mix=RECIPES[recipe]["mix"](lam), policy=policy,
                        n_jobs=200_000, seed=31)
     fast = simulate(config)
@@ -399,7 +392,7 @@ def test_exact_ties_follow_the_event_loop(gaps, monkeypatch):
     arrivals = np.cumsum(rng.choice(gaps, n)).astype(float)
     types = np.where(rng.random(n) < 0.6, 1, 2)
     service = rng.integers(1, 7, n).astype(float)
-    config = SimConfig(mix=MIX, policy=nudge_m_policy(5), n_jobs=n, seed=0)
+    config = SimConfig(mix=MIX, policy=named_policy("nudge-m", m=5), n_jobs=n, seed=0)
     monkeypatch.setattr(sim, "SIM_BLOCK", 256)
     fast = sim._replay(config, arrivals, types, service)
     assert fast.path.blocks > 10 and fast.path.event_loop_blocks == 0
@@ -427,7 +420,7 @@ def test_wrong_cut_guesses_are_caught(guess, monkeypatch):
         return hi, idle
 
     monkeypatch.setattr(sim, "SIM_BLOCK", 256)
-    config = SimConfig(mix=_mix("exp-hyperexp", 0.95), policy=nudge_m_policy(3),
+    config = SimConfig(mix=_mix("exp-hyperexp", 0.95), policy=named_policy("nudge-m", m=3),
                        n_jobs=20_000, seed=41)
     path = simulate(config).path
     monkeypatch.setattr(sim, "_next_cut", guessed)

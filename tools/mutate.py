@@ -15,8 +15,14 @@ There are ``os.cpu_count()`` workers, never more than there are entries;
 each pytest gets an equal share of the CPUs for its BLAS threads unless
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is set. Results print in catalogue order.
 
+Each pytest runs in its own process group and may take ``TIMEOUT_S``
+seconds. A pytest that runs longer is killed with its whole group, so that
+none of its processes is left running, and prints as TIMEOUT. A timed-out
+mutant counts as not killed: only failed tests kill a mutant, and a mutant
+that makes a test loop forever has not been shown to fail it.
+
 Exit status 0 when every mutant is killed. Exit status 1 when a mutant
-survives, when a snippet is missing or occurs more than once (the
+survives or times out, when a snippet is missing or occurs more than once (the
 catalogue has fallen out of step with the code), when the unmutated tests
 fail, or when pytest stops for another reason (a test id that no longer
 exists, a collection error). Standard library only; it needs the test
@@ -29,6 +35,7 @@ import json
 import os
 import queue
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -39,21 +46,31 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CATALOGUE = ROOT / "tools" / "mutants.json"
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+TIMEOUT_S = 120  # per pytest run; the slowest kill takes about 35 s
+TIMEOUT = "timeout"  # run_tests' code for a pytest stopped at TIMEOUT_S
 
 
 def run_tests(copy: Path, tests, threads: int) -> tuple:
-    """pytest's exit code and last output line for the given test ids,
-    run in the copy with its own src/ on the path."""
+    """pytest's exit code (``TIMEOUT`` when it ran past ``TIMEOUT_S``) and
+    last output line for the given test ids, run in the copy with its own
+    src/ on the path."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     for name in BLAS_THREADS:
         env.setdefault(name, str(threads))
-    res = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "-o", "addopts=", *tests],
-        cwd=copy, env=env, capture_output=True, text=True)
-    lines = [ln for ln in res.stdout.splitlines() if ln.strip()]
-    return res.returncode, lines[-1] if lines else res.stderr.strip()
+        cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return TIMEOUT, f"no result after {TIMEOUT_S} s"
+    lines = [ln for ln in out.splitlines() if ln.strip()]
+    return proc.returncode, lines[-1] if lines else err.strip()
 
 
 def make_copy(copy: Path) -> None:
@@ -100,7 +117,8 @@ def main(argv) -> int:
                 code, last = run_tests(copy, entry["tests"], threads)
             finally:
                 target.write_text(original, encoding="utf-8")
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            verdict = {0: "SURVIVED", 1: "killed", TIMEOUT: "TIMEOUT"}.get(
+                code, f"ERROR (pytest exit {code})")
             return int(code != 1), (f"{verdict:8s} {name} "
                                     f"({time.perf_counter() - began:.1f} s): {last}")
 
