@@ -101,16 +101,25 @@ def resolve_mix(args, sweep: bool = False) -> JobMix:
     raise InvalidDistributionError("no job mix given: use --mix or --recipe")
 
 
-def resolve_policy(args, default_m: Optional[int] = None) -> PolicyFn:
-    """A registered policy name (see ``policy.NAMED_POLICIES``), else a
-    policy table file."""
+def policy_name(args) -> Optional[str]:
+    """The registry key of --policy (default nudge-m) when it names a
+    registered policy (see ``policy.NAMED_POLICIES``), None when it is a
+    policy table file; a PolicyError when it is neither."""
     spec = args.policy or "nudge-m"
-    if policy_key(spec) not in NAMED_POLICIES:
-        if not os.path.isfile(spec):
-            raise PolicyError(f"--policy {spec!r} is neither a registered name "
-                              f"({', '.join(NAMED_POLICIES)}) nor a table file")
-        return policy_from_table_file(spec)
-    return named_policy(spec, m=args.m if args.m is not None else default_m,
+    if policy_key(spec) in NAMED_POLICIES:
+        return policy_key(spec)
+    if not os.path.isfile(spec):
+        raise PolicyError(f"--policy {spec!r} is neither a registered name "
+                          f"({', '.join(NAMED_POLICIES)}) nor a table file")
+    return None
+
+
+def resolve_policy(args, default_m: Optional[int] = None) -> PolicyFn:
+    """A registered policy name, else a policy table file."""
+    if policy_name(args) is None:
+        return policy_from_table_file(args.policy)
+    return named_policy(args.policy or "nudge-m",
+                        m=args.m if args.m is not None else default_m,
                         k=args.k, l=args.l)
 
 
@@ -228,10 +237,10 @@ def cmd_dist(args) -> int:
     recipe = RECIPES.get(args.recipe, {}) if args.recipe else {}
     info = decay_rate(mix)
     m = args.m if args.m is not None else recipe.get("m")
-    policy_name = policy_key(args.policy or "nudge-m")
-    if policy_name not in ("fcfs", "nudge-m"):
+    kind = policy_name(args)
+    if kind not in ("fcfs", "nudge-m"):
         raise ComplexityError("distributions are available for fcfs and nudge-m")
-    if policy_name == "nudge-m":
+    if kind == "nudge-m":
         if m is None:
             raise InvalidDistributionError("nudge-m distributions need --m")
         if m > NUDGE_M_CAP:
@@ -248,7 +257,7 @@ def cmd_dist(args) -> int:
     fcfs_r1, fcfs_r2 = fcfs_w.plus(mix.ph1), fcfs_w.plus(mix.ph2)
     r1f, r2f = fcfs_r1.ccdf(t_grid), fcfs_r2.ccdf(t_grid)
     extra = {"theta_z": info.theta_z, "m": m}
-    if policy_name == "fcfs":
+    if kind == "fcfs":
         laws = {"w1": fcfs_w, "r1": fcfs_r1, "w2": fcfs_w, "r2": fcfs_r2}
         via = {}
         w1 = w2 = fcfs_w.ccdf(t_grid)

@@ -228,8 +228,6 @@ def _restarted_cumsum(z: np.ndarray, heads: np.ndarray) -> np.ndarray:
     (ascending, heads[0] = 0), float for float. Segments are padded with
     zeros to the next power of two and summed as the rows of one array per
     width; ``np.cumsum`` adds along a row in order."""
-    if heads.shape[0] == 1:
-        return np.cumsum(z)
     lens = np.diff(heads, append=z.shape[0])
     width = np.int64(1) << np.frexp(lens - 1)[1]
     by = np.argsort(width, kind="stable")
@@ -435,21 +433,19 @@ def _fast_block(a: np.ndarray, x: np.ndarray, two: np.ndarray,
     dec = _decide(a, x, two, seen, want, m)
     j2 = np.flatnonzero(two)
     passer = dec.passes > 0
-    order, times_passed = None, np.zeros(nb, dtype=np.int64)
-    if passer.any():
-        # a passer goes in front of the oldest job it passed, after the
-        # passers that went there before it
-        anchor = dec.newest[passer] - dec.passes[passer]
-        key = np.arange(1, 2 * nb, 2)
-        key[dec.rows[passer]] = 2 * j2[anchor]
-        order = np.argsort(key, kind="stable")
-        # rank q is passed once by each passer whose ranks anchor to
-        # newest - 1 hold it
-        times_passed[j2] = np.cumsum(
-            np.bincount(anchor, minlength=j2.size + 1)
-            - np.bincount(dec.newest[passer], minlength=j2.size + 1))[:-1]
-    a_o, x_o, restart = ((a, x, idle) if order is None
-                         else (a[order], x[order], idle[order]))
+    # a passer goes in front of the oldest job it passed, after the
+    # passers that went there before it
+    anchor = dec.newest[passer] - dec.passes[passer]
+    key = np.arange(1, 2 * nb, 2)
+    key[dec.rows[passer]] = 2 * j2[anchor]
+    order = np.argsort(key, kind="stable")
+    # rank q is passed once by each passer whose ranks anchor to newest - 1
+    # hold it
+    times_passed = np.zeros(nb, dtype=np.int64)
+    times_passed[j2] = np.cumsum(
+        np.bincount(anchor, minlength=j2.size + 1)
+        - np.bincount(dec.newest[passer], minlength=j2.size + 1))[:-1]
+    a_o, x_o, restart = a[order], x[order], idle[order]
     if not restart[0]:
         return None
     first = x_o.copy()
@@ -463,8 +459,7 @@ def _fast_block(a: np.ndarray, x: np.ndarray, two: np.ndarray,
     if not np.array_equal(prev <= a_o, restart):
         return None
     start = np.where(restart, a_o, prev)
-    if order is not None:
-        start[order] = start.copy()
+    start[order] = start.copy()
     # the chain starts type-2 jobs in arrival order, so the ones waiting at
     # t are those from the first rank whose start is after t
     waiting = np.searchsorted(start[j2], a[dec.rows], side="right")
@@ -476,15 +471,14 @@ def _fast_block(a: np.ndarray, x: np.ndarray, two: np.ndarray,
     return Block(start, seen, times_passed, n_passes, dec.n_loop, dec.rounds)
 
 
-def _event_loop(arrivals, service, types, mask: int, by_mask: list,
-                m: int) -> Block:
+def _event_loop(arrivals, service, two, want, m: int) -> Block:
     """One block by the event loop, from an empty system at its first
-    arrival; ``mask`` is that arrival's window bitmask. It does O(M) work
-    per arrival for window M, whatever the queue length: the policy value
-    is looked up by the window bitmask, a type-1 job passes the newest
-    waiting type-2 jobs among the M arrivals before it, and because type-2
-    jobs keep their arrival order in the queue it goes in front of the
-    oldest of them, which sits among the queue's last M slots."""
+    arrival, on ``_fast_block``'s inputs. It does O(M) work per arrival
+    for window M, whatever the queue length: a type-1 job that finds the
+    server busy passes the newest waiting type-2 jobs among the M arrivals
+    before it, at most its ``want`` of them, and because type-2 jobs keep
+    their arrival order in the queue it goes in front of the oldest of
+    them, which sits among the queue's last M slots."""
     n = arrivals.shape[0]
     start = np.empty(n)
     workload_seen = np.empty(n)
@@ -492,18 +486,17 @@ def _event_loop(arrivals, service, types, mask: int, by_mask: list,
     n_passes = np.zeros(n, dtype=np.int64)
 
     # memoryviews read and write the arrays as Python scalars, copying nothing
-    arr, typ, svc = memoryview(arrivals), memoryview(types), memoryview(service)
+    arr, svc, cap = memoryview(arrivals), memoryview(service), memoryview(want)
     beg, seen = memoryview(start), memoryview(workload_seen)
     passed, passes = memoryview(times_passed), memoryview(n_passes)
-    full = (1 << m) - 1
     queue = deque()             # waiting job ids in service order
-    waiting = bytearray(n)      # 1 while the job is in the queue
+    waiting = bytearray(two)    # 1 for a type-2 job until it starts
     inf = math.inf
     service_ends = inf          # inf while the server is idle
     now_workload = 0.0
     prev_t = arr[0]
 
-    for i, (t, x, ty) in enumerate(zip(arr, svc, typ)):
+    for i, (t, x, most) in enumerate(zip(arr, svc, cap)):
         while service_ends <= t:  # departures before this arrival
             if queue:
                 job = queue.popleft()
@@ -519,25 +512,21 @@ def _event_loop(arrivals, service, types, mask: int, by_mask: list,
         now_workload += x
         prev_t = t
 
-        two = ty == 2
         if service_ends == inf:  # idle server, empty queue
+            waiting[i] = 0
             beg[i] = t
             service_ends = t + x
-        elif two or not by_mask[mask]:
+        elif not most:
             queue.append(i)
-            waiting[i] = 1
-        else:
-            want, bits, count = by_mask[mask], mask, 0
-            while bits:  # type-2 jobs in the window, newest first
-                low = bits & -bits
-                bits ^= low
-                j = i - low.bit_length()
-                if j >= 0 and waiting[j]:
-                    passed[j] += 1
-                    oldest = j
-                    count += 1
-                    if count == want:
-                        break
+        else:  # the window's waiting type-2 jobs, newest first
+            count, oldest, lo = 0, i, max(i - m, 0)
+            while count < most:
+                j = waiting.rfind(1, lo, oldest)
+                if j < 0:
+                    break
+                passed[j] += 1
+                oldest = j
+                count += 1
             if count:
                 passes[i] = count
                 k = 1
@@ -546,8 +535,6 @@ def _event_loop(arrivals, service, types, mask: int, by_mask: list,
                 queue.insert(-k, i)
             else:
                 queue.append(i)
-            waiting[i] = 1
-        mask = ((mask << 1) | two) & full
 
     while queue:  # drain
         job = queue.popleft()
@@ -602,7 +589,6 @@ def _replay(config: SimConfig, arrivals: np.ndarray, types: np.ndarray,
     workload_seen = np.empty(n)
     times_passed = np.empty(n, dtype=np.int64)
     passes_hist = np.zeros(m + 1, dtype=np.int64)
-    table = policy.by_mask.tolist()
     blocks = loop_blocks = loop_arrivals = rounds = 0
     lo = 0
     while lo < n:
@@ -612,12 +598,12 @@ def _replay(config: SimConfig, arrivals: np.ndarray, types: np.ndarray,
             gaps = np.diff(arrivals[lo:hi + 1])
             if hi == n:
                 gaps = np.append(gaps, 0.0)
-            mask = _masks(two, lo, hi, m)
-            want = np.where(two[lo:hi], 0, policy.by_mask[mask])
+            want = np.where(two[lo:hi], 0,
+                            policy.by_mask[_masks(two, lo, hi, m)])
             blk = _fast_block(a, x, two[lo:hi], gaps, idle, want, m)
             fell_back = blk is None
             if fell_back:
-                blk = _event_loop(a, x, types[lo:hi], int(mask[0]), table, m)
+                blk = _event_loop(a, x, two[lo:hi], want, m)
             end = float(np.max(blk.start + x))
             # the next block starts empty when the last departure and the
             # workload's drain both come by its first arrival

@@ -1229,8 +1229,7 @@ def simulate_queue_scan(config):
     queue per type-1 arrival (``list.pop(0)``, ``set(queue)``,
     ``queue.index``) and keys the policy table by a tuple of types. Must
     give bit-identical ``SimStats`` for the same config."""
-    mix, policy = config.mix, config.policy
-    n, m = config.n_jobs, policy.m
+    mix, n = config.mix, config.n_jobs
     base = np.random.Philox(config.seed)
     g_arrival = np.random.Generator(base)
     g_type = np.random.Generator(base.jumped(1))
@@ -1242,7 +1241,14 @@ def simulate_queue_scan(config):
     is1 = types == 1
     service[is1] = sample_phase_type_gathered(mix.ph1, g_service, int(is1.sum()))
     service[~is1] = sample_phase_type_gathered(mix.ph2, g_service, int((~is1).sum()))
+    return replay_queue_scan(config, arrivals, types, service)
 
+
+def replay_queue_scan(config, arrivals, types, service):
+    """``simulate_queue_scan``'s run on given arrival times, types (1 or 2)
+    and services, as ``sim._replay`` takes them."""
+    policy = config.policy
+    n, m = arrivals.shape[0], policy.m
     start = np.empty(n)
     workload_seen = np.empty(n)
     times_passed = np.zeros(n, dtype=np.int64)

@@ -187,7 +187,7 @@ def test_atir_family_parameter_errors(flags):
 
 
 @pytest.mark.parametrize("command, m", [("atir", "2"), ("atir", "0"),
-                                        ("simulate", "2")])
+                                        ("simulate", "2"), ("dist", "2")])
 def test_unknown_policy_name_is_input_error(command, m, capsys):
     # neither a registered name nor a file: the error lists the names, also
     # where atir asks for no window of the family column
@@ -247,6 +247,32 @@ def test_dist_fcfs_type_blind(tmp_path):
 def test_dist_cap_exit_code(tmp_path):
     assert main(["dist", "--recipe", "fig5a", "--m", "11",
                  "--out", str(tmp_path / "x.csv")]) == 3
+
+
+@pytest.mark.parametrize("spec, code, message", [
+    ("none.txt", 2, "none.txt' is neither a registered name (fcfs, nudge-m, "),
+    ("nudge-k", 3, "available for fcfs and nudge-m"),
+    ("t.txt", 3, "available for fcfs and nudge-m"),
+], ids=["missing-file", "other-name", "table-file"])
+def test_dist_policy_errors(spec, code, message, tmp_path, capsys):
+    # a missing file is an input error, as in every command; a policy that
+    # dist has no distributions for is a capability limit
+    if spec == "t.txt":
+        (tmp_path / spec).write_text("\n".join(
+            "".join(map(str, s)) + f" {n}"
+            for s, n in named_policy("nudge-m", m=2).table.items()))
+    if spec.endswith(".txt"):
+        spec = str(tmp_path / spec)
+    assert main(["dist", "--recipe", "fig9a", "--m", "2", "--t", "0",
+                 "--policy", spec]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_dist_nudge_m_without_window_is_input_error(tmp_path, capsys):
+    # a mix file has no recipe window to fall back on
+    mix = _mix_file(tmp_path / "mix.json", 2 / 3, 0.7, 1.0, 4.0)
+    assert main(["dist", "--mix", mix, "--t", "0"]) == 2
+    assert "nudge-m distributions need --m" in capsys.readouterr().err
 
 
 def test_mean_mm1_column(tmp_path):
@@ -619,6 +645,38 @@ def test_missing_mix_is_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["atir", "--mix", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("type1, message", [
+    ({"kind": "erlang", "stages": 3, "mean": 1.0}, None),
+    ({"kind": "gamma", "mean": 1.0}, "unknown job size kind 'gamma'"),
+    ({"kind": "erlang", "mean": 1.0}, "job-mix file is missing field 'stages'"),
+], ids=["erlang", "unknown-kind", "missing-field"])
+def test_mix_file_job_size_kinds(type1, message, tmp_path, capsys):
+    mix = _mix_file(tmp_path / "mix.json", 0.5, 0.5, type1, 1.0)
+    out = tmp_path / "a.csv"
+    code = main(["atir", "--mix", mix, "--m", "2", "--out", str(out)])
+    if message is None:
+        assert code == 0 and len(_read(out)[1]) == 3
+        assert load_mix(mix).ph1.alpha.shape == (3,)  # Erlang-3: three phases
+    else:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
+
+
+def test_atir_without_a_mix_is_input_error(capsys):
+    assert main(["atir"]) == 2
+    assert "no job mix given" in capsys.readouterr().err
+
+
+def test_verify_full_passes(capsys):
+    # the fast checks plus the simulation's against the swap layer
+    assert main(["verify", "--level", "full"]) == 0
+    out = capsys.readouterr().out
+    for name in ("sim-mean-response-3se", "sim-wait-atom-3se", "sim-swap-pmf"):
+        assert f"PASS  {name}" in out
+    assert "FAIL" not in out and "all 18 checks passed" in out
 
 
 def test_verify_fast_passes(capsys):

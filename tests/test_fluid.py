@@ -661,3 +661,17 @@ def test_model_rejects_bad_level0_rates(rates):
     model = build_nudge_m_fluid(HE_MIX, 3)
     with pytest.raises(ValueError, match="level-0 exit rates"):
         replace(model, t_star_0p=rates(model.t_star_0p))
+
+
+@pytest.mark.parametrize("recipe, m, most", [("fig5a", 3, 9), ("fig5b", 4, 10)])
+def test_sda_step_stop_ends_the_doubling(recipe, m, most, monkeypatch):
+    # every solve stops on the residual first; with that stop out of reach
+    # the doubling ends when H moves by at most RICCATI_STEP_TOL, a step or
+    # two later, on an H as close to Psi
+    model = build_nudge_m_fluid(RECIPES[recipe]["mix"](), m)
+    blocks = model.restrict(reachable_plus(model))
+    h, steps = fluid._sda(blocks)
+    monkeypatch.setattr(fluid, "RICCATI_RESIDUAL_TOL", -1.0)
+    h_step, steps_step = fluid._sda(blocks)
+    assert steps < steps_step <= most
+    assert np.max(np.abs(h_step - h)) <= 1e-12

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (batch_means_masked, decide_sequential,
-                     random_family_member, random_ph,
+                     random_family_member, random_ph, replay_queue_scan,
                      sample_phase_type_gathered, simulate_queue_scan,
                      tail_prefactor_estimate)
 
@@ -398,6 +398,30 @@ def test_exact_ties_follow_the_event_loop(gaps, monkeypatch):
     assert fast.path.blocks > 10 and fast.path.event_loop_blocks == 0
     monkeypatch.setattr(sim, "_fast_block", lambda *args: None)
     _fields_equal(fast, sim._replay(config, arrivals, types, service))
+
+
+def test_a_float_tie_sends_its_block_to_the_event_loop():
+    # a 40-job busy period whose float end lands one ulp before the next
+    # arrival, where the workload chain, summed another way, still sees
+    # 7.1e-15 of work: no restart set holds both chains, so the service
+    # chain's check fails. The event loop serves the departure first and
+    # starts the arrival when it comes; the numpy passes would start it
+    # one ulp before
+    rng = np.random.default_rng(2)
+    arrivals = np.concatenate(([0.0], np.cumsum(rng.exponential(1.0, 39))))
+    service = rng.exponential(2.0, 40)
+    ends = np.cumsum(service)  # from 0.0, as the service chain sums them
+    assert (ends[:-1] > arrivals[1:]).all()
+    arrivals = np.append(arrivals, np.nextafter(ends[-1], np.inf))
+    service = np.append(service, 1.0)
+    types = np.where(rng.random(41) < 0.6, 1, 2)
+    config = SimConfig(mix=MIX, policy=named_policy("fcfs", m=1), n_jobs=41,
+                       seed=0, warmup=0)
+    got = sim._replay(config, arrivals, types, service)
+    assert got.path.event_loop_blocks == got.path.blocks == 1
+    assert got.wait[-1] == 0.0
+    assert got.workload_seen[-1] == pytest.approx(7.1e-15, rel=0.01)
+    _fields_equal(got, replay_queue_scan(config, arrivals, types, service))
 
 
 @pytest.mark.parametrize("guess", ["busy-cut", "idle-flag"])
