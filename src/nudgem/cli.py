@@ -204,14 +204,14 @@ def _family_atir(args, info, mix, m_max: int) -> Dict[int, float]:
     none, and no table is built for them. A parameter that the member of
     window m_max refuses, or that is missing, is an input error."""
     top = min(m_max, asymptotics.FAMILY_M_CAP)
-    specs = [args]  # a table file fixes its own window
-    if policy_key(args.policy) in NAMED_POLICIES:
+    if policy_key(args.policy) not in NAMED_POLICIES:
+        members = [resolve_policy(args)]  # a table file fixes its own window
+    else:
         params = {"k": args.k, "l": args.l}
         if top >= 1:  # with no window asked for, no parameter is read
             named_triple(args.policy, m=m_max, **params)
-        specs = [argparse.Namespace(policy=args.policy, m=w, **params)
-                 for w in member_windows(args.policy, top, **params)]
-    members = [resolve_policy(ns) for ns in specs]
+        members = [named_policy(args.policy, m=w, **params)
+                   for w in member_windows(args.policy, top, **params)]
     return {pol.m: asymptotics.family_prefactors(pol, info, mix).atir
             for pol in members if pol.m <= top}
 
@@ -223,7 +223,7 @@ def _fluid_record(sol: fluid.FluidSolution, lam: float) -> dict:
             "riccati_residual": sol.riccati_residual,
             "sda_steps": sol.sda_steps,
             "c0": sol.c0, "c0_gap": abs(sol.c0 - (1.0 - lam)),
-            "eigen_gap": sol.eigen_gap, "pi_eig_n": sol.pi_eig_n}
+            "perron_shift": sol.perron_shift}
 
 
 def _law_record(law, t_max: float) -> dict:

@@ -40,7 +40,9 @@ class RiccatiError(RuntimeError):
 
 
 class StationarySolveError(RuntimeError):
-    """The pi_+ eigenproblem is ill-conditioned or not simple."""
+    """pi_+ or W_1's law cannot be formed: Psi P~ has no Perron root
+    within 1e-8 of 1, pi_+ is not sign-definite, D's components cannot be
+    lumped, or eta or c0 is out of range."""
 
 
 class SparseRows:
@@ -527,23 +529,21 @@ def solve_riccati(model: FluidModel,
 class FluidSolution:
     """Stationary fluid: Psi, pi_+ (normalized so eta = 1), the zero-level
     mass c0 and the law of the level W_1 (``stationary_fluid``).
-    ``eigen_gap`` is the distance from 1 of the second-nearest eigenvalue
-    of P~ Psi (inf when n- = 1). ``riccati_residual`` is the residual
-    ``solve_riccati`` checked Psi against, ``sda_steps`` the number of
-    doubling steps it took and ``n_plus_solved`` the number |R| of S+
-    states they ran on. ``pi_eig_n`` is the size k of the eigenproblem
-    that gave pi_+, the number of distinct rows of P~."""
+    ``perron_shift`` is rho - 1, rho the Perron root of Psi P~ from one
+    Newton step at 1: 0 for an exact Psi. ``riccati_residual`` is the
+    residual ``solve_riccati`` checked Psi against, ``sda_steps`` the
+    number of doubling steps it took and ``n_plus_solved`` the number |R|
+    of S+ states they ran on."""
 
     model: FluidModel
     psi: np.ndarray
     pi_plus: np.ndarray
     c0: float
     w1: MatrixExpDist
-    eigen_gap: float
+    perron_shift: float
     riccati_residual: float
     sda_steps: int
     n_plus_solved: int
-    pi_eig_n: int
 
     def w1_ccdf(self, t):
         """P[W_1 > t] at a scalar t or on a 1-D grid."""
@@ -595,45 +595,25 @@ def _lump_d(groups: list, d: np.ndarray, pi_d: np.ndarray,
     return np.concatenate(reps), np.concatenate(us), np.concatenate(inits)
 
 
-def _distinct_rows(a: SparseRows) -> Tuple[np.ndarray, np.ndarray]:
-    """The first of each set of equal rows of a (equal row lists, so equal
-    entries), in order of appearance, and each row's position among them:
-    a = S a[first] with the 0/1 map S[i, label[i]] = 1."""
-    seen: Dict[bytes, int] = {}
-    label = np.array([seen.setdefault(i.tobytes() + v.tobytes(), len(seen))
-                      for i, v in zip(a.idx, a.val)], dtype=np.intp)
-    return np.unique(label, return_index=True)[1], label
-
-
 def stationary_fluid(model: FluidModel) -> FluidSolution:
     """Stationary distribution of the fluid with jumps: pi_+, the
     zero-level mass c0 and the law of W_1,
     P[W_1 > t] = pi_+ e^{Kt} (-K)^{-1} Psi 1 with K = T_++ + Psi T_-+.
     Level 0 is one state, left at rate lambda_0 = sum t_star_0p, so
-    P~ = p_mp + p_m0 (x) t_star_0p / lambda_0 and c0 = pi_+ Psi p_m0 / lambda_0.
+    P~ = p_mp + p_m0 (x) q with q = t_star_0p / lambda_0, and
+    c0 = pi_+ Psi p_m0 / lambda_0.
 
-    pi_+ is the left eigenvector of the n+ x n+ matrix Psi P~ at
-    eigenvalue 1, normalized so eta = 1. AB and BA have the same nonzero
-    eigenvalues with the same multiplicities, so it comes from a k x k
-    matrix instead: with U the k distinct rows of P~ (``_distinct_rows``)
-    and S the n- x k 0/1 map with P~ = S U, Psi P~ = (Psi S) U and
-    B = (U Psi) S share them. A left eigenvector y of B at 1 gives
-    pi_+ = y U, as pi_+ Psi P~ = y (U Psi S) U = y U. For Nudge-M the row
-    of window v depends on v & (v - 1) only, so k = 2^(m-1) + 1 of
-    n- = 2^m. The other n- - k eigenvalues of P~ Psi are 0, at distance 1
-    from 1: the checks "an eigenvalue within 1e-8 of 1" and "only one"
-    keep their meaning on B, ``eigen_gap`` is the smaller of B's second
-    distance and 1 (when k < n-), and the sign check runs on pi_+ = y U.
-    The checks read B's eigenvalues alone (``np.linalg.eigvals``), and y
-    is one null vector of B^T - lam I at the eigenvalue lam nearest 1.
-    Psi 1 = 1 for a stable queue, so B 1 = U Psi 1 = 1: B's right
-    eigenvector at 1 is 1, with no zero entry, so y 1 = 1 and any k - 1
-    equations of y (B - lam I) = 0 fix y; the last one gives way. That
-    solve puts lam's rounding error into the dropped equation (pi_+ off
-    by up to 2.4e-14 max pi_+ from ``np.linalg.eig``'s vector at fig5a
-    m = 9), so one step of inverse iteration, y <- y (B - lam I)^{-1},
-    follows (within 1.0e-15 of it at fig5a and fig5b m = 8, 9). y 1 = 1
-    again after it, so pi_+ 1 = y U 1 = 1 > 0 fixes the sign.
+    pi_+ is the Perron vector of Psi P~, normalized so eta = 1. P~ is a
+    chain that restarts at q, so pi_+ comes from one n- x n- system (the
+    regenerative form). With B = p_mp Psi and x = pi_+ Psi scaled so
+    x p_m0 = 1, rho pi_+ = q + x p_mp and x = q Psi (rho I - B)^{-1}, where
+    the Perron root rho solves f(rho) = q Psi (rho I - B)^{-1} p_m0 = 1.
+    rho = 1 for an exact Psi, but the SDA's stop leaves Psi's rows short of
+    1, so one Newton step from rho = 1 follows: with
+    w0 = q Psi (I - B)^{-1} and y = w0 (I - B)^{-1}, f(1) = w0 p_m0 and
+    f'(1) = -y p_m0, so rho - 1 = (w0 p_m0 - 1) / (y p_m0) and
+    x = w0 - (rho - 1) y to first order. Without that step pi_+ misses the
+    Perron vector by 1.8e-12 max pi_+ (fig5b m = 5, lambda = 0.95).
 
     K is not formed at size n+. With R the states of ``reachable_plus``
     (from ``solve_riccati``'s report) and D the rest, K[R, D] = 0 and
@@ -641,50 +621,20 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     group of D components (``_lump_d``), with the tail (-K_l)^{-1} Psi_l 1
     of that lumped system. For Nudge-M the 2^(m-1) n2 states of D become
     one copy of S2.
-
-    P~ is sparse (``SparseRows``), p_mp plus p_m0 (x) q with
-    q = t_star_0p / lambda_0 entry for entry. U is dense (k x n+) only for
-    the product y U, so pi_+ keeps that product's rounding.
     """
     solved: dict = {}
     psi = solve_riccati(model, report=solved)
     lam0 = model.t_star_0p.sum()
     q = model.t_star_0p / lam0
-    zr, qc = np.flatnonzero(model.p_m0), np.flatnonzero(q)
-    jr, jc, jv = model.p_mp.coo()
-    p_tilde = SparseRows.from_coo(
-        np.r_[jr, np.repeat(zr, qc.size)], np.r_[jc, np.tile(qc, zr.size)],
-        np.r_[jv, np.outer(model.p_m0[zr], q[qc]).ravel()], model.p_mp.shape)
-
-    first, label = _distinct_rows(p_tilde)
-    n, n_eig = model.n_minus, first.size
-    s_map = np.zeros((n, n_eig))
-    s_map[np.arange(n), label] = 1.0
-    # B^T = ((U Psi) S)^T from the few nonzeros of each row of U
-    b_t = ((p_tilde.take(first) @ psi) @ s_map).T
-    vals = np.linalg.eigvals(b_t)
-    dist = np.abs(vals - 1.0)
-    order = np.argsort(dist)
-    idx = int(order[0])
-    if dist[idx] > 1e-8:
+    i_b = -(model.p_mp @ psi)
+    i_b[np.diag_indices_from(i_b)] += 1.0
+    w0 = np.linalg.solve(i_b.T, q @ psi)
+    y = np.linalg.solve(i_b.T, w0)
+    shift = float((w0 @ model.p_m0 - 1.0) / (y @ model.p_m0))
+    if not abs(shift) <= 1e-8:
         raise StationarySolveError(
-            f"no eigenvalue of Psi P~ near 1 (closest {vals[idx]:.6g})")
-    if np.sum(dist < 1e-8) > 1:
-        raise StationarySolveError("eigenvalue 1 of Psi P~ is not simple")
-    # P~ Psi's n - n_eig further eigenvalues are 0
-    others = dist[order[1:2]].tolist() + [1.0] * (n_eig < n)
-    eigen_gap = float(min(others, default=np.inf))
-    # y (B - lam I) = 0 without its last equation, and y 1 = 1; then one
-    # inverse iteration step, unless lam is an eigenvalue of B exactly
-    b_t[np.diag_indices(n_eig)] -= vals[idx].real
-    bordered = b_t.copy()
-    bordered[-1] = 1.0
-    y = np.linalg.solve(bordered, np.eye(n_eig)[-1])
-    try:
-        y = np.linalg.solve(b_t, y)
-    except np.linalg.LinAlgError:
-        pass
-    pi = (y / y.sum()) @ p_tilde.dense(first)
+            f"no eigenvalue of Psi P~ near 1 (Perron root 1 + {shift:.3e})")
+    pi = q + (w0 - shift * y) @ model.p_mp
     if np.any(pi < -1e-8 * np.max(np.abs(pi))):
         raise StationarySolveError("pi_+ eigenvector is not sign-definite")
     pi = np.clip(pi, 0.0, None)
@@ -713,10 +663,9 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
         raise StationarySolveError(f"zero-level mass c0 = {c0:.6g} outside (0, 1)")
     w1 = MatrixExpDist(init / eta, k, tail)
     return FluidSolution(model=model, psi=psi, pi_plus=pi, c0=c0, w1=w1,
-                         eigen_gap=eigen_gap,
+                         perron_shift=shift,
                          riccati_residual=solved["residual"],
-                         sda_steps=solved["steps"],
-                         n_plus_solved=nr, pi_eig_n=n_eig)
+                         sda_steps=solved["steps"], n_plus_solved=nr)
 
 
 # ---------------------------------------------------------------------------

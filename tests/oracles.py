@@ -254,14 +254,13 @@ def mixed_entry_fluid(mix: JobMix, m: int) -> FluidModel:
     return replace(model, p_mp=p_mp)
 
 
-def eigen_gap_dense(model, psi):
-    """Distance from 1 of the second-nearest eigenvalue of the n- x n-
-    matrix P~ Psi, from its full dense eigenproblem (inf when n- = 1)."""
+def perron_shift_dense(model, psi):
+    """rho - 1, rho the Perron root of the n- x n- matrix P~ Psi (the
+    eigenvalue of largest real part of a nonnegative matrix), from its
+    full dense eigenproblem."""
     lam0 = model.t_star_0p.sum()
     p_tilde = np.asarray(model.p_mp) + np.outer(model.p_m0, model.t_star_0p / lam0)
-    vals, _ = np.linalg.eig(p_tilde @ psi)
-    dist = np.sort(np.abs(vals - 1.0))
-    return float(dist[1]) if dist.size > 1 else np.inf
+    return float(np.max(np.linalg.eigvals(p_tilde @ psi).real)) - 1.0
 
 
 def stationary_pi_dense(model, psi):

@@ -123,10 +123,10 @@ def test_atir_family_builds_no_table_above_cap(monkeypatch, tmp_path):
     # are built, and their cells are those of --m 6. A K above the cap
     # builds none, and a K above --m stays an input error
     built = []
-    real = cli.resolve_policy
+    real = cli.named_policy
 
-    def counted(args, default_m=None):
-        pol = real(args, default_m)
+    def counted(kind, **params):
+        pol = real(kind, **params)
         built.append(pol.m)
         return pol
 
@@ -136,7 +136,7 @@ def test_atir_family_builds_no_table_above_cap(monkeypatch, tmp_path):
                      "--k", str(k), "--m", str(m), "--out", str(out)])
         return code, out.read_text().splitlines() if code == 0 else None
 
-    monkeypatch.setattr(cli, "resolve_policy", counted)
+    monkeypatch.setattr(cli, "named_policy", counted)
     assert FAMILY_M_CAP == 6
     (code, big), (code6, small) = atir(2, 18), atir(2, 6)
     assert (code, code6) == (0, 0) and built == [6, 5, 4, 3, 2] * 2
@@ -475,7 +475,7 @@ def test_boundary_rows_off_the_solution_are_numeric_failure(
 
 
 def test_no_eigenvalue_one_is_numeric_failure(monkeypatch, tmp_path, capsys):
-    # 0.5 Psi is substochastic, so only the eigen check can refuse it
+    # 0.5 Psi is substochastic, so only the Perron-root check can refuse it
     real = fluid.solve_riccati
     monkeypatch.setattr(fluid, "solve_riccati",
                         lambda model, **kw: 0.5 * real(model, **kw))
@@ -521,8 +521,8 @@ def test_dist_manifest_fluid_record(tmp_path):
     assert main(["dist", "--recipe", "fig9a", "--m", "3", "--t", "0,2",
                  "--out", str(out)]) == 0
     rec = json.loads((tmp_path / "d.csv.manifest.json").read_text())["fluid"]
-    assert sorted(rec) == ["c0", "c0_gap", "eigen_gap", "n_minus", "n_plus",
-                           "n_plus_solved", "pi_eig_n", "riccati_residual",
+    assert sorted(rec) == ["c0", "c0_gap", "n_minus", "n_plus",
+                           "n_plus_solved", "perron_shift", "riccati_residual",
                            "sda_steps"]
     assert (rec["n_minus"], rec["n_plus"]) == (8, 16)
     assert rec["n_plus_solved"] == 12  # 2^(m-1) (n1 + 2 n2)
@@ -531,8 +531,7 @@ def test_dist_manifest_fluid_record(tmp_path):
     assert rec["c0"] == pytest.approx(0.3, abs=1e-9)  # 1 - lambda
     assert rec["c0_gap"] == abs(rec["c0"] - (1.0 - 0.7))
     assert rec["c0_gap"] <= cli.C0_GAP_TOL / (1.0 - 0.7)
-    assert 0.0 < rec["eigen_gap"] <= 2.0
-    assert rec["pi_eig_n"] == 2 ** (3 - 1) + 1  # P~'s distinct rows
+    assert abs(rec["perron_shift"]) <= 1e-8
 
 
 def test_dist_manifest_law_records(tmp_path):

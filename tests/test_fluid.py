@@ -37,9 +37,9 @@ from oracles import (
     build_nudge1_fluid,
     build_nudge_m_fluid_tuples,
     convolution_ccdf,
-    eigen_gap_dense,
     law_density,
     mixed_entry_fluid,
+    perron_shift_dense,
     random_ph,
     riccati_residual_dense,
     solve_riccati_dense,
@@ -318,8 +318,8 @@ def test_sda_is_bit_identical_to_dense_oracle(name):
     # SDA runs on the reachable S+ states R only, and forms each product
     # once: Psi[R] is the one-inverse textbook loop's on the R-restricted
     # blocks to the last bit (the whole Psi when R is all of S+, as for
-    # FCFS), and pi_+ from the k x k null vector matches the n+ x n+
-    # eigenproblem's
+    # FCFS), and pi_+ from the n- x n- regenerative solve matches the
+    # n+ x n+ eigenproblem's
     model = _oracle_model(name)
     sol = _shipped(name)  # sol.psi is solve_riccati(model)
     r = reachable_plus(model)
@@ -335,18 +335,24 @@ PI_EIG_TOL = 4e-15
 
 @pytest.mark.parametrize("recipe", ["fig5a", "fig5b"])
 def test_pi_plus_matches_eigenvector_of_b(recipe):
-    # the null vector y of B^T - lam I after its inverse iteration step
-    # against np.linalg.eig's vector of B (B formed by dense products), at
-    # m = 8: 1.3e-16 (fig5a) and 6.4e-16 (fig5b) max pi_+ apart, where the
-    # bordered solve alone is 1.3e-14 and 1.7e-14 off
+    # pi_+ from the regenerative solve and its Newton step against
+    # np.linalg.eig's vector y of B = (U Psi) S, U the k distinct rows of P~
+    # in order of first appearance and S the 0/1 map with P~ = S U (B
+    # shares Psi P~'s nonzero eigenvalues, and y U is Psi P~'s
+    # eigenvector), at m = 8: 1.3e-16 (fig5a) and 5.1e-16 (fig5b) max pi_+
+    # apart, where the solve without its Newton step is 1.4e-14 off fig5b.
+    # In np.unique's sorted row order eig's own vector moves by 3.1e-15
     model, sol = _oracle_model(f"{recipe}-m8"), _shipped(f"{recipe}-m8")
     lam0 = model.t_star_0p.sum()
     p_tilde = np.asarray(model.p_mp) + np.outer(model.p_m0, model.t_star_0p / lam0)
-    first, label = fluid._distinct_rows(fluid.SparseRows.from_dense(p_tilde))
-    b = p_tilde[first] @ sol.psi @ np.eye(first.size)[label]
+    _, first, label = np.unique(p_tilde, axis=0, return_index=True,
+                                return_inverse=True)
+    order = np.argsort(first)
+    u = p_tilde[first[order]]
+    b = u @ sol.psi @ np.eye(first.size)[label][:, order]
     vals, vecs = np.linalg.eig(b.T)
     y = vecs[:, np.argmin(np.abs(vals - 1.0))].real
-    want = (y / y.sum()) @ p_tilde[first]
+    want = (y / y.sum()) @ u
     got = sol.pi_plus / sol.pi_plus.sum()
     assert np.max(np.abs(got - want)) <= PI_EIG_TOL * np.max(want)
 
@@ -489,19 +495,27 @@ def test_solution_carries_the_checked_residual():
 
 @pytest.mark.parametrize("name", list(ORACLE_MODELS))
 def test_reduced_eigenproblem_matches_dense(name):
-    # pi_+ comes from the k x k matrix on P~'s distinct rows: k is their
-    # number (2^(m-1) + 1 for Nudge-M), and the gap equals that of the full
-    # n- x n- eigenproblem, whose n- - k further eigenvalues are 0
-    build = ORACLE_CASES[name][1]
+    # the Newton step's Perron root of Psi P~ against that of the full
+    # n- x n- eigenproblem of P~ Psi (at most 3.4e-15 apart)
     model, sol = _oracle_model(name), _shipped(name)
-    p_tilde = np.asarray(model.p_mp) + np.outer(model.p_m0, model.t_star_0p
-                                                / model.t_star_0p.sum())
-    assert sol.pi_eig_n == np.unique(p_tilde, axis=0).shape[0]
-    m = getattr(build, "keywords", {}).get("m")
-    if m is not None:
-        assert sol.pi_eig_n == 2 ** (m - 1) + 1
-    want = eigen_gap_dense(model, sol.psi)
-    assert sol.eigen_gap == pytest.approx(want, rel=0, abs=1e-12)
+    want = perron_shift_dense(model, sol.psi)
+    assert sol.perron_shift == pytest.approx(want, rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("recipe,m", [("fig5a", 3), ("fig5b", 4), ("fig9a", 5)])
+def test_pi_plus_is_perron_vector_of_short_psi(recipe, m, monkeypatch):
+    # with Psi's rows 1e-9 short of 1 the Perron root of Psi P~ is
+    # 1 - 1e-9, and the Newton step keeps pi_+ its Perron vector (within
+    # 8e-16 max pi_+): the solve at rho = 1 alone is 8.0e-10 to 1.2e-9 off
+    real = fluid.solve_riccati
+    monkeypatch.setattr(fluid, "solve_riccati",
+                        lambda model, **kw: (1.0 - 1e-9) * real(model, **kw))
+    model = build_nudge_m_fluid(RECIPES[recipe]["mix"](), m)
+    sol = stationary_fluid(model)
+    pi, _ = stationary_pi_dense(model, sol.psi)
+    assert np.max(np.abs(sol.pi_plus - pi)) <= 1e-13 * np.max(pi)
+    want = perron_shift_dense(model, sol.psi)
+    assert sol.perron_shift == pytest.approx(want, rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("name", ["fcfs", "nudge1", "fig5b-m6", "fig5a-m5",

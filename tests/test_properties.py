@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (WALD_W1_TOL, WALD_W2_TOL, check_table_strings, count_twos,
-                     eigen_gap_dense, family_prefactors_enum,
+                     family_prefactors_enum, perron_shift_dense,
                      random_family_member, random_ph,
                      solve_riccati_one_lu_dense, stationary_pi_dense,
                      string_mask, verify_optimality_enum, wald_mean_gaps)
@@ -132,25 +132,19 @@ def test_verify_optimality_equals_enumeration(p, lam, phases, seed):
        phases=st.tuples(st.integers(1, 3), st.integers(1, 3)),
        m=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
 def test_pi_plus_from_distinct_rows_equals_dense(p, lam, phases, m, seed):
-    # pi_+ from the (2^(m-1) + 1)-sized eigenproblem on P~'s distinct rows
-    # equals pi_+ from the n+ x n+ one, and its eigen gap the n- x n- one's.
-    # P~ Psi's n- - k zero eigenvalues can form a Jordan block, which a
-    # dense eig resolves only to about eps^(1/j) (1e-7 at p = 0.98): where
-    # the dense gap is within 1e-6 of 1, the reduced one need only be too
+    # pi_+ from the n- x n- regenerative solve and its Newton step equals
+    # pi_+ from the n+ x n+ eigenproblem, and its Perron root of Psi P~
+    # the n- x n- eigenproblem's of P~ Psi
     rng = np.random.default_rng(seed)
     mix = normalized_mix(p, random_ph(rng, phases[0]), random_ph(rng, phases[1]),
                          lam=lam)
     model = build_nudge_m_fluid(mix, m)
     sol = stationary_fluid(model)
-    assert sol.pi_eig_n == 2 ** (m - 1) + 1
     pi, c0 = stationary_pi_dense(model, sol.psi)
     assert np.max(np.abs(sol.pi_plus - pi)) <= 1e-13 * np.max(pi)
     assert sol.c0 == pytest.approx(c0, rel=1e-13)
-    want = eigen_gap_dense(model, sol.psi)
-    if want < 1.0 - 1e-6:
-        assert abs(sol.eigen_gap - want) <= 1e-12
-    else:
-        assert sol.eigen_gap >= 1.0 - 1e-6
+    want = perron_shift_dense(model, sol.psi)
+    assert sol.perron_shift == pytest.approx(want, rel=0, abs=1e-14)
 
 
 def _gather_bound(a, x):
