@@ -9,6 +9,7 @@ scheduler.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -167,6 +168,25 @@ def m_heavy(mix: JobMix, info: DecayInfo) -> int:
     return math.floor(math.log(mix.e2 / mix.e1) / math.log1p(info.theta_z))
 
 
+# 128 keys outlast a pass of the analytic sweep (windows 1..6 at 5 loads);
+# a cycle longer than the cache would miss on every call
+@functools.lru_cache(maxsize=128)
+def _policy_free(m: int, p: float, s1t: float, s2t: float):
+    """The factors of ``family_prefactors`` that no table changes, as
+    read-only arrays indexed by bitmask: the type-1 weights without their
+    S~2 power, the sweep's start weights at k = M, and S~2^0..S~2^M."""
+    twos, bit0 = windows(m).twos, windows(m).bits[:, 0]
+    base1 = (1.0 - p) ** twos * p ** (m - twos) * s1t ** (m - twos)
+    # k = M: the tag (bit 0) followed by the tail s_{M+1}..s_{2M-1}, the
+    # arrivals before the tag
+    init = np.where(bit0, ((1.0 - p) * s2t) ** (twos - 1)
+                    * (p * s1t) ** (m - twos), 0.0)
+    out = base1, init, s2t ** np.arange(m + 1)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def family_prefactors(policy: Union[PolicyFn, PolicyTables], info: DecayInfo,
                       mix: JobMix) -> AtirReport:
     """Waiting-time prefactors of an arbitrary family member, or of every
@@ -187,8 +207,11 @@ def family_prefactors(policy: Union[PolicyFn, PolicyTables], info: DecayInfo,
     prepends s_{k-1} at each step and sums out the dropped last symbol.
     Cost O(M 2^M) per table in numpy; capped at M <= 6. The window bits
     and their popcounts come from ``policy.windows``, built once per M.
-    A ``PolicyFn`` gives float fields, a ``PolicyTables`` arrays with one
-    entry per row.
+    The factors that no table changes (``_policy_free``) are cached, keyed
+    by (M, p, S~1, S~2) as exact floats: equal keys give the same arrays,
+    so an entry cannot go stale, and a call computes only what depends on
+    its rows. A ``PolicyFn`` gives float fields, a ``PolicyTables`` arrays
+    with one entry per row.
     """
     m = policy.m
     if m > FAMILY_M_CAP:
@@ -197,33 +220,29 @@ def family_prefactors(policy: Union[PolicyFn, PolicyTables], info: DecayInfo,
     if not (0.0 < p < 1.0):
         raise ValueError("family_prefactors requires 0 < p < 1")
     s1t, s2t, st = info.s1_tilde, info.s2_tilde, info.s_tilde
-    size = 1 << m
-    bits, twos = windows(m).bits, windows(m).twos  # bits[b, i], t(b)
+    w = windows(m)
     n = np.atleast_2d(policy.by_mask)  # n[row, b]
+    base1, weight, pw2 = _policy_free(m, p, s1t, s2t)
 
-    total1 = np.sum((1.0 - p) ** twos * p ** (m - twos)
-                    * s1t ** (m - twos) * s2t ** (twos - n), axis=1)
-    c_w1 = info.c_z / st ** m * total1
+    c_w1 = info.c_z / st ** m * (base1 * pw2[w.twos - n]).sum(axis=1)
 
-    # k = M: the tag (bit 0) followed by the tail s_{M+1}..s_{2M-1}, the
-    # arrivals before the tag
-    weight = np.where(bits[:, 0], ((1.0 - p) * s2t) ** (twos - 1)
-                      * (p * s1t) ** (m - twos), 0.0)
-    weight = np.broadcast_to(weight, n.shape)
-    half = size >> 1
-    prefix = np.zeros(size, dtype=twos.dtype)  # t(s_k..s_{M-1}): bits 0..M-k-1
-    for j in range(m):  # j = M - k
+    # step j = M - k: the type-1 job at s_{k-1} passes the tag iff
+    # n(b) > prefix[j, b], the twos of s_k..s_{M-1} (bits 0..j-1)
+    prefix = np.arange(m)[:, None] - w.ones_before.T
+    passes = np.where(n[:, None, :] > prefix, s1t, 1.0)
+    weight = weight[None, :]
+    half = w.twos.size >> 1
+    for j in range(m):
         # s_{k-1} = 1 weighs p, times S~1 if that job passes the tag;
         # s_{k-1} = 2 weighs 1-p
-        one = weight * p * np.where(n > prefix, s1t, 1.0)
+        one = weight * p * passes[:, j]
         two = weight * (1.0 - p)
         # prepending s_{k-1} gives window (b << 1 | [s_{k-1} = 2]) mod 2^M:
         # bit M-1 drops out and is summed over
         weight = np.empty(n.shape)
-        weight[:, 0::2] = one[:, :half] + one[:, half:]
-        weight[:, 1::2] = two[:, :half] + two[:, half:]
-        prefix += bits[:, j]
-    c_w2 = info.c_z / st ** (m - 1) * np.sum(weight, axis=1)
+        np.add(one[:, :half], one[:, half:], out=weight[:, 0::2])
+        np.add(two[:, :half], two[:, half:], out=weight[:, 1::2])
+    c_w2 = info.c_z / st ** (m - 1) * weight.sum(axis=1)
     # a table with n = 0 passes no one, so W = Z for both types
     idle = ~n.any(axis=1)
     c_w1[idle] = c_w2[idle] = info.c_z
@@ -309,14 +328,18 @@ def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
 
 def best_nudge_kl(info: DecayInfo, mix: JobMix) -> Tuple[int, int, float]:
     """Brute-force optimal (K, L) for Nudge-K,L over the admissible
-    rectangle K, L <= M_opt (window K+L-1 capped by enumeration limits)."""
+    rectangle 1 <= K, L <= max(1, M_opt), with windows K+L-1 up to
+    ``FAMILY_M_CAP``, and its ATIR. One batched ``family_prefactors``
+    call per window holds every pair of that window; a tie goes to the
+    lexicographically smallest (K, L). At M_opt = 0 the rectangle is the
+    one pair (1, 1), which is Nudge-1, so the result is (1, 1) with a
+    negative ATIR: a policy worse than FCFS (fig5a at lambda <= 0.1)."""
     cap = max(1, m_opt(info))
-    best = (1, 1, -math.inf)
-    for k in range(1, cap + 1):
-        for l in range(1, cap + 1):
-            if k + l - 1 > FAMILY_M_CAP:
-                continue
-            a = family_prefactors(nudge_mkl(k + l - 1, k, l), info, mix).atir
-            if a > best[2]:
-                best = (k, l, a)
-    return best
+    found = {}
+    for w in range(1, min(2 * cap - 1, FAMILY_M_CAP) + 1):
+        ks = range(max(1, w + 1 - cap), min(cap, w) + 1)
+        rows = np.array([nudge_mkl(w, k, w + 1 - k).by_mask for k in ks])
+        atir = family_prefactors(PolicyTables(w, rows), info, mix).atir
+        found.update(((k, w + 1 - k), a) for k, a in zip(ks, atir.tolist()))
+    (k, l), atir = max(sorted(found.items()), key=lambda pair: pair[1])
+    return k, l, atir

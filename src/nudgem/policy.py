@@ -230,19 +230,23 @@ class PolicyTables(NamedTuple):
     by_mask: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
 def valid_tables(m: int) -> PolicyTables:
     """Every table of F_m, in the order of the product of the ranges
     range(t(s) + 1) over ``all_strings(m)``, the last string varying
     fastest. The candidates are that whole product (864 at m = 3,
     14,929,920 at m = 4, so m <= 3 only), so (C1) holds by construction;
-    the rows that meet ``c2_pairs`` at every pair are kept.
+    the rows that meet ``c2_pairs`` at every pair are kept. Built on first
+    use for each m, like ``windows``; the rows are read-only.
     """
     if m > 3:
         raise ValueError("valid_tables checks every candidate: m <= 3 only")
     w = windows(m)
     rows = np.empty((int(np.prod(w.twos + 1)), 1 << m), dtype=np.int64)
     rows[:, w.masks] = np.indices(w.twos[w.masks] + 1).reshape(1 << m, -1).T
-    return PolicyTables(m, rows[c2_pairs(m, rows).all(axis=(1, 2))])
+    rows = rows[c2_pairs(m, rows).all(axis=(1, 2))]
+    rows.flags.writeable = False  # shared between calls
+    return PolicyTables(m, rows)
 
 
 def policy_from_table_file(path) -> PolicyFn:

@@ -16,7 +16,14 @@ formula of the swap laws (the grid shares only the arrival-count laws of
 ``swap``), the window sweep of ``asymptotics.family_prefactors``, the
 bitmask rows and array check of ``policy``, the bitmask index arithmetic
 of ``fluid.build_nudge_m_fluid`` or the event loop of ``sim.simulate``.
-There are three exceptions. ``verify_optimality_enum`` checks the table
+There are these exceptions. ``family_prefactors_sweep`` is the window
+sweep as it was before ``asymptotics.family_prefactors`` cached the
+factors that no table changes: it rebuilds them on every call in the same
+order of products, so the package must match it bit for bit, while
+``family_prefactors_enum`` checks the sweep itself.
+``best_nudge_kl_pairs`` is ``asymptotics.best_nudge_kl`` as one
+``family_prefactors`` call per (K, L) pair, the loop that the batched call
+per window replaced. ``verify_optimality_enum`` checks the table
 array and the code lookups of ``asymptotics.verify_optimality`` by one
 ``PolicyFn`` per table and per lattice edge, and shares its
 ``family_prefactors`` (one table per call), which
@@ -61,6 +68,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm, solve_sylvester
 
+from nudgem import asymptotics
 from nudgem.asymptotics import (FAMILY_M_CAP, OPTIMALITY_TIE_TOL, VERIFY_M_CAP,
                                 AtirReport, ComplexityError, OptimalityReport,
                                 atir_from_prefactors, family_prefactors, m_opt)
@@ -69,7 +77,8 @@ from nudgem.fluid import (NUDGE_M_CAP, RICCATI_MAX_ITER, RICCATI_RESIDUAL_TOL,
                           _inv_m_matrix, build_nudge_m_fluid, stationary_fluid)
 from nudgem.phtype import (JobMix, MatrixExpDist, PhaseType, kron_sum,
                            poisson_terms, poisson_weights)
-from nudgem.policy import PolicyError, PolicyFn, all_strings, named_policy
+from nudgem.policy import (PolicyError, PolicyFn, all_strings, named_policy,
+                           nudge_mkl, windows)
 from nudgem.resp2 import (W2Model, _state_index, build_w2_model, chain_size,
                           counting_matrix)
 from nudgem.sim import (N_BATCHES, Decisions, EstimationError, SimStats,
@@ -814,6 +823,75 @@ def family_prefactors_enum(policy, info, mix):
 
     return AtirReport(c_w1=c_w1, c_w2=c_w2,
                       atir=atir_from_prefactors(info, mix, c_w1, c_w2))
+
+
+def family_prefactors_sweep(policy, info, mix):
+    """The window sweep of ``asymptotics.family_prefactors`` as it was
+    before the policy-free factors were cached: every factor is rebuilt on
+    each call, in the same order of products, so the package must match it
+    bit for bit. The derivation of the sweep is in the package's docstring.
+    """
+    m = policy.m
+    if m > FAMILY_M_CAP:
+        raise ComplexityError(f"family_prefactors is capped at M <= {FAMILY_M_CAP}")
+    p = mix.p
+    if not (0.0 < p < 1.0):
+        raise ValueError("family_prefactors requires 0 < p < 1")
+    s1t, s2t, st = info.s1_tilde, info.s2_tilde, info.s_tilde
+    size = 1 << m
+    bits, twos = windows(m).bits, windows(m).twos  # bits[b, i], t(b)
+    n = np.atleast_2d(policy.by_mask)  # n[row, b]
+
+    total1 = np.sum((1.0 - p) ** twos * p ** (m - twos)
+                    * s1t ** (m - twos) * s2t ** (twos - n), axis=1)
+    c_w1 = info.c_z / st ** m * total1
+
+    # k = M: the tag (bit 0) followed by the tail s_{M+1}..s_{2M-1}, the
+    # arrivals before the tag
+    weight = np.where(bits[:, 0], ((1.0 - p) * s2t) ** (twos - 1)
+                      * (p * s1t) ** (m - twos), 0.0)
+    weight = np.broadcast_to(weight, n.shape)
+    half = size >> 1
+    prefix = np.zeros(size, dtype=twos.dtype)  # t(s_k..s_{M-1}): bits 0..M-k-1
+    for j in range(m):  # j = M - k
+        # s_{k-1} = 1 weighs p, times S~1 if that job passes the tag;
+        # s_{k-1} = 2 weighs 1-p
+        one = weight * p * np.where(n > prefix, s1t, 1.0)
+        two = weight * (1.0 - p)
+        # prepending s_{k-1} gives window (b << 1 | [s_{k-1} = 2]) mod 2^M:
+        # bit M-1 drops out and is summed over
+        weight = np.empty(n.shape)
+        weight[:, 0::2] = one[:, :half] + one[:, half:]
+        weight[:, 1::2] = two[:, :half] + two[:, half:]
+        prefix += bits[:, j]
+    c_w2 = info.c_z / st ** (m - 1) * np.sum(weight, axis=1)
+    # a table with n = 0 passes no one, so W = Z for both types
+    idle = ~n.any(axis=1)
+    c_w1[idle] = c_w2[idle] = info.c_z
+
+    atir = atir_from_prefactors(info, mix, c_w1, c_w2)
+    if isinstance(policy, PolicyFn):
+        return AtirReport(c_w1=float(c_w1[0]), c_w2=float(c_w2[0]),
+                          atir=float(atir[0]))
+    return AtirReport(c_w1=c_w1, c_w2=c_w2, atir=atir)
+
+
+def best_nudge_kl_pairs(info, mix):
+    """``asymptotics.best_nudge_kl`` as one ``family_prefactors`` call per
+    (K, L) pair, K outer and L inner, keeping the first strict maximum.
+    It looks ``family_prefactors`` up on the module, so a test's
+    monkeypatch of ``asymptotics.family_prefactors`` reaches both."""
+    cap = max(1, m_opt(info))
+    best = (1, 1, -math.inf)
+    for k in range(1, cap + 1):
+        for l in range(1, cap + 1):
+            if k + l - 1 > FAMILY_M_CAP:
+                continue
+            a = asymptotics.family_prefactors(nudge_mkl(k + l - 1, k, l),
+                                              info, mix).atir
+            if a > best[2]:
+                best = (k, l, a)
+    return best
 
 
 # --- the paper's definitions, one string at a time -------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oracles import (compare_km_ml, enumerate_policies, family_prefactors_enum,
+from oracles import (best_nudge_kl_pairs, compare_km_ml, enumerate_policies,
+                     family_prefactors_enum, family_prefactors_sweep,
                      increment_ratio, laplace, nudge_prefix_strings,
                      random_family_member, verify_optimality_enum)
 
@@ -37,6 +39,7 @@ from nudgem.phtype import (
 from nudgem.policy import (
     PolicyTables,
     named_policy,
+    nudge_mkl,
     valid_tables,
 )
 
@@ -198,6 +201,52 @@ def test_family_prefactors_batch_equals_single(name):
             assert batch.atir[i] == pytest.approx(want.atir, rel=0, abs=1e-13)
 
 
+FIG6_LAMBDAS = [float(lam) for lam in RECIPES["fig6"]["lambda"]]
+SWEEP_MIXES = {**ORACLE_MIXES,
+               **{f"{name}-lam{lam}": RECIPES[name]["mix"](lam)
+                  for name in ("fig5a", "fig5b") for lam in FIG6_LAMBDAS}}
+
+
+def _assert_same_prefactors(got, want):
+    for field in ("c_w1", "c_w2", "atir"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def test_family_prefactors_bit_identical_to_sweep():
+    # the cached policy-free factors against the sweep that rebuilt them on
+    # every call: every Nudge-(M, K, L) with M <= 6 and F_1..F_3 as one
+    # batch each, on every mix
+    members = [nudge_mkl(m, k, l) for m in range(1, FAMILY_M_CAP + 1)
+               for k in range(m + 1) for l in range(1, m + 1)]
+    batches = [valid_tables(m) for m in (1, 2, 3)]
+    for mix in SWEEP_MIXES.values():
+        info = decay_rate(mix)
+        for pol in members + batches:
+            _assert_same_prefactors(family_prefactors(pol, info, mix),
+                                    family_prefactors_sweep(pol, info, mix))
+
+    # calls alternate between two mixes of the same window that differ in
+    # one input only: lambda, p, or one of the transforms S~1, S~2. A cache
+    # keyed on too little hands the second the first one's factors.
+    def own(mix):
+        return mix, decay_rate(mix)
+
+    base, info = own(RECIPES["fig5b"]["mix"](0.5))
+    pairs = [
+        ((base, info), own(RECIPES["fig5b"]["mix"](0.7))),
+        (own(MIX), own(two_class_exp_mix(p=0.5, ratio=4.0, lam=0.7))),
+        # the same transforms with another p, and one transform changed
+        ((base, info), (two_class_exp_mix(p=0.5, ratio=4.0, lam=0.5), info)),
+        ((base, info), (base, dataclasses.replace(info, s1_tilde=1.25))),
+        ((base, info), (base, dataclasses.replace(info, s2_tilde=0.75))),
+    ]
+    for pol in members:
+        for first, second in pairs:
+            for mix, inf in (first, second, first):
+                _assert_same_prefactors(family_prefactors(pol, inf, mix),
+                                        family_prefactors_sweep(pol, inf, mix))
+
+
 def test_family_prefactors_cap():
     info = decay_rate(MIX)
     with pytest.raises(ComplexityError):
@@ -336,6 +385,35 @@ def test_best_nudge_kl_beats_plain_caps():
     assert k + l - 1 <= FAMILY_M_CAP
     assert atir == pytest.approx(
         family_prefactors(named_policy("nudge-kl", k=k, l=l), info, MIX).atir)
+
+
+@pytest.mark.parametrize("name", ["fig5a", "fig5b"])
+def test_best_nudge_kl_equals_pair_loop(name):
+    # one batched call per window against one call per (K, L) pair
+    for lam in FIG6_LAMBDAS:
+        mix = RECIPES[name]["mix"](lam)
+        info = decay_rate(mix)
+        got = best_nudge_kl(info, mix)
+        assert got == best_nudge_kl_pairs(info, mix)
+        if m_opt(info) == 0:
+            # fig5a at lambda <= 0.1: the rectangle is (1, 1) alone, Nudge-1,
+            # which is worse than FCFS there
+            assert got[:2] == (1, 1) and got[2] < 0
+    assert [m_opt(decay_rate(RECIPES["fig5a"]["mix"](lam)))
+            for lam in (0.05, 0.1, 0.15)] == [0, 0, 1]
+
+
+def test_best_nudge_kl_ties_to_first_pair(monkeypatch):
+    # every row the same ATIR: both versions keep the smallest (K, L)
+    def flat(policy, info, mix):
+        atir = (np.full(len(policy.by_mask), 0.25)
+                if isinstance(policy, PolicyTables) else 0.25)
+        return asymptotics.AtirReport(atir, atir, atir)
+
+    monkeypatch.setattr(asymptotics, "family_prefactors", flat)
+    info = decay_rate(MIX)  # M_opt = 5: 22 pairs over windows 1..6
+    assert best_nudge_kl(info, MIX) == (1, 1, 0.25)
+    assert best_nudge_kl_pairs(info, MIX) == (1, 1, 0.25)
 
 
 def test_atir_prefactor_consistency():

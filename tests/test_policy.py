@@ -8,6 +8,8 @@ import pytest
 from oracles import (STRING_BUILDERS, count_twos, enumerate_policies,
                      increment_edges)
 
+from nudgem.asymptotics import decay_rate, verify_optimality
+from nudgem.phtype import two_class_exp_mix
 from nudgem.policy import (
     NAMED_POLICIES,
     PolicyError,
@@ -105,6 +107,18 @@ def test_valid_tables_equal_python_enumeration(m):
     for row, by_mask in zip(tables.by_mask, want):
         assert np.array_equal(row, by_mask)
         assert PolicyFn(m, row).by_mask.tolist() == row.tolist()
+
+
+def test_valid_tables_cached_read_only():
+    # one shared, read-only array per m; verify_optimality raises copies
+    tables = valid_tables(3)
+    assert valid_tables(3) is tables
+    with pytest.raises(ValueError):
+        tables.by_mask[0, 0] = 1
+    mix = two_class_exp_mix(p=2 / 3, ratio=4.0, lam=0.7)
+    for _ in range(2):
+        rep = verify_optimality(3, decay_rate(mix), mix)
+        assert (rep.n_policies, rep.n_edges) == (74, 168)
 
 
 def test_increment_edges_stay_in_family():
