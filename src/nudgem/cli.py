@@ -348,7 +348,9 @@ def cmd_simulate(args) -> int:
                                        "warmup": cfg.warmup,
                                        "n_batches": sim.N_BATCHES,
                                        "busy_fraction": stats.busy_fraction,
-                                       **stats.path._asdict()}}))
+                                       "block_size": sim.SIM_BLOCK,
+                                       **stats.path._asdict(),
+                                       **stats.walls._asdict()}}))
     return EXIT_OK
 
 

@@ -20,10 +20,13 @@ exactly; a block that fails a check is recomputed by the event loop
    jobs of its window. A waiting candidate j starts no earlier than
    a_j + V_j and, by the arrival's time, no later than that plus the
    type-1 work that arrived in between, so most counts follow from these
-   bounds. The rows they leave open are settled on a_j + V_j plus the work
-   that has passed j by then (``_settle``): a numpy fixed point recounts
-   every open row from the passes of the last round, starting from none,
-   until no count changes;
+   bounds. The upper bound is searched only where it can decide: the lower
+   count never exceeds it, so a row whose lower count is already
+   min(n(s), the window's type-2 jobs) is decided (at λ = 0.95, Nudge-5 on
+   the fig5a mix, 21,655 of 115,629 rows needed the search). The rows left
+   open are settled on a_j + V_j plus the work that has passed j by then
+   (``_settle``): a numpy fixed point recounts every open row from the
+   passes of the last round, starting from none, until no count changes;
 3. the service order, one stable sort on 2·anchor + [not a passer], where a
    passer's anchor is the oldest job it passed: it goes in front of that
    job, after the passers that went there before it;
@@ -47,13 +50,29 @@ arrivals are type-1 arrivals near the end of a busy period. In runs of
 arrivals, near λ = 0.75, for Nudge-5 on the fig5a mix, and a block took
 at most 6 rounds (7 for Nudge-8 on the fig5b mix), the last of which
 only confirms the counts.
+
+Each block also costs about 0.5 ms of numpy calls whatever its size (the
+slope of ``simulate``'s time over the block count), while its arrays are
+all live at once. On 2·10⁵ jobs at λ = 0.95, Nudge-5 on the fig5a mix, one
+core, median of 15 runs, with the peak RSS of the benchmark's sim-heavy
+pass (arrays of 1 MB or more mapped on their own):
+
+    SIM_BLOCK   blocks   simulate   peak RSS
+    2^13        23       61.4 ms    72.7-73.3 MB
+    2^14        12       54.9 ms    73.0-74.8 MB
+    2^15         7       53.6 ms    76.0-77.2 MB
+    2^16         4       55.8 ms    83.3-83.4 MB
+
+``SIM_BLOCK`` is the fastest of these whose peak stays within about 1 MB
+of 2^13's. Where a run is cut changes how it is computed, never what.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Optional, Tuple
 
@@ -66,8 +85,9 @@ from .policy import PolicyFn
 N_BATCHES = 30
 
 # Arrivals per block, before the block is stretched to the next arrival
-# that clearly finds the system empty.
-SIM_BLOCK = 1 << 13
+# that clearly finds the system empty (the module docstring has the sizes
+# measured).
+SIM_BLOCK = 1 << 14
 
 
 class EstimationError(RuntimeError):
@@ -121,11 +141,18 @@ def sample_phase_type(ph: PhaseType, gen: np.random.Generator,
                       size: int) -> np.ndarray:
     """Vectorized absorption-time sampling of a phase-type law.
 
-    After the initial phases (``gen.choice``), each round draws a sojourn
-    (exponential) and then a step (uniform) for every sample still alive,
-    in sample order. The first round, with every sample alive, takes
-    whole arrays; the later ones gather the few samples left."""
-    n = ph.alpha.shape[0]
+    After the initial phases, each round draws a sojourn (exponential) and
+    then a step (uniform) for every sample still alive, in sample order.
+    The first round, with every sample alive, takes whole arrays; the later
+    ones gather the few samples left.
+
+    The initial phases are what ``gen.choice(n, size, p=alpha / alpha.sum())``
+    returns, from the same draws: with weights, ``Generator.choice`` checks
+    p, divides its running sum by the last entry and returns
+    ``searchsorted(cdf, random(size), side="right")``. Only the checks are
+    skipped (``PhaseType`` checks alpha once, and tolerates entries down to
+    -1e-14 that ``choice`` refuses), so the stream stays where ``choice``
+    leaves it, one-phase laws included."""
     rates = -np.diag(ph.S)
     jump = ph.S / rates[:, None]
     np.fill_diagonal(jump, 0.0)
@@ -133,7 +160,9 @@ def sample_phase_type(ph: PhaseType, gen: np.random.Generator,
     step = np.column_stack([ph.exit / rates, jump])
     cum = np.cumsum(step, axis=1)
 
-    state = gen.choice(n, size=size, p=ph.alpha / ph.alpha.sum())
+    cdf = np.cumsum(ph.alpha / ph.alpha.sum())
+    cdf /= cdf[-1]
+    state = np.searchsorted(cdf, gen.random(size), side="right")
     total = gen.exponential(1.0, size) / rates[state]
     nxt = _next_phase(cum, state, gen.random(size))
     alive = np.flatnonzero(nxt)
@@ -148,13 +177,23 @@ def sample_phase_type(ph: PhaseType, gen: np.random.Generator,
 class SimPath(NamedTuple):
     """How ``simulate`` computed a run: its blocks, the blocks that the
     event loop recomputed after a failed check, the arrivals of the other
-    blocks whose pass decisions the bounds left open, and the most
-    fixed-point rounds that settled them in any one block."""
+    blocks whose lower-bound count needed the upper-bound search and those
+    whose pass decisions the bounds left open, and the most fixed-point
+    rounds that settled them in any one block."""
 
     blocks: int = 0
     event_loop_blocks: int = 0
+    short_rows: int = 0
     loop_arrivals: int = 0
     decide_rounds: int = 0
+
+
+class SimWalls(NamedTuple):
+    """Wall seconds of ``simulate``'s stages: the draws, and the replay of
+    the run block by block."""
+
+    draw_s: float = 0.0
+    replay_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -171,6 +210,7 @@ class SimStats:
     times_passed: np.ndarray   # per post-warmup job (0 for type-1)
     busy_fraction: float       # after warm-up, to the last departure
     path: SimPath = SimPath()  # how simulate computed the run
+    walls: SimWalls = SimWalls()  # wall seconds of simulate's stages
 
     @cached_property
     def _compacted(self) -> dict:
@@ -294,8 +334,9 @@ class Decisions(NamedTuple):
     first: np.ndarray
     newest: np.ndarray
     passes: np.ndarray
-    n_loop: int  # rows the bounds left open
-    rounds: int  # fixed-point rounds that settled them
+    n_short: int  # rows below full after the lower bound
+    n_loop: int   # rows the bounds left open
+    rounds: int   # fixed-point rounds that settled them
 
 
 def _decide(a: np.ndarray, x: np.ndarray, two: np.ndarray, seen: np.ndarray,
@@ -307,8 +348,11 @@ def _decide(a: np.ndarray, x: np.ndarray, two: np.ndarray, seen: np.ndarray,
     min(waiting, want) of them. A candidate j waits at t_i when
     a_j + V_j > t_i, and has started when a_j + V_j plus the type-1 work of
     the arrivals between j and i is <= t_i; both counts come from one
-    ``searchsorted`` each. A row whose two counts differ below its cap is
-    open: it is settled by ``_settle`` on a_j + V_j plus the work of the
+    ``searchsorted`` each, capped at min(window's type-2 jobs, want), the
+    row's full count. The lower count never exceeds the upper one, so a row
+    whose lower count is full is decided, and the upper bound is searched
+    only for the rows below it (``n_short``). A row whose two counts differ
+    is open: it is settled by ``_settle`` on a_j + V_j plus the work of the
     arrivals between j and i that passed j. Every decision is a guess that
     ``_fast_block`` checks."""
     before = np.cumsum(two) - two       # type-2 jobs before each arrival
@@ -320,18 +364,23 @@ def _decide(a: np.ndarray, x: np.ndarray, two: np.ndarray, seen: np.ndarray,
     j2 = np.flatnonzero(two)
     lower = (a + seen)[j2]             # a_j + V_j, type-2 jobs in arrival order
     type1_work = np.cumsum(np.where(two, 0.0, x))
-    sure = np.searchsorted(lower, t, side="right")
-    maybe = np.searchsorted(lower - type1_work[j2], t - type1_work[rows - 1],
+    full = np.minimum(newest - first, cap)
+    passes = _capped(first, newest, np.searchsorted(lower, t, side="right"),
+                     cap)
+    # the upper count lies between passes and full, so only a row below
+    # full can be open, and such a row is open when a rank older than the
+    # oldest it surely passes has not surely started
+    short = np.flatnonzero(passes < full)
+    maybe = np.searchsorted(lower - type1_work[j2],
+                            t[short] - type1_work[rows[short] - 1],
                             side="right")
-    passes = _capped(first, newest, sure, cap)
-    most = _capped(first, newest, maybe, cap)
-    loop = np.flatnonzero(passes != most)
+    loop = short[maybe < newest[short] - passes[short]]
     rounds = 0
     if loop.size:
         passes[loop], rounds = _settle(rows, newest, passes, loop, t[loop],
-                                       np.minimum(newest - first, cap)[loop],
-                                       lower, j2, x, m)
-    return Decisions(rows, first, newest, passes, int(loop.size), rounds)
+                                       full[loop], lower, j2, x, m)
+    return Decisions(rows, first, newest, passes, int(short.size),
+                     int(loop.size), rounds)
 
 
 def _settle(rows: np.ndarray, newest: np.ndarray, passes: np.ndarray,
@@ -408,6 +457,7 @@ class Block(NamedTuple):
     seen: np.ndarray
     passed: np.ndarray   # times passed
     passes: np.ndarray   # passes performed
+    n_short: int         # arrivals searched for the upper bound
     n_loop: int          # arrivals the bounds left open
     rounds: int          # fixed-point rounds that settled them
 
@@ -468,7 +518,8 @@ def _fast_block(a: np.ndarray, x: np.ndarray, two: np.ndarray,
         return None
     n_passes = np.zeros(nb, dtype=np.int64)
     n_passes[dec.rows] = dec.passes
-    return Block(start, seen, times_passed, n_passes, dec.n_loop, dec.rounds)
+    return Block(start, seen, times_passed, n_passes, dec.n_short, dec.n_loop,
+                 dec.rounds)
 
 
 def _event_loop(arrivals, service, two, want, m: int) -> Block:
@@ -540,7 +591,7 @@ def _event_loop(arrivals, service, two, want, m: int) -> Block:
         job = queue.popleft()
         beg[job] = service_ends
         service_ends += svc[job]
-    return Block(start, workload_seen, times_passed, n_passes, 0, 0)
+    return Block(start, workload_seen, times_passed, n_passes, 0, 0, 0)
 
 
 def simulate(config: SimConfig) -> SimStats:
@@ -560,9 +611,11 @@ def simulate(config: SimConfig) -> SimStats:
     the arrivals, near λ = 0.75, for Nudge-5 on the fig5a mix, in at most
     6 rounds a block), and no Python step per arrival, where the event
     loop alone takes O(M) Python steps per arrival. ``SimStats.path``
-    counts the blocks, the event-loop ones, the arrivals the bounds left
-    open and the most rounds a block took.
+    counts the blocks, the event-loop ones, the arrivals searched for the
+    upper bound, the arrivals the bounds left open and the most rounds a
+    block took; ``SimStats.walls`` times the draws and the replay.
     """
+    began = time.perf_counter()
     mix, n = config.mix, config.n_jobs
     base = np.random.Philox(config.seed)
     g_arrival = np.random.Generator(base)
@@ -575,7 +628,10 @@ def simulate(config: SimConfig) -> SimStats:
     is1 = types == 1
     service[is1] = sample_phase_type(mix.ph1, g_service, int(is1.sum()))
     service[~is1] = sample_phase_type(mix.ph2, g_service, int((~is1).sum()))
-    return _replay(config, arrivals, types, service)
+    drawn = time.perf_counter()
+    stats = _replay(config, arrivals, types, service)
+    return replace(stats, walls=SimWalls(drawn - began,
+                                         time.perf_counter() - drawn))
 
 
 def _replay(config: SimConfig, arrivals: np.ndarray, types: np.ndarray,
@@ -589,7 +645,7 @@ def _replay(config: SimConfig, arrivals: np.ndarray, types: np.ndarray,
     workload_seen = np.empty(n)
     times_passed = np.empty(n, dtype=np.int64)
     passes_hist = np.zeros(m + 1, dtype=np.int64)
-    blocks = loop_blocks = loop_arrivals = rounds = 0
+    blocks = loop_blocks = short_rows = loop_arrivals = rounds = 0
     lo = 0
     while lo < n:
         hi, idle = _next_cut(arrivals, service, lo, SIM_BLOCK)
@@ -613,6 +669,7 @@ def _replay(config: SimConfig, arrivals: np.ndarray, types: np.ndarray,
             hi, idle = _next_cut(arrivals, service, lo, hi - lo + 1)
         blocks += 1
         loop_blocks += fell_back
+        short_rows += blk.n_short
         loop_arrivals += blk.n_loop
         rounds = max(rounds, blk.rounds)
         wait[lo:hi] = blk.start - a
@@ -637,7 +694,7 @@ def _replay(config: SimConfig, arrivals: np.ndarray, types: np.ndarray,
         passed_hist=passed_hist,
         times_passed=times_passed[w:],
         busy_fraction=float(busy / (end - arrivals[w])),
-        path=SimPath(blocks, loop_blocks, loop_arrivals, rounds),
+        path=SimPath(blocks, loop_blocks, short_rows, loop_arrivals, rounds),
     )
 
 

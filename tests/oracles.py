@@ -1266,6 +1266,7 @@ def decide_sequential(a: np.ndarray, x: np.ndarray, two: np.ndarray,
     passes = _capped(first, newest, sure, cap)
     most = _capped(first, newest, maybe, cap)
     loop = np.flatnonzero(passes != most)
+    short = int(np.count_nonzero(passes < np.minimum(newest - first, cap)))
     if loop.size:
         # the work of the bulk-decided passers of j among the arrivals
         # between j and i: passed[i', s] = x[i'] when i' passed slot s,
@@ -1298,7 +1299,7 @@ def decide_sequential(a: np.ndarray, x: np.ndarray, two: np.ndarray,
                 extra[j] = extra.get(j, 0.0) + xi
             counts.append(len(got))
         passes[loop] = counts
-    return Decisions(rows, first, newest, passes, int(loop.size), 0)
+    return Decisions(rows, first, newest, passes, short, int(loop.size), 0)
 
 
 def simulate_queue_scan(config):

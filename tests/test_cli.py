@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nudgem
-from nudgem import cli, fluid, resp2, swap
+from nudgem import cli, fluid, resp2, sim, swap
 from nudgem.asymptotics import FAMILY_M_CAP, decay_rate, family_prefactors, m_opt
 from nudgem.cli import RECIPES, main, parse_grid
 from nudgem.phtype import MatrixExpDist, load_mix
@@ -344,10 +344,15 @@ def test_simulate_at_one_lambda(tmp_path):
     assert manifest["n_jobs"] == 2000
     record = manifest["sim"]
     assert set(record) == {"wall_s", "jobs_per_s", "warmup", "n_batches",
-                           "busy_fraction", "blocks", "event_loop_blocks",
-                           "loop_arrivals", "decide_rounds"}
+                           "busy_fraction", "block_size", "blocks",
+                           "event_loop_blocks", "short_rows", "loop_arrivals",
+                           "decide_rounds", "draw_s", "replay_s"}
+    assert record["block_size"] == sim.SIM_BLOCK
     assert 0 <= record["event_loop_blocks"] <= record["blocks"]
-    assert 0 <= record["loop_arrivals"] <= 2000
+    # an open row is one that needed the upper-bound search
+    assert 0 <= record["loop_arrivals"] <= record["short_rows"] <= 2000
+    assert record["draw_s"] > 0 and record["replay_s"] > 0
+    assert record["draw_s"] + record["replay_s"] <= record["wall_s"]
     # the fixed point runs, for a round or more, exactly when the bounds
     # leave rows open
     assert (record["decide_rounds"] == 0) == (record["loop_arrivals"] == 0)

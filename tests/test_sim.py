@@ -332,7 +332,8 @@ def test_fixed_point_makes_the_sequential_decisions(seed, m, lam, p, kind,
         dec = decide(a, x, two, seen, want, m)
         ref = decide_sequential(a, x, two, seen,
                                 sim._masks(two, 0, two.shape[0], m), want, m)
-        for name in ("rows", "first", "newest", "passes", "n_loop"):
+        for name in ("rows", "first", "newest", "passes", "n_short",
+                     "n_loop"):
             assert np.array_equal(getattr(dec, name), getattr(ref, name)), name
         return dec
 
@@ -371,7 +372,9 @@ def _fields_equal(a, b):
 @pytest.mark.parametrize("lam", [0.3, 0.95, 0.99])
 @pytest.mark.parametrize("recipe", ["fig5a", "fig5b"])
 def test_fast_path_takes_every_block(recipe, lam, monkeypatch):
-    # fig5b's policy caps the passes below the window's type-2 count
+    # fig5b's policy caps the passes below the window's type-2 count. The
+    # block size is pinned so that every case has ten blocks or more
+    monkeypatch.setattr(sim, "SIM_BLOCK", 1 << 13)
     policy = named_policy("nudge-m", m=5) if recipe == "fig5a" else named_policy("nudge-km", k=2, m=5)
     config = SimConfig(mix=RECIPES[recipe]["mix"](lam), policy=policy,
                        n_jobs=200_000, seed=31)
@@ -381,6 +384,22 @@ def test_fast_path_takes_every_block(recipe, lam, monkeypatch):
     loop = simulate(config)
     assert loop.path.event_loop_blocks == loop.path.blocks == fast.path.blocks
     _fields_equal(fast, loop)
+
+
+@pytest.mark.parametrize("recipe, m", [("fig5a", 5), ("fig5b", 8)])
+def test_block_size_changes_no_result(recipe, m, monkeypatch):
+    # blocks start at arrivals that find the system empty, so where the
+    # run is cut changes how it is computed, not what it computes
+    config = SimConfig(mix=RECIPES[recipe]["mix"](0.95),
+                       policy=named_policy("nudge-m", m=m), n_jobs=100_000,
+                       seed=32)
+    default = simulate(config)
+    for size in (1 << 12, 1 << 13):
+        monkeypatch.setattr(sim, "SIM_BLOCK", size)
+        got = simulate(config)
+        assert got.path.blocks > default.path.blocks
+        assert got.path.event_loop_blocks == 0
+        _fields_equal(got, default)
 
 
 @pytest.mark.parametrize("gaps", [(1, 2, 3, 4, 5, 6), (0, 2, 3, 5, 8)])
