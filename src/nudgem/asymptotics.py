@@ -16,26 +16,16 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .phtype import InstabilityError, JobMix, reachable
-from .policy import PolicyFn, PolicyTables, all_strings, c2_pairs, \
-    nudge_mkl, valid_tables, windows
+from .phtype import ComplexityError, JobMix, reachable
+from .policy import VERIFY_M_CAP, PolicyFn, PolicyTables, all_strings, \
+    c2_pairs, nudge_mkl, valid_tables, windows
 
-# Root cross-check tolerance for theta_Z.
+# Root cross-check tolerance for theta_Z, on the residual or forward error.
 THETA_CROSSCHECK_TOL = 1e-10
 # ATIR differences within this are exact ties in verify_optimality (integral
 # log ratio in the optimum formula) and count as neither direction.
 OPTIMALITY_TIE_TOL = 1e-12
-# Enumeration caps.
-FAMILY_M_CAP = 6
-VERIFY_M_CAP = 3
-
-
-class UnsupportedSpectrumError(ValueError):
-    """Dominant eigenvalue of T is complex, or theta_Z misses its root."""
-
-
-class ComplexityError(ValueError):
-    """The request exceeds a documented enumeration cap."""
+FAMILY_M_CAP = 6  # window cap of family_prefactors
 
 
 @dataclass(frozen=True)
@@ -70,18 +60,22 @@ def decay_rate(mix: JobMix) -> DecayInfo:
     S~2, and the Cramer-Lundberg residue c_Z = (1 - lambda) / (lambda
     E[X e^{theta_Z X}] - 1) with E[X e^{theta X}] = alpha (-theta I -
     S)^{-2} s*. theta_Z is cross-checked against the scalar root of
-    lambda (S~(-theta) - 1) = theta. A type of weight 0 gets S~i = NaN,
-    and its w1 or w is 0.
+    f(theta) = lambda (S~(-theta) - 1) - theta: it holds when |f(theta_Z)|
+    or the forward error |f / f'|, f' = lambda E[X e^{theta_Z X}] - 1 (c_Z's
+    denominator), is within the tolerance times max(theta_Z, 1) or theta_Z;
+    at light load f is steep near the slowest rate, so only the forward
+    error is small. A type of weight 0 gets S~i = NaN, and its w1 or w is 0.
     """
     r = reachable(mix.alpha > 0, *np.nonzero(mix.S))
     vals = np.linalg.eigvals(mix.T[np.ix_(r, r)])
     dom = vals[np.argmax(vals.real)]
     # real by Perron-Frobenius: only rounding can make it complex
     if abs(dom.imag) > 1e-10:
-        raise UnsupportedSpectrumError("dominant eigenvalue of T is complex")
+        raise FloatingPointError(f"dominant eigenvalue of T is complex: imaginary "
+                                 f"part {dom.imag:.3e}, above 1e-10")
     theta = -float(dom.real)
     if theta <= 0:
-        raise InstabilityError("workload decay rate is not positive")
+        raise FloatingPointError(f"workload decay rate {theta!r} is not positive")
 
     resolvent = np.linalg.inv(-theta * np.eye(r.sum()) - mix.S[np.ix_(r, r)])
     x = np.zeros(r.size)  # (-theta I - S)^{-1} s* on R, 0 off it
@@ -91,12 +85,16 @@ def decay_rate(mix: JobMix) -> DecayInfo:
     s1_tilde = float(mix.ph1.alpha @ x1) if mix.p > 0 else math.nan
     s2_tilde = float(mix.ph2.alpha @ x2) if mix.p < 1 else math.nan
     moment = float(mix.alpha[r] @ resolvent @ x[r])  # E[X e^{theta X}]
-    c_z = (1.0 - mix.lam) / (mix.lam * moment - 1.0)
+    slope = mix.lam * moment - 1.0  # f'(theta_Z)
+    c_z = (1.0 - mix.lam) / slope
 
     res = mix.lam * (s_tilde - 1.0) - theta
-    if abs(res) > THETA_CROSSCHECK_TOL * max(theta, 1.0):
-        raise UnsupportedSpectrumError(
-            f"theta_Z root cross-check failed (residual {res:.3e})")
+    if not (abs(res) <= THETA_CROSSCHECK_TOL * max(theta, 1.0)
+            or abs(res) <= THETA_CROSSCHECK_TOL * theta * slope):
+        raise FloatingPointError(
+            f"theta_Z root cross-check failed: residual {res:.3e} and forward error "
+            f"{res / slope / theta:.3e} theta_Z, above {THETA_CROSSCHECK_TOL:.0e} "
+            "max(theta_Z, 1) and theta_Z")
 
     w1 = mix.p * s1_tilde / s_tilde if mix.p > 0 else 0.0
     w = (1.0 - mix.p) / s_tilde
@@ -269,7 +267,8 @@ class OptimalityReport:
 def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
     """Exhaustively check strong tail optimality of Nudge-min(M, M_opt)
     within F_M, and the single-increment improvement rule on every edge of
-    the enumeration lattice. Small M only (cap 3).
+    the enumeration lattice. Small M only: ``policy.valid_tables`` refuses
+    M > VERIFY_M_CAP.
 
     F_M comes from ``policy.valid_tables`` as one table array. An edge
     raises n(s) by one where n(s) < t(s), so (C1) still holds, and is kept
@@ -280,8 +279,6 @@ def verify_optimality(m: int, info: DecayInfo, mix: JobMix) -> OptimalityReport:
     failures are listed by table in enumeration order, then by string in
     ``all_strings`` order.
     """
-    if m > VERIFY_M_CAP:
-        raise ComplexityError(f"verify_optimality is capped at M <= {VERIFY_M_CAP}")
     mo = m_opt(info)
     # Nudge-min(M, M_opt) inside F_M: pass exactly the twos within the
     # first min(m, mo) positions, i.e. n(s) = t(s_1..s_min(m,mo)).

@@ -1,7 +1,12 @@
 """Command-line surface: analysis commands, figure recipes, CSV output.
 
-Exit codes: 0 ok, 2 input error, 3 capability/cap error, 4 numeric
-failure. Every CSV gets a sidecar JSON manifest for reproducibility.
+Exit codes: 0 ok; 2 input error (a ValueError, a missing file); 3 a
+capability limit (``ComplexityError``: a policy that ``dist`` has no law
+for, or a window above the cap of the layer that pays for it, raised by
+``fluid.build_nudge_m_fluid``, ``asymptotics.family_prefactors`` or
+``policy.valid_tables``); 4 numeric failure (``FloatingPointError`` from a
+run-time check, ``sim.EstimationError``, ``LinAlgError``). Every CSV gets
+a sidecar JSON manifest for reproducibility.
 """
 
 from __future__ import annotations
@@ -18,15 +23,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .phtype import (InvalidDistributionError, JobMix, fit_hyperexp,
-                     load_mix, normalized_mix, ph_exponential,
+from .phtype import (ComplexityError, InvalidDistributionError, JobMix,
+                     fit_hyperexp, load_mix, normalized_mix, ph_exponential,
                      two_class_exp_mix)
 from .policy import (NAMED_POLICIES, PolicyError, PolicyFn, member_windows,
                      named_policy, named_triple, policy_from_table_file,
                      policy_key)
 from . import asymptotics, fluid, resp2, sim, swap
-from .asymptotics import ComplexityError, UnsupportedSpectrumError, decay_rate
-from .fluid import NUDGE_M_CAP, RiccatiError, StationarySolveError
+from .asymptotics import decay_rate
 
 SCHEMA_VERSION = "1"
 
@@ -240,11 +244,8 @@ def cmd_dist(args) -> int:
     kind = policy_name(args)
     if kind not in ("fcfs", "nudge-m"):
         raise ComplexityError("distributions are available for fcfs and nudge-m")
-    if kind == "nudge-m":
-        if m is None:
-            raise InvalidDistributionError("nudge-m distributions need --m")
-        if m > NUDGE_M_CAP:
-            raise ComplexityError(f"fluid construction capped at m <= {NUDGE_M_CAP}")
+    if kind == "nudge-m" and m is None:
+        raise InvalidDistributionError("nudge-m distributions need --m")
 
     t_grid = parse_grid(args.t, "--t") if args.t else \
         [float(x) for x in np.linspace(0.0, 60.0 / info.theta_z, 25)]
@@ -267,8 +268,9 @@ def cmd_dist(args) -> int:
         extra["fluid"] = record = _fluid_record(sol, mix.lam)
         # PASTA: a type-1 arrival waits zero only in an empty system
         if record["c0_gap"] > C0_GAP_TOL / (1.0 - mix.lam):
-            raise StationarySolveError(
-                f"c0 = {sol.c0!r} is off 1 - lambda by {record['c0_gap']:.3e}")
+            raise FloatingPointError(
+                f"c0 = {sol.c0!r} is off 1 - lambda by {record['c0_gap']:.3e}, "
+                f"above C0_GAP_TOL / (1 - lambda) = {C0_GAP_TOL / (1.0 - mix.lam):.3e}")
         w2m = resp2.build_w2_model(mix, m)
         r1_law = sol.w1.plus(mix.ph1)
         laws = {"w1": sol.w1, "r1": r1_law, "w2": w2m.w2, "r2": w2m.r2}
@@ -510,23 +512,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, KeyError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ComplexityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (RiccatiError, StationarySolveError, UnsupportedSpectrumError,
-            sim.EstimationError, FloatingPointError,
-            np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, sim.EstimationError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        # after the two clauses above: ComplexityError,
-        # UnsupportedSpectrumError and LinAlgError are ValueErrors too
+    except (FileNotFoundError, KeyError, ValueError) as exc:
+        # last: ComplexityError and LinAlgError are ValueErrors too
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
 
 if __name__ == "__main__":
     sys.exit(main())

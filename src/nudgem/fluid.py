@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .phtype import JobMix, MatrixExpDist, kron_sum, reachable
+from .phtype import ComplexityError, JobMix, MatrixExpDist, kron_sum, reachable
 
 # Riccati stopping criteria.
 RICCATI_STEP_TOL = 1e-14
@@ -33,16 +33,6 @@ NUDGE_M_CAP = 10
 # inverts 128-sized blocks whole, 1.9 times slower at n = 128 and 1.5
 # times at n = 256 (one thread).
 INV_LEAF = 96
-
-
-class RiccatiError(RuntimeError):
-    """SDA failed to converge to the requested residual."""
-
-
-class StationarySolveError(RuntimeError):
-    """pi_+ or W_1's law cannot be formed: Psi P~ has no Perron root
-    within 1e-8 of 1, pi_+ is not sign-definite, D's components cannot be
-    lumped, or eta or c0 is out of range."""
 
 
 class SparseRows:
@@ -493,7 +483,7 @@ def solve_riccati(model: FluidModel,
     linear Sylvester solve (``_boundary_rows``), which has no rows when D
     is empty (FCFS).
 
-    Raises RiccatiError when a row of Psi sums above
+    Raises FloatingPointError when a row of Psi sums above
     1 + RICCATI_ROW_SUM_TOL (Psi[i, j] is the probability that the fluid,
     started up in phase i, first returns to its level in phase j, so
     every row of the minimal solution sums to at most 1), or when the
@@ -515,10 +505,10 @@ def solve_riccati(model: FluidModel,
     np.clip(psi, 0.0, None, out=psi)
     rows = float(np.max(psi.sum(axis=1)))
     if rows > 1.0 + RICCATI_ROW_SUM_TOL:
-        raise RiccatiError(f"a row of Psi sums to 1 + {rows - 1.0:.3e}")
+        raise FloatingPointError(f"a row of Psi sums to 1 + {rows - 1.0:.3e}")
     res = riccati_residual(model, psi)
     if res > RICCATI_RESIDUAL_TOL:
-        raise RiccatiError(f"Riccati residual {res:.3e} above "
+        raise FloatingPointError(f"Riccati residual {res:.3e} above "
                            f"{RICCATI_RESIDUAL_TOL:.0e}")
     if report is not None:
         report.update(reachable=r, groups=groups, residual=res, steps=steps)
@@ -574,7 +564,7 @@ def _lump_d(groups: list, d: np.ndarray, pi_d: np.ndarray,
     group; u, whose row j of a group puts w_c on phase j of each of
     its components; and the lumped pi_+, sum_c pi_+[c]. A group without
     mass is dropped; one whose pi_+ rows are off m_c beta by more than
-    LUMP_TOL scale raises StationarySolveError.
+    LUMP_TOL scale raises FloatingPointError.
     """
     reps, us, inits = [np.zeros(0, np.intp)], [np.zeros((0, d.size))], [np.zeros(0)]
     for _, comps in groups:
@@ -584,7 +574,7 @@ def _lump_d(groups: list, d: np.ndarray, pi_d: np.ndarray,
             continue
         beta = init / mass.sum()
         if np.max(np.abs(rows - np.outer(mass, beta))) > LUMP_TOL * scale:
-            raise StationarySolveError(
+            raise FloatingPointError(
                 "pi_+ on a group of boundary-entered components is not "
                 "proportional to one phase law")
         u = np.zeros((comps.shape[1], d.size))
@@ -632,11 +622,12 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     y = np.linalg.solve(i_b.T, w0)
     shift = float((w0 @ model.p_m0 - 1.0) / (y @ model.p_m0))
     if not abs(shift) <= 1e-8:
-        raise StationarySolveError(
+        raise FloatingPointError(
             f"no eigenvalue of Psi P~ near 1 (Perron root 1 + {shift:.3e})")
     pi = q + (w0 - shift * y) @ model.p_mp
     if np.any(pi < -1e-8 * np.max(np.abs(pi))):
-        raise StationarySolveError("pi_+ eigenvector is not sign-definite")
+        raise FloatingPointError("pi_+ eigenvector is not sign-definite: least entry "
+                                 f"{np.min(pi) / np.max(np.abs(pi)):.3e} max |pi_+| < -1e-8")
     pi = np.clip(pi, 0.0, None)
 
     r = solved["reachable"]
@@ -656,11 +647,11 @@ def stationary_fluid(model: FluidModel) -> FluidSolution:
     boundary = -(psi @ model.p_m0) / lam0
     eta = float(init @ tail - pi @ boundary)
     if eta <= 0:
-        raise StationarySolveError(f"normalizing constant eta = {eta:.3e} <= 0")
+        raise FloatingPointError(f"normalizing constant eta = {eta:.3e} <= 0")
     pi = pi / eta
     c0 = -float(pi @ boundary)
     if not (0.0 < c0 < 1.0):
-        raise StationarySolveError(f"zero-level mass c0 = {c0:.6g} outside (0, 1)")
+        raise FloatingPointError(f"zero-level mass c0 = {c0:.6g} outside (0, 1)")
     w1 = MatrixExpDist(init / eta, k, tail)
     return FluidSolution(model=model, psi=psi, pi_plus=pi, c0=c0, w1=w1,
                          perron_shift=shift,
@@ -702,8 +693,10 @@ def build_nudge_m_fluid(mix: JobMix, m: int) -> FluidModel:
     v n2. T_++ is I (x) S1, I (x) S2 and I (x) S2 on them, plus the
     coupling I (x) s2* alpha1 from subset 2 to subset 1.
     """
-    if not (1 <= m <= NUDGE_M_CAP):
-        raise ValueError(f"window m must be in 1..{NUDGE_M_CAP}")
+    if m < 1:
+        raise ValueError("window m must be >= 1")
+    if m > NUDGE_M_CAP:
+        raise ComplexityError(f"fluid construction capped at m <= {NUDGE_M_CAP}")
     lam, p = mix.lam, mix.p
     n1, n2 = mix.n1, mix.n2
     a1, a2 = mix.ph1.alpha, mix.ph2.alpha

@@ -32,6 +32,10 @@ class FitError(ValueError):
     """Raised when no valid hyperexponential matches the requested moments."""
 
 
+class ComplexityError(ValueError):
+    """A window above the cap of the layer that would pay for it."""
+
+
 def kron_sum(a, b):
     """Kronecker sum A (+) B = A x I + I x B for square A, B."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -478,7 +482,9 @@ def two_class_exp_mix(p: float, ratio: float, lam: float) -> JobMix:
 
 # -- job-mix definition files ---------------------------------------------
 
-def _ph_from_spec(spec: dict) -> PhaseType:
+def _ph_from_spec(field: str, spec: dict) -> PhaseType:
+    if not isinstance(spec, dict):
+        raise ValueError(f"job-mix field {field!r} is not a JSON object: {spec!r}")
     kind = spec.get("kind", "raw")
     if kind == "exp":
         return ph_exponential(mean=float(spec["mean"]))
@@ -498,13 +504,17 @@ def mix_from_dict(doc: dict) -> JobMix:
     Expected fields: p, lambda, type1, type2. Each type is either
     {kind: exp|erlang|hyperexp, ...} or a raw {alpha, S} pair.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a job-mix file holds a JSON object, not {doc!r}")
     try:
         p = float(doc["p"])
         lam = float(doc["lambda"])
-        ph1 = _ph_from_spec(doc["type1"])
-        ph2 = _ph_from_spec(doc["type2"])
+        ph1 = _ph_from_spec("type1", doc["type1"])
+        ph2 = _ph_from_spec("type2", doc["type2"])
     except KeyError as exc:
         raise ValueError(f"job-mix file is missing field {exc}") from exc
+    except TypeError as exc:  # a field of another JSON type, such as a list
+        raise ValueError(f"job-mix file has a field of the wrong type: {exc}") from exc
     if doc.get("normalize", False):
         return normalized_mix(p, ph1, ph2, lam)
     return JobMix(p, ph1, ph2, lam)

@@ -19,8 +19,11 @@ from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
+from .phtype import ComplexityError
+
 String = Tuple[int, ...]
 Triple = Tuple[int, int, int]  # (M, K, L) of a Nudge-(M, K, L)
+VERIFY_M_CAP = 3  # valid_tables' candidates: 864 at m = 3, 14,929,920 at 4
 
 
 def all_strings(m: int) -> Iterator[String]:
@@ -234,13 +237,13 @@ class PolicyTables(NamedTuple):
 def valid_tables(m: int) -> PolicyTables:
     """Every table of F_m, in the order of the product of the ranges
     range(t(s) + 1) over ``all_strings(m)``, the last string varying
-    fastest. The candidates are that whole product (864 at m = 3,
-    14,929,920 at m = 4, so m <= 3 only), so (C1) holds by construction;
-    the rows that meet ``c2_pairs`` at every pair are kept. Built on first
-    use for each m, like ``windows``; the rows are read-only.
+    fastest. The candidates are that whole product, so (C1) holds by
+    construction and m is capped at ``VERIFY_M_CAP``; the rows that meet
+    ``c2_pairs`` at every pair are kept. Built on first use for each m,
+    like ``windows``; the rows are read-only.
     """
-    if m > 3:
-        raise ValueError("valid_tables checks every candidate: m <= 3 only")
+    if m > VERIFY_M_CAP:
+        raise ComplexityError(f"valid_tables is capped at M <= {VERIFY_M_CAP}")
     w = windows(m)
     rows = np.empty((int(np.prod(w.twos + 1)), 1 << m), dtype=np.int64)
     rows[:, w.masks] = np.indices(w.twos[w.masks] + 1).reshape(1 << m, -1).T

@@ -11,6 +11,7 @@ from oracles import (best_nudge_kl_pairs, compare_km_ml, enumerate_policies,
                      family_prefactors_enum, family_prefactors_sweep,
                      increment_ratio, laplace, nudge_prefix_strings,
                      random_family_member, verify_optimality_enum)
+from oracles_mp import theta_z_mp
 
 from nudgem.asymptotics import (
     FAMILY_M_CAP,
@@ -66,6 +67,33 @@ def test_decay_rate_against_root_oracle():
     # frozen values for the reference exp/exp mix
     assert info.theta_z == pytest.approx(0.18585715714571502, abs=1e-12)
     assert info.c_z == pytest.approx(0.6440588176458821, abs=1e-10)
+
+
+def _tiny_weight_mix(p):
+    # the slow type (mean 8 after normalizing) has weight p
+    return normalized_mix(p, ph_exponential(mean=4.0), ph_exponential(mean=0.5),
+                          lam=0.7)
+
+
+# (mix, lambda) for the recipes, (mix, p) for the tiny-weight mix
+THETA_POINTS = [*(("fig9a", lam) for lam in (0.7, 1e-8, 1e-9)),
+                *(("fig5b", lam) for lam in (0.7, 1e-6, 1e-7, 1e-8, 1e-9)),
+                *(("tiny-weight", p) for p in (1e-10, 1e-12, 1e-14, 1e-16))]
+
+
+@pytest.mark.parametrize("name, value", THETA_POINTS,
+                         ids=[f"{name}-{value:g}" for name, value in THETA_POINTS])
+def test_decay_rate_against_50_digit_root(name, value):
+    # at light load and at a tiny slow-type weight theta_Z sits next to the
+    # slowest phase's rate, where f(theta) = lambda (S~(-theta) - 1) - theta
+    # is steep: the residual of an accurate root reaches 4e-8 there, and
+    # the cross-check accepts it on the forward-error scale. lambda >= 0.99
+    # is left out: there the float mix's root is ill-conditioned
+    make = _tiny_weight_mix if name == "tiny-weight" else RECIPES[name]["mix"]
+    mix = make(value)
+    theta = decay_rate(mix).theta_z
+    want = theta_z_mp(mix, theta)
+    assert float(abs(theta - want) / want) <= 1e-14
 
 
 def test_decay_rate_multiphase():

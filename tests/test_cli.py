@@ -244,9 +244,27 @@ def test_dist_fcfs_type_blind(tmp_path):
         assert float(r[5]) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_dist_cap_exit_code(tmp_path):
+def test_dist_cap_exit_code(monkeypatch, tmp_path, capsys):
+    # the fluid builder owns the window cap: a model above it is never
+    # built, so none reaches the solve
+    def solve(model):
+        raise AssertionError(f"a model with n- = {model.n_minus} was solved")
+
+    monkeypatch.setattr(fluid, "stationary_fluid", solve)
     assert main(["dist", "--recipe", "fig5a", "--m", "11",
                  "--out", str(tmp_path / "x.csv")]) == 3
+    assert "fluid construction capped at m <= 10" in capsys.readouterr().err
+
+
+def test_dist_at_light_load(tmp_path):
+    # theta_Z sits next to the slow phase's rate, where the cross-check's
+    # residual reads -4.1e-8 and its forward error -5.5e-17 theta_Z: the root
+    # is accepted, and a type-1 arrival waits with probability lambda
+    out = tmp_path / "d.csv"
+    assert main(["dist", "--recipe", "fig9a", "--m", "2", "--lambda", "1e-9",
+                 "--t", "0,1", "--out", str(out)]) == 0
+    header, rows = _read(out)
+    assert float(rows[0][header.index("w1_ccdf")]) == pytest.approx(1e-9, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec, code, message", [
@@ -501,7 +519,9 @@ def test_c0_off_one_minus_lambda_is_numeric_failure(monkeypatch, tmp_path, capsy
     monkeypatch.setattr(fluid, "stationary_fluid", shifted)
     argv = ["dist", "--recipe", "fig9a", "--m", "2", "--t", "0,1"]
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 4
-    assert "off 1 - lambda" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "off 1 - lambda by 1.000e-06, above C0_GAP_TOL / (1 - lambda) = " \
+        "3.333e-11" in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -644,11 +664,24 @@ def test_unreached_slow_phase_changes_no_output(tmp_path):
         assert got == pytest.approx(want, rel=rel, abs=0)
 
 
-def test_missing_mix_is_input_error(tmp_path):
+def test_missing_mix_is_input_error(tmp_path, capsys):
     assert main(["atir", "--mix", str(tmp_path / "none.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["atir", "--mix", str(bad)]) == 2
+    # a document or a type that is not a JSON object, or a number given as
+    # a list: exit 2, no traceback
+    for text, message in (
+            ("[1, 2]", "a job-mix file holds a JSON object, not [1, 2]"),
+            ('{"p": 0.5, "lambda": 0.5, "type1": 3, "type2": {"kind": "exp", '
+             '"mean": 1.0}}', "job-mix field 'type1' is not a JSON object: 3"),
+            ('{"p": [1], "lambda": 0.5, "type1": {"kind": "exp", "mean": 1.0}, '
+             '"type2": {"kind": "exp", "mean": 1.0}}',
+             "job-mix file has a field of the wrong type: float() argument")):
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["mean", "--mix", str(bad)]) == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("type1, message", [

@@ -9,7 +9,7 @@ from oracles import (STRING_BUILDERS, count_twos, enumerate_policies,
                      increment_edges)
 
 from nudgem.asymptotics import decay_rate, verify_optimality
-from nudgem.phtype import two_class_exp_mix
+from nudgem.phtype import ComplexityError, two_class_exp_mix
 from nudgem.policy import (
     NAMED_POLICIES,
     PolicyError,
@@ -93,7 +93,7 @@ def test_enumeration_counts_frozen():
     for pol in enumerate_policies(2):
         PolicyFn(pol.m, pol.table)  # revalidates (C1)/(C2)
     assert [len(valid_tables(m).by_mask) for m in (1, 2, 3)] == [2, 7, 74]
-    with pytest.raises(ValueError):
+    with pytest.raises(ComplexityError, match="capped at M <= 3"):
         valid_tables(4)  # 14,929,920 candidates: refused before any is built
 
 
