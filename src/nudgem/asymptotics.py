@@ -57,7 +57,7 @@ def decay_rate(mix: JobMix) -> DecayInfo:
     mass. On R, T = S + lambda 1 alpha is irreducible and Metzler, so its
     dominant eigenvalue -theta_Z is real and simple (Perron-Frobenius).
     One resolvent (-theta_Z I - S)^{-1} on R gives S~(-theta_Z), S~1 and
-    S~2, and the Cramer-Lundberg residue c_Z = (1 - lambda) / (lambda
+    S~2, and the Cramer-Lundberg residue c_Z = (1 - rho) / (lambda
     E[X e^{theta_Z X}] - 1) with E[X e^{theta X}] = alpha (-theta I -
     S)^{-2} s*. theta_Z is cross-checked against the scalar root of
     f(theta) = lambda (S~(-theta) - 1) - theta: it holds when |f(theta_Z)|
@@ -86,7 +86,7 @@ def decay_rate(mix: JobMix) -> DecayInfo:
     s2_tilde = float(mix.ph2.alpha @ x2) if mix.p < 1 else math.nan
     moment = float(mix.alpha[r] @ resolvent @ x[r])  # E[X e^{theta X}]
     slope = mix.lam * moment - 1.0  # f'(theta_Z)
-    c_z = (1.0 - mix.lam) / slope
+    c_z = (1.0 - mix.rho) / slope
 
     res = mix.lam * (s_tilde - 1.0) - theta
     if not (abs(res) <= THETA_CROSSCHECK_TOL * max(theta, 1.0)
@@ -185,6 +185,16 @@ def _policy_free(m: int, p: float, s1t: float, s2t: float):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _prefix(m: int) -> np.ndarray:
+    """prefix[j, b, 0]: the twos at bits 0..j-1 of the window b; and
+    prefix[j, b, 1] = M, above every n(b), read-only."""
+    out = np.full((m, 1 << m, 2), m)
+    out[..., 0] = np.arange(m)[:, None] - windows(m).ones_before.T
+    out.flags.writeable = False
+    return out
+
+
 def family_prefactors(policy: Union[PolicyFn, PolicyTables], info: DecayInfo,
                       mix: JobMix) -> AtirReport:
     """Waiting-time prefactors of an arbitrary family member, or of every
@@ -207,9 +217,10 @@ def family_prefactors(policy: Union[PolicyFn, PolicyTables], info: DecayInfo,
     and their popcounts come from ``policy.windows``, built once per M.
     The factors that no table changes (``_policy_free``) are cached, keyed
     by (M, p, S~1, S~2) as exact floats: equal keys give the same arrays,
-    so an entry cannot go stale, and a call computes only what depends on
-    its rows. A ``PolicyFn`` gives float fields, a ``PolicyTables`` arrays
-    with one entry per row.
+    so an entry cannot go stale; the sweep's prefix counts (``_prefix``)
+    are cached per M. A call computes only what depends on its rows. A
+    ``PolicyFn`` gives float fields, its ATIR computed from the two floats,
+    and a ``PolicyTables`` arrays with one entry per row.
     """
     m = policy.m
     if m > FAMILY_M_CAP:
@@ -224,32 +235,29 @@ def family_prefactors(policy: Union[PolicyFn, PolicyTables], info: DecayInfo,
 
     c_w1 = info.c_z / st ** m * (base1 * pw2[w.twos - n]).sum(axis=1)
 
-    # step j = M - k: the type-1 job at s_{k-1} passes the tag iff
-    # n(b) > prefix[j, b], the twos of s_k..s_{M-1} (bits 0..j-1)
-    prefix = np.arange(m)[:, None] - w.ones_before.T
-    passes = np.where(n[:, None, :] > prefix, s1t, 1.0)
-    weight = weight[None, :]
+    # step j = M - k, and s_{k-1} = 1 or 2 along the last axis: a type-1
+    # job at s_{k-1} passes the tag iff n(b) > prefix[j, b, 0], the twos of
+    # s_k..s_{M-1} (bits 0..j-1); a type-2 job there never passes
+    passes = np.where(n[:, None, :, None] > _prefix(m), s1t, 1.0)
+    split = np.array([p, 1.0 - p])
     half = w.twos.size >> 1
     for j in range(m):
         # s_{k-1} = 1 weighs p, times S~1 if that job passes the tag;
         # s_{k-1} = 2 weighs 1-p
-        one = weight * p * passes[:, j]
-        two = weight * (1.0 - p)
+        both = weight[..., None] * split * passes[:, j]
         # prepending s_{k-1} gives window (b << 1 | [s_{k-1} = 2]) mod 2^M:
         # bit M-1 drops out and is summed over
-        weight = np.empty(n.shape)
-        np.add(one[:, :half], one[:, half:], out=weight[:, 0::2])
-        np.add(two[:, :half], two[:, half:], out=weight[:, 1::2])
+        weight = (both[:, :half] + both[:, half:]).reshape(n.shape)
     c_w2 = info.c_z / st ** (m - 1) * weight.sum(axis=1)
     # a table with n = 0 passes no one, so W = Z for both types
     idle = ~n.any(axis=1)
     c_w1[idle] = c_w2[idle] = info.c_z
 
-    atir = atir_from_prefactors(info, mix, c_w1, c_w2)
     if isinstance(policy, PolicyFn):
-        return AtirReport(c_w1=float(c_w1[0]), c_w2=float(c_w2[0]),
-                          atir=float(atir[0]))
-    return AtirReport(c_w1=c_w1, c_w2=c_w2, atir=atir)
+        # the same operations on floats as on one-entry arrays: same bits
+        c_w1, c_w2 = float(c_w1[0]), float(c_w2[0])
+    return AtirReport(c_w1=c_w1, c_w2=c_w2,
+                      atir=atir_from_prefactors(info, mix, c_w1, c_w2))
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,9 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_NUMERIC = 4
 
-# |c0 - (1 - lambda)| (1 - lambda) was at most 6.9e-13 on fig5a and fig5b
+# |c0 - (1 - rho)| (1 - lambda) was at most 6.9e-13 on fig5a and fig5b
 # at lambda 0.1..0.9999 with m <= 6 and on random 1-3-phase mixes. dist
-# checks it: other fluid models need not have c0 = 1 - lambda.
+# checks it: other fluid models need not have c0 = 1 - rho.
 C0_GAP_TOL = 1e-11
 
 
@@ -220,13 +220,13 @@ def _family_atir(args, info, mix, m_max: int) -> Dict[int, float]:
             for pol in members if pol.m <= top}
 
 
-def _fluid_record(sol: fluid.FluidSolution, lam: float) -> dict:
+def _fluid_record(sol: fluid.FluidSolution, rho: float) -> dict:
     """Sizes and numerical health of a fluid solve, for the manifest."""
     return {"n_minus": sol.model.n_minus, "n_plus": sol.model.n_plus,
             "n_plus_solved": sol.n_plus_solved,
             "riccati_residual": sol.riccati_residual,
             "sda_steps": sol.sda_steps,
-            "c0": sol.c0, "c0_gap": abs(sol.c0 - (1.0 - lam)),
+            "c0": sol.c0, "c0_gap": abs(sol.c0 - (1.0 - rho)),
             "perron_shift": sol.perron_shift}
 
 
@@ -265,11 +265,11 @@ def cmd_dist(args) -> int:
         r1, r2 = r1f, r2f
     else:
         sol = fluid.stationary_fluid(fluid.build_nudge_m_fluid(mix, m))
-        extra["fluid"] = record = _fluid_record(sol, mix.lam)
+        extra["fluid"] = record = _fluid_record(sol, mix.rho)
         # PASTA: a type-1 arrival waits zero only in an empty system
         if record["c0_gap"] > C0_GAP_TOL / (1.0 - mix.lam):
             raise FloatingPointError(
-                f"c0 = {sol.c0!r} is off 1 - lambda by {record['c0_gap']:.3e}, "
+                f"c0 = {sol.c0!r} is off 1 - rho by {record['c0_gap']:.3e}, "
                 f"above C0_GAP_TOL / (1 - lambda) = {C0_GAP_TOL / (1.0 - mix.lam):.3e}")
         w2m = resp2.build_w2_model(mix, m)
         r1_law = sol.w1.plus(mix.ph1)

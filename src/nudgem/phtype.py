@@ -10,6 +10,7 @@ the exit rate vector is s* = (-S) 1.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -391,8 +392,9 @@ class InstabilityError(ValueError):
 class JobMix:
     """Two-class workload: type-1 w.p. p, Poisson(lambda) arrivals.
 
-    Construction requires p E[X1] + (1-p) E[X2] = 1 (so the load equals
-    lambda); use :func:`normalized_mix` to rescale job sizes first.
+    Construction requires p E[X1] + (1-p) E[X2] = 1 within MIX_MEAN_TOL (so
+    the load ``rho`` equals lambda to that tolerance); use
+    :func:`normalized_mix` to rescale job sizes first.
     """
 
     p: float
@@ -438,9 +440,21 @@ class JobMix:
     def exit(self) -> np.ndarray:
         return np.concatenate([self.ph1.exit, self.ph2.exit])
 
+    @functools.cached_property
+    def rho(self) -> float:
+        """Load rho = lambda E[X], lambda within MIX_MEAN_TOL relative; 1 -
+        rho is the probability of an empty system. E[X] = alpha (-S)^{-1} 1
+        on the phases that alpha's support reaches through S (``reachable``),
+        so a phase that no job enters leaves rho unchanged to the last bit."""
+        r = reachable(self.alpha > 0, *np.nonzero(self.S))
+        return self.lam * float(self.alpha[r] @ np.linalg.solve(
+            -self.S[np.ix_(r, r)], np.ones(r.sum())))
+
     @property
     def beta(self) -> np.ndarray:
-        return (1.0 - self.lam) * self.alpha
+        """(1 - rho) alpha: lambda beta e^{Tt} (-T)^{-1} 1 = P[Z > t],
+        because (1 - rho) (-T)^{-1} 1 = (-S)^{-1} 1."""
+        return (1.0 - self.rho) * self.alpha
 
     @property
     def T(self) -> np.ndarray:

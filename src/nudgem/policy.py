@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import types
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Tuple
 
@@ -121,10 +122,11 @@ class PolicyFn:
                               f"s={_mask_string(m, int(w.masks[j]))}")
 
     @functools.cached_property
-    def table(self) -> Dict[String, int]:
-        """The table as a dict keyed by string, built on first use."""
-        return dict(zip(all_strings(self.m),
-                        self.by_mask[windows(self.m).masks].tolist()))
+    def table(self) -> Mapping[String, int]:
+        """The table as a read-only mapping keyed by string, built on first
+        use: a table that ``nudge_mkl`` shares cannot be edited through it."""
+        return types.MappingProxyType(dict(zip(
+            all_strings(self.m), self.by_mask[windows(self.m).masks].tolist())))
 
     def __call__(self, s) -> int:
         return self.table[tuple(s)]
@@ -141,12 +143,15 @@ class PolicyFn:
                 and np.array_equal(self.by_mask, other.by_mask))
 
 
+@functools.lru_cache(maxsize=None)
 def nudge_mkl(m: int, k: int, l: int) -> PolicyFn:
     """Nudge-(M, K, L), the one builder of the named tables: within the last
     m arrivals a type-1 job passes at most k type-2 jobs, and a type-2 job
     is passed at most l times, so n(s) = min(k, the twos in s that have
     fewer than l ones before them). Every 0 <= k <= m, 1 <= l <= m gives a
-    table of F_m; a k or l above m acts as m."""
+    table of F_m; a k or l above m acts as m. Built and checked on first
+    use for each (m, k, l), like ``windows``; the one ``PolicyFn`` is
+    shared between calls, and it is read-only."""
     return PolicyFn(m, np.minimum(_twos_before(m, l), k))
 
 

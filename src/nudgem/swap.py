@@ -23,9 +23,20 @@ window closes, and the M - r arrivals after it are fresh, so
     P[X_swap = k] = sum_r q(k, r) + Bin(M, p)(k)
                     - sum_{j, r < M} q(j, r) Bin(M - r, p)(k - j).
 
-Every mean is pmf . (0, 1, ..., M). Cost: O(M^3) flops and O(M^2)
-memory for a law (M truncated convolutions and products with a Pascal
-table of Bin(n, p)), plus M solves of order n1 + n2 or n1.
+The complement term of a hit at (j, r) has mean j + (M - r) p, so the
+mean needs only s(r) = sum_k q(k, r) = P[R_tau = r], the law of the
+arrival count when the wait ends:
+
+    E[X_swap] = p (M - sum_{r < M} s(r) (M - r)).
+
+``mean_swaps`` takes s from the power series of its pgf (``_wait_end_law``,
+a busy-period recursion after Takacs, Introduction to the Theory of
+Queues, 1962). Cost: O(M^3) flops and O(M^2) memory for a law (M
+truncated convolutions and products with a Pascal table of Bin(n, p)),
+plus M solves of order n1 + n2 or n1; O((n1 + n2) M J) flops and
+O((n1 + n2) M) memory for a mean, after one inverse each of lambda I - S_1
+and lambda I - T, where J <= M is how far the series u runs before it
+underflows (1,173 to 3,105 on fig5a and fig5b at lambda = 0.5..0.9999).
 """
 
 from __future__ import annotations
@@ -119,19 +130,80 @@ def _swap_pmf_from(mix: JobMix, law: np.ndarray) -> np.ndarray:
 def unconditional_swap_pmf(mix: JobMix, m: int) -> np.ndarray:
     """P[X_swap = k] for an arriving type-2 job, mixing over the workload Z
     it observes: arrivals during Z (density lambda beta e^{Ts} 1), plus the
-    empty system's 1 - lambda with none."""
+    empty system's 1 - rho with none."""
     if m < 1:
         raise ValueError("window m must be >= 1")
     law = _count_law(mix.lam * mix.beta, mix.T, np.ones(mix.T.shape[0]),
                      mix.lam, m)
-    law[0] += 1.0 - mix.lam
+    law[0] += 1.0 - mix.rho
     return _swap_pmf_from(mix, law)
 
 
+def _wait_end_law(mix: JobMix, m: int) -> np.ndarray:
+    """s(r) = P[R_tau = r], r = 0..m-1, for an arriving type-2 job: R_tau
+    counts the arrivals until its wait ends, the window aside.
+
+    Each arrival in the wait counts itself and, if of type 1, brings the
+    arrivals of its service, each counted alike. So one arrival has the
+    pgf u(z) = z (1 - p + p h(z)), h = C o u, where C(w) = alpha_1
+    (lambda (1 - w) I - S_1)^{-1} s_1 is the pgf of the arrivals during
+    one type-1 service, and R_tau has the pgf A_0(u(z)), where A_0(w) =
+    1 - rho + lambda beta (lambda (1 - w) I - T)^{-1} 1 is that of the
+    arrivals during the found work. x(z) = (lambda (1 - u(z)) I -
+    S_1)^{-1} s_1 solves (lambda I - S_1) x = lambda u x + s_1, so
+
+        x_0 = (lambda I - S_1)^{-1} s_1,
+        x_r = lambda (lambda I - S_1)^{-1} sum_{j=1..r} u_j x_{r-j},
+
+    h_r = alpha_1 x_r, u_1 = 1 - p + p h_0 and u_r = p h_{r-1}: u_r needs
+    x up to r - 1 only, so one pass gives every term. y is the same
+    series in T with 1 for s_1, and s(r) = lambda beta y_r plus 1 - rho
+    at r = 0. Every term is nonnegative. A term below the least normal
+    float is taken as 0, so the sums stop where u underflows: u is the
+    law of the arrivals that one arrival brings into the wait, itself
+    included, and it has a geometric tail, as the type-1 load is below 1.
+    """
+    lam, n1, n = mix.lam, mix.n1, mix.T.shape[0]
+    # x and y share u: one block-diagonal resolvent steps both
+    res = np.zeros((n1 + n, n1 + n))
+    res[:n1, :n1] = np.linalg.inv(lam * np.eye(n1) - mix.ph1.S)
+    res[n1:, n1:] = np.linalg.inv(lam * np.eye(n) - mix.T)
+    xy = np.empty((m, n1 + n))
+    xy[0] = res @ np.concatenate([mix.ph1.exit, np.ones(n)])
+    step, alpha1, tiny = lam * res, mix.ph1.alpha, np.finfo(float).tiny
+    u = np.zeros(m + 1)
+    u[1] = 1.0 - mix.p
+    top = 1  # u_j < tiny, taken as 0, for top < j < r
+    for r in range(1, m):
+        u[r] += mix.p * (alpha1 @ xy[r - 1, :n1])
+        if u[r] >= tiny:
+            top = r
+        k = min(r, top)
+        row = step @ (u[k:0:-1] @ xy[r - k:r])
+        # no subnormal terms: each one takes a slow path in every later
+        # product, and it is below tiny = 2.2e-308 in any case
+        row[row < tiny] = 0.0
+        xy[r] = row
+    s = lam * (xy[:, n1:] @ mix.beta)
+    s[0] += 1.0 - mix.rho
+    if s.sum() > 1.0 + PMF_TOL:
+        raise FloatingPointError(f"the wait-end law sums to 1 {s.sum() - 1.0:+.3g} "
+                                 "below the window: the series made mass")
+    return s
+
+
 def mean_swaps(mix: JobMix, m: int) -> float:
-    """Unconditional mean swap count of a tagged type-2 job."""
-    pmf = unconditional_swap_pmf(mix, m)
-    return float(pmf @ np.arange(pmf.shape[0]))
+    """Unconditional mean swap count of a tagged type-2 job,
+    p (M - sum_{r < M} s(r) (M - r)) with s from ``_wait_end_law``.
+
+    The sum is M P[R_tau < M] - E[R_tau; R_tau < M], so the difference
+    cancels M P[R_tau < M] down to M P[R_tau >= M] + E[R_tau; R_tau < M]:
+    its rounding, about M eps, costs log10 of M over that difference in
+    digits (README, swap-count laws)."""
+    if m < 1:
+        raise ValueError("window m must be >= 1")
+    s = _wait_end_law(mix, m)
+    return float(mix.p * (m - s @ (m - np.arange(m))))
 
 
 def workload_law(mix: JobMix) -> MatrixExpDist:
@@ -155,8 +227,8 @@ def workload_ccdf(mix: JobMix, t: float) -> float:
 
 
 def fcfs_mean_response(mix: JobMix) -> float:
-    """E[R] = 1 + E[Z] = 1 + lambda beta T^{-2} 1."""
-    return 1.0 + workload_law(mix).mean()
+    """E[R] = E[X] + E[Z] = E[X] + lambda beta T^{-2} 1."""
+    return mix.rho / mix.lam + workload_law(mix).mean()
 
 
 @dataclass(frozen=True)

@@ -508,8 +508,9 @@ def test_no_eigenvalue_one_is_numeric_failure(monkeypatch, tmp_path, capsys):
 
 
 def test_c0_off_one_minus_lambda_is_numeric_failure(monkeypatch, tmp_path, capsys):
-    # c0 = 1 - lambda (PASTA) is checked at run time: a c0 moved by 1e-6
-    # passes every check of the solve, and dist refuses it and writes no CSV
+    # c0 = 1 - rho (PASTA; rho = lambda on a unit-mean mix) is checked at
+    # run time: a c0 moved by 1e-6 passes every check of the solve, and
+    # dist refuses it and writes no CSV
     real = fluid.stationary_fluid
 
     def shifted(model):
@@ -520,9 +521,30 @@ def test_c0_off_one_minus_lambda_is_numeric_failure(monkeypatch, tmp_path, capsy
     argv = ["dist", "--recipe", "fig9a", "--m", "2", "--t", "0,1"]
     assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 4
     err = capsys.readouterr().err
-    assert "off 1 - lambda by 1.000e-06, above C0_GAP_TOL / (1 - lambda) = " \
+    assert "off 1 - rho by 1.000e-06, above C0_GAP_TOL / (1 - lambda) = " \
         "3.333e-11" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_dist_on_a_mix_off_unit_mean(tmp_path):
+    # JobMix accepts E[X] = 1 + 5e-10: the fluid's c0 and the W2 chain's
+    # start both hold 1 - rho, and a job of either type waits with
+    # probability rho. With 1 - lambda, W2's atom was off by 5e-8
+    mixfile = tmp_path / "mix.json"
+    mixfile.write_text(json.dumps({
+        "p": 2 / 3, "lambda": 0.99,
+        "type1": {"kind": "exp", "mean": 0.5 * (1 + 5e-10)},
+        "type2": {"kind": "exp", "mean": 2.0 * (1 + 5e-10)},
+    }))
+    out = tmp_path / "d.csv"
+    assert main(["dist", "--mix", str(mixfile), "--m", "2", "--t", "0,10",
+                 "--out", str(out)]) == 0
+    rho = load_mix(mixfile).rho
+    _, rows = _read(out)
+    assert abs(float(rows[0][1]) - rho) <= 1e-12  # P[W1 > 0]
+    assert abs(float(rows[0][3]) - rho) <= 1e-12  # P[W2 > 0]
+    rec = json.loads((tmp_path / "d.csv.manifest.json").read_text())["fluid"]
+    assert rec["c0_gap"] <= 1e-12
 
 
 def test_boundary_entry_with_two_phase_laws_is_numeric_failure(

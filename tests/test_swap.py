@@ -10,6 +10,7 @@ from nudgem.cli import RECIPES
 from nudgem import swap
 from nudgem.phtype import (
     JobMix,
+    MatrixExpDist,
     normalized_mix,
     ph_erlang,
     ph_exponential,
@@ -21,6 +22,7 @@ from nudgem.resp2 import (
     counting_matrix,
 )
 from nudgem.swap import (
+    PMF_TOL,
     _count_law,
     fcfs_mean_response,
     mean_response,
@@ -200,6 +202,14 @@ def test_swap_pmf_refuses_a_chain_that_makes_mass(monkeypatch):
         unconditional_swap_pmf(MIX, 5)
 
 
+def test_wait_end_series_refuses_mass_above_one(monkeypatch):
+    # an empty-system probability set too high puts more than 1 into
+    # s(0..M-1): the series is refused, not turned into a mean
+    monkeypatch.setattr(JobMix, "rho", property(lambda mix: 0.5 * mix.lam))
+    with pytest.raises(FloatingPointError, match="wait-end law"):
+        mean_swaps(MIX.with_lambda(0.7), 5)
+
+
 def test_heavy_window_runs_in_small_memory():
     # a dense counting chain at M = 60 would hold about 700 MB
     mix = RECIPES["fig5b"]["mix"](0.95)
@@ -323,3 +333,63 @@ def test_erlang_mix_mean_response_cross_check():
     a = mean_swaps(mix, 2)
     b = mean_swaps_quadrature(mix, 2, info.theta_z)
     assert a == pytest.approx(b, abs=1e-8)
+
+
+# Both means round by about eps per unit of M p: the series in M - sum
+# s(r) (M - r), which cancels M P[R_tau < M], and the pmf in its binomial
+# terms. The two differed by at most 8 eps M p over the reference mixes
+# below and 400 random 1-3-phase mixes (M <= 60, lambda <= 0.99).
+SERIES_TOL = 16 * np.finfo(float).eps
+
+
+def _assert_series_is_pmf_mean(mix, m):
+    pmf = unconditional_swap_pmf(mix, m)
+    assert abs(mean_swaps(mix, m) - pmf @ np.arange(m + 1)) <= SERIES_TOL * m * mix.p
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.7, 0.9, 0.99])
+@pytest.mark.parametrize("name", ["fig5a", "fig5b"])
+def test_series_mean_equals_pmf_mean(name, lam):
+    mix = RECIPES[name]["mix"](lam)
+    for m in (1, 2, 3, 5, 10, 30, 60, 100, 150):
+        _assert_series_is_pmf_mean(mix, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n1=st.integers(1, 3), n2=st.integers(1, 3),
+       m=st.integers(1, 60), lam=st.floats(0.05, 0.99), p=st.floats(0.05, 0.95))
+def test_series_mean_always_equals_pmf_mean(seed, n1, n2, m, lam, p):
+    rng = np.random.default_rng(seed)
+    _assert_series_is_pmf_mean(
+        normalized_mix(p, random_ph(rng, n1), random_ph(rng, n2), lam), m)
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_mean_swaps_refuses_window_below_one(m):
+    with pytest.raises(ValueError, match="window m must be >= 1"):
+        mean_swaps(MIX, m)
+
+
+@pytest.mark.parametrize("lam", [0.7, 0.99, 0.999])
+def test_mix_off_unit_mean_uses_its_load(lam):
+    # JobMix accepts E[X] = 1 + 5e-10: every law that starts from the
+    # empty system's 1 - rho (beta = (1 - rho) alpha, the pmf's atom, c_Z,
+    # E[R] = E[X] + E[Z]) stays exact; 1 - lambda put them off by about
+    # lambda 5e-10 / (1 - lambda)
+    d = 1.0 + 5e-10
+    mix = JobMix(2 / 3, ph_exponential(mean=0.5 * d), ph_exponential(mean=2.0 * d), lam)
+    ones = np.ones(mix.T.shape[0])
+    by_s = MatrixExpDist(mix.lam * mix.alpha, mix.T, np.linalg.solve(-mix.S, ones))
+    ts = np.array([0.0, 1.0, 10.0, 100.0])
+    assert np.max(np.abs(by_s.ccdf(ts) - swap.workload_law(mix).ccdf(ts))) <= 1e-13
+    pmf = unconditional_swap_pmf(mix, 20)
+    assert abs(pmf.sum() - 1.0) <= PMF_TOL
+    _assert_series_is_pmf_mean(mix, 20)
+    # Pollaczek-Khinchine: E[Z] = lambda E[X^2] / (2 (1 - rho))
+    pk = mix.rho / mix.lam + mix.lam * mix.second_moment() / (2.0 * (1.0 - mix.rho))
+    assert fcfs_mean_response(mix) == pytest.approx(pk, rel=1e-12)
+    # the workload tail against c_Z e^{-theta t}, c_Z = (1 - rho) / f'
+    info = decay_rate(mix)
+    t = 40.0 / info.theta_z
+    assert workload_ccdf(mix, t) * math.exp(info.theta_z * t) == pytest.approx(
+        info.c_z, rel=1e-10)
